@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=("inas", "si"), default="inas")
         p.add_argument("--t2", type=float, default=None,
                        help="override T2 in seconds (required for --preset si)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed; simulate/teleport default to the scenario's")
         p.add_argument("--out", default=None, help="directory for report.json")
 
     p = sub.add_parser("resources", help="Rabi drive and exchange figures")
@@ -239,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qec", help="run five-qubit correction cycles")
     common(p)
+    p.set_defaults(seed=0)
     p.add_argument("--cycles", type=int, default=100)
     p.add_argument("--p", type=float, default=0.0,
                    help="per-pulse Pauli error probability")

@@ -4,10 +4,11 @@ Each dot holds at most one electron (Coulomb blockade). Occupied dots carry
 qubit amplitudes in one shared register; the dot <-> qubit mapping lives in
 `qubit_positions`. Every event advances the clock by its physical duration
 and, when noise is enabled, applies idle decoherence for that window:
-exact channels on density-matrix registers, seeded jump sampling on vector
-registers. Ideal gate unitaries themselves are noiseless; their duration
-contributes an idle window instead. During an exchange window the coupled
-pair is excluded from that window's idle noise.
+one exact pass over all idling qubits on density-matrix registers, seeded
+jump sampling qubit by qubit on vector registers. Ideal gate unitaries
+themselves are noiseless; their duration contributes an idle window
+instead. During an exchange window the coupled pair is excluded from that
+window's idle noise.
 
 Strict mode additionally applies the always-on residual exchange J_off to
 every adjacent occupied pair during each timed window.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .constants import HBAR_EV_S
 from .errors import AdjacencyError, BlockadeError, StateError
-from .noise import NoiseParams, apply_idle_jumps, idle_channel
+from .noise import NoiseParams, apply_idle_jumps, idle_window
 from .pulses import drive_report, swap_duration
 from .qstate import (
     Gate,
@@ -201,19 +202,14 @@ class DotArray:
         params = self.material.noise
         if not params.enabled or duration <= 0:
             return
-        for pos in self.qubit_positions:
-            if pos in exclude:
-                continue
-            q = self.dots[pos].qubit_id
-            t2 = self.dots[pos].t2_override
-            if self.state.is_vector:
-                self.state = apply_idle_jumps(
-                    self.state, q, duration, params, self._rng, T2_override=t2
-                )
-            else:
-                self.state = idle_channel(
-                    self.state, q, duration, params, T2_override=t2
-                )
+        idling = [self.dots[p] for p in self.qubit_positions if p not in exclude]
+        if not self.state.is_vector:
+            self.state = idle_window(self.state, duration, params,
+                                     {d.qubit_id: d.t2_override for d in idling})
+            return
+        for dot in idling:
+            self.state = apply_idle_jumps(self.state, dot.qubit_id, duration, params,
+                                          self._rng, T2_override=dot.t2_override)
 
     def _residual_window(self, duration: float, exclude_pair=None) -> None:
         if not self.strict or duration <= 0:

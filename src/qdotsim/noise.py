@@ -7,9 +7,13 @@ gamma = 1 - exp(-t/T1). Because damping already dephases at rate 1/(2*T1),
 the combined idle channel uses the pure-dephasing rate
 1/T2' = 1/T2 - 1/(2*T1), which is nonnegative exactly when T2 <= 2*T1.
 
-Exact channels act on density matrices. Vector states go through
-sample_trajectory, a seeded stochastic unraveling whose ensemble average
-reproduces the exact channels.
+On density matrices the device applies each event's idle window in one
+exact pass (idle_window) of in-place block arithmetic over every idling
+qubit, each with its own T2 (a dot's t2_override); the pair coupled by an
+exchange window is left out. One-qubit channels on different qubits commute,
+so one pass is exact. The Kraus pairs (Nielsen & Chuang, section 8.3) are
+the reference. Vector states go through apply_idle_jumps, a seeded
+stochastic unraveling whose ensemble average reproduces the exact channels.
 """
 from __future__ import annotations
 
@@ -75,60 +79,67 @@ def damping_kraus(gamma: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
-def apply_kraus(state: QuantumState, qubit: int, kraus: list[np.ndarray]) -> QuantumState:
-    """rho -> sum_i K_i rho K_i^dagger on one qubit of a density matrix."""
+def _channel(state: QuantumState, t: float, steps) -> QuantumState:
+    """Exact decay over t seconds of a copy of a density matrix. Each step
+    (qubit, dephasing_rate, damping_rate) moves gamma = 1 - exp(-t*damping_rate)
+    of the qubit's |1><1| block into its |0><0| block and scales its
+    coherences by exp(-t*dephasing_rate) * sqrt(1 - gamma)."""
+    if t < 0:
+        raise StateError(f"negative duration t = {t}")
+    if t == 0:
+        return state
     if state.is_vector:
-        raise StateError(
-            "Kraus channels need a density matrix; route vector states "
-            "through sample_trajectory"
-        )
+        raise StateError("exact channels need a density matrix; route vector "
+                         "states through apply_idle_jumps")
     n = state.n_qubits
-    rho = state.data.reshape([2] * (2 * n))
-    out = np.zeros_like(rho)
-    for k in kraus:
-        term = np.moveaxis(rho, qubit, 0)
-        term = np.tensordot(k, term, axes=([1], [0]))
-        term = np.moveaxis(term, 0, qubit)
-        term = np.moveaxis(term, n + qubit, 0)
-        term = np.tensordot(k.conj(), term, axes=([1], [0]))
-        term = np.moveaxis(term, 0, n + qubit)
-        out = out + term
-    return QuantumState(out.reshape(2**n, 2**n), n)
+    rho = state.data.copy()
+    for qubit, dephasing_rate, damping_rate in steps:
+        gamma = 1.0 - math.exp(-t * damping_rate)
+        coherence = math.exp(-t * dephasing_rate) * math.sqrt(1.0 - gamma)
+        hi, lo = 2**qubit, 2 ** (n - qubit - 1)
+        blocks = rho.reshape(hi, 2, lo, hi, 2, lo)
+        blocks[:, 0, :, :, 1, :] *= coherence
+        blocks[:, 1, :, :, 0, :] *= coherence
+        blocks[:, 0, :, :, 0, :] += gamma * blocks[:, 1, :, :, 1, :]
+        blocks[:, 1, :, :, 1, :] *= 1.0 - gamma
+    return QuantumState(rho, n)
 
 
 def dephase(state: QuantumState, qubit: int, t: float, T2: float) -> QuantumState:
     """Multiply the qubit's coherences by exp(-t/T2); trace preserved."""
-    if t < 0:
-        raise StateError(f"negative duration t = {t}")
-    if t == 0:
-        return state
-    return apply_kraus(state, qubit, dephasing_kraus(math.exp(-t / T2)))
+    return _channel(state, t, [(qubit, 1.0 / T2, 0.0)])
 
 
 def amplitude_damp(state: QuantumState, qubit: int, t: float, T1: float) -> QuantumState:
     """Relax the qubit toward |0> with gamma = 1 - exp(-t/T1)."""
-    if t < 0:
-        raise StateError(f"negative duration t = {t}")
-    if t == 0:
+    return _channel(state, t, [(qubit, 0.0, 1.0 / T1)])
+
+
+def idle_window(
+    state: QuantumState, t: float, params: NoiseParams,
+    T2_overrides: dict[int, float | None],
+) -> QuantumState:
+    """Exact idle evolution for t seconds of every qubit keyed in
+    T2_overrides, each with its own T2 (None means params.T2).
+
+    Per qubit this is pure dephasing at 1/T2' composed with damping; the
+    combined coherence decay is exp(-t/T2') * exp(-t/(2*T1)) = exp(-t/T2).
+    """
+    if not params.enabled:
         return state
-    return apply_kraus(state, qubit, damping_kraus(1.0 - math.exp(-t / T1)))
+    T1, default_T2 = params.T1, params.T2
+    return _channel(state, t, [
+        (qubit, 1.0 / pure_dephasing_time(T1, default_T2 if T2 is None else T2), 1.0 / T1)
+        for qubit, T2 in T2_overrides.items()
+    ])
 
 
 def idle_channel(
     state: QuantumState, qubit: int, t: float, params: NoiseParams,
     T2_override: float | None = None,
 ) -> QuantumState:
-    """Exact idle evolution: pure dephasing at 1/T2' composed with damping.
-
-    The combined coherence decay is exp(-t/T2') * exp(-t/(2*T1)) = exp(-t/T2).
-    """
-    if not params.enabled or t == 0:
-        return state
-    T2 = T2_override if T2_override is not None else params.T2
-    t2p = pure_dephasing_time(params.T1, T2)
-    if math.isfinite(t2p):
-        state = apply_kraus(state, qubit, dephasing_kraus(math.exp(-t / t2p)))
-    return amplitude_damp(state, qubit, t, params.T1)
+    """idle_window on one qubit."""
+    return idle_window(state, t, params, {qubit: T2_override})
 
 
 def jump_probabilities(

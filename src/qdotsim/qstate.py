@@ -276,55 +276,24 @@ def _check_targets(state: QuantumState, targets: Sequence[int]) -> None:
 
 
 def _apply_unitary_vec(vec: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
+    """U on the target axes of an n-qubit array; returns a (strided) [2]*n tensor."""
     k = len(targets)
-    psi = vec.reshape([2] * n)
-    psi = np.moveaxis(psi, targets, range(k))
+    psi = np.moveaxis(vec.reshape([2] * n), targets, range(k))
     psi = (u @ psi.reshape(2**k, -1)).reshape([2] * n)
-    return np.moveaxis(psi, range(k), targets).reshape(-1)
-
-
-def _apply_unitary_mat(mat: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
-    k = len(targets)
-    rho = mat.reshape([2] * (2 * n))
-    ket_axes = list(targets)
-    bra_axes = [n + t for t in targets]
-    rho = np.moveaxis(rho, ket_axes, range(k))
-    rho = (u @ rho.reshape(2**k, -1)).reshape([2] * (2 * n))
-    rho = np.moveaxis(rho, range(k), ket_axes)
-    rho = np.moveaxis(rho, bra_axes, range(k))
-    rho = (u.conj() @ rho.reshape(2**k, -1)).reshape([2] * (2 * n))
-    rho = np.moveaxis(rho, range(k), bra_axes)
-    return rho.reshape(2**n, 2**n)
+    return np.moveaxis(psi, range(k), targets)
 
 
 def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
-    """U|psi> for vectors, U rho U^dagger for matrices."""
+    """U|psi> for vectors. For matrices U rho U^dagger: rho is treated as a
+    2n-qubit vector with U on the ket axes and U* on the bra axes."""
     _check_targets(state, gate.targets)
     u = gate.matrix()
+    n, targets = state.n_qubits, gate.targets
     if state.is_vector:
-        return QuantumState(
-            _apply_unitary_vec(state.data, u, list(gate.targets), state.n_qubits),
-            state.n_qubits,
-        )
-    return QuantumState(
-        _apply_unitary_mat(state.data, u, list(gate.targets), state.n_qubits),
-        state.n_qubits,
-    )
-
-
-def apply_unitary(state: QuantumState, u: np.ndarray, targets) -> QuantumState:
-    """Apply an explicit unitary matrix to the given target qubits."""
-    targets = list(targets)
-    _check_targets(state, targets)
-    if u.shape != (2 ** len(targets), 2 ** len(targets)):
-        raise StateError(f"unitary shape {u.shape} does not match targets {targets}")
-    if state.is_vector:
-        return QuantumState(
-            _apply_unitary_vec(state.data, u, targets, state.n_qubits), state.n_qubits
-        )
-    return QuantumState(
-        _apply_unitary_mat(state.data, u, targets, state.n_qubits), state.n_qubits
-    )
+        return QuantumState(_apply_unitary_vec(state.data, u, targets, n).reshape(-1), n)
+    rho = _apply_unitary_vec(state.data, u, targets, 2 * n)
+    rho = _apply_unitary_vec(rho, u.conj(), [n + t for t in targets], 2 * n)
+    return QuantumState(rho.reshape(2**n, 2**n), n)
 
 
 def exchange_evolution(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -64,10 +65,27 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _all_finite(obj) -> bool:
+    """No float anywhere in a parsed JSON value is inf or nan."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_all_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
 def _pos(value, label: str) -> tuple[int, int]:
     _require(
         isinstance(value, (list, tuple)) and len(value) == 2
-        and all(isinstance(v, int) for v in value),
+        and all(_is_int(v) for v in value),
         f"{label} must be an [x, y] pair of integers, got {value!r}",
     )
     return int(value[0]), int(value[1])
@@ -110,13 +128,14 @@ def validate_scenario(scenario: dict) -> None:
     """Full static validation; raises SchemaError before any execution."""
     _require(scenario.get("schema_version") == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}")
-    _require(isinstance(scenario.get("seed"), int),
+    _require(_is_int(scenario.get("seed")),
              "seed is mandatory and must be an integer (no wall-clock entropy)")
+    _require(_all_finite(scenario), "scenario holds a non-finite number (inf or nan)")
     build_material(scenario.get("material", "inas"))
     array = scenario.get("array")
     _require(isinstance(array, dict), "array section is mandatory")
     width, height = array.get("width"), array.get("height")
-    _require(isinstance(width, int) and isinstance(height, int)
+    _require(_is_int(width) and _is_int(height)
              and width >= 1 and height >= 1,
              "array.width and array.height must be positive integers")
     roles: dict[tuple[int, int], str] = {}
@@ -129,7 +148,7 @@ def validate_scenario(scenario: dict) -> None:
         _require(role in ("qubit", "empty", "readout", "intermediary"),
                  f"unknown dot role {role!r}")
         t2 = dot.get("t2_override")
-        _require(t2 is None or (isinstance(t2, (int, float)) and t2 > 0),
+        _require(t2 is None or (_is_number(t2) and t2 > 0),
                  f"dot {pos}: t2_override must be a positive number")
         roles[pos] = role
     rep = array.get("representation", "vector")
@@ -164,20 +183,20 @@ def validate_scenario(scenario: dict) -> None:
                 axis = event.get("axis")
                 _require(
                     isinstance(axis, list) and len(axis) == 3
-                    and all(isinstance(v, (int, float)) for v in axis)
+                    and all(_is_number(v) for v in axis)
                     and any(v != 0 for v in axis),
                     f"{label}: Rot needs a nonzero [x, y, z] axis",
                 )
-                _require(isinstance(event.get("angle"), (int, float)),
+                _require(_is_number(event.get("angle")),
                          f"{label}: Rot needs a numeric angle")
             if kind == "ExchangeEvolve":
-                _require(isinstance(event.get("theta"), (int, float)),
+                _require(_is_number(event.get("theta")),
                          f"{label}: ExchangeEvolve needs numeric theta")
         elif op == "coupling_window":
             pos_in_grid(event.get("a"), f"{label} a")
             pos_in_grid(event.get("b"), f"{label} b")
             theta = event.get("theta")
-            _require(isinstance(theta, (int, float)) and theta >= 0,
+            _require(_is_number(theta) and theta >= 0,
                      f"{label}: theta must be a nonnegative number")
         elif op in ("move", "route"):
             pos_in_grid(event.get("src"), f"{label} src")
@@ -199,7 +218,7 @@ def validate_scenario(scenario: dict) -> None:
                 _require(
                     isinstance(err, list) and len(err) == 2
                     and err[0] in ("X", "Y", "Z")
-                    and isinstance(err[1], int) and 0 <= err[1] < 5,
+                    and _is_int(err[1]) and 0 <= err[1] < 5,
                     f"{label}: inject entries are [pauli, block_position 0..4]",
                 )
         elif op == "readout":
@@ -207,7 +226,7 @@ def validate_scenario(scenario: dict) -> None:
             pos_in_grid(event.get("readout"), f"{label} readout")
         elif op == "idle":
             t = event.get("t")
-            _require(isinstance(t, (int, float)) and t >= 0,
+            _require(_is_number(t) and t >= 0,
                      f"{label}: t must be a nonnegative number")
 
     for i, request in enumerate(scenario.get("analytics", [])):

@@ -260,6 +260,27 @@ def test_strict_residual_spares_the_coupled_pair():
     assert state_fidelity(array.state, ideal.state) > 1 - 1e-12
 
 
+def test_coupled_pair_gets_no_idle_noise_in_matrix_mode():
+    # the exchange window idles only the third qubit, which is entangled with
+    # the pair; local noise on it leaves the pair's reduced state exact
+    from conftest import haar_state
+    from qdotsim.qstate import exchange_unitary, reduced_density
+
+    noise = NoiseParams(T1=2e-9, T2=1e-9, enabled=True)
+    array = make_array(width=3, height=1, noise=noise, representation="matrix")
+    for pos in ((0, 0), (1, 0), (2, 0)):
+        array.init_qubit(pos)
+    array.state = haar_state(3, np.random.default_rng(5)).to_density()
+    pair_before = reduced_density(array.state, [0, 1])
+    third_before = reduced_density(array.state, [2])
+    array.coupling_window((0, 0), (1, 0), math.pi / 3)
+    u = exchange_unitary(math.pi / 3)
+    pair_after = reduced_density(array.state, [0, 1])
+    assert np.max(np.abs(pair_after - u @ pair_before @ u.conj().T)) < 1e-12
+    third_after = reduced_density(array.state, [2])
+    assert abs(third_after[0, 1]) < abs(third_before[0, 1])  # noise did act
+
+
 def test_residual_not_applied_when_lenient():
     array = make_array(strict=False)
     array.init_qubit((0, 0))

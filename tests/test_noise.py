@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_state
+from conftest import embed, haar_state
 from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
@@ -18,6 +18,7 @@ from qdotsim.noise import (
     dephase,
     dephasing_kraus,
     idle_channel,
+    idle_window,
     jump_probabilities,
     pure_dephasing_time,
     sample_trajectory,
@@ -140,6 +141,41 @@ def test_idle_channel_on_selected_qubit_only(rng):
     before = psi.data.reshape(2, 2, 2, 2)
     after = out.data.reshape(2, 2, 2, 2)
     assert np.max(np.abs(np.einsum("iaib->ab", before) - np.einsum("iaib->ab", after))) < 1e-12
+
+
+def _kraus_oracle(rho: np.ndarray, qubit: int, kraus, n: int) -> np.ndarray:
+    lifted = [embed(k, [qubit], n) for k in kraus]
+    return sum(k @ rho @ k.conj().T for k in lifted)
+
+
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(1e-9, 3 * T2),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_idle_window_matches_kraus_oracle(n, seed, t, data):
+    # one pass over a random qubit subset, each qubit with its own T2
+    params = NoiseParams(T1=T1, T2=T2, enabled=True)
+    qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    overrides = {
+        q: data.draw(st.one_of(st.none(), st.floats(T2 / 20, 2 * T1)))
+        for q in qubits
+    }
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    out = idle_window(QuantumState(rho, n), t, params, overrides).data
+    expected = rho
+    for q, t2 in overrides.items():
+        t2p = pure_dephasing_time(T1, T2 if t2 is None else t2)
+        expected = _kraus_oracle(expected, q, dephasing_kraus(math.exp(-t / t2p)), n)
+        expected = _kraus_oracle(expected, q, damping_kraus(1 - math.exp(-t / T1)), n)
+    assert np.max(np.abs(out - expected)) < 1e-12
+    assert abs(np.trace(out) - 1) < 1e-12
+    assert np.max(np.abs(out - out.conj().T)) < 1e-12
+    assert np.linalg.eigvalsh(out).min() > -1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,30 @@ def test_apply_gate_against_kron_oracle(rng):
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
 
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["Rot", "CNOT", "SWAP", "SqrtSWAP", "ExchangeEvolve"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_matrix_apply_gate_against_kron_oracle(n, kind, seed):
+    # U rho U^dagger on a random mixed state, 1- or 2-qubit targets in any order
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    rho = QuantumState(rho / np.trace(rho), n)
+    if kind == "Rot" or n == 1:
+        gate = gate_rot(int(rng.integers(n)), tuple(rng.normal(size=3)),
+                        float(rng.uniform(-6, 6)))
+    else:
+        pair = tuple(int(q) for q in rng.permutation(n)[:2])
+        theta = float(rng.uniform(0, 2 * math.pi)) if kind == "ExchangeEvolve" else None
+        gate = Gate(kind, pair, theta=theta)
+    u = embed(gate.matrix(), gate.targets, n)
+    out = apply_gate(rho, gate)
+    assert np.max(np.abs(out.data - u @ rho.data @ u.conj().T)) < 1e-12
+
+
 def test_target_out_of_range():
     with pytest.raises(StateError):
         apply_gate(QuantumState.zero(2), gate_x(2))

@@ -357,6 +357,34 @@ def test_cli_physics_violation_exits_3(tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: s["program"].append({"op": "idle", "t": 1e999}),
+        lambda s: s.update(seed=True),
+        lambda s: s["program"].append({"op": "init", "pos": [True, 0]}),
+    ],
+    ids=["infinite-idle", "bool-seed", "bool-pos"],
+)
+def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
+    scenario = copy.deepcopy(BELL)
+    mutate(scenario)
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(scenario).replace("Infinity", "1e999"))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "schema"
+    assert not out_dir.exists()
+
+
+def test_cli_simulate_keeps_the_scenario_seed(tmp_path):
+    proc = run_cli("simulate", "--scenario", "bell.scenario", "--out", str(tmp_path))
+    assert proc.returncode == 0
+    assert json.loads((tmp_path / "report.json").read_text())["seed"] == 7
+
+
 def test_cli_si_preset_requires_t2():
     proc = run_cli("resources", "--preset", "si")
     assert proc.returncode == 2
