@@ -4,34 +4,15 @@
 Usage: python scripts/qec_error_sweep.py [--cycles N] [--seed S]
 """
 import argparse
-import math
 
 import numpy as np
 
-from qdotsim.qec import LogicalQubit, decode5, encode5, qec_cycle
-from qdotsim.qstate import QuantumState, state_fidelity
+from qdotsim.qec import memory_experiment
 
 
 def run_point(p: float, cycles: int, seed: int, pulses: int = 500) -> float:
     rng = np.random.default_rng([seed, int(p * 1e9)])
-    amp = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / math.sqrt(2)
-    base = np.zeros(32, dtype=complex)
-    base[0], base[16] = amp[0], amp[1]
-    reference = QuantumState(base.copy(), 5)
-    failures = 0
-    for _ in range(cycles):
-        lq = LogicalQubit(0, (1, 2, 3, 4))
-        state = encode5(QuantumState(base.copy(), 5), lq)
-        n_err = int(rng.binomial(pulses, p))
-        injected = [
-            (("X", "Y", "Z")[int(rng.integers(3))], int(rng.integers(5)))
-            for _ in range(n_err)
-        ] or None
-        state, _ = qec_cycle(state, lq, injected, rng)
-        state = decode5(state, lq)
-        if state_fidelity(state, reference) < 1 - 1e-6:
-            failures += 1
-    return failures / cycles
+    return memory_experiment(cycles, p, rng, pulses)["failures"] / cycles
 
 
 def main():

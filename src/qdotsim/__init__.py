@@ -2,7 +2,7 @@
 
 Modules:
     qstate    exact vector/density-matrix register simulation
-    noise     T1/T2 channels and seeded trajectory sampling
+    noise     T1/T2 idle channels: exact on density matrices, seeded jumps on vectors
     pulses    closed-form drive and exchange calculators
     device    the 2D dot array with clocked, noise-aware events
     channels  swap/tunnel/teleport transport and purification
@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     StateError,
 )
-from .noise import NoiseParams, PulseEvent, PulseSchedule
+from .noise import NoiseParams
 from .qstate import Gate, QuantumState
 
 __version__ = "0.1.0"
@@ -38,8 +38,6 @@ __all__ = [
     "MU_B_EV_T",
     "NoiseParams",
     "ProtocolError",
-    "PulseEvent",
-    "PulseSchedule",
     "QdotsimError",
     "QuantumState",
     "RoutingError",

@@ -213,6 +213,22 @@ def tunnel_channel_metrics(
     return _metrics(spec, notes)
 
 
+def line_report(
+    kind: str, material: MaterialParams, length_qubits: int, *, t_hop=None,
+    lam=None, fidelity_threshold: float = FIDELITY_THRESHOLD_DEFAULT,
+) -> ChannelReport:
+    """Figures for a swap or tunnel line of length_qubits hops. t_hop
+    defaults to the material's swap window or tunnel hop, lambda to t_hop/T2."""
+    if t_hop is None:
+        t_hop = material.t_swap if kind == "swap" else material.t_hop
+    if lam is None:
+        lam = channel_lambda(t_hop, material.noise.T2)
+    spec = ChannelSpec(kind=kind, length_qubits=length_qubits, lam=float(lam),
+                       t_hop=float(t_hop), fidelity_threshold=fidelity_threshold)
+    metric = swap_channel_metrics if kind == "swap" else tunnel_channel_metrics
+    return metric(spec, material)
+
+
 def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     """Shortest path from an occupied source to an empty destination through
     empty dots only (breadth-first, fixed +x,+y,-x,-y tie-break)."""
@@ -299,7 +315,8 @@ def make_epr(array: DotArray, a: Pos, b: Pos) -> DotArray:
     return array
 
 
-def _epr_pair_fidelity(array: DotArray, a: Pos, b: Pos) -> float:
+def epr_pair_fidelity(array: DotArray, a: Pos, b: Pos) -> float:
+    """Overlap of the pair's reduced state with (|00> + |11>)/sqrt(2)."""
     rho = reduced_density(array.state, [array.qubit_index(a), array.qubit_index(b)])
     return float(np.real(BELL_PHI_PLUS.conj() @ rho @ BELL_PHI_PLUS))
 
@@ -315,7 +332,7 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
     if len({qc, qa, qb}) != 3:
         raise StateError("payload and pair must be three distinct qubits")
     if array.strict:
-        f_pair = _epr_pair_fidelity(array, a, b)
+        f_pair = epr_pair_fidelity(array, a, b)
         if f_pair < 1.0 - 1e-6:
             raise ProtocolError(
                 f"no EPR pair on {a},{b}: Bell fidelity {f_pair:.6f}"
@@ -324,7 +341,7 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
     array.apply_gate_at("CNOT", [c, a])
     phase_bit, array.state = measure(array.state, qc, "X", rng)
     amp_bit, array.state = measure(array.state, qa, "Z", rng)
-    array._advance(
+    array.advance(
         2.0 * (array.material.readout_transfer + array.material.readout_measure),
         "teleport_measure", c=c, a=a, bits=[phase_bit, amp_bit],
     )

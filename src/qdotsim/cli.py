@@ -2,20 +2,22 @@
 
 Subcommands: resources, channel, teleport, qec, simulate. Every command
 emits canonical JSON (stable key order, 17-significant-digit floats) on
-stdout and optionally into --out DIR. Exit codes: 0 success, 2 schema or
-file problems, 3 physics/protocol violations, 4 numerical state errors,
-64 unknown subcommand.
+stdout and optionally into --out DIR. Exit codes: 0 success, 2 schema,
+file or option-value problems, 3 physics/protocol violations, 4 numerical
+state errors, 64 unknown subcommand.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import channels, pulses, qec, scenario as scenario_mod
-from .device import MaterialParams, NoiseParams, inas_material, si_material
+from .device import MaterialParams
 from .errors import (
     AdjacencyError,
     BlockadeError,
@@ -25,7 +27,7 @@ from .errors import (
     SchemaError,
     StateError,
 )
-from .qstate import QuantumState, state_fidelity
+from .qstate import QuantumState
 from .report import dumps_report
 
 EXIT_OK = 0
@@ -37,18 +39,21 @@ EXIT_USAGE = 64
 _PHYSICS_ERRORS = (BlockadeError, AdjacencyError, RoutingError, ProtocolError)
 
 
-def _material_from_args(args) -> MaterialParams:
-    if args.preset == "si":
-        if args.t2 is None:
-            raise SchemaError("--preset si requires --t2 (no default exists)")
-        material = si_material(args.t2)
-    else:
-        material = inas_material()
-        if args.t2 is not None:
-            material = material.with_noise(
-                NoiseParams(T1=2.0 * args.t2, T2=args.t2, enabled=False)
-            )
-    return material
+def _material(args) -> MaterialParams:
+    """--preset and --t2 resolve like a scenario's material field."""
+    spec = {"preset": args.preset}
+    if args.t2 is not None:
+        spec["noise"] = {"T2": args.t2}
+    return scenario_mod.build_material(spec)
+
+
+@contextmanager
+def _option_errors():
+    """Closed-form commands: a StateError there can only come from an option."""
+    try:
+        yield
+    except StateError as exc:
+        raise SchemaError(f"bad option value: {exc}") from exc
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -61,69 +66,47 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_resources(args) -> int:
-    material = _material_from_args(args)
-    drive = pulses.drive_report(
-        material.g_factor, args.rabi_period, material.gate_distance, args.load_ohms
-    )
-    exchange = pulses.exchange_estimate(material.J_on, material.U_charging)
-    payload = {
-        "preset": args.preset,
-        "drive": drive.to_dict(),
-        "exchange": exchange.to_dict(),
-        "min_rabi_field_tesla": pulses.min_rabi_field(
-            material.g_factor, material.noise.T2
+    material = _material(args)
+    with _option_errors():
+        payload = scenario_mod.resources_report(material, args.rabi_period, args.load_ohms)
+    payload["preset"] = args.preset
+    payload["zeeman"] = {
+        "field_ratio_gaas_over_inas_bulk": pulses.equal_splitting_field_ratio(
+            pulses.GAAS_G_FACTOR, pulses.INAS_BULK_G_FACTOR
         ),
-        "zeeman": {
-            "field_ratio_gaas_over_inas_bulk": pulses.equal_splitting_field_ratio(
-                pulses.GAAS_G_FACTOR, pulses.INAS_BULK_G_FACTOR
-            ),
-            "note": "exact equal-splitting ratio; commonly rounded to '30x'",
-        },
+        "note": "exact equal-splitting ratio; commonly rounded to '30x'",
     }
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def cmd_channel(args) -> int:
-    material = _material_from_args(args)
-    if args.kind == "teleport":
-        payload = {
-            "kind": "teleport",
-            "report": channels.teleport_bandwidth(
-                args.distance_m if args.distance_m else args.length_qubits
-                * material.dot_pitch,
-                material,
-                args.purification_rounds,
-                args.threshold,
-            ),
-        }
-        _emit(payload, args.out)
-        return EXIT_OK
-    default_hop = material.t_swap if args.kind == "swap" else material.t_hop
-    t_hop = args.t_hop if args.t_hop else default_hop
-    lam = args.lam if args.lam else channels.channel_lambda(t_hop, material.noise.T2)
-    spec = channels.ChannelSpec(
-        kind=args.kind,
-        length_qubits=args.length_qubits,
-        lam=lam,
-        t_hop=t_hop,
-        fidelity_threshold=args.threshold,
-    )
-    metric = (
-        channels.swap_channel_metrics
-        if args.kind == "swap"
-        else channels.tunnel_channel_metrics
-    )
-    payload = {"kind": args.kind, "report": metric(spec, material).to_dict()}
-    _emit(payload, args.out)
+    material = _material(args)
+    with _option_errors():
+        if args.kind == "teleport":
+            distance = (args.distance_m if args.distance_m is not None
+                        else args.length_qubits * material.dot_pitch)
+            report = channels.teleport_bandwidth(
+                distance, material, args.purification_rounds, args.threshold
+            )
+        else:
+            report = channels.line_report(
+                args.kind, material, args.length_qubits, t_hop=args.t_hop,
+                lam=args.lam, fidelity_threshold=args.threshold,
+            ).to_dict()
+    _emit({"kind": args.kind, "report": report}, args.out)
     return EXIT_OK
 
 
-def cmd_teleport(args) -> int:
+def _run_scenario(args) -> tuple[dict, dict]:
     data = scenario_mod.load_scenario(args.scenario)
-    report = scenario_mod.run_scenario(
+    return data, scenario_mod.run_scenario(
         data, shots=args.shots, seed_override=args.seed, strict=args.strict or None
     )
+
+
+def cmd_teleport(args) -> int:
+    _, report = _run_scenario(args)
     payload_state = QuantumState.from_vector(
         np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
     )
@@ -141,40 +124,22 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_qec(args) -> int:
-    material = _material_from_args(args)
-    rng = np.random.default_rng([args.seed, 0x5EC])
-    amp = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2.0)
-    base = np.zeros(32, dtype=complex)
-    base[0], base[16] = amp[0], amp[1]
-    reference = QuantumState(base, 5)
+    material = _material(args)
+    if not (0.0 <= args.p <= 1.0 and args.cycles >= 0 and args.pulses_per_cycle >= 1):
+        raise SchemaError("need 0 <= --p <= 1, --cycles >= 0 and --pulses-per-cycle >= 1")
     budget = qec.pulse_budget(material, args.pulses_per_cycle)
-    syndrome_histogram: dict[str, int] = {}
-    logical_errors = 0
-    pulse_counts = []
-    for cycle in range(args.cycles):
-        lq = qec.LogicalQubit(0, (1, 2, 3, 4))
-        state = qec.encode5(QuantumState(base.copy(), 5), lq)
-        n_errors = int(rng.binomial(args.pulses_per_cycle, args.p))
-        injected = [
-            (("X", "Y", "Z")[int(rng.integers(3))], int(rng.integers(5)))
-            for _ in range(n_errors)
-        ]
-        state, rep = qec.qec_cycle(state, lq, injected or None, rng)
-        state = qec.decode5(state, lq)
-        fidelity = state_fidelity(state, reference)
-        if fidelity < 1.0 - 1e-6:
-            logical_errors += 1
-        key = "".join(str(b) for b in rep["syndrome"])
-        syndrome_histogram[key] = syndrome_histogram.get(key, 0) + 1
-        pulse_counts.append(rep["pulse_count"])
+    run = qec.memory_experiment(args.cycles, args.p,
+                                np.random.default_rng([args.seed, 0x5EC]),
+                                args.pulses_per_cycle)
+    pulse_counts = run["pulse_counts"]
     payload = {
         "cycles": args.cycles,
         "per_pulse_error_probability": args.p,
-        "logical_error_rate": logical_errors / args.cycles if args.cycles else 0.0,
-        "syndrome_histogram": dict(sorted(syndrome_histogram.items())),
+        "logical_error_rate": run["failures"] / args.cycles if args.cycles else 0.0,
+        "syndrome_histogram": dict(sorted(run["syndrome_histogram"].items())),
         "pulse_counts": {
-            "compiled_min": min(pulse_counts) if pulse_counts else 0,
-            "compiled_max": max(pulse_counts) if pulse_counts else 0,
+            "compiled_min": min(pulse_counts, default=0),
+            "compiled_max": max(pulse_counts, default=0),
             "conventional_cycle": args.pulses_per_cycle,
             "note": "compiled counts come from the fixed encoder circuit; the "
                     "500-pulse figure is the conventional budget",
@@ -186,13 +151,7 @@ def cmd_qec(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    data = scenario_mod.load_scenario(args.scenario)
-    report = scenario_mod.run_scenario(
-        data,
-        shots=args.shots,
-        seed_override=args.seed,
-        strict=True if args.strict else None,
-    )
+    data, report = _run_scenario(args)
     sys.stdout.write(dumps_report({"scenario_digest": report["scenario_digest"],
                                    "final_clock_s": report["final_clock_s"],
                                    "measurement_counts": report["measurement_counts"]}))
@@ -277,6 +236,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SchemaError(f"--{name.replace('_', '-')} must be a finite number")
         return _HANDLERS[args.command](args)
     except SchemaError as exc:
         sys.stderr.write(dumps_report({"error": "schema", "message": str(exc)}))

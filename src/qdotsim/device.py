@@ -34,6 +34,7 @@ from .qstate import (
 Pos = tuple[int, int]
 
 ROLES = ("qubit", "empty", "readout", "intermediary")
+REPRESENTATIONS = ("vector", "matrix")
 
 # Bloch rotation angle behind each named single-qubit gate; sets the
 # Rabi-derived pulse duration angle/(2*pi) * rabi_period.
@@ -113,9 +114,6 @@ def si_material(T2: float, noise_enabled: bool = False) -> MaterialParams:
     return replace(base, g_factor=2.0)
 
 
-MATERIAL_PRESETS = {"inas": inas_material}
-
-
 @dataclass
 class Dot:
     role: str = "empty"
@@ -144,7 +142,7 @@ class DotArray:
     ):
         if width < 1 or height < 1:
             raise StateError(f"array must be at least 1x1, got {width}x{height}")
-        if representation not in ("vector", "matrix"):
+        if representation not in REPRESENTATIONS:
             raise StateError(f"unknown representation {representation!r}")
         self.width = width
         self.height = height
@@ -156,9 +154,7 @@ class DotArray:
         }
         for pos, role in (roles or {}).items():
             self._pos_check(pos)
-            self.dots[pos].role = role
-            if role not in ROLES:
-                raise StateError(f"unknown dot role {role!r}")
+            self.dots[pos] = Dot(role)
         state = QuantumState.zero(0)
         self.state = state.to_density() if representation == "matrix" else state
         self.qubit_positions: list[Pos] = []
@@ -224,8 +220,11 @@ class DotArray:
                 duration,
             )
 
-    def _advance(self, duration: float, kind: str, *, exclude=frozenset(),
-                 exclude_pair=None, energy: float = 0.0, **log) -> dict:
+    def advance(self, duration: float, kind: str, *, exclude=frozenset(),
+                exclude_pair=None, energy: float = 0.0, **log) -> dict:
+        """Book one event of `duration` seconds: idle noise and residual
+        exchange on every qubit outside `exclude`, then the clock and the
+        event log; returns the log entry."""
         if duration < 0:
             raise StateError(f"negative event duration {duration}")
         before = self.clock
@@ -274,7 +273,7 @@ class DotArray:
         dot.occupied = True
         dot.qubit_id = len(self.qubit_positions)
         self.qubit_positions.append(pos)
-        self._advance(self.material.t_pulse, "init", pos=pos)
+        self.advance(self.material.t_pulse, "init", pos=pos)
         return self
 
     def move_electron(self, src: Pos, dst: Pos) -> "DotArray":
@@ -295,7 +294,7 @@ class DotArray:
         self.dots[src].occupied = False
         self.dots[src].qubit_id = None
         self.qubit_positions[qid] = dst
-        self._advance(self.material.t_hop, "move", src=src, dst=dst)
+        self.advance(self.material.t_hop, "move", src=src, dst=dst)
         return self
 
     def coupling_window(self, a: Pos, b: Pos, theta: float) -> "DotArray":
@@ -310,8 +309,8 @@ class DotArray:
             return self
         t = theta * HBAR_EV_S / self.material.J_on
         self.state = exchange_evolution(self.state, (qa, qb), self.material.J_on, t)
-        self._advance(t, "coupling_window", exclude={a, b}, exclude_pair=(a, b),
-                      a=a, b=b, theta=theta)
+        self.advance(t, "coupling_window", exclude={a, b}, exclude_pair=(a, b),
+                     a=a, b=b, theta=theta)
         return self
 
     def apply_gate_at(self, kind: str, positions: list[Pos], *,
@@ -344,8 +343,8 @@ class DotArray:
             exclude = set(positions)
             exclude_pair = tuple(positions)
         self.state = apply_gate(self.state, gate)
-        self._advance(duration, "gate", exclude=exclude, exclude_pair=exclude_pair,
-                      energy=energy, gate_kind=kind, positions=list(positions))
+        self.advance(duration, "gate", exclude=exclude, exclude_pair=exclude_pair,
+                     energy=energy, gate_kind=kind, positions=list(positions))
         return self
 
     def readout(self, qubit_pos: Pos, readout_pos: Pos, rng_seed=None) -> tuple[int, "DotArray"]:
@@ -365,7 +364,7 @@ class DotArray:
         if self.material.readout_error > 0 and rng.random() < self.material.readout_error:
             bit = 1 - bit
         charge_event = bit == 0
-        self._advance(
+        self.advance(
             self.material.readout_transfer + self.material.readout_measure,
             "readout",
             qubit=qubit_pos,
@@ -379,7 +378,7 @@ class DotArray:
         """Let the array sit for t seconds; only noise and residual exchange act."""
         if t < 0:
             raise StateError(f"negative idle time {t}")
-        self._advance(t, "idle", t=t)
+        self.advance(t, "idle", t=t)
         return self
 
     def residual_coupling_error(self, idle_t: float) -> dict[tuple[Pos, Pos], float]:
@@ -391,19 +390,6 @@ class DotArray:
         return {pair: theta for pair in self.adjacent_occupied_pairs()}
 
     # -- export -----------------------------------------------------------
-
-    def pulse_schedule(self):
-        """The event log as a PulseSchedule (for replay or trajectory runs)."""
-        from .noise import PulseEvent, PulseSchedule
-
-        return PulseSchedule([
-            PulseEvent(
-                kind=e["event"],
-                duration=e["duration"],
-                energy=e.get("energy", 0.0),
-            )
-            for e in self.events
-        ])
 
     def snapshot(self) -> dict:
         return {

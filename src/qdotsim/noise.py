@@ -18,20 +18,12 @@ stochastic unraveling whose ensemble average reproduces the exact channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StateError
-from .qstate import (
-    PAULI_Z,
-    Gate,
-    QuantumState,
-    apply_gate,
-    as_rng,
-    gate_z,
-    qubit_probabilities,
-)
+from .qstate import PAULI_Z, QuantumState, apply_gate, gate_z, qubit_probabilities
 
 _REL_TOL = 1e-12
 
@@ -45,8 +37,9 @@ class NoiseParams:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.T1 <= 0 or self.T2 <= 0:
-            raise StateError(f"T1, T2 must be positive, got {self.T1}, {self.T2}")
+        if not (0 < self.T1 < math.inf and 0 < self.T2 < math.inf):
+            raise StateError(
+                f"T1, T2 must be positive and finite, got {self.T1}, {self.T2}")
         if self.T2 > 2.0 * self.T1 * (1.0 + _REL_TOL):
             raise StateError(
                 f"T2 = {self.T2} exceeds 2*T1 = {2 * self.T1}: unphysical channel"
@@ -188,63 +181,4 @@ def apply_idle_jumps(
             psi[tuple(sel1)] *= np.sqrt(1.0 - gamma)
             psi /= np.sqrt(1.0 - p_jump)
         state = QuantumState(psi.reshape(-1), n)
-    return state
-
-
-@dataclass(frozen=True)
-class PulseEvent:
-    """One timed entry of a pulse schedule.
-
-    gate, when present, is applied before the noise window. noise_qubits
-    limits which qubits idle during the window (None means all).
-    """
-
-    kind: str
-    duration: float
-    gate: Gate | None = None
-    energy: float = 0.0
-    noise_qubits: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise StateError(f"negative pulse duration {self.duration}")
-
-
-@dataclass
-class PulseSchedule:
-    """Time-ordered pulse events with durations and energy costs."""
-
-    events: list[PulseEvent] = field(default_factory=list)
-
-    @property
-    def total_duration(self) -> float:
-        return sum(e.duration for e in self.events)
-
-    @property
-    def total_energy(self) -> float:
-        return sum(e.energy for e in self.events)
-
-
-def sample_trajectory(
-    state: QuantumState,
-    schedule: PulseSchedule,
-    params: NoiseParams,
-    rng_seed=0,
-) -> QuantumState:
-    """Run one stochastic unraveling of a schedule on a vector state."""
-    if not state.is_vector:
-        raise StateError("sample_trajectory takes a vector state")
-    rng = as_rng(rng_seed)
-    for event in schedule.events:
-        if event.gate is not None:
-            state = apply_gate(state, event.gate)
-        if not params.enabled or event.duration == 0:
-            continue
-        qubits = (
-            event.noise_qubits
-            if event.noise_qubits is not None
-            else range(state.n_qubits)
-        )
-        for q in qubits:
-            state = apply_idle_jumps(state, q, event.duration, params, rng)
     return state

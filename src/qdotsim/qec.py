@@ -30,6 +30,7 @@ from .qstate import (
     pauli_gate,
     qubit_probabilities,
     reduced_density,
+    state_fidelity,
 )
 
 STABILIZER_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -253,6 +254,40 @@ def qec_cycle(
         "possible_logical_error": len(errors) >= 2,
     }
     return state, report
+
+
+def memory_experiment(
+    cycles: int, p: float, rng: np.random.Generator, pulses_per_cycle: int = 500
+) -> dict:
+    """Independent memory rounds on (|0> + e^{i pi/4}|1>)/sqrt(2): encode,
+    inject Binomial(pulses_per_cycle, p) random single-qubit Paulis, run one
+    correction cycle, decode. A round fails when the decoded fidelity drops
+    below 1 - 1e-6. Returns the failure count, the syndrome histogram and each
+    round's compiled pulse count; all draws come from rng in a fixed order."""
+    amp = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2.0)
+    base = np.zeros(32, dtype=complex)
+    base[0], base[16] = amp[0], amp[1]
+    reference = QuantumState(base, 5)
+    histogram: dict[str, int] = {}
+    failures = 0
+    pulse_counts = []
+    for _ in range(cycles):
+        lq = LogicalQubit(0, (1, 2, 3, 4))
+        state = encode5(QuantumState(base.copy(), 5), lq)
+        n_errors = int(rng.binomial(pulses_per_cycle, p))
+        injected = [
+            (("X", "Y", "Z")[int(rng.integers(3))], int(rng.integers(5)))
+            for _ in range(n_errors)
+        ]
+        state, rep = qec_cycle(state, lq, injected or None, rng)
+        state = decode5(state, lq)
+        if state_fidelity(state, reference) < 1.0 - 1e-6:
+            failures += 1
+        key = "".join(str(b) for b in rep["syndrome"])
+        histogram[key] = histogram.get(key, 0) + 1
+        pulse_counts.append(rep["pulse_count"])
+    return {"failures": failures, "syndrome_histogram": histogram,
+            "pulse_counts": pulse_counts}
 
 
 def make_cat(array: DotArray, positions: list[Pos]) -> DotArray:

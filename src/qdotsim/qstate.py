@@ -147,7 +147,7 @@ class QuantumState:
 class Gate:
     """A named unitary acting on one or two qubits of a register.
 
-    kinds: X Y Z H S T Rot CNOT SWAP SqrtSWAP ExchangeEvolve.
+    kinds: ONE_QUBIT and TWO_QUBIT below.
     Rot carries a Bloch axis (normalized on construction) and an angle;
     ExchangeEvolve carries the dimensionless pulse area theta = J*t/hbar.
     """
@@ -158,13 +158,13 @@ class Gate:
     angle: float | None = None
     theta: float | None = None
 
-    _ONE_QUBIT = ("X", "Y", "Z", "H", "S", "T", "Rot")
-    _TWO_QUBIT = ("CNOT", "SWAP", "SqrtSWAP", "ExchangeEvolve")
+    ONE_QUBIT = ("X", "Y", "Z", "H", "S", "T", "Rot")
+    TWO_QUBIT = ("CNOT", "SWAP", "SqrtSWAP", "ExchangeEvolve")
 
     def __post_init__(self):
-        if self.kind not in self._ONE_QUBIT and self.kind not in self._TWO_QUBIT:
+        if self.kind not in self.ONE_QUBIT and self.kind not in self.TWO_QUBIT:
             raise StateError(f"unknown gate kind {self.kind!r}")
-        want = 1 if self.kind in self._ONE_QUBIT else 2
+        want = 1 if self.kind in self.ONE_QUBIT else 2
         if len(self.targets) != want:
             raise StateError(f"{self.kind} takes {want} target(s), got {self.targets}")
         if len(set(self.targets)) != len(self.targets):

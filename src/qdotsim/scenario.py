@@ -14,31 +14,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import channels, pulses, qec
-from .device import DotArray, MaterialParams, NoiseParams, inas_material, si_material
+from .device import (REPRESENTATIONS, ROLES, DotArray, MaterialParams, NoiseParams,
+                     inas_material, si_material)
 from .errors import QdotsimError, SchemaError
-from .qstate import reduced_density, state_fidelity
+from .qstate import Gate, state_fidelity
 from .report import digest, dumps_report, stream
 
 SCHEMA_VERSION = 1
-
-EVENT_OPS = (
-    "init", "gate", "coupling_window", "move", "route", "epr", "teleport",
-    "qec_cycle", "readout", "idle",
-)
-
-ANALYTIC_KINDS = (
-    "resources", "lambda", "swap_channel", "tunnel_channel", "max_distance",
-    "teleport_bandwidth", "pulse_budget", "zeeman_ratio",
-)
-
-GATE_KINDS_1Q = ("X", "Y", "Z", "H", "S", "T", "Rot")
-GATE_KINDS_2Q = ("CNOT", "SWAP", "SqrtSWAP", "ExchangeEvolve")
 
 
 def load_scenario(path_or_name: str) -> dict:
@@ -92,45 +82,234 @@ def _pos(value, label: str) -> tuple[int, int]:
 
 
 def build_material(spec) -> MaterialParams:
-    """Resolve a material field: preset name, or dict of overrides on one."""
+    """Resolve a material field: preset name, or dict of overrides on one.
+    The CLI's --preset/--t2 resolve through here too."""
     if isinstance(spec, str):
         spec = {"preset": spec}
     _require(isinstance(spec, dict), f"material must be a name or object, got {spec!r}")
     spec = dict(spec)
     preset = spec.pop("preset", "inas")
-    noise_spec = spec.pop("noise", None)
-    if preset == "inas":
-        base = inas_material()
-    elif preset == "si":
-        t2 = (noise_spec or {}).get("T2")
-        _require(t2 is not None, "the si preset requires an explicit noise.T2")
-        base = si_material(float(t2))
-    else:
-        raise SchemaError(f"unknown material preset {preset!r}")
-    if noise_spec is not None:
-        _require(isinstance(noise_spec, dict), "noise must be an object")
-        noise = NoiseParams(
-            T1=float(noise_spec.get("T1", 2.0 * float(noise_spec.get("T2", base.noise.T2)))),
-            T2=float(noise_spec.get("T2", base.noise.T2)),
-            enabled=bool(noise_spec.get("enabled", False)),
-        )
-        base = base.with_noise(noise)
+    noise = spec.pop("noise", None)
+    noise = {} if noise is None else noise
+    _require(preset in ("inas", "si"), f"unknown material preset {preset!r}")
+    _require(isinstance(noise, dict), "noise must be an object")
+    _require(preset == "inas" or "T2" in noise,
+             "the si preset requires an explicit T2 (noise.T2 or --t2)")
+    _require(isinstance(noise.get("enabled", False), bool), "noise.enabled must be a boolean")
     valid = {f.name for f in dataclasses.fields(MaterialParams)} - {"noise"}
     unknown = set(spec) - valid
     _require(not unknown, f"unknown material fields: {sorted(unknown)}")
     try:
-        return dataclasses.replace(base, **{k: float(v) for k, v in spec.items()})
+        base = inas_material() if preset == "inas" else si_material(float(noise["T2"]))
+        t2 = float(noise.get("T2", base.noise.T2))
+        noise_params = NoiseParams(T1=float(noise.get("T1", 2.0 * t2)), T2=t2,
+                                   enabled=noise.get("enabled", False))
+        return dataclasses.replace(base.with_noise(noise_params),
+                                   **{k: float(v) for k, v in spec.items()})
     except (QdotsimError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad material parameters: {exc}") from exc
 
 
-def validate_scenario(scenario: dict) -> None:
-    """Full static validation; raises SchemaError before any execution."""
+# -- the event ops ------------------------------------------------------------
+#
+# One _Op entry per op. Validation runs its check (which must make sure each
+# `lists` field is a list of the right length), requires each `numbers` field
+# to be a nonnegative number, and parses the position fields once per run.
+# Each shot calls run(array, event, at, rng), `at` mapping a field to its
+# position or list of positions. A dict returned by run holds the event's
+# report fields; anything else (DotArray methods return the array) means none.
+# Library functions are looked up on their module at call time.
+
+
+class _Op(NamedTuple):
+    run: Callable[[DotArray, dict, dict, np.random.Generator], object]
+    points: tuple[str, ...] = ()
+    lists: tuple[str, ...] = ()
+    numbers: tuple[str, ...] = ()
+    check: Callable[[dict, str], None] = lambda event, label: None
+
+
+def _check_gate(event: dict, label: str) -> None:
+    kind = event.get("kind")
+    _require(kind in Gate.ONE_QUBIT + Gate.TWO_QUBIT, f"{label}: unknown gate kind {kind!r}")
+    targets = event.get("targets")
+    want = 1 if kind in Gate.ONE_QUBIT else 2
+    _require(isinstance(targets, list) and len(targets) == want,
+             f"{label}: {kind} takes {want} target(s)")
+    if kind == "Rot" or "axis" in event:
+        axis = event.get("axis")
+        _require(
+            isinstance(axis, list) and len(axis) == 3
+            and all(_is_number(v) for v in axis) and any(v != 0 for v in axis),
+            f"{label}: axis must be a nonzero [x, y, z] list (Rot needs one)",
+        )
+    if kind == "Rot":
+        _require(_is_number(event.get("angle")), f"{label}: Rot needs a numeric angle")
+    if kind == "ExchangeEvolve":
+        _require(_is_number(event.get("theta")),
+                 f"{label}: ExchangeEvolve needs numeric theta")
+
+
+def _check_qec(event: dict, label: str) -> None:
+    syndromes = event.get("syndromes")
+    _require(isinstance(syndromes, list) and len(syndromes) == 4,
+             f"{label}: syndromes must list 4 positions")
+    inject = event.get("inject", [])
+    _require(isinstance(inject, list), f"{label}: inject must be a list")
+    for err in inject:
+        _require(
+            isinstance(err, list) and len(err) == 2 and err[0] in ("X", "Y", "Z")
+            and _is_int(err[1]) and 0 <= err[1] < 5,
+            f"{label}: inject entries are [pauli, block_position 0..4]",
+        )
+
+
+def _gate(array: DotArray, event: dict, at: dict, rng) -> DotArray:
+    return array.apply_gate_at(
+        event["kind"], at["targets"],
+        axis=tuple(event["axis"]) if "axis" in event else None,
+        angle=event.get("angle"),
+        theta=event.get("theta"),
+    )
+
+
+def _route(array: DotArray, event: dict, at: dict, rng) -> dict:
+    path = channels.plan_tunnel_route(array, at["src"], at["dst"])
+    channels.run_tunnel_route(array, path)
+    return {"path": [list(p) for p in path]}
+
+
+def _epr(array: DotArray, event: dict, at: dict, rng) -> dict:
+    channels.make_epr(array, at["a"], at["b"])
+    return {"fidelity_checks": {
+        "bell_fidelity": channels.epr_pair_fidelity(array, at["a"], at["b"])}}
+
+
+def _teleport(array: DotArray, event: dict, at: dict, rng) -> dict:
+    rep, _ = channels.teleport(array, at["payload"], at["a"], at["b"], rng)
+    return {"measurements": [rep["phase_bit"], rep["amplitude_bit"]],
+            "fidelity_checks": {"payload_fidelity": rep["payload_fidelity"]}}
+
+
+def _qec_cycle(array: DotArray, event: dict, at: dict, rng) -> dict:
+    principal = array.qubit_index(at["principal"])
+    lq = qec.LogicalQubit(principal, tuple(array.qubit_index(s) for s in at["syndromes"]))
+    before = array.state
+    state = qec.encode5(array.state, lq)
+    inject = [tuple(e) for e in event.get("inject", [])] or None
+    state, rep = qec.qec_cycle(state, lq, inject, rng)
+    array.state = qec.decode5(state, lq)
+    array.advance(rep["pulse_count"] * array.material.t_pulse, "qec_cycle",
+                  syndrome=rep["syndrome"])
+    return {
+        "measurements": rep["syndrome"],
+        "fidelity_checks": {
+            "post_cycle_fidelity": state_fidelity(before, array.state),
+            "possible_logical_error": rep["possible_logical_error"],
+        },
+        "qec_report": rep,
+    }
+
+
+def _readout(array: DotArray, event: dict, at: dict, rng) -> dict:
+    bit, _ = array.readout(at["qubit"], at["readout"], rng)
+    return {"measurements": [bit]}
+
+
+_OPS: dict[str, _Op] = {
+    "init": _Op(lambda array, event, at, rng: array.init_qubit(at["pos"]), ("pos",)),
+    "gate": _Op(_gate, lists=("targets",), check=_check_gate),
+    "coupling_window": _Op(
+        lambda array, event, at, rng: array.coupling_window(
+            at["a"], at["b"], float(event["theta"])),
+        ("a", "b"), numbers=("theta",)),
+    "move": _Op(lambda array, event, at, rng: array.move_electron(at["src"], at["dst"]),
+                ("src", "dst")),
+    "route": _Op(_route, ("src", "dst")),
+    "epr": _Op(_epr, ("a", "b")),
+    "teleport": _Op(_teleport, ("payload", "a", "b")),
+    "qec_cycle": _Op(_qec_cycle, ("principal",), ("syndromes",), check=_check_qec),
+    "readout": _Op(_readout, ("qubit", "readout")),
+    "idle": _Op(lambda array, event, at, rng: array.idle(float(event["t"])),
+                numbers=("t",)),
+}
+
+
+# -- the analytics kinds ------------------------------------------------------
+#
+# Each kind maps to one function (request, material) -> report fields. Every
+# request field except `kind` is a number; `thresholds` is a list of them.
+
+
+def resources_report(material: MaterialParams, rabi_period: float,
+                     load_ohms: float = 50.0, dE_in: float = 0.1e-3) -> dict:
+    """Drive, exchange and minimum-drive figures of a material: the
+    `resources` analytics kind and the `qdotsim resources` command."""
+    return {
+        "drive": pulses.drive_report(material.g_factor, rabi_period,
+                                     material.gate_distance, load_ohms).to_dict(),
+        "exchange": pulses.exchange_estimate(material.J_on, material.U_charging,
+                                             dE_in).to_dict(),
+        "min_rabi_field_tesla": pulses.min_rabi_field(material.g_factor, material.noise.T2),
+    }
+
+
+def _lambda(request: dict, material: MaterialParams) -> dict:
+    t_op = float(request.get("t_op", material.t_swap))
+    T2 = float(request.get("T2", material.noise.T2))
+    return {"t_op_s": t_op, "T2_s": T2, "lambda": channels.channel_lambda(t_op, T2)}
+
+
+def _line(kind: str, request: dict, material: MaterialParams) -> dict:
+    return {"report": channels.line_report(
+        kind, material, int(request.get("length_qubits", 10)),
+        t_hop=request.get("t_hop"), lam=request.get("lambda"),
+    ).to_dict()}
+
+
+def _max_distance(request: dict, material: MaterialParams) -> dict:
+    lam = float(request.get("lambda", 1e-6))
+    return {
+        "lambda": lam,
+        "distances": {str(thr): channels.max_channel_distance(lam, float(thr))
+                      for thr in request.get("thresholds", [1e-4, 1e-5])},
+        "note": channels.MAX_DISTANCE_NOTE,
+    }
+
+
+_ANALYTICS: dict[str, Callable[[dict, MaterialParams], dict]] = {
+    "resources": lambda request, material: resources_report(
+        material, float(request.get("rabi_period", material.rabi_period)),
+        float(request.get("load_ohms", 50.0)), float(request.get("dE_in", 0.1e-3))),
+    "lambda": _lambda,
+    "swap_channel": partial(_line, "swap"),
+    "tunnel_channel": partial(_line, "tunnel"),
+    "max_distance": _max_distance,
+    "teleport_bandwidth": lambda request, material: {"report": channels.teleport_bandwidth(
+        float(request.get("distance_m", 0.01)),
+        material,
+        int(request.get("rounds", 0)),
+        float(request.get("fidelity_threshold", 1e-4)),
+    )},
+    "pulse_budget": lambda request, material: {"report": qec.pulse_budget(
+        material, int(request.get("pulses_per_cycle", 500))).to_dict()},
+    "zeeman_ratio": lambda request, material: {
+        "field_ratio": pulses.equal_splitting_field_ratio(
+            float(request.get("g_small", 0.44)), float(request.get("g_large", 15.0))),
+        "note": "exact equal-splitting field ratio; commonly rounded to '30x'",
+    },
+}
+
+
+def validate_scenario(scenario: dict) -> list[dict]:
+    """Full static validation; raises SchemaError before any execution.
+    Returns every program event's grid positions, parsed."""
     _require(scenario.get("schema_version") == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}")
     _require(_is_int(scenario.get("seed")),
              "seed is mandatory and must be an integer (no wall-clock entropy)")
     _require(_all_finite(scenario), "scenario holds a non-finite number (inf or nan)")
+    _require(isinstance(scenario.get("strict", False), bool), "strict must be true or false")
     build_material(scenario.get("material", "inas"))
     array = scenario.get("array")
     _require(isinstance(array, dict), "array section is mandatory")
@@ -138,270 +317,56 @@ def validate_scenario(scenario: dict) -> None:
     _require(_is_int(width) and _is_int(height)
              and width >= 1 and height >= 1,
              "array.width and array.height must be positive integers")
-    roles: dict[tuple[int, int], str] = {}
-    for dot in array.get("dots", []):
-        _require(isinstance(dot, dict), "array.dots entries must be objects")
-        pos = _pos(dot.get("pos"), "dot.pos")
-        _require(0 <= pos[0] < width and 0 <= pos[1] < height,
-                 f"dot {pos} outside the {width}x{height} array")
-        role = dot.get("role", "empty")
-        _require(role in ("qubit", "empty", "readout", "intermediary"),
-                 f"unknown dot role {role!r}")
-        t2 = dot.get("t2_override")
-        _require(t2 is None or (_is_number(t2) and t2 > 0),
-                 f"dot {pos}: t2_override must be a positive number")
-        roles[pos] = role
-    rep = array.get("representation", "vector")
-    _require(rep in ("vector", "matrix"), f"unknown representation {rep!r}")
 
     def pos_in_grid(value, label):
         p = _pos(value, label)
         _require(0 <= p[0] < width and 0 <= p[1] < height,
-                 f"{label} {p} outside the array")
+                 f"{label} {p} outside the {width}x{height} array")
         return p
+
+    dots = array.get("dots", [])
+    _require(isinstance(dots, list), "array.dots must be a list")
+    for dot in dots:
+        _require(isinstance(dot, dict), "array.dots entries must be objects")
+        pos = pos_in_grid(dot.get("pos"), "dot.pos")
+        role = dot.get("role", "empty")
+        _require(role in ROLES, f"unknown dot role {role!r}")
+        t2 = dot.get("t2_override")
+        _require(t2 is None or (_is_number(t2) and t2 > 0),
+                 f"dot {pos}: t2_override must be a positive number")
+    rep = array.get("representation", "vector")
+    _require(rep in REPRESENTATIONS, f"unknown representation {rep!r}")
 
     program = scenario.get("program", [])
     _require(isinstance(program, list), "program must be a list of events")
+    positions = []
     for i, event in enumerate(program):
         _require(isinstance(event, dict), f"event {i} must be an object")
         op = event.get("op")
-        _require(op in EVENT_OPS, f"event {i}: unknown op {op!r}")
-        label = f"event {i} ({op})"
-        if op == "init":
-            pos_in_grid(event.get("pos"), f"{label} pos")
-        elif op == "gate":
-            kind = event.get("kind")
-            _require(kind in GATE_KINDS_1Q + GATE_KINDS_2Q,
-                     f"{label}: unknown gate kind {kind!r}")
-            targets = event.get("targets")
-            want = 1 if kind in GATE_KINDS_1Q else 2
-            _require(isinstance(targets, list) and len(targets) == want,
-                     f"{label}: {kind} takes {want} target(s)")
-            for t in targets:
-                pos_in_grid(t, f"{label} target")
-            if kind == "Rot":
-                axis = event.get("axis")
-                _require(
-                    isinstance(axis, list) and len(axis) == 3
-                    and all(_is_number(v) for v in axis)
-                    and any(v != 0 for v in axis),
-                    f"{label}: Rot needs a nonzero [x, y, z] axis",
-                )
-                _require(_is_number(event.get("angle")),
-                         f"{label}: Rot needs a numeric angle")
-            if kind == "ExchangeEvolve":
-                _require(_is_number(event.get("theta")),
-                         f"{label}: ExchangeEvolve needs numeric theta")
-        elif op == "coupling_window":
-            pos_in_grid(event.get("a"), f"{label} a")
-            pos_in_grid(event.get("b"), f"{label} b")
-            theta = event.get("theta")
-            _require(_is_number(theta) and theta >= 0,
-                     f"{label}: theta must be a nonnegative number")
-        elif op in ("move", "route"):
-            pos_in_grid(event.get("src"), f"{label} src")
-            pos_in_grid(event.get("dst"), f"{label} dst")
-        elif op == "epr":
-            pos_in_grid(event.get("a"), f"{label} a")
-            pos_in_grid(event.get("b"), f"{label} b")
-        elif op == "teleport":
-            for key in ("payload", "a", "b"):
-                pos_in_grid(event.get(key), f"{label} {key}")
-        elif op == "qec_cycle":
-            pos_in_grid(event.get("principal"), f"{label} principal")
-            syndromes = event.get("syndromes")
-            _require(isinstance(syndromes, list) and len(syndromes) == 4,
-                     f"{label}: syndromes must list 4 positions")
-            for s in syndromes:
-                pos_in_grid(s, f"{label} syndrome")
-            for err in event.get("inject", []):
-                _require(
-                    isinstance(err, list) and len(err) == 2
-                    and err[0] in ("X", "Y", "Z")
-                    and _is_int(err[1]) and 0 <= err[1] < 5,
-                    f"{label}: inject entries are [pauli, block_position 0..4]",
-                )
-        elif op == "readout":
-            pos_in_grid(event.get("qubit"), f"{label} qubit")
-            pos_in_grid(event.get("readout"), f"{label} readout")
-        elif op == "idle":
-            t = event.get("t")
-            _require(_is_number(t) and t >= 0,
-                     f"{label}: t must be a nonnegative number")
+        _require(isinstance(op, str) and op in _OPS, f"event {i}: unknown op {op!r}")
+        spec, label = _OPS[op], f"event {i} ({op})"
+        spec.check(event, label)
+        for key in spec.numbers:
+            value = event.get(key)
+            _require(_is_number(value) and value >= 0,
+                     f"{label}: {key} must be a nonnegative number")
+        at = {key: pos_in_grid(event.get(key), f"{label} {key}") for key in spec.points}
+        for key in spec.lists:
+            at[key] = [pos_in_grid(p, f"{label} {key}") for p in event[key]]
+        positions.append(at)
 
-    for i, request in enumerate(scenario.get("analytics", [])):
+    analytics = scenario.get("analytics", [])
+    _require(isinstance(analytics, list), "analytics must be a list")
+    for i, request in enumerate(analytics):
         _require(isinstance(request, dict), f"analytics entry {i} must be an object")
         kind = request.get("kind")
-        _require(kind in ANALYTIC_KINDS, f"analytics entry {i}: unknown kind {kind!r}")
-
-
-def _build_array(scenario: dict, material: MaterialParams, seed, strict: bool) -> DotArray:
-    section = scenario["array"]
-    roles = {
-        _pos(d["pos"], "dot.pos"): d.get("role", "empty")
-        for d in section.get("dots", [])
-    }
-    array = DotArray(
-        section["width"],
-        section["height"],
-        material,
-        roles=roles,
-        representation=section.get("representation", "vector"),
-        strict=strict,
-        seed=seed,
-    )
-    for dot in section.get("dots", []):
-        if dot.get("t2_override") is not None:
-            array.dots[_pos(dot["pos"], "dot.pos")].t2_override = float(
-                dot["t2_override"]
-            )
-    return array
-
-
-def _execute_event(array: DotArray, event: dict, rng) -> dict:
-    """Run one program event; returns {measurements, fidelity_checks}."""
-    op = event["op"]
-    result: dict = {"op": op, "measurements": None, "fidelity_checks": None}
-    if op == "init":
-        array.init_qubit(_pos(event["pos"], "pos"))
-    elif op == "gate":
-        array.apply_gate_at(
-            event["kind"],
-            [_pos(t, "target") for t in event["targets"]],
-            axis=tuple(event["axis"]) if "axis" in event else None,
-            angle=event.get("angle"),
-            theta=event.get("theta"),
-        )
-    elif op == "coupling_window":
-        array.coupling_window(
-            _pos(event["a"], "a"), _pos(event["b"], "b"), float(event["theta"])
-        )
-    elif op == "move":
-        array.move_electron(_pos(event["src"], "src"), _pos(event["dst"], "dst"))
-    elif op == "route":
-        path = channels.plan_tunnel_route(
-            array, _pos(event["src"], "src"), _pos(event["dst"], "dst")
-        )
-        channels.run_tunnel_route(array, path)
-        result["path"] = [list(p) for p in path]
-    elif op == "epr":
-        a, b = _pos(event["a"], "a"), _pos(event["b"], "b")
-        channels.make_epr(array, a, b)
-        rho = reduced_density(
-            array.state, [array.qubit_index(a), array.qubit_index(b)]
-        )
-        bell = channels.BELL_PHI_PLUS
-        result["fidelity_checks"] = {
-            "bell_fidelity": float(np.real(bell.conj() @ rho @ bell))
-        }
-    elif op == "teleport":
-        rep, _ = channels.teleport(
-            array,
-            _pos(event["payload"], "payload"),
-            _pos(event["a"], "a"),
-            _pos(event["b"], "b"),
-            rng,
-        )
-        result["measurements"] = [rep["phase_bit"], rep["amplitude_bit"]]
-        result["fidelity_checks"] = {"payload_fidelity": rep["payload_fidelity"]}
-    elif op == "qec_cycle":
-        principal = array.qubit_index(_pos(event["principal"], "principal"))
-        syndromes = tuple(
-            array.qubit_index(_pos(s, "syndrome")) for s in event["syndromes"]
-        )
-        lq = qec.LogicalQubit(principal, syndromes)
-        before = array.state
-        state = qec.encode5(array.state, lq)
-        inject = [tuple(e) for e in event.get("inject", [])] or None
-        state, rep = qec.qec_cycle(state, lq, inject, rng)
-        state = qec.decode5(state, lq)
-        array.state = state
-        duration = rep["pulse_count"] * array.material.t_pulse
-        array._advance(duration, "qec_cycle", **{"syndrome": rep["syndrome"]})
-        result["measurements"] = rep["syndrome"]
-        result["fidelity_checks"] = {
-            "post_cycle_fidelity": state_fidelity(before, array.state),
-            "possible_logical_error": rep["possible_logical_error"],
-        }
-        result["qec_report"] = rep
-    elif op == "readout":
-        bit, _ = array.readout(
-            _pos(event["qubit"], "qubit"), _pos(event["readout"], "readout"), rng
-        )
-        result["measurements"] = [bit]
-    elif op == "idle":
-        array.idle(float(event["t"]))
-    return result
-
-
-def _run_analytics(requests: list[dict], material: MaterialParams) -> list[dict]:
-    out = []
-    for request in requests:
-        kind = request["kind"]
-        entry: dict = {"kind": kind}
-        if kind == "resources":
-            entry["drive"] = pulses.drive_report(
-                material.g_factor,
-                float(request.get("rabi_period", material.rabi_period)),
-                material.gate_distance,
-                float(request.get("load_ohms", 50.0)),
-            ).to_dict()
-            entry["exchange"] = pulses.exchange_estimate(
-                material.J_on, material.U_charging,
-                float(request.get("dE_in", 0.1e-3)),
-            ).to_dict()
-            entry["min_rabi_field_tesla"] = pulses.min_rabi_field(
-                material.g_factor, material.noise.T2
-            )
-        elif kind == "lambda":
-            entry["t_op_s"] = float(request.get("t_op", material.t_swap))
-            entry["T2_s"] = float(request.get("T2", material.noise.T2))
-            entry["lambda"] = channels.channel_lambda(entry["t_op_s"], entry["T2_s"])
-        elif kind in ("swap_channel", "tunnel_channel"):
-            is_swap = kind == "swap_channel"
-            default_hop = material.t_swap if is_swap else material.t_hop
-            t_hop = float(request.get("t_hop", default_hop))
-            lam = channels.channel_lambda(t_hop, material.noise.T2)
-            spec = channels.ChannelSpec(
-                kind="swap" if is_swap else "tunnel",
-                length_qubits=int(request.get("length_qubits", 10)),
-                lam=float(request.get("lambda", lam)),
-                t_hop=t_hop,
-            )
-            metric = (
-                channels.swap_channel_metrics
-                if is_swap
-                else channels.tunnel_channel_metrics
-            )
-            entry["report"] = metric(spec, material).to_dict()
-        elif kind == "max_distance":
-            lam = float(request.get("lambda", 1e-6))
-            entry["lambda"] = lam
-            entry["distances"] = {
-                str(thr): channels.max_channel_distance(lam, float(thr))
-                for thr in request.get("thresholds", [1e-4, 1e-5])
-            }
-            entry["note"] = channels.MAX_DISTANCE_NOTE
-        elif kind == "teleport_bandwidth":
-            entry["report"] = channels.teleport_bandwidth(
-                float(request.get("distance_m", 0.01)),
-                material,
-                int(request.get("rounds", 0)),
-                float(request.get("fidelity_threshold", 1e-4)),
-            )
-        elif kind == "pulse_budget":
-            entry["report"] = qec.pulse_budget(
-                material, int(request.get("pulses_per_cycle", 500))
-            ).to_dict()
-        elif kind == "zeeman_ratio":
-            g_small = float(request.get("g_small", 0.44))
-            g_large = float(request.get("g_large", 15.0))
-            entry["field_ratio"] = pulses.equal_splitting_field_ratio(g_small, g_large)
-            entry["note"] = (
-                "exact equal-splitting field ratio; commonly rounded to '30x'"
-            )
-        out.append(entry)
-    return out
+        _require(isinstance(kind, str) and kind in _ANALYTICS,
+                 f"analytics entry {i}: unknown kind {kind!r}")
+        for key, value in request.items():
+            ok = (isinstance(value, list) and all(_is_number(v) for v in value)
+                  if key == "thresholds" else key == "kind" or _is_number(value))
+            _require(ok, f"analytics entry {i} ({kind}): bad {key} {value!r}")
+    return positions
 
 
 def run_scenario(
@@ -411,13 +376,19 @@ def run_scenario(
     strict: bool | None = None,
 ) -> dict:
     """Validate and execute a scenario; returns the full run report."""
-    validate_scenario(scenario)
+    positions = validate_scenario(scenario)
     if shots < 1:
         raise SchemaError(f"shots must be >= 1, got {shots}")
     seed = int(seed_override if seed_override is not None else scenario["seed"])
     strict_flag = bool(scenario.get("strict", False) if strict is None else strict)
     material = build_material(scenario.get("material", "inas"))
     program = scenario.get("program", [])
+    section = scenario["array"]
+    dots = [(_pos(d["pos"], "dot.pos"), d) for d in section.get("dots", [])]
+    roles = {pos: d.get("role", "empty") for pos, d in dots}
+    t2_overrides = [(pos, float(d["t2_override"])) for pos, d in dots
+                    if d.get("t2_override") is not None]
+    steps = [(_OPS[event["op"]], event, at) for event, at in zip(program, positions)]
 
     event_log: list[dict] = []
     shot_records: list[str] = []
@@ -425,22 +396,34 @@ def run_scenario(
     final_clock = 0.0
     total_energy = 0.0
     for shot in range(shots):
-        array = _build_array(scenario, material, stream(seed, shot, 0xFFFF), strict_flag)
+        array = DotArray(
+            section["width"], section["height"], material, roles=roles,
+            representation=section.get("representation", "vector"),
+            strict=strict_flag, seed=stream(seed, shot, 0xFFFF),
+        )
+        for pos, t2 in t2_overrides:
+            array.dots[pos].t2_override = t2
         bits: list[int] = []
-        for index, event in enumerate(program):
+        for index, (spec, event, at) in enumerate(steps):
             rng = stream(seed, shot, index)
             clock_before = array.clock
-            result = _execute_event(array, event, rng)
-            if result["measurements"]:
-                bits.extend(result["measurements"])
+            try:
+                result = spec.run(array, event, at, rng)
+            except QdotsimError as exc:
+                raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
+            if not isinstance(result, dict):
+                result = {}
+            measurements = result.get("measurements")
+            if measurements:
+                bits.extend(measurements)
             if shot == 0:
                 entry = {
                     "index": index,
                     "event": event["op"],
                     "clock_before": clock_before,
                     "clock_after": array.clock,
-                    "fidelity_checks": result["fidelity_checks"],
-                    "measurements": result["measurements"],
+                    "fidelity_checks": result.get("fidelity_checks"),
+                    "measurements": measurements,
                 }
                 for extra in ("path", "qec_report"):
                     if extra in result:
@@ -469,7 +452,8 @@ def run_scenario(
             "total_energy_j": total_energy,
             "event_count": len(program),
         },
-        "analytics": _run_analytics(scenario.get("analytics", []), material),
+        "analytics": [{"kind": r["kind"], **_ANALYTICS[r["kind"]](r, material)}
+                      for r in scenario.get("analytics", [])],
     }
     return report
 

@@ -7,6 +7,7 @@ implementation is checked against a second, unrelated path.
 import numpy as np
 import pytest
 
+from qdotsim.noise import apply_idle_jumps
 from qdotsim.qstate import QuantumState
 
 I2 = np.eye(2, dtype=complex)
@@ -47,6 +48,17 @@ def haar_state(n: int, rng) -> QuantumState:
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     vec /= np.linalg.norm(vec)
     return QuantumState.from_vector(vec)
+
+
+def idle_trajectory(state: QuantumState, durations, params, seed) -> QuantumState:
+    """One stochastic unraveling of consecutive idle windows on a vector
+    state: each window steps every qubit in order through apply_idle_jumps,
+    all draws from one generator seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    for dt in durations:
+        for q in range(state.n_qubits):
+            state = apply_idle_jumps(state, q, dt, params, rng)
+    return state
 
 
 @pytest.fixture

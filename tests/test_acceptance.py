@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import haar_state
+from conftest import haar_state, idle_trajectory
 from qdotsim.channels import (
     ChannelSpec,
     channel_lambda,
@@ -25,7 +25,7 @@ from qdotsim.channels import (
     teleport_branches,
 )
 from qdotsim.device import inas_material
-from qdotsim.noise import NoiseParams, PulseEvent, PulseSchedule, idle_channel, sample_trajectory
+from qdotsim.noise import NoiseParams, idle_channel
 from qdotsim.pulses import (
     drive_report,
     equal_splitting_field_ratio,
@@ -242,12 +242,11 @@ def test_criterion_11b_trajectory_channel_convergence():
         params = NoiseParams(T1=200e-6, T2=100e-6, enabled=True)
         plus = apply_gate(QuantumState.zero(1), gate_h(0))
         exact = idle_channel(plus.to_density(), 0, 100e-6, params).data
-        schedule = PulseSchedule([PulseEvent("idle", 100e-6)])
         errors = {}
         for n in (100, 1000, 10_000):
             acc = np.zeros((2, 2), dtype=complex)
             for i in range(n):
-                out = sample_trajectory(plus, schedule, params, rng_seed=[1106, i])
+                out = idle_trajectory(plus, [100e-6], params, seed=[1106, i])
                 acc += np.outer(out.data, out.data.conj())
             errors[n] = float(np.max(np.abs(acc / n - exact)))
         assert errors[10_000] < errors[100] / 3

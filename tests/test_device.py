@@ -428,17 +428,6 @@ def test_snapshot_json_is_canonical():
     assert text == array.snapshot_json()  # stable bytes
 
 
-def test_pulse_schedule_export():
-    array = make_array()
-    array.init_qubit((0, 0))
-    array.apply_gate_at("H", [(0, 0)])
-    array.idle(1e-8)
-    schedule = array.pulse_schedule()
-    assert [e.kind for e in schedule.events] == ["init", "gate", "idle"]
-    assert schedule.total_duration == pytest.approx(array.clock)
-    assert schedule.total_energy > 0  # the Rabi pulse costs drive power
-
-
 def test_per_dot_t2_override_shortens_coherence():
     noise = NoiseParams(T1=1e3, T2=100e-6, enabled=True)
     slow = make_array(noise=noise, representation="matrix")

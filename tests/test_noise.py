@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed, haar_state
+from conftest import embed, haar_state, idle_trajectory
 from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
-    PulseEvent,
-    PulseSchedule,
     amplitude_damp,
     apply_idle_jumps,
     damping_kraus,
@@ -21,7 +19,6 @@ from qdotsim.noise import (
     idle_window,
     jump_probabilities,
     pure_dephasing_time,
-    sample_trajectory,
 )
 from qdotsim.qstate import QuantumState, apply_gate, gate_h, gate_x
 
@@ -185,17 +182,15 @@ def test_idle_window_matches_kraus_oracle(n, seed, t, data):
 def test_disabled_noise_is_noiseless():
     params = NoiseParams(T1=T1, T2=T2, enabled=False)
     psi = apply_gate(QuantumState.zero(1), gate_h(0))
-    sched = PulseSchedule([PulseEvent("idle", T2), PulseEvent("idle", 3 * T2)])
-    out = sample_trajectory(psi, sched, params, rng_seed=5)
+    out = idle_trajectory(psi, [T2, 3 * T2], params, seed=5)
     assert np.array_equal(out.data, psi.data)
 
 
 def test_zero_duration_steps_never_jump():
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
     psi = apply_gate(QuantumState.zero(1), gate_h(0))
-    sched = PulseSchedule([PulseEvent("idle", 0.0)] * 20)
     for seed in range(10):
-        out = sample_trajectory(psi, sched, params, rng_seed=seed)
+        out = idle_trajectory(psi, [0.0] * 20, params, seed=seed)
         assert np.array_equal(out.data, psi.data)
 
 
@@ -207,23 +202,12 @@ def test_jump_probabilities_values():
     assert gamma == pytest.approx(1 - math.exp(-T2 / T1))
 
 
-def test_schedule_gates_apply_without_noise_qubits():
-    params = NoiseParams(enabled=False)
-    sched = PulseSchedule([
-        PulseEvent("rabi", 1e-9, gate=gate_h(0)),
-        PulseEvent("rabi", 1e-9, gate=gate_h(0)),
-    ])
-    out = sample_trajectory(QuantumState.zero(1), sched, params, rng_seed=0)
-    assert np.allclose(out.data, [1, 0], atol=1e-12)
-
-
 def _trajectory_average(n_samples: int, duration: float, seed_base: int) -> np.ndarray:
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
     psi = apply_gate(QuantumState.zero(1), gate_h(0))
-    sched = PulseSchedule([PulseEvent("idle", duration)])
     acc = np.zeros((2, 2), dtype=complex)
     for i in range(n_samples):
-        out = sample_trajectory(psi, sched, params, rng_seed=[seed_base, i])
+        out = idle_trajectory(psi, [duration], params, seed=[seed_base, i])
         acc += np.outer(out.data, out.data.conj())
     return acc / n_samples
 
@@ -257,10 +241,9 @@ def test_trajectory_error_shrinks_like_inverse_sqrt_n():
 def test_trajectory_damping_statistics():
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
     one = apply_gate(QuantumState.zero(1), gate_x(0))
-    sched = PulseSchedule([PulseEvent("idle", T1)])
     n = 5000
     stays = sum(
-        abs(sample_trajectory(one, sched, params, rng_seed=[9, i]).data[1]) > 0.5
+        abs(idle_trajectory(one, [T1], params, seed=[9, i]).data[1]) > 0.5
         for i in range(n)
     )
     sigma = math.sqrt(math.exp(-1) * (1 - math.exp(-1)) / n)

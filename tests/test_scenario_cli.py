@@ -106,6 +106,21 @@ def test_invalid_json_is_schema_error(tmp_path):
         ),
         lambda s: s["array"].pop("width"),
         lambda s: s.update(material="unobtainium"),
+        lambda s: s["program"].append(
+            {"op": "qec_cycle", "principal": [0, 0],
+             "syndromes": [[1, 0], [0, 1], [1, 1], [1, 0]], "inject": 5}
+        ),
+        lambda s: s["array"].update(dots=5),
+        lambda s: s.update(analytics=5),
+        lambda s: s.update(analytics=[{"kind": "lambda", "t_op": "abc"}]),
+        lambda s: s.update(analytics=[{"kind": "max_distance", "thresholds": 5}]),
+        lambda s: s["program"].append(
+            {"op": "gate", "kind": "X", "targets": [[0, 0]], "axis": 5}
+        ),
+        lambda s: s.update(material={"preset": "si", "noise": 5}),
+        lambda s: s.update(material={"noise": {"T2": "x"}}),
+        lambda s: s.update(material={"noise": {"T1": 1e-4, "T2": 3e-4}}),
+        lambda s: s.update(strict="yes"),
     ],
 )
 def test_validation_rejects_bad_scenarios(mutate):
@@ -355,6 +370,7 @@ def test_cli_physics_violation_exits_3(tmp_path):
     proc = run_cli("simulate", "--scenario", str(path), "--out",
                    str(tmp_path / "o"))
     assert proc.returncode == 3
+    assert "event 1 (init)" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -377,6 +393,43 @@ def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "schema"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("resources", "--t2", "nan"),
+        ("qec", "--t2", "nan"),
+        ("resources", "--t2", "inf"),
+        ("resources", "--t2", "-1"),
+        ("qec", "--p", "2"),
+        ("qec", "--p", "-0.1"),
+        ("qec", "--cycles", "-1"),
+    ],
+    ids=["resources-t2-nan", "qec-t2-nan", "t2-inf", "t2-negative", "p-above-1",
+         "p-negative", "cycles-negative"],
+)
+def test_cli_rejects_bad_numbers(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--kind", "teleport", "--distance-m", "0"),
+        ("--kind", "swap", "--lambda", "0"),
+        ("--kind", "tunnel", "--t-hop", "0"),
+    ],
+    ids=["distance-m", "lambda", "t-hop"],
+)
+def test_cli_channel_rejects_zero_instead_of_defaulting(args):
+    proc = run_cli("channel", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "schema"
 
 
 def test_cli_simulate_keeps_the_scenario_seed(tmp_path):
