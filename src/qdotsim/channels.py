@@ -189,7 +189,7 @@ def swap_channel_metrics(
         raise StateError(f"expected a swap spec, got {spec.kind!r}")
     if array is not None and spec.path:
         for pos in spec.path:
-            if not array.dots[pos].occupied:
+            if pos not in array.qubit_positions:
                 raise StateError(f"swap channel crosses empty dot {pos}")
     notes = (
         f"hop time {spec.t_hop:.6g} s; material swap window pi*hbar/J_on = "
@@ -207,7 +207,7 @@ def tunnel_channel_metrics(
         raise StateError(f"expected a tunnel spec, got {spec.kind!r}")
     if array is not None and spec.path:
         for pos in spec.path[1:]:
-            if array.dots[pos].occupied:
+            if pos in array.qubit_positions:
                 raise StateError(f"tunnel channel crosses occupied dot {pos}")
     notes = (f"hop time t_swap/10 = {material.t_hop:.6g} s",)
     return _metrics(spec, notes)
@@ -234,14 +234,15 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     empty dots only (breadth-first, fixed +x,+y,-x,-y tie-break)."""
     array._pos_check(src)
     array._pos_check(dst)
-    if not array.dots[src].occupied:
+    occupied = set(array.qubit_positions)
+    if src not in occupied:
         raise StateError(f"source dot {src} is empty")
-    if array.dots[dst].occupied:
+    if dst in occupied:
         raise RoutingError(f"destination dot {dst} is occupied")
 
     def traversable(pos: Pos) -> bool:
         dot = array.dots.get(pos)
-        return dot is not None and not dot.occupied and dot.role != "readout"
+        return dot is not None and pos not in occupied and dot.role != "readout"
 
     if not traversable(dst):
         raise RoutingError(f"destination dot {dst} cannot host an electron")

@@ -167,21 +167,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--preset", choices=("inas", "si"), default="inas")
-        p.add_argument("--t2", type=float, default=None,
-                       help="override T2 in seconds (required for --preset si)")
+    def common(p, material=False):
+        if material:  # scenario runs take their material from the scenario
+            p.add_argument("--preset", choices=("inas", "si"), default="inas")
+            p.add_argument("--t2", type=float, default=None,
+                           help="override T2 in seconds (required for --preset si)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; simulate/teleport default to the scenario's")
         p.add_argument("--out", default=None, help="directory for report.json")
 
     p = sub.add_parser("resources", help="Rabi drive and exchange figures")
-    common(p)
+    common(p, material=True)
     p.add_argument("--rabi-period", type=float, default=100e-9, dest="rabi_period")
     p.add_argument("--load-ohms", type=float, default=50.0, dest="load_ohms")
 
     p = sub.add_parser("channel", help="transport channel figures")
-    common(p)
+    common(p, material=True)
     p.add_argument("--kind", choices=("swap", "tunnel", "teleport"), default="swap")
     p.add_argument("--length-qubits", type=int, default=10, dest="length_qubits")
     p.add_argument("--distance-m", type=float, default=None, dest="distance_m")
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("qec", help="run five-qubit correction cycles")
-    common(p)
+    common(p, material=True)
     p.set_defaults(seed=0)
     p.add_argument("--cycles", type=int, default=100)
     p.add_argument("--p", type=float, default=0.0,

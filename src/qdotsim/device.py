@@ -1,14 +1,14 @@
 """The 2D array of single-electron dots and its clocked event model.
 
 Each dot holds at most one electron (Coulomb blockade). Occupied dots carry
-qubit amplitudes in one shared register; the dot <-> qubit mapping lives in
-`qubit_positions`. Every event advances the clock by its physical duration
-and, when noise is enabled, applies idle decoherence for that window:
-one exact pass over all idling qubits on density-matrix registers, seeded
-jump sampling qubit by qubit on vector registers. Ideal gate unitaries
-themselves are noiseless; their duration contributes an idle window
-instead. During an exchange window the coupled pair is excluded from that
-window's idle noise.
+qubit amplitudes in one shared register; `qubit_positions[q]` is the dot of
+qubit q and the only record of which dots are occupied. Every event
+advances the clock by its physical duration and, when noise is enabled,
+applies idle decoherence for that window: one exact pass over all idling
+qubits on density-matrix registers, seeded jump sampling qubit by qubit on
+vector registers. Ideal gate unitaries themselves are noiseless; their
+duration contributes an idle window instead. During an exchange window the
+coupled pair is excluded from that window's idle noise.
 
 Strict mode additionally applies the always-on residual exchange J_off to
 every adjacent occupied pair during each timed window.
@@ -116,9 +116,9 @@ def si_material(T2: float, noise_enabled: bool = False) -> MaterialParams:
 
 @dataclass
 class Dot:
+    """Static layout of one dot; occupancy lives in `DotArray.qubit_positions`."""
+
     role: str = "empty"
-    occupied: bool = False
-    qubit_id: int | None = None
     t2_override: float | None = None
 
     def __post_init__(self):
@@ -175,20 +175,16 @@ class DotArray:
 
     def qubit_index(self, pos: Pos) -> int:
         self._pos_check(pos)
-        dot = self.dots[pos]
-        if not dot.occupied or dot.qubit_id is None:
+        if pos not in self.qubit_positions:
             raise StateError(f"no qubit at {pos}")
-        return dot.qubit_id
-
-    def occupied_positions(self) -> list[Pos]:
-        return list(self.qubit_positions)
+        return self.qubit_positions.index(pos)
 
     def adjacent_occupied_pairs(self) -> list[tuple[Pos, Pos]]:
+        occupied = set(self.qubit_positions)
         pairs = []
         for pos in self.qubit_positions:
-            for d in ((1, 0), (0, 1)):
-                nb = (pos[0] + d[0], pos[1] + d[1])
-                if nb in self.dots and self.dots[nb].occupied:
+            for nb in ((pos[0] + 1, pos[1]), (pos[0], pos[1] + 1)):
+                if nb in occupied:
                     pairs.append((pos, nb))
         return pairs
 
@@ -198,14 +194,14 @@ class DotArray:
         params = self.material.noise
         if not params.enabled or duration <= 0:
             return
-        idling = [self.dots[p] for p in self.qubit_positions if p not in exclude]
+        idling = {q: self.dots[p].t2_override
+                  for q, p in enumerate(self.qubit_positions) if p not in exclude}
         if not self.state.is_vector:
-            self.state = idle_window(self.state, duration, params,
-                                     {d.qubit_id: d.t2_override for d in idling})
+            self.state = idle_window(self.state, duration, params, idling)
             return
-        for dot in idling:
-            self.state = apply_idle_jumps(self.state, dot.qubit_id, duration, params,
-                                          self._rng, T2_override=dot.t2_override)
+        for q, t2 in idling.items():
+            self.state = apply_idle_jumps(self.state, q, duration, params,
+                                          self._rng, T2_override=t2)
 
     def _residual_window(self, duration: float, exclude_pair=None) -> None:
         if not self.strict or duration <= 0:
@@ -215,7 +211,7 @@ class DotArray:
                 continue
             self.state = exchange_evolution(
                 self.state,
-                (self.dots[a].qubit_id, self.dots[b].qubit_id),
+                (self.qubit_positions.index(a), self.qubit_positions.index(b)),
                 self.material.J_off,
                 duration,
             )
@@ -244,19 +240,11 @@ class DotArray:
         return entry
 
     def _check_invariants(self) -> None:
-        occupied = [p for p, d in self.dots.items() if d.occupied]
-        if len(occupied) != len(self.qubit_positions):
-            raise StateError("occupancy and qubit map out of sync")
-        ids = sorted(self.dots[p].qubit_id for p in occupied)
-        if ids != list(range(len(occupied))):
-            raise StateError(f"qubit ids not unique/contiguous: {ids}")
-        for i, pos in enumerate(self.qubit_positions):
-            if self.dots[pos].qubit_id != i:
-                raise StateError(f"qubit map mismatch at {pos}")
-        if self.state.n_qubits != len(occupied):
-            raise StateError(
-                f"register has {self.state.n_qubits} qubits, grid has {len(occupied)}"
-            )
+        n = len(self.qubit_positions)
+        if len(set(self.qubit_positions)) != n:
+            raise StateError(f"two qubits share a dot: {self.qubit_positions}")
+        if self.state.n_qubits != n:
+            raise StateError(f"register has {self.state.n_qubits} qubits, grid has {n}")
 
     # -- events -----------------------------------------------------------
 
@@ -264,14 +252,11 @@ class DotArray:
         """Bring one spin-up electron into an empty dot; the register grows
         by a |0> qubit."""
         self._pos_check(pos)
-        dot = self.dots[pos]
-        if dot.occupied:
+        if pos in self.qubit_positions:
             raise BlockadeError(f"dot {pos} already holds an electron")
-        if dot.role == "readout":
+        if self.dots[pos].role == "readout":
             raise StateError(f"dot {pos} is a readout dot")
         self.state = self.state.append_zero_qubit()
-        dot.occupied = True
-        dot.qubit_id = len(self.qubit_positions)
         self.qubit_positions.append(pos)
         self.advance(self.material.t_pulse, "init", pos=pos)
         return self
@@ -280,20 +265,15 @@ class DotArray:
         """Tunnel the electron, spin amplitudes intact, one hop over."""
         self._pos_check(src)
         self._pos_check(dst)
-        if not self.dots[src].occupied:
+        if src not in self.qubit_positions:
             raise StateError(f"source dot {src} is empty")
-        if self.dots[dst].occupied:
+        if dst in self.qubit_positions:
             raise BlockadeError(f"destination dot {dst} is occupied")
         if not self.adjacent(src, dst):
             raise AdjacencyError(f"{src} and {dst} are not grid neighbors")
         if self.dots[dst].role == "readout":
             raise StateError(f"cannot park a qubit on readout dot {dst}")
-        qid = self.dots[src].qubit_id
-        self.dots[dst].occupied = True
-        self.dots[dst].qubit_id = qid
-        self.dots[src].occupied = False
-        self.dots[src].qubit_id = None
-        self.qubit_positions[qid] = dst
+        self.qubit_positions[self.qubit_positions.index(src)] = dst
         self.advance(self.material.t_hop, "move", src=src, dst=dst)
         return self
 
@@ -352,10 +332,9 @@ class DotArray:
         (spin-up, |0>) electron tunnels to the readout dot and registers a
         charge event; the excited spin stays put."""
         self._pos_check(readout_pos)
-        rdot = self.dots[readout_pos]
-        if rdot.role != "readout":
+        if self.dots[readout_pos].role != "readout":
             raise StateError(f"dot {readout_pos} is not a readout dot")
-        if rdot.occupied:
+        if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
         q = self.qubit_index(qubit_pos)
         rng = self._rng if rng_seed is None else as_rng(rng_seed)
@@ -392,6 +371,7 @@ class DotArray:
     # -- export -----------------------------------------------------------
 
     def snapshot(self) -> dict:
+        ids = {pos: q for q, pos in enumerate(self.qubit_positions)}
         return {
             "width": self.width,
             "height": self.height,
@@ -399,9 +379,9 @@ class DotArray:
                 {
                     "x": x,
                     "y": y,
-                    "occupied": self.dots[(x, y)].occupied,
+                    "occupied": (x, y) in ids,
                     "role": self.dots[(x, y)].role,
-                    "qubit_id": self.dots[(x, y)].qubit_id,
+                    "qubit_id": ids.get((x, y)),
                 }
                 for y in range(self.height)
                 for x in range(self.width)

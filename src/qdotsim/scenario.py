@@ -24,7 +24,7 @@ import numpy as np
 from . import channels, pulses, qec
 from .device import (REPRESENTATIONS, ROLES, DotArray, MaterialParams, NoiseParams,
                      inas_material, si_material)
-from .errors import QdotsimError, SchemaError
+from .errors import QdotsimError, SchemaError, StateError
 from .qstate import Gate, state_fidelity
 from .report import digest, dumps_report, stream
 
@@ -238,7 +238,8 @@ _OPS: dict[str, _Op] = {
 # -- the analytics kinds ------------------------------------------------------
 #
 # Each kind maps to one function (request, material) -> report fields. Every
-# request field except `kind` is a number; `thresholds` is a list of them.
+# request field except `kind` is a number; `thresholds` is a list of them and
+# the _COUNTS fields are integers.
 
 
 def resources_report(material: MaterialParams, rabi_period: float,
@@ -262,7 +263,7 @@ def _lambda(request: dict, material: MaterialParams) -> dict:
 
 def _line(kind: str, request: dict, material: MaterialParams) -> dict:
     return {"report": channels.line_report(
-        kind, material, int(request.get("length_qubits", 10)),
+        kind, material, request.get("length_qubits", 10),
         t_hop=request.get("t_hop"), lam=request.get("lambda"),
     ).to_dict()}
 
@@ -288,17 +289,18 @@ _ANALYTICS: dict[str, Callable[[dict, MaterialParams], dict]] = {
     "teleport_bandwidth": lambda request, material: {"report": channels.teleport_bandwidth(
         float(request.get("distance_m", 0.01)),
         material,
-        int(request.get("rounds", 0)),
+        request.get("rounds", 0),
         float(request.get("fidelity_threshold", 1e-4)),
     )},
     "pulse_budget": lambda request, material: {"report": qec.pulse_budget(
-        material, int(request.get("pulses_per_cycle", 500))).to_dict()},
+        material, request.get("pulses_per_cycle", 500)).to_dict()},
     "zeeman_ratio": lambda request, material: {
         "field_ratio": pulses.equal_splitting_field_ratio(
             float(request.get("g_small", 0.44)), float(request.get("g_large", 15.0))),
         "note": "exact equal-splitting field ratio; commonly rounded to '30x'",
     },
 }
+_COUNTS = ("length_qubits", "rounds", "pulses_per_cycle")
 
 
 def validate_scenario(scenario: dict) -> list[dict]:
@@ -363,8 +365,10 @@ def validate_scenario(scenario: dict) -> list[dict]:
         _require(isinstance(kind, str) and kind in _ANALYTICS,
                  f"analytics entry {i}: unknown kind {kind!r}")
         for key, value in request.items():
-            ok = (isinstance(value, list) and all(_is_number(v) for v in value)
-                  if key == "thresholds" else key == "kind" or _is_number(value))
+            if key == "thresholds":
+                ok = isinstance(value, list) and all(_is_number(v) for v in value)
+            else:
+                ok = key == "kind" or (_is_int if key in _COUNTS else _is_number)(value)
             _require(ok, f"analytics entry {i} ({kind}): bad {key} {value!r}")
     return positions
 
@@ -389,6 +393,13 @@ def run_scenario(
     t2_overrides = [(pos, float(d["t2_override"])) for pos, d in dots
                     if d.get("t2_override") is not None]
     steps = [(_OPS[event["op"]], event, at) for event, at in zip(program, positions)]
+    analytics = []
+    for i, request in enumerate(scenario.get("analytics", [])):
+        try:
+            analytics.append({"kind": request["kind"],
+                              **_ANALYTICS[request["kind"]](request, material)})
+        except StateError as exc:
+            raise SchemaError(f"analytics entry {i} ({request['kind']}): {exc}") from exc
 
     event_log: list[dict] = []
     shot_records: list[str] = []
@@ -452,8 +463,7 @@ def run_scenario(
             "total_energy_j": total_energy,
             "event_count": len(program),
         },
-        "analytics": [{"kind": r["kind"], **_ANALYTICS[r["kind"]](r, material)}
-                      for r in scenario.get("analytics", [])],
+        "analytics": analytics,
     }
     return report
 

@@ -160,7 +160,7 @@ def oracle_shortest_empty_path(array: DotArray, src, dst) -> int | None:
     """Independent breadth-first search; returns hop count or None."""
     def free(pos):
         dot = array.dots.get(pos)
-        return dot is not None and not dot.occupied and dot.role != "readout"
+        return dot is not None and pos not in array.qubit_positions and dot.role != "readout"
 
     dist = {src: 0}
     queue = deque([src])
@@ -238,7 +238,7 @@ def test_route_against_bruteforce_on_random_grids():
             assert len(path) - 1 == expected
             assert path[0] == src and path[-1] == dst
             for pos in path[1:]:
-                assert not array.dots[pos].occupied
+                assert pos not in array.qubit_positions
         checked += 1
     assert checked == 1000
 
@@ -249,7 +249,7 @@ def test_run_tunnel_route_moves_qubit():
     before = QuantumState(array.state.data.copy(), 1)
     path = plan_tunnel_route(array, (0, 0), (3, 0))
     run_tunnel_route(array, path)
-    assert array.dots[(3, 0)].occupied and not array.dots[(0, 0)].occupied
+    assert (3, 0) in array.qubit_positions and (0, 0) not in array.qubit_positions
     assert state_fidelity(array.state, before) > 1 - 1e-12
 
 

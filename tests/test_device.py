@@ -101,7 +101,7 @@ def test_move_preserves_state_noiselessly():
     before = QuantumState(array.state.data.copy(), 1)
     clock_before = array.clock
     array.move_electron((0, 0), (1, 0))
-    assert array.dots[(1, 0)].occupied and not array.dots[(0, 0)].occupied
+    assert (1, 0) in array.qubit_positions and (0, 0) not in array.qubit_positions
     assert state_fidelity(array.state, before) > 1 - 1e-12
     assert array.clock == pytest.approx(clock_before + array.material.t_hop)
 
@@ -143,14 +143,23 @@ def test_move_with_dephasing_fidelity_bound():
     assert fidelity < 1.0  # noise did act
 
 
+def test_register_size_must_match_the_qubit_map():
+    array = make_array()
+    array.init_qubit((0, 0))
+    array.init_qubit((1, 0))
+    array.state = QuantumState.zero(3)
+    with pytest.raises(StateError):
+        array.idle(0.0)
+
+
 def test_electron_number_conserved_by_moves():
     array = make_array(3, 3)
     array.init_qubit((0, 0))
     array.init_qubit((2, 2))
-    n_before = len(array.occupied_positions())
+    n_before = len(array.qubit_positions)
     array.move_electron((0, 0), (1, 0))
     array.move_electron((1, 0), (1, 1))
-    assert len(array.occupied_positions()) == n_before
+    assert len(array.qubit_positions) == n_before
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,8 @@ def test_invalid_json_is_schema_error(tmp_path):
         lambda s: s.update(material={"noise": {"T2": "x"}}),
         lambda s: s.update(material={"noise": {"T1": 1e-4, "T2": 3e-4}}),
         lambda s: s.update(strict="yes"),
+        lambda s: s.update(analytics=[{"kind": "swap_channel", "length_qubits": 2.5}]),
+        lambda s: s.update(analytics=[{"kind": "teleport_bandwidth", "rounds": 1.7}]),
     ],
 )
 def test_validation_rejects_bad_scenarios(mutate):
@@ -430,6 +432,34 @@ def test_cli_channel_rejects_zero_instead_of_defaulting(args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        {"kind": "swap_channel", "lambda": 0},
+        {"kind": "pulse_budget", "pulses_per_cycle": 0},
+    ],
+    ids=["swap-lambda-0", "pulses-per-cycle-0"],
+)
+def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
+    scenario = copy.deepcopy(BELL)
+    scenario["analytics"] = [request_]
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    message = json.loads(proc.stderr)["message"]
+    assert message.startswith(f"analytics entry 0 ({request_['kind']}): ")
+    assert not out_dir.exists()
+
+
+def test_cli_simulate_rejects_material_flags(tmp_path):
+    proc = run_cli("simulate", "--scenario", "bell.scenario", "--preset", "si",
+                   "--t2", "5e-5", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_keeps_the_scenario_seed(tmp_path):
