@@ -167,13 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, material=False):
+    def common(p, material=False, seeded=False):
         if material:  # scenario runs take their material from the scenario
             p.add_argument("--preset", choices=("inas", "si"), default="inas")
             p.add_argument("--t2", type=float, default=None,
                            help="override T2 in seconds (required for --preset si)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed; simulate/teleport default to the scenario's")
+        if seeded:  # resources and channel are closed-form and draw nothing
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed; simulate/teleport default to the scenario's")
         p.add_argument("--out", default=None, help="directory for report.json")
 
     p = sub.add_parser("resources", help="Rabi drive and exchange figures")
@@ -193,13 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="purification_rounds")
 
     p = sub.add_parser("teleport", help="run the teleportation protocol")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--scenario", default="teleport.scenario")
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("qec", help="run five-qubit correction cycles")
-    common(p, material=True)
+    common(p, material=True, seeded=True)
     p.set_defaults(seed=0)
     p.add_argument("--cycles", type=int, default=100)
     p.add_argument("--p", type=float, default=0.0,
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="pulses_per_cycle")
 
     p = sub.add_parser("simulate", help="run a scenario file")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--strict", action="store_true")

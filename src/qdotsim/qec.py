@@ -20,11 +20,14 @@ import numpy as np
 from .device import DotArray, MaterialParams, Pos
 from .errors import AdjacencyError, ProtocolError, StateError
 from .qstate import (
+    _PAULI_BY_NAME,
+    Gate,
     QuantumState,
+    _apply_unitary,
+    _apply_unitary_vec,
     apply_gate,
     as_rng,
     gate_cnot,
-    gate_h,
     gate_x,
     measure,
     pauli_gate,
@@ -47,6 +50,10 @@ _ENCODE_OPS: tuple[tuple[str, tuple[int, ...]], ...] = (
 # Device-compilation pulse costs: a CZ is two sqrt-SWAP exchange windows plus
 # three z-rotations; a CNOT adds the two basis-change Hadamards.
 PULSE_COST = {"1q": 1, "CZ": 5, "CNOT": 7, "measure": 1, "reset": 1}
+
+# Paulis as (x, z) bits packed into x + 2z: a product of Paulis on one qubit
+# is, up to phase, the XOR of their codes.
+_PAULI_BITS = {"X": 1, "Y": 3, "Z": 2}
 
 
 @dataclass
@@ -83,25 +90,23 @@ class PulseBudget:
         }
 
 
-def _apply_cz(state: QuantumState, a: int, b: int) -> QuantumState:
-    # CZ = H on target conjugating CNOT.
-    state = apply_gate(state, gate_h(b))
-    state = apply_gate(state, gate_cnot(a, b))
-    return apply_gate(state, gate_h(b))
+@lru_cache(maxsize=1)
+def _encoder_unitary() -> np.ndarray:
+    """The encoder as one read-only 32x32 unitary: _ENCODE_OPS run once over
+    the identity, viewed as a 10-qubit vector with the gates on axes 0-4."""
+    cz = np.diag([1, 1, 1, -1]).astype(complex)
+    u = np.eye(32, dtype=complex)
+    for kind, locals_ in _ENCODE_OPS:
+        gate = cz if kind == "CZ" else Gate(kind, locals_).matrix()
+        u = _apply_unitary_vec(u, gate, locals_, 10)
+    u = np.ascontiguousarray(u.reshape(32, 32))
+    u.flags.writeable = False
+    return u
 
 
 def _run_ops(state: QuantumState, qubits, inverse: bool = False) -> QuantumState:
-    ops = tuple(reversed(_ENCODE_OPS)) if inverse else _ENCODE_OPS
-    for kind, locals_ in ops:
-        targets = tuple(qubits[i] for i in locals_)
-        if kind == "CZ":
-            state = _apply_cz(state, *targets)
-        elif kind == "CNOT":
-            state = apply_gate(state, gate_cnot(*targets))
-        else:  # self-inverse single-qubit gates (Z, H)
-            state = apply_gate(state, pauli_gate(kind, *targets) if kind == "Z"
-                               else gate_h(targets[0]))
-    return state
+    u = _encoder_unitary()
+    return _apply_unitary(state, u.conj().T if inverse else u, qubits)
 
 
 def encode_pulse_count() -> int:
@@ -167,11 +172,8 @@ def _error_tables() -> tuple[dict, dict]:
             if syndrome in syndrome_map:
                 raise StateError(f"syndrome collision for {name}{q}")
             rho = reduced_density(dec, [lq.principal])
-            for cand in ("I", "X", "Y", "Z"):
-                mat = {"I": np.eye(2), "X": [[0, 1], [1, 0]],
-                       "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]]}[cand]
-                fixed = np.asarray(mat, dtype=complex) @ rho @ np.asarray(
-                    mat, dtype=complex).conj().T
+            for cand, mat in _PAULI_BY_NAME.items():
+                fixed = mat @ rho @ mat.conj().T
                 if float(np.real(amp.conj() @ fixed @ amp)) > 1.0 - 1e-9:
                     correction_map[syndrome] = cand
                     break
@@ -214,10 +216,11 @@ def qec_cycle(
     """One full correction cycle.
 
     Optionally injects Pauli errors first (a single (name, block position)
-    pair or a list of them; two or more exceed the code distance and the
-    report flags a possible logical error). Then decode, measure the four
-    syndrome qubits, apply the looked-up principal correction, reset the
-    syndrome qubits, and re-encode.
+    pair or a list of them). The report flags a possible logical error when
+    their product, phases dropped, acts on two or more block qubits, which
+    exceeds the code distance; cancelling pairs such as X2 X2 are not
+    flagged. Then decode, measure the four syndrome qubits, apply the
+    looked-up principal correction, reset the syndrome qubits, and re-encode.
     """
     if not lq.encoded:
         raise ProtocolError("logical qubit is not encoded")
@@ -227,8 +230,11 @@ def qec_cycle(
         errors = [injected_error] if isinstance(injected_error, tuple) else list(
             injected_error
         )
+    net: dict[int, int] = {}  # block qubit -> product Pauli as x + 2z bits
     for name, block_pos in errors:
-        state = apply_gate(state, pauli_gate(name, lq.block[block_pos]))
+        q = lq.block[block_pos]
+        state = apply_gate(state, pauli_gate(name, q))
+        net[q] = net.get(q, 0) ^ _PAULI_BITS[name]
     state = decode5(state, lq)
     syndrome = []
     for sq in lq.syndrome_qubits:
@@ -251,7 +257,7 @@ def qec_cycle(
         "principal_correction": correction,
         "injected_errors": [list(e) for e in errors],
         "pulse_count": cycle_pulse_count(int(correction != "I"), n_resets),
-        "possible_logical_error": len(errors) >= 2,
+        "possible_logical_error": sum(map(bool, net.values())) >= 2,
     }
     return state, report
 

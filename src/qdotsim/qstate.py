@@ -207,10 +207,6 @@ def gate_x(q: int) -> Gate:
     return Gate("X", (q,))
 
 
-def gate_y(q: int) -> Gate:
-    return Gate("Y", (q,))
-
-
 def gate_z(q: int) -> Gate:
     return Gate("Z", (q,))
 
@@ -219,28 +215,12 @@ def gate_h(q: int) -> Gate:
     return Gate("H", (q,))
 
 
-def gate_s(q: int) -> Gate:
-    return Gate("S", (q,))
-
-
-def gate_t(q: int) -> Gate:
-    return Gate("T", (q,))
-
-
 def gate_rot(q: int, axis, angle: float) -> Gate:
     return Gate("Rot", (q,), axis=tuple(axis), angle=float(angle))
 
 
 def gate_cnot(control: int, target: int) -> Gate:
     return Gate("CNOT", (control, target))
-
-
-def gate_swap(a: int, b: int) -> Gate:
-    return Gate("SWAP", (a, b))
-
-
-def gate_sqrt_swap(a: int, b: int) -> Gate:
-    return Gate("SqrtSWAP", (a, b))
 
 
 def gate_exchange(a: int, b: int, theta: float) -> Gate:
@@ -283,17 +263,21 @@ def _apply_unitary_vec(vec: np.ndarray, u: np.ndarray, targets, n: int) -> np.nd
     return np.moveaxis(psi, range(k), targets)
 
 
-def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
+def _apply_unitary(state: QuantumState, u: np.ndarray, targets) -> QuantumState:
     """U|psi> for vectors. For matrices U rho U^dagger: rho is treated as a
     2n-qubit vector with U on the ket axes and U* on the bra axes."""
-    _check_targets(state, gate.targets)
-    u = gate.matrix()
-    n, targets = state.n_qubits, gate.targets
+    _check_targets(state, targets)
+    n = state.n_qubits
     if state.is_vector:
         return QuantumState(_apply_unitary_vec(state.data, u, targets, n).reshape(-1), n)
     rho = _apply_unitary_vec(state.data, u, targets, 2 * n)
     rho = _apply_unitary_vec(rho, u.conj(), [n + t for t in targets], 2 * n)
     return QuantumState(rho.reshape(2**n, 2**n), n)
+
+
+def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
+    """Apply a gate's unitary to its targets (see _apply_unitary)."""
+    return _apply_unitary(state, gate.matrix(), gate.targets)
 
 
 def exchange_evolution(

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import haar_state, pauli_string
+from conftest import H, I2, X, Z, embed, haar_state, kron_chain, pauli_string
 from qdotsim.device import DotArray, inas_material
 from qdotsim.errors import AdjacencyError, ProtocolError, StateError
 from qdotsim.qec import (
@@ -22,7 +24,7 @@ from qdotsim.qec import (
     syndrome_table,
     un_make_cat,
 )
-from qdotsim.qec import _run_ops
+from qdotsim.qec import _ENCODE_OPS, _run_ops
 from qdotsim.qstate import (
     QuantumState,
     apply_gate,
@@ -120,6 +122,73 @@ def test_decode_is_exact_inverse_matrix():
     assert np.max(np.abs(back.data - probe)) < 1e-12
 
 
+ORACLE_GATES = {
+    "Z": Z,
+    "H": H,
+    "CNOT": kron_chain(np.diag([1, 0]), I2) + kron_chain(np.diag([0, 1]), X),
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+}
+
+
+def oracle_encoder() -> np.ndarray:
+    """The encoder circuit as a 32x32 matrix, one kron-embedded gate at a time."""
+    enc = np.eye(32, dtype=complex)
+    for kind, locals_ in _ENCODE_OPS:
+        enc = embed(ORACLE_GATES[kind], locals_, 5) @ enc
+    return enc
+
+
+def register(vecs, weights, matrix: bool) -> QuantumState:
+    """The first vector as a pure register, or the weighted mixture of all
+    of them as a density matrix."""
+    if not matrix:
+        return QuantumState(vecs[0], int(np.log2(vecs[0].size)))
+    rho = sum(w * np.outer(v, v.conj()) for v, w in zip(vecs, weights))
+    return QuantumState(rho, int(np.log2(vecs[0].size)))
+
+
+def oracle_apply(op: np.ndarray, state: QuantumState) -> np.ndarray:
+    if state.is_vector:
+        return op @ state.data
+    return op @ state.data @ op.conj().T
+
+
+@given(n=st.integers(5, 8), matrix=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_compiled_encoder_against_kron_oracle(n, matrix, seed):
+    # a random ordered block of 5 distinct qubits in a larger register
+    rng = np.random.default_rng(seed)
+    block = tuple(int(q) for q in rng.permutation(n)[:5])
+    lq = LogicalQubit(block[0], block[1:])
+    enc = embed(oracle_encoder(), block, n)
+    weights = rng.dirichlet(np.ones(2))
+
+    # the bare circuit and its inverse on arbitrary Haar states
+    anything = register([haar_state(n, rng).data for _ in range(2)], weights, matrix)
+    out = _run_ops(anything, block)
+    assert np.max(np.abs(out.data - oracle_apply(enc, anything))) < 1e-12
+    back = _run_ops(anything, block, inverse=True)
+    assert np.max(np.abs(back.data - oracle_apply(enc.conj().T, anything))) < 1e-12
+
+    # |psi> on the principal and spectators, |0000> on the syndromes
+    order = [q for q in range(n) if q not in lq.syndrome_qubits] + list(lq.syndrome_qubits)
+    ground = np.zeros(16, dtype=complex)
+    ground[0] = 1.0
+    vecs = [
+        np.transpose(np.kron(haar_state(n - 4, rng).data, ground).reshape([2] * n),
+                     np.argsort(order)).reshape(-1)
+        for _ in range(2)
+    ]
+    start = register(vecs, weights, matrix)
+    encoded = encode5(start, lq)
+    assert np.max(np.abs(encoded.data - oracle_apply(enc, start))) < 1e-12
+    for gen in STABILIZER_GENERATORS:
+        fixed = embed(pauli_string(gen), block, n) @ encoded.data
+        assert np.max(np.abs(fixed - encoded.data)) < 1e-12
+    decoded = decode5(encoded, lq)
+    assert np.max(np.abs(decoded.data - start.data)) < 1e-12
+
+
 def test_encode_requires_ground_syndromes():
     lq = fresh_logical()
     bad = apply_gate(five_qubit_state(TEST_PAYLOAD), gate_x(2))
@@ -212,6 +281,17 @@ def test_cycle_handles_y_then_x_as_net_z():
     state = apply_gate(state, pauli_gate("X", 3))
     out, report = qec_cycle(state, lq, None, rng_seed=3)
     assert report["diagnosed_error"] == {"pauli": "Z", "block_position": 3}
+    out = decode5(out, lq)
+    assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("injected", [[("X", 2), ("X", 2)], [("Y", 3), ("X", 3)]])
+def test_cancelling_injections_are_not_flagged(injected):
+    # X2 X2 is the identity and Y3 X3 is Z3 up to phase: weight < 2, correctable
+    lq = fresh_logical()
+    state = encode5(five_qubit_state(TEST_PAYLOAD), lq)
+    out, report = qec_cycle(state, lq, injected, rng_seed=7)
+    assert not report["possible_logical_error"]
     out = decode5(out, lq)
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 

@@ -462,6 +462,14 @@ def test_cli_simulate_rejects_material_flags(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["resources", "channel"])
+def test_cli_closed_form_commands_take_no_seed(command, tmp_path):
+    proc = run_cli(command, "--seed", "5", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "--seed" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_simulate_keeps_the_scenario_seed(tmp_path):
     proc = run_cli("simulate", "--scenario", "bell.scenario", "--out", str(tmp_path))
     assert proc.returncode == 0
