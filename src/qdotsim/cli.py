@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = lru_cache(maxsize=1)(build_parser)  # built once; parse_args leaves it unchanged
+
 _HANDLERS = {
     "resources": cmd_resources,
     "channel": cmd_channel,
@@ -228,7 +231,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     if argv and argv[0] not in _HANDLERS and not argv[0].startswith("-"):
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"qdotsim: unknown subcommand {argv[0]!r}\n")

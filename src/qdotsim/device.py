@@ -30,6 +30,7 @@ from .qstate import (
     exchange_evolution,
     measure,
 )
+from .report import _Stream
 
 Pos = tuple[int, int]
 
@@ -160,7 +161,7 @@ class DotArray:
         self.qubit_positions: list[Pos] = []
         self.clock = 0.0
         self.events: list[dict] = []
-        self._rng = as_rng(seed)
+        self._rng = seed if isinstance(seed, _Stream) else as_rng(seed)
 
     # -- geometry ---------------------------------------------------------
 
@@ -199,9 +200,12 @@ class DotArray:
         if not self.state.is_vector:
             self.state = idle_window(self.state, duration, params, idling)
             return
+        if not idling:
+            return
+        rng = as_rng(self._rng)
         for q, t2 in idling.items():
             self.state = apply_idle_jumps(self.state, q, duration, params,
-                                          self._rng, T2_override=t2)
+                                          rng, T2_override=t2)
 
     def _residual_window(self, duration: float, exclude_pair=None) -> None:
         if not self.strict or duration <= 0:
@@ -337,7 +341,7 @@ class DotArray:
         if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
         q = self.qubit_index(qubit_pos)
-        rng = self._rng if rng_seed is None else as_rng(rng_seed)
+        rng = as_rng(self._rng if rng_seed is None else rng_seed)
         outcome, self.state = measure(self.state, q, "Z", rng)
         bit = outcome
         if self.material.readout_error > 0 and rng.random() < self.material.readout_error:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .constants import HBAR_EV_S
 from .errors import StateError
+from .report import _Stream
 
 VECTOR_QUBIT_CAP = 12
 MATRIX_QUBIT_CAP = 8
@@ -57,9 +58,11 @@ _PAULI_BY_NAME = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
-    """Accept an int seed, a Generator, or a seed sequence list."""
+    """Accept an int seed, a Generator, a report.stream, or a seed sequence list."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
+    if isinstance(seed_or_rng, _Stream):
+        return seed_or_rng.generator()
     return np.random.default_rng(seed_or_rng)
 
 
@@ -322,11 +325,13 @@ def project(
         raise StateError(f"unsupported basis {basis!r}")
     if outcome not in (0, 1):
         raise StateError(f"outcome must be 0 or 1, got {outcome}")
-    work = state
-    if basis == "X":
-        work = apply_gate(work, gate_h(qubit))
-    probs = qubit_probabilities(work, qubit)
-    p = float(probs[outcome])
+    work = apply_gate(state, gate_h(qubit)) if basis == "X" else state
+    p = float(qubit_probabilities(work, qubit)[outcome])
+    return p, _collapse(work, qubit, outcome, p, basis)
+
+
+def _collapse(work: QuantumState, qubit: int, outcome: int, p: float, basis: str) -> QuantumState:
+    """project() after `work` is rotated into `basis` and its Born weight p is known."""
     if p < 1e-12:
         raise StateError(f"branch ({basis}, {outcome}) has probability {p}")
     n = work.n_qubits
@@ -345,7 +350,7 @@ def project(
         out = QuantumState(rho.reshape(2**n, 2**n) / p, n)
     if basis == "X":
         out = apply_gate(out, gate_h(qubit))
-    return p, out
+    return out
 
 
 def measure(
@@ -353,13 +358,12 @@ def measure(
 ) -> tuple[int, QuantumState]:
     """Sample one qubit with Born probabilities; deterministic given the seed."""
     rng = as_rng(rng_seed)
-    work = apply_gate(state, gate_h(qubit)) if basis == "X" else state
     if basis not in ("Z", "X"):
         raise StateError(f"unsupported basis {basis!r}")
+    work = apply_gate(state, gate_h(qubit)) if basis == "X" else state
     probs = qubit_probabilities(work, qubit)
     outcome = int(rng.random() < probs[1])
-    _, collapsed = project(state, qubit, outcome, basis)
-    return outcome, collapsed
+    return outcome, _collapse(work, qubit, outcome, float(probs[outcome]), basis)
 
 
 def reduced_density(state: QuantumState, qubits: Sequence[int]) -> np.ndarray:
@@ -381,7 +385,8 @@ def reduced_density(state: QuantumState, qubits: Sequence[int]) -> np.ndarray:
 
 
 def state_fidelity(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>|^2 for pure states, Uhlmann fidelity for mixed ones."""
+    """|<a|b>|^2 for pure states, Uhlmann fidelity for mixed ones. A density
+    matrix with Tr(rho^2) within 1e-12 of 1 counts as pure."""
     if a.n_qubits != b.n_qubits:
         raise StateError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
     if a.is_vector and b.is_vector:
@@ -391,6 +396,9 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
         return float(np.clip(val, 0.0, 1.0))
     if b.is_vector:
         return state_fidelity(b, a)
+    if any(abs(np.vdot(m, m).real - 1.0) <= 1e-12 for m in (a.data, b.data)):
+        # exact, where the square roots of a rank-1 matrix are ill-conditioned
+        return float(np.clip(np.vdot(b.data, a.data).real, 0.0, 1.0))
     evals, evecs = np.linalg.eigh(a.data)
     sqrt_a = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     inner = sqrt_a @ b.data @ sqrt_a

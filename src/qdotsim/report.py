@@ -4,7 +4,8 @@ Reports must be byte-identical across runs and platforms for a fixed
 scenario and seed, so floats are printed with a fixed 17-significant-digit
 format (which round-trips IEEE doubles exactly) and dictionary keys are
 sorted. RNG streams are split per event index so that inserting an event
-does not perturb the randomness of later events.
+does not perturb the randomness of later events; each builds its generator
+on first use.
 """
 from __future__ import annotations
 
@@ -66,6 +67,31 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+class _Stream:
+    """`np.random.default_rng(key)`, built on first use; every public
+    attribute but `built` and `generator` is the generator's."""
+
+    __slots__ = ("_key", "_rng")
+
+    def __init__(self, key: list[int]):
+        self._key, self._rng = key, None
+
+    @property
+    def built(self) -> bool:
+        return self._rng is not None
+
+    def generator(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._key)
+        return self._rng
+
+    def __getattr__(self, name):
+        if name.startswith("_"):  # e.g. copy's probes, and slots not yet set
+            raise AttributeError(name)
+        return getattr(self.generator(), name)
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Independent, reproducible generator for (seed, index, ...)."""
-    return np.random.default_rng([int(seed), *[int(p) for p in path]])
+    """Independent, reproducible generator for (seed, index, ...), built
+    lazily: the same bits as `default_rng([seed, *path])`."""
+    return _Stream([int(seed), *[int(p) for p in path]])

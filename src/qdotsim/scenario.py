@@ -401,21 +401,32 @@ def run_scenario(
         except StateError as exc:
             raise SchemaError(f"analytics entry {i} ({request['kind']}): {exc}") from exc
 
+    # Shots differ only in their streams, so each repeats shot 0 up to the first
+    # event that builds its own or the array's stream, and starts there.
     event_log: list[dict] = []
     shot_records: list[str] = []
     counts: dict[str, int] = {}
     final_clock = 0.0
     total_energy = 0.0
+    prefix = None
     for shot in range(shots):
+        array_stream = stream(seed, shot, 0xFFFF)
         array = DotArray(
             section["width"], section["height"], material, roles=roles,
             representation=section.get("representation", "vector"),
-            strict=strict_flag, seed=stream(seed, shot, 0xFFFF),
+            strict=strict_flag, seed=array_stream,
         )
         for pos, t2 in t2_overrides:
             array.dots[pos].t2_override = t2
-        bits: list[int] = []
-        for index, (spec, event, at) in enumerate(steps):
+        start, bits = 0, []
+        if prefix:
+            start, array.state, positions, array.clock, bits = prefix
+            array.qubit_positions, bits = list(positions), list(bits)
+        for index in range(start, len(steps)):
+            spec, event, at = steps[index]
+            if prefix is None:
+                before = (index, array.state, list(array.qubit_positions), array.clock,
+                          list(bits))
             rng = stream(seed, shot, index)
             clock_before = array.clock
             try:
@@ -424,6 +435,8 @@ def run_scenario(
                 raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
             if not isinstance(result, dict):
                 result = {}
+            if prefix is None and (rng.built or array_stream.built):
+                prefix = before
             measurements = result.get("measurements")
             if measurements:
                 bits.extend(measurements)
@@ -440,6 +453,8 @@ def run_scenario(
                     if extra in result:
                         entry[extra] = result[extra]
                 event_log.append(_jsonable(entry))
+        if prefix is None:
+            prefix = (len(steps), array.state, array.qubit_positions, array.clock, bits)
         record = "".join(str(b) for b in bits)
         shot_records.append(record)
         counts[record] = counts.get(record, 0) + 1

@@ -7,6 +7,8 @@ implementation is checked against a second, unrelated path.
 import numpy as np
 import pytest
 
+from qdotsim import scenario as scenario_mod
+from qdotsim.device import DotArray
 from qdotsim.noise import apply_idle_jumps
 from qdotsim.qstate import QuantumState
 
@@ -59,6 +61,51 @@ def idle_trajectory(state: QuantumState, durations, params, seed) -> QuantumStat
         for q in range(state.n_qubits):
             state = apply_idle_jumps(state, q, dt, params, rng)
     return state
+
+
+def run_shots_eagerly(scenario: dict, shots: int) -> dict:
+    """Reference shot loop with nothing shared between shots: every shot runs
+    from event 0 on a fresh array, with eager generators
+    np.random.default_rng([seed, shot, i]) for event i and [seed, shot,
+    0xFFFF] for the array. Returns the run_scenario report fields
+    measurement_records, measurement_counts and events (shot 0's log)."""
+    positions = scenario_mod.validate_scenario(scenario)
+    seed = scenario["seed"]
+    section = scenario["array"]
+    material = scenario_mod.build_material(scenario.get("material", "inas"))
+    dots = section.get("dots", [])
+    records, events = [], []
+    for shot in range(shots):
+        array = DotArray(
+            section["width"], section["height"], material,
+            roles={tuple(d["pos"]): d.get("role", "empty") for d in dots},
+            representation=section.get("representation", "vector"),
+            strict=scenario.get("strict", False),
+            seed=np.random.default_rng([seed, shot, 0xFFFF]),
+        )
+        for d in dots:
+            if d.get("t2_override") is not None:
+                array.dots[tuple(d["pos"])].t2_override = float(d["t2_override"])
+        bits = []
+        for index, (event, at) in enumerate(zip(scenario["program"], positions)):
+            clock_before = array.clock
+            result = scenario_mod._OPS[event["op"]].run(
+                array, event, at, np.random.default_rng([seed, shot, index]))
+            result = result if isinstance(result, dict) else {}
+            bits += result.get("measurements") or []
+            if shot == 0:
+                entry = {
+                    "index": index, "event": event["op"],
+                    "clock_before": clock_before, "clock_after": array.clock,
+                    "fidelity_checks": result.get("fidelity_checks"),
+                    "measurements": result.get("measurements"),
+                }
+                entry.update({k: result[k] for k in ("path", "qec_report") if k in result})
+                events.append(entry)
+        records.append("".join(str(b) for b in bits))
+    counts = {r: records.count(r) for r in sorted(set(records))}
+    return {"measurement_records": records, "measurement_counts": counts,
+            "events": events}
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, sqrtm
 
 from conftest import PAULIS, embed, haar_state, kron_chain
 from qdotsim.errors import StateError
@@ -323,6 +323,32 @@ def test_fidelity_symmetric_and_mixed(rng):
     assert state_fidelity(a.to_density(), b.to_density()) == pytest.approx(
         overlap, abs=1e-8
     )
+
+
+def test_fidelity_of_pure_density_matrices_is_the_exact_overlap(rng):
+    # exact overlaps, which the two-eigh Uhlmann path misses by ~5e-9 on rank-1 states
+    for _ in range(3):
+        v, w = haar_state(8, rng), haar_state(8, rng)
+        exact = abs(np.vdot(v.data, w.data)) ** 2
+        assert abs(state_fidelity(v.to_density(), w.to_density()) - exact) <= 1e-14
+        mixed = QuantumState(0.5 * (w.to_density().data + np.eye(256) / 256), 8)
+        exact = np.vdot(v.data, mixed.data @ v.data).real
+        assert abs(state_fidelity(mixed, v.to_density()) - exact) <= 1e-14
+
+
+def _random_density(rng, n):
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = g @ g.conj().T
+    return QuantumState(rho / np.trace(rho).real, n)
+
+
+def test_fidelity_of_mixed_pairs_matches_sqrtm_oracle(rng):
+    # full-rank pairs, where neither square root is ill-conditioned
+    for n in (1, 2, 3, 4, 5):
+        a, b = _random_density(rng, n), _random_density(rng, n)
+        root = sqrtm(a.data)
+        oracle = np.trace(sqrtm(root @ b.data @ root)).real ** 2
+        assert state_fidelity(a, b) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_fidelity_dimension_mismatch():

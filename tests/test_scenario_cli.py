@@ -7,8 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdotsim.errors import SchemaError
+from conftest import run_shots_eagerly
+from qdotsim.errors import QdotsimError, SchemaError
 from qdotsim.report import canonical_json, dumps_report, format_float, stream
 from qdotsim.scenario import (
     build_material,
@@ -313,6 +316,118 @@ def test_qec_cycle_event():
     cycle = [e for e in report["events"] if e["event"] == "qec_cycle"][0]
     assert cycle["fidelity_checks"]["post_cycle_fidelity"] > 1 - 1e-9
     assert not cycle["fidelity_checks"]["possible_logical_error"]
+
+
+# ---------------------------------------------------------------------------
+# shots that share the prefix drawing nothing
+# ---------------------------------------------------------------------------
+
+_WIDTH = 4  # qubits live on row 0, each column has a readout dot on row 1
+
+
+@st.composite
+def shot_scenarios(draw):
+    """A small program on a 4x2 grid: three qubits; gates, windows, idles,
+    moves, readouts and EPR + teleport blocks; then a readout of every qubit.
+    Representation, noise, readout error and strictness are drawn too."""
+    occupied = [(x, 0) for x in range(3)]
+    program = [{"op": "init", "pos": list(p)} for p in occupied]
+    if draw(st.booleans()):
+        program.append({"op": "readout", "qubit": [1, 0], "readout": [1, 1]})
+    for _ in range(draw(st.integers(0, 8))):
+        op = draw(st.sampled_from(
+            ["gate", "cnot", "window", "idle", "move", "readout", "teleport"]))
+        pairs = [(p, (p[0] + 1, 0)) for p in occupied if (p[0] + 1, 0) in occupied]
+        moves = [(p, (x, 0)) for p in occupied for x in (p[0] - 1, p[0] + 1)
+                 if 0 <= x < _WIDTH and (x, 0) not in occupied]
+        triples = [(a, b, c) for a, b in pairs for b2, c in pairs if b2 == b]
+        if op == "gate":
+            kind = draw(st.sampled_from(["X", "H", "S", "T", "Rot"]))
+            event = {"op": "gate", "kind": kind,
+                     "targets": [list(draw(st.sampled_from(occupied)))]}
+            if kind == "Rot":
+                event["axis"] = [draw(st.floats(-1, 1)), draw(st.floats(-1, 1)), 1.0]
+                event["angle"] = draw(st.floats(0, 6))
+            program.append(event)
+        elif op == "cnot" and pairs:
+            a, b = draw(st.sampled_from(pairs))
+            program.append({"op": "gate", "kind": "CNOT", "targets": [list(a), list(b)]})
+        elif op == "window" and pairs:
+            a, b = draw(st.sampled_from(pairs))
+            program.append({"op": "coupling_window", "a": list(a), "b": list(b),
+                            "theta": draw(st.floats(0, 3))})
+        elif op == "idle":
+            program.append({"op": "idle", "t": draw(st.floats(1e-8, 1e-6))})
+        elif op == "move" and moves:
+            src, dst = draw(st.sampled_from(moves))
+            occupied[occupied.index(src)] = dst
+            program.append({"op": "move", "src": list(src), "dst": list(dst)})
+        elif op == "readout":
+            q = draw(st.sampled_from(occupied))
+            program.append({"op": "readout", "qubit": list(q), "readout": [q[0], 1]})
+        elif op == "teleport" and triples:
+            c, a, b = draw(st.sampled_from(triples))
+            program += [{"op": "epr", "a": list(a), "b": list(b)},
+                        {"op": "teleport", "payload": list(c), "a": list(a), "b": list(b)}]
+    program += [{"op": "readout", "qubit": list(q), "readout": [q[0], 1]}
+                for q in sorted(occupied)]
+    dots = [{"pos": [x, 1], "role": "readout"} for x in range(_WIDTH)]
+    if draw(st.booleans()):
+        dots.append({"pos": [1, 0], "role": "qubit", "t2_override": 1e-7})
+    return {
+        "schema_version": 1,
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "strict": draw(st.booleans()),
+        "material": {"preset": "inas",
+                     "readout_error": draw(st.sampled_from([0.0, 0.25])),
+                     "noise": {"enabled": draw(st.booleans()), "T1": 1e-7, "T2": 1e-7}},
+        "array": {"width": _WIDTH, "height": 2, "dots": dots,
+                  "representation": draw(st.sampled_from(["vector", "matrix"]))},
+        "program": program,
+    }
+
+
+def _outcome(run):
+    try:
+        return run()
+    except QdotsimError as exc:
+        return type(exc)
+
+
+@given(scenario=shot_scenarios(), shots=st.integers(1, 6))
+@settings(max_examples=120, deadline=None)
+def test_shared_prefix_matches_the_eager_shot_loop(scenario, shots):
+    got = _outcome(lambda: run_scenario(copy.deepcopy(scenario), shots=shots))
+    want = _outcome(lambda: run_shots_eagerly(copy.deepcopy(scenario), shots))
+    if isinstance(want, type):
+        assert got is want
+        return
+    for key in ("measurement_records", "measurement_counts", "events"):
+        assert dumps_report(got[key]) == dumps_report(want[key]), key
+
+
+def test_bundled_scenarios_match_the_eager_shot_loop():
+    for scenario in (BELL, TELEPORT, PAPER_NUMBERS):
+        got = run_scenario(copy.deepcopy(scenario), shots=40)
+        want = run_shots_eagerly(copy.deepcopy(scenario), 40)
+        for key in ("measurement_records", "measurement_counts", "events"):
+            assert dumps_report(got[key]) == dumps_report(want[key]), key
+
+
+def test_a_stream_that_never_draws_builds_no_generator(monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: built.append(seed) or default_rng(seed))
+    unused = stream(7, 0, 3)
+    twin = copy.deepcopy(unused)
+    assert built == []
+    assert unused.random() == twin.random()
+    assert built == [[7, 0, 3], [7, 0, 3]]
+    built.clear()
+    # bell draws only in its two readouts; noise is off, so no array stream
+    run_scenario(copy.deepcopy(BELL), shots=5)
+    assert sorted(built) == sorted([[7, shot, i] for shot in range(5) for i in (3, 4)])
 
 
 # ---------------------------------------------------------------------------
