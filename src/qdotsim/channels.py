@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,80 +47,6 @@ BELL_PHI_PLUS = np.zeros(4, dtype=complex)
 BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
 
 FIDELITY_THRESHOLD_DEFAULT = 1e-4
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One transport run: mechanism, path (or plain length), error model."""
-
-    kind: str
-    path: tuple[Pos, ...] = ()
-    lam: float = 1e-6
-    t_hop: float = 1e-10
-    fidelity_threshold: float = FIDELITY_THRESHOLD_DEFAULT
-    length_qubits: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("swap", "tunnel", "teleport"):
-            raise StateError(f"unknown channel kind {self.kind!r}")
-        if not 0.0 < self.lam < 1.0:
-            raise StateError(f"lambda must be in (0, 1), got {self.lam}")
-        if self.t_hop <= 0:
-            raise StateError(f"t_hop must be positive, got {self.t_hop}")
-        if not 0.0 < self.fidelity_threshold < 1.0:
-            raise StateError("fidelity_threshold must be in (0, 1)")
-        if self.path:
-            if len(set(self.path)) != len(self.path):
-                raise StateError("path positions must be pairwise distinct")
-            for a, b in zip(self.path, self.path[1:]):
-                if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                    raise StateError(f"path steps {a} -> {b} are not adjacent")
-        elif self.length_qubits is None:
-            raise StateError("need either a path or length_qubits")
-
-    @property
-    def d(self) -> int:
-        """Line length in qubits (hops)."""
-        if self.path:
-            return len(self.path) - 1
-        return int(self.length_qubits)
-
-
-@dataclass(frozen=True)
-class ChannelReport:
-    """Fidelity/latency/bandwidth figures for one transport run."""
-
-    kind: str
-    d: int
-    fidelity: float
-    latency: float
-    physical_bandwidth: float
-    true_bandwidth: float
-    max_distance_qubits: float
-    max_distance_by_threshold: dict = field(default_factory=dict)
-    conflicts: tuple = ()
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not 0.0 < self.fidelity <= 1.0:
-            raise StateError(f"fidelity must be in (0, 1], got {self.fidelity}")
-        rel = abs(self.true_bandwidth - self.physical_bandwidth * self.fidelity)
-        if rel > 1e-9 * max(1.0, self.physical_bandwidth):
-            raise StateError("true_bandwidth must equal physical_bandwidth*fidelity")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "length_qubits": self.d,
-            "fidelity": self.fidelity,
-            "latency_s": self.latency,
-            "physical_bandwidth_bits_per_s": self.physical_bandwidth,
-            "true_bandwidth_bits_per_s": self.true_bandwidth,
-            "max_distance_qubits": self.max_distance_qubits,
-            "max_distance_by_threshold": dict(self.max_distance_by_threshold),
-            "conflicts": list(self.conflicts),
-            "notes": list(self.notes),
-        }
 
 
 def channel_lambda(t_op: float, T2: float) -> float:
@@ -157,76 +82,51 @@ MAX_DISTANCE_NOTE = (
 )
 
 
-def _metrics(spec: ChannelSpec, notes: tuple[str, ...]) -> ChannelReport:
-    d = spec.d
-    f = channel_fidelity(spec.lam, d)
-    latency = d * spec.t_hop
-    if latency <= 0:
-        raise StateError("channel needs at least one hop")
-    phys = 1.0 / latency
-    return ChannelReport(
-        kind=spec.kind,
-        d=d,
-        fidelity=f,
-        latency=latency,
-        physical_bandwidth=phys,
-        true_bandwidth=phys * f,
-        max_distance_qubits=max_channel_distance(spec.lam, spec.fidelity_threshold),
-        max_distance_by_threshold={
-            "1e-4": max_channel_distance(spec.lam, 1e-4),
-            "1e-5": max_channel_distance(spec.lam, 1e-5),
-        },
-        notes=notes + (MAX_DISTANCE_NOTE,),
-    )
-
-
-def swap_channel_metrics(
-    spec: ChannelSpec, material: MaterialParams, array: DotArray | None = None
-) -> ChannelReport:
-    """Figures for a swap line. With an array given, the path must run
-    through occupied dots: swapping needs electrons to swap with."""
-    if spec.kind != "swap":
-        raise StateError(f"expected a swap spec, got {spec.kind!r}")
-    if array is not None and spec.path:
-        for pos in spec.path:
-            if pos not in array.qubit_positions:
-                raise StateError(f"swap channel crosses empty dot {pos}")
-    notes = (
-        f"hop time {spec.t_hop:.6g} s; material swap window pi*hbar/J_on = "
-        f"{material.t_swap:.6g} s",
-    )
-    return _metrics(spec, notes)
-
-
-def tunnel_channel_metrics(
-    spec: ChannelSpec, material: MaterialParams, array: DotArray | None = None
-) -> ChannelReport:
-    """Figures for a tunneling line; hops are 10x faster than swaps and the
-    path beyond the source must be empty."""
-    if spec.kind != "tunnel":
-        raise StateError(f"expected a tunnel spec, got {spec.kind!r}")
-    if array is not None and spec.path:
-        for pos in spec.path[1:]:
-            if pos in array.qubit_positions:
-                raise StateError(f"tunnel channel crosses occupied dot {pos}")
-    notes = (f"hop time t_swap/10 = {material.t_hop:.6g} s",)
-    return _metrics(spec, notes)
-
-
 def line_report(
     kind: str, material: MaterialParams, length_qubits: int, *, t_hop=None,
     lam=None, fidelity_threshold: float = FIDELITY_THRESHOLD_DEFAULT,
-) -> ChannelReport:
-    """Figures for a swap or tunnel line of length_qubits hops. t_hop
+) -> dict:
+    """Report dict for a swap or tunnel line of length_qubits hops. t_hop
     defaults to the material's swap window or tunnel hop, lambda to t_hop/T2."""
+    if kind not in ("swap", "tunnel"):
+        raise StateError(f"unknown channel kind {kind!r}")
     if t_hop is None:
         t_hop = material.t_swap if kind == "swap" else material.t_hop
     if lam is None:
         lam = channel_lambda(t_hop, material.noise.T2)
-    spec = ChannelSpec(kind=kind, length_qubits=length_qubits, lam=float(lam),
-                       t_hop=float(t_hop), fidelity_threshold=fidelity_threshold)
-    metric = swap_channel_metrics if kind == "swap" else tunnel_channel_metrics
-    return metric(spec, material)
+    lam, t_hop = float(lam), float(t_hop)
+    if not 0.0 < lam < 1.0:
+        raise StateError(f"lambda must be in (0, 1), got {lam}")
+    if t_hop <= 0:
+        raise StateError(f"t_hop must be positive, got {t_hop}")
+    if not 0.0 < fidelity_threshold < 1.0:
+        raise StateError("fidelity_threshold must be in (0, 1)")
+    d = int(length_qubits)
+    f = channel_fidelity(lam, d)
+    latency = d * t_hop
+    if latency <= 0:
+        raise StateError("channel needs at least one hop")
+    if not 0.0 < f <= 1.0:
+        raise StateError(f"fidelity must be in (0, 1], got {f}")
+    phys = 1.0 / latency
+    if kind == "swap":
+        note = (f"hop time {t_hop:.6g} s; material swap window pi*hbar/J_on = "
+                f"{material.t_swap:.6g} s")
+    else:
+        note = f"hop time t_swap/10 = {material.t_hop:.6g} s"
+    return {
+        "kind": kind,
+        "length_qubits": d,
+        "fidelity": f,
+        "latency_s": latency,
+        "physical_bandwidth_bits_per_s": phys,
+        "true_bandwidth_bits_per_s": phys * f,
+        "max_distance_qubits": max_channel_distance(lam, fidelity_threshold),
+        "max_distance_by_threshold": {
+            thr: max_channel_distance(lam, float(thr)) for thr in ("1e-4", "1e-5")},
+        "conflicts": [],
+        "notes": [note, MAX_DISTANCE_NOTE],
+    }
 
 
 def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
@@ -239,13 +139,10 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
         raise StateError(f"source dot {src} is empty")
     if dst in occupied:
         raise RoutingError(f"destination dot {dst} is occupied")
-
-    def traversable(pos: Pos) -> bool:
-        dot = array.dots.get(pos)
-        return dot is not None and pos not in occupied and dot.role != "readout"
-
-    if not traversable(dst):
+    blocked = occupied | {pos for pos, role in array.roles.items() if role == "readout"}
+    if dst in blocked:
         raise RoutingError(f"destination dot {dst} cannot host an electron")
+    width, height = array.width, array.height
     parent: dict[Pos, Pos] = {src: src}
     queue = deque([src])
     while queue:
@@ -254,7 +151,8 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
             break
         for dx, dy in _NEIGHBOR_ORDER:
             nxt = (cur[0] + dx, cur[1] + dy)
-            if nxt in parent or not traversable(nxt):
+            if (nxt in parent or nxt in blocked
+                    or not (0 <= nxt[0] < width and 0 <= nxt[1] < height)):
                 continue
             parent[nxt] = cur
             queue.append(nxt)

@@ -94,7 +94,7 @@ def cmd_channel(args) -> int:
             report = channels.line_report(
                 args.kind, material, args.length_qubits, t_hop=args.t_hop,
                 lam=args.lam, fidelity_threshold=args.threshold,
-            ).to_dict()
+            )
     _emit({"kind": args.kind, "report": report}, args.out)
     return EXIT_OK
 

@@ -2,13 +2,15 @@
 
 Each dot holds at most one electron (Coulomb blockade). Occupied dots carry
 qubit amplitudes in one shared register; `qubit_positions[q]` is the dot of
-qubit q and the only record of which dots are occupied. Every event
-advances the clock by its physical duration and, when noise is enabled,
-applies idle decoherence for that window: one exact pass over all idling
-qubits on density-matrix registers, seeded jump sampling qubit by qubit on
-vector registers. Ideal gate unitaries themselves are noiseless; their
-duration contributes an idle window instead. During an exchange window the
-coupled pair is excluded from that window's idle noise.
+qubit q and the only record of which dots are occupied. The static layout
+is sparse: `roles` holds the listed dots (any other dot is "empty") and
+`t2_overrides` the dots with their own T2. Every event advances the clock
+by its physical duration and, when noise is enabled, applies idle
+decoherence for that window: one exact pass over all idling qubits on
+density-matrix registers, seeded jump sampling qubit by qubit on vector
+registers. Ideal gate unitaries themselves are noiseless; their duration
+contributes an idle window instead. During an exchange window the coupled
+pair is excluded from that window's idle noise.
 
 Strict mode additionally applies the always-on residual exchange J_off to
 every adjacent occupied pair during each timed window.
@@ -115,18 +117,6 @@ def si_material(T2: float, noise_enabled: bool = False) -> MaterialParams:
     return replace(base, g_factor=2.0)
 
 
-@dataclass
-class Dot:
-    """Static layout of one dot; occupancy lives in `DotArray.qubit_positions`."""
-
-    role: str = "empty"
-    t2_override: float | None = None
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise StateError(f"unknown dot role {self.role!r}")
-
-
 class DotArray:
     """Mutable array under a single controller; events are serialized by
     the clock and logged for reporting."""
@@ -140,6 +130,7 @@ class DotArray:
         representation: str = "vector",
         strict: bool = False,
         seed=0,
+        t2_overrides: dict[Pos, float] | None = None,
     ):
         if width < 1 or height < 1:
             raise StateError(f"array must be at least 1x1, got {width}x{height}")
@@ -150,12 +141,15 @@ class DotArray:
         self.material = material
         self.strict = strict
         self.representation = representation
-        self.dots: dict[Pos, Dot] = {
-            (x, y): Dot() for x in range(width) for y in range(height)
-        }
-        for pos, role in (roles or {}).items():
+        self.roles: dict[Pos, str] = dict(roles or {})
+        for pos, role in self.roles.items():
             self._pos_check(pos)
-            self.dots[pos] = Dot(role)
+            if role not in ROLES:
+                raise StateError(f"unknown dot role {role!r}")
+        self.t2_overrides: dict[Pos, float] = dict(t2_overrides or {})
+        for pos, t2 in self.t2_overrides.items():
+            self._pos_check(pos)
+            NoiseParams(T1=material.noise.T1, T2=t2)
         state = QuantumState.zero(0)
         self.state = state.to_density() if representation == "matrix" else state
         self.qubit_positions: list[Pos] = []
@@ -195,7 +189,7 @@ class DotArray:
         params = self.material.noise
         if not params.enabled or duration <= 0:
             return
-        idling = {q: self.dots[p].t2_override
+        idling = {q: self.t2_overrides.get(p)
                   for q, p in enumerate(self.qubit_positions) if p not in exclude}
         if not self.state.is_vector:
             self.state = idle_window(self.state, duration, params, idling)
@@ -258,7 +252,7 @@ class DotArray:
         self._pos_check(pos)
         if pos in self.qubit_positions:
             raise BlockadeError(f"dot {pos} already holds an electron")
-        if self.dots[pos].role == "readout":
+        if self.roles.get(pos) == "readout":
             raise StateError(f"dot {pos} is a readout dot")
         self.state = self.state.append_zero_qubit()
         self.qubit_positions.append(pos)
@@ -275,7 +269,7 @@ class DotArray:
             raise BlockadeError(f"destination dot {dst} is occupied")
         if not self.adjacent(src, dst):
             raise AdjacencyError(f"{src} and {dst} are not grid neighbors")
-        if self.dots[dst].role == "readout":
+        if self.roles.get(dst) == "readout":
             raise StateError(f"cannot park a qubit on readout dot {dst}")
         self.qubit_positions[self.qubit_positions.index(src)] = dst
         self.advance(self.material.t_hop, "move", src=src, dst=dst)
@@ -336,7 +330,7 @@ class DotArray:
         (spin-up, |0>) electron tunnels to the readout dot and registers a
         charge event; the excited spin stays put."""
         self._pos_check(readout_pos)
-        if self.dots[readout_pos].role != "readout":
+        if self.roles.get(readout_pos) != "readout":
             raise StateError(f"dot {readout_pos} is not a readout dot")
         if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
@@ -384,7 +378,7 @@ class DotArray:
                     "x": x,
                     "y": y,
                     "occupied": (x, y) in ids,
-                    "role": self.dots[(x, y)].role,
+                    "role": self.roles.get((x, y), "empty"),
                     "qubit_id": ids.get((x, y)),
                 }
                 for y in range(self.height)

@@ -397,13 +397,19 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
     if b.is_vector:
         return state_fidelity(b, a)
     if any(abs(np.vdot(m, m).real - 1.0) <= 1e-12 for m in (a.data, b.data)):
-        # exact, where the square roots of a rank-1 matrix are ill-conditioned
+        # exact, and no eigendecomposition needed
         return float(np.clip(np.vdot(b.data, a.data).real, 0.0, 1.0))
-    evals, evecs = np.linalg.eigh(a.data)
-    sqrt_a = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    inner = sqrt_a @ b.data @ sqrt_a
-    mu = np.linalg.eigvalsh(inner)
-    return float(np.clip(np.sum(np.sqrt(np.clip(mu, 0.0, None))) ** 2, 0.0, 1.0))
+    # F = (sum of singular values of A^dag B)^2 for rho = A A^dag, sigma = B B^dag:
+    # no square root of an eigenvalue that rounding pushed off zero
+    s = np.linalg.svd(_factor(a.data).conj().T @ _factor(b.data), compute_uv=False)
+    return float(np.clip(np.sum(s) ** 2, 0.0, 1.0))
+
+
+def _factor(rho: np.ndarray) -> np.ndarray:
+    """A with A A^dag = rho, from the eigenvalues above d*eps*lambda_max."""
+    evals, evecs = np.linalg.eigh(rho)
+    keep = evals > rho.shape[0] * np.finfo(float).eps * evals[-1]
+    return evecs[:, keep] * np.sqrt(evals[keep])
 
 
 def states_close(a: QuantumState, b: QuantumState, tol: float = 1e-10) -> bool:

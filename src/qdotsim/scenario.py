@@ -265,7 +265,7 @@ def _line(kind: str, request: dict, material: MaterialParams) -> dict:
     return {"report": channels.line_report(
         kind, material, request.get("length_qubits", 10),
         t_hop=request.get("t_hop"), lam=request.get("lambda"),
-    ).to_dict()}
+    )}
 
 
 def _max_distance(request: dict, material: MaterialParams) -> dict:
@@ -312,7 +312,7 @@ def validate_scenario(scenario: dict) -> list[dict]:
              "seed is mandatory and must be an integer (no wall-clock entropy)")
     _require(_all_finite(scenario), "scenario holds a non-finite number (inf or nan)")
     _require(isinstance(scenario.get("strict", False), bool), "strict must be true or false")
-    build_material(scenario.get("material", "inas"))
+    material = build_material(scenario.get("material", "inas"))
     array = scenario.get("array")
     _require(isinstance(array, dict), "array section is mandatory")
     width, height = array.get("width"), array.get("height")
@@ -328,14 +328,22 @@ def validate_scenario(scenario: dict) -> list[dict]:
 
     dots = array.get("dots", [])
     _require(isinstance(dots, list), "array.dots must be a list")
+    listed = set()
     for dot in dots:
         _require(isinstance(dot, dict), "array.dots entries must be objects")
         pos = pos_in_grid(dot.get("pos"), "dot.pos")
+        _require(pos not in listed, f"dot {pos} is listed twice")
+        listed.add(pos)
         role = dot.get("role", "empty")
         _require(role in ROLES, f"unknown dot role {role!r}")
         t2 = dot.get("t2_override")
         _require(t2 is None or (_is_number(t2) and t2 > 0),
                  f"dot {pos}: t2_override must be a positive number")
+        if t2 is not None:
+            try:
+                NoiseParams(T1=material.noise.T1, T2=float(t2))
+            except StateError as exc:
+                raise SchemaError(f"dot {pos}: t2_override: {exc}") from exc
     rep = array.get("representation", "vector")
     _require(rep in REPRESENTATIONS, f"unknown representation {rep!r}")
 
@@ -390,8 +398,8 @@ def run_scenario(
     section = scenario["array"]
     dots = [(_pos(d["pos"], "dot.pos"), d) for d in section.get("dots", [])]
     roles = {pos: d.get("role", "empty") for pos, d in dots}
-    t2_overrides = [(pos, float(d["t2_override"])) for pos, d in dots
-                    if d.get("t2_override") is not None]
+    t2_overrides = {pos: float(d["t2_override"]) for pos, d in dots
+                    if d.get("t2_override") is not None}
     steps = [(_OPS[event["op"]], event, at) for event, at in zip(program, positions)]
     analytics = []
     for i, request in enumerate(scenario.get("analytics", [])):
@@ -414,10 +422,8 @@ def run_scenario(
         array = DotArray(
             section["width"], section["height"], material, roles=roles,
             representation=section.get("representation", "vector"),
-            strict=strict_flag, seed=array_stream,
+            strict=strict_flag, seed=array_stream, t2_overrides=t2_overrides,
         )
-        for pos, t2 in t2_overrides:
-            array.dots[pos].t2_override = t2
         start, bits = 0, []
         if prefix:
             start, array.state, positions, array.clock, bits = prefix

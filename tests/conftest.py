@@ -82,10 +82,9 @@ def run_shots_eagerly(scenario: dict, shots: int) -> dict:
             representation=section.get("representation", "vector"),
             strict=scenario.get("strict", False),
             seed=np.random.default_rng([seed, shot, 0xFFFF]),
+            t2_overrides={tuple(d["pos"]): float(d["t2_override"])
+                          for d in dots if d.get("t2_override") is not None},
         )
-        for d in dots:
-            if d.get("t2_override") is not None:
-                array.dots[tuple(d["pos"])].t2_override = float(d["t2_override"])
         bits = []
         for index, (event, at) in enumerate(zip(scenario["program"], positions)):
             clock_before = array.clock

@@ -16,11 +16,10 @@ import pytest
 
 from conftest import haar_state, idle_trajectory
 from qdotsim.channels import (
-    ChannelSpec,
     channel_lambda,
+    line_report,
     max_channel_distance,
     purify_fidelity,
-    swap_channel_metrics,
     teleport_bandwidth,
     teleport_branches,
 )
@@ -100,11 +99,11 @@ def test_criterion_02_swap_channel_figures():
             assert 1e-10 <= t_swap < 1e-9
             # ...and the headline figures correspond to the 1e-10 s nominal
             # per-swap duration those numbers were quoted for
-            spec = ChannelSpec(kind="swap", length_qubits=10, lam=1e-6, t_hop=1e-10)
-            report = swap_channel_metrics(spec, MATERIAL)
-        assert report.latency == pytest.approx(1e-9, rel=0.25)
-        assert report.physical_bandwidth == pytest.approx(1e9, rel=0.25)
-        assert report.true_bandwidth / report.physical_bandwidth == pytest.approx(
+            report = line_report("swap", MATERIAL, 10, lam=1e-6, t_hop=1e-10)
+        phys = report["physical_bandwidth_bits_per_s"]
+        assert report["latency_s"] == pytest.approx(1e-9, rel=0.25)
+        assert phys == pytest.approx(1e9, rel=0.25)
+        assert report["true_bandwidth_bits_per_s"] / phys == pytest.approx(
             0.99999, abs=1e-6
         )
 
@@ -117,11 +116,10 @@ def test_criterion_03_lambda_and_max_distance():
         assert d4 == pytest.approx(100.0, rel=1e-3)
         assert d5 == pytest.approx(10.0, rel=1e-3)
         # the channel report must carry both readings plus the note
-        spec = ChannelSpec(kind="swap", length_qubits=10, lam=1e-6, t_hop=1e-10)
-        report = swap_channel_metrics(spec, MATERIAL)
-        assert report.max_distance_by_threshold["1e-4"] == d4
-        assert report.max_distance_by_threshold["1e-5"] == d5
-        assert any("threshold 1e-5" in note for note in report.notes)
+        report = line_report("swap", MATERIAL, 10, lam=1e-6, t_hop=1e-10)
+        assert report["max_distance_by_threshold"]["1e-4"] == d4
+        assert report["max_distance_by_threshold"]["1e-5"] == d5
+        assert any("threshold 1e-5" in note for note in report["notes"])
 
 
 def test_criterion_04_tunneling_channel():

@@ -10,22 +10,19 @@ from hypothesis import strategies as st
 from conftest import haar_state, kron_chain
 from qdotsim.channels import (
     BELL_PHI_PLUS,
-    ChannelReport,
-    ChannelSpec,
     channel_fidelity,
     channel_lambda,
     detect_conflicts,
+    line_report,
     make_epr,
     max_channel_distance,
     plan_tunnel_route,
     purify,
     purify_fidelity,
     run_tunnel_route,
-    swap_channel_metrics,
     teleport,
     teleport_bandwidth,
     teleport_branches,
-    tunnel_channel_metrics,
 )
 from qdotsim.device import DotArray, inas_material
 from qdotsim.errors import ProtocolError, RoutingError, StateError
@@ -74,56 +71,31 @@ def test_max_distance_both_thresholds():
 # ---------------------------------------------------------------------------
 
 def test_swap_channel_headline_figures():
-    spec = ChannelSpec(kind="swap", length_qubits=10, lam=1e-6, t_hop=1e-10)
-    report = swap_channel_metrics(spec, MATERIAL)
-    assert report.latency == pytest.approx(1e-9, rel=1e-12)
-    assert report.physical_bandwidth == pytest.approx(1e9, rel=1e-12)
-    assert report.true_bandwidth == pytest.approx(9.9999e8, rel=1e-6)
-    assert report.true_bandwidth / report.physical_bandwidth == pytest.approx(
-        0.99999, abs=1e-6
-    )
-    assert report.max_distance_by_threshold["1e-4"] == pytest.approx(100.0, rel=1e-3)
-    assert report.max_distance_by_threshold["1e-5"] == pytest.approx(10.0, rel=1e-3)
-    assert any("threshold" in note for note in report.notes)
+    report = line_report("swap", MATERIAL, 10, lam=1e-6, t_hop=1e-10)
+    phys = report["physical_bandwidth_bits_per_s"]
+    assert report["latency_s"] == pytest.approx(1e-9, rel=1e-12)
+    assert phys == pytest.approx(1e9, rel=1e-12)
+    assert report["true_bandwidth_bits_per_s"] == pytest.approx(9.9999e8, rel=1e-6)
+    assert report["true_bandwidth_bits_per_s"] / phys == pytest.approx(0.99999, abs=1e-6)
+    assert report["max_distance_by_threshold"]["1e-4"] == pytest.approx(100.0, rel=1e-3)
+    assert report["max_distance_by_threshold"]["1e-5"] == pytest.approx(10.0, rel=1e-3)
+    assert any("threshold" in note for note in report["notes"])
 
 
 def test_swap_channel_material_refined_hop():
     t_swap = MATERIAL.t_swap
     lam = channel_lambda(t_swap, MATERIAL.noise.T2)
-    spec = ChannelSpec(kind="swap", length_qubits=10, lam=lam, t_hop=t_swap)
-    report = swap_channel_metrics(spec, MATERIAL)
-    assert report.latency == pytest.approx(10 * t_swap, rel=1e-12)
+    report = line_report("swap", MATERIAL, 10, lam=lam, t_hop=t_swap)
+    assert report["latency_s"] == pytest.approx(10 * t_swap, rel=1e-12)
     # within the order of magnitude of the 1 ns headline figure
-    assert 1e-9 <= report.latency < 1e-8
-
-
-def test_swap_channel_requires_occupied_path():
-    array = fresh_array(3, 1, occupied=[(0, 0), (1, 0)])
-    spec = ChannelSpec(kind="swap", path=((0, 0), (1, 0), (2, 0)))
-    with pytest.raises(StateError):
-        swap_channel_metrics(spec, MATERIAL, array)
-    spec_ok = ChannelSpec(kind="swap", path=((0, 0), (1, 0)))
-    swap_channel_metrics(spec_ok, MATERIAL, array)
-
-
-def test_channel_report_invariant_enforced():
-    with pytest.raises(StateError):
-        ChannelReport(
-            kind="swap", d=10, fidelity=0.9, latency=1e-9,
-            physical_bandwidth=1e9, true_bandwidth=1e9,  # should be 0.9e9
-            max_distance_qubits=100.0,
-        )
+    assert 1e-9 <= report["latency_s"] < 1e-8
 
 
 def test_channel_spec_validation():
     with pytest.raises(StateError):
-        ChannelSpec(kind="swap", path=((0, 0), (2, 0)))  # not adjacent
+        line_report("swap", MATERIAL, 10, lam=2.0)
     with pytest.raises(StateError):
-        ChannelSpec(kind="swap", path=((0, 0), (1, 0), (0, 0)))  # repeat
-    with pytest.raises(StateError):
-        ChannelSpec(kind="swap", length_qubits=10, lam=2.0)
-    with pytest.raises(StateError):
-        ChannelSpec(kind="hover", length_qubits=10)
+        line_report("hover", MATERIAL, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +117,6 @@ def test_tunnel_reach_is_ten_times_swap_reach():
         assert tunnel_reach >= 10 * swap_reach * (1 - 1e-12)
 
 
-def test_tunnel_channel_requires_empty_path():
-    array = fresh_array(3, 1, occupied=[(0, 0), (1, 0)])
-    spec = ChannelSpec(kind="tunnel", path=((0, 0), (1, 0), (2, 0)))
-    with pytest.raises(StateError):
-        tunnel_channel_metrics(spec, MATERIAL, array)
-
-
 # ---------------------------------------------------------------------------
 # route planning
 # ---------------------------------------------------------------------------
@@ -159,8 +124,9 @@ def test_tunnel_channel_requires_empty_path():
 def oracle_shortest_empty_path(array: DotArray, src, dst) -> int | None:
     """Independent breadth-first search; returns hop count or None."""
     def free(pos):
-        dot = array.dots.get(pos)
-        return dot is not None and pos not in array.qubit_positions and dot.role != "readout"
+        return (0 <= pos[0] < array.width and 0 <= pos[1] < array.height
+                and pos not in array.qubit_positions
+                and array.roles.get(pos, "empty") != "readout")
 
     dist = {src: 0}
     queue = deque([src])
@@ -544,10 +510,9 @@ def test_purify_survivor_sampling_deterministic():
 def test_teleport_bandwidth_degenerate_equals_tunnel():
     report = teleport_bandwidth(1e-6, MATERIAL, purification_rounds=0)
     lam = channel_lambda(MATERIAL.t_hop, MATERIAL.noise.T2)
-    spec = ChannelSpec(kind="tunnel", length_qubits=10, lam=lam, t_hop=MATERIAL.t_hop)
-    tunnel = tunnel_channel_metrics(spec, MATERIAL)
+    tunnel = line_report("tunnel", MATERIAL, 10, lam=lam, t_hop=MATERIAL.t_hop)
     assert report["true_bandwidth_bits_per_s"] == pytest.approx(
-        tunnel.true_bandwidth, rel=1e-12
+        tunnel["true_bandwidth_bits_per_s"], rel=1e-12
     )
 
 

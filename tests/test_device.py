@@ -440,15 +440,26 @@ def test_snapshot_json_is_canonical():
 def test_per_dot_t2_override_shortens_coherence():
     noise = NoiseParams(T1=1e3, T2=100e-6, enabled=True)
     slow = make_array(noise=noise, representation="matrix")
-    fast = make_array(noise=noise, representation="matrix")
+    fast = make_array(noise=noise, representation="matrix",
+                      t2_overrides={(0, 0): 1e-6})  # hundred times leakier
     for array in (slow, fast):
         array.init_qubit((0, 0))
         array.apply_gate_at("H", [(0, 0)])
-    fast.dots[(0, 0)].t2_override = 1e-6  # hundred times leakier
     ref = QuantumState(slow.state.data.copy(), 1)
     slow.idle(1e-6)
     fast.idle(1e-6)
     assert state_fidelity(fast.state, ref) < state_fidelity(slow.state, ref)
+
+
+def test_layout_is_checked_at_construction():
+    array = make_array(roles={(1, 1): "readout"}, t2_overrides={(0, 0): 1e-6})
+    assert array.roles == {(1, 1): "readout"}  # every unlisted dot is empty
+    assert array.snapshot()["dots"][1]["role"] == "empty"
+    for kwargs in ({"roles": {(2, 0): "qubit"}}, {"roles": {(0, 0): "hole"}},
+                   {"t2_overrides": {(0, 2): 1e-6}},
+                   {"t2_overrides": {(0, 0): 1.0}}):  # T2 above 2*T1 of inas
+        with pytest.raises(StateError):
+            make_array(**kwargs)
 
 
 def test_gate_durations_follow_rotation_angle():

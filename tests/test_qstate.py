@@ -351,6 +351,31 @@ def test_fidelity_of_mixed_pairs_matches_sqrtm_oracle(rng):
         assert state_fidelity(a, b) == pytest.approx(oracle, abs=1e-10)
 
 
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_spectrum(rng, d, rank):
+    p = np.zeros(d)
+    p[rng.choice(d, size=rank, replace=False)] = rng.random(rank) + 0.01
+    return p / p.sum()
+
+
+def test_fidelity_of_rank_deficient_commuting_pairs_is_exact(rng):
+    # U diag(p) U^dag and U diag(q) U^dag have fidelity (sum sqrt(p_i q_i))^2;
+    # square roots of eigenvalues that should be 0 cost the eigh-sqrt path ~3e-8
+    for _ in range(300):
+        u = _random_unitary(rng, 8)
+        ranks = rng.integers(1, 9, size=2)
+        ranks[rng.integers(2)] = rng.integers(1, 8)  # at least one rank-deficient
+        p, q = (_random_spectrum(rng, 8, r) for r in ranks)
+        a = QuantumState((u * p) @ u.conj().T, 3)
+        b = QuantumState((u * q) @ u.conj().T, 3)
+        exact = np.sum(np.sqrt(p * q)) ** 2
+        assert abs(state_fidelity(a, b) - exact) <= 1e-12
+
+
 def test_fidelity_dimension_mismatch():
     with pytest.raises(StateError):
         state_fidelity(QuantumState.zero(1), QuantumState.zero(2))

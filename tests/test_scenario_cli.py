@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_shots_eagerly
+from qdotsim.channels import line_report
 from qdotsim.errors import QdotsimError, SchemaError
-from qdotsim.report import canonical_json, dumps_report, format_float, stream
+from qdotsim.report import canonical_json, digest, dumps_report, format_float, stream
 from qdotsim.scenario import (
     build_material,
     load_scenario,
@@ -126,6 +127,8 @@ def test_invalid_json_is_schema_error(tmp_path):
         lambda s: s.update(strict="yes"),
         lambda s: s.update(analytics=[{"kind": "swap_channel", "length_qubits": 2.5}]),
         lambda s: s.update(analytics=[{"kind": "teleport_bandwidth", "rounds": 1.7}]),
+        lambda s: s["array"]["dots"][0].update(t2_override=5e-4),  # > 2*T1 of inas
+        lambda s: s["array"]["dots"].append({"pos": [0, 1], "role": "empty"}),
     ],
 )
 def test_validation_rejects_bad_scenarios(mutate):
@@ -223,6 +226,21 @@ def test_paper_numbers_analytics_values():
     assert distances["1e-05"] == pytest.approx(10.0, rel=1e-3)
     assert by_kind["pulse_budget"][0]["report"]["cycles_in_T2"] == 10_000
     assert by_kind["zeeman_ratio"][0]["field_ratio"] == pytest.approx(34.09, rel=1e-3)
+
+
+def test_channel_and_analytics_bytes_are_pinned():
+    # sha256 of the canonical bytes, recorded before the channel layer became
+    # one function; any change to a figure, key, note or digit shows here
+    material = build_material("inas")
+    pins = {
+        "swap": "0c84aa8adee30f330183eda9fe7a12974f953269ee3a29adf7f0f6d21170afbf",
+        "tunnel": "9458c5667abea83fbbe07eec12177288391c6696498f4464f383f3a05afd0041",
+    }
+    for kind, pin in pins.items():
+        assert digest(dumps_report(line_report(kind, material, 10))) == pin
+    analytics = run_scenario(PAPER_NUMBERS)["analytics"]
+    assert digest(dumps_report(analytics)) == (
+        "fc26dfb5563b5284594c34f98fece41155aaa02deeebc186d41397e0219d947a")
 
 
 def test_strict_mode_propagates():
