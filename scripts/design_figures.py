@@ -19,10 +19,10 @@ def main():
     drive = drive_report(material.g_factor, material.rabi_period,
                          material.gate_distance)
     rows = [
-        ("Rabi drive field", f"{drive.b_ac * 1e6:.1f} uT"),
-        ("drive current", f"{drive.i_ac * 1e6:.1f} uA"),
-        ("drive voltage", f"{drive.v_ac * 1e3:.2f} mV"),
-        ("drive power", f"{drive.power * 1e9:.1f} nW"),
+        ("Rabi drive field", f"{drive['b_ac_tesla'] * 1e6:.1f} uT"),
+        ("drive current", f"{drive['i_ac_ampere'] * 1e6:.1f} uA"),
+        ("drive voltage", f"{drive['v_ac_volt'] * 1e3:.2f} mV"),
+        ("drive power", f"{drive['power_watt'] * 1e9:.1f} nW"),
         ("minimum useful drive field",
          f"{min_rabi_field(material.g_factor, material.noise.T2) * 1e9:.2f} nT"),
         ("equal-splitting field ratio (g 0.44 vs 15)",
@@ -50,7 +50,7 @@ def main():
     budget = pulse_budget(material, 500)
     rows += [
         ("correction cycles in one T2 (500-pulse cycle)",
-         f"{budget.cycles_in_T2}"),
+         f"{budget['cycles_in_T2']}"),
         ("compiled cycle pulse count (typical)",
          f"{cycle_pulse_count(1, 2)}"),
     ]

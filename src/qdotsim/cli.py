@@ -82,17 +82,28 @@ def cmd_resources(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    if args.kind == "teleport":
+        foreign = {"--t-hop": args.t_hop, "--lambda": args.lam}
+        if args.distance_m is not None and args.length_qubits is not None:
+            raise SchemaError("--kind teleport takes --distance-m or --length-qubits, not both")
+    else:
+        foreign = {"--distance-m": args.distance_m,
+                   "--purification-rounds": args.purification_rounds}
+    for option, value in foreign.items():
+        if value is not None:
+            raise SchemaError(f"--kind {args.kind} takes no {option}")
+    length = 10 if args.length_qubits is None else args.length_qubits
     material = _material(args)
     with _option_errors():
         if args.kind == "teleport":
             distance = (args.distance_m if args.distance_m is not None
-                        else args.length_qubits * material.dot_pitch)
+                        else length * material.dot_pitch)
             report = channels.teleport_bandwidth(
-                distance, material, args.purification_rounds, args.threshold
+                distance, material, args.purification_rounds or 0, args.threshold
             )
         else:
             report = channels.line_report(
-                args.kind, material, args.length_qubits, t_hop=args.t_hop,
+                args.kind, material, length, t_hop=args.t_hop,
                 lam=args.lam, fidelity_threshold=args.threshold,
             )
     _emit({"kind": args.kind, "report": report}, args.out)
@@ -128,7 +139,6 @@ def cmd_qec(args) -> int:
     material = _material(args)
     if not (0.0 <= args.p <= 1.0 and args.cycles >= 0 and args.pulses_per_cycle >= 1):
         raise SchemaError("need 0 <= --p <= 1, --cycles >= 0 and --pulses-per-cycle >= 1")
-    budget = qec.pulse_budget(material, args.pulses_per_cycle)
     run = qec.memory_experiment(args.cycles, args.p,
                                 np.random.default_rng([args.seed, 0x5EC]),
                                 args.pulses_per_cycle)
@@ -145,7 +155,7 @@ def cmd_qec(args) -> int:
             "note": "compiled counts come from the fixed encoder circuit; the "
                     "500-pulse figure is the conventional budget",
         },
-        "budget": budget.to_dict(),
+        "budget": qec.pulse_budget(material, args.pulses_per_cycle),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -186,13 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel", help="transport channel figures")
     common(p, material=True)
     p.add_argument("--kind", choices=("swap", "tunnel", "teleport"), default="swap")
-    p.add_argument("--length-qubits", type=int, default=10, dest="length_qubits")
+    p.add_argument("--length-qubits", type=int, default=None, dest="length_qubits",
+                   help="line length (default 10); teleport takes it or --distance-m")
     p.add_argument("--distance-m", type=float, default=None, dest="distance_m")
     p.add_argument("--t-hop", type=float, default=None, dest="t_hop")
     p.add_argument("--lambda", type=float, default=None, dest="lam")
     p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--purification-rounds", type=int, default=0,
-                   dest="purification_rounds")
+    p.add_argument("--purification-rounds", type=int, default=None,
+                   dest="purification_rounds", help="teleport only (default 0)")
 
     p = sub.add_parser("teleport", help="run the teleportation protocol")
     common(p, seeded=True)

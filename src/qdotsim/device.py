@@ -107,13 +107,13 @@ def inas_material(noise: NoiseParams | None = None) -> MaterialParams:
     )
 
 
-def si_material(T2: float, noise_enabled: bool = False) -> MaterialParams:
+def si_material(T2: float) -> MaterialParams:
     """Si MOS preset. T2 must be supplied: no trustworthy default exists,
     only the expectation that it is very long. Structural parameters reuse
     the InAs values as placeholders."""
     if T2 is None or T2 <= 0:
         raise StateError("the Si preset requires an explicit positive T2")
-    base = inas_material(NoiseParams(T1=2.0 * T2, T2=T2, enabled=noise_enabled))
+    base = inas_material(NoiseParams(T1=2.0 * T2, T2=T2))
     return replace(base, g_factor=2.0)
 
 
@@ -308,7 +308,7 @@ class DotArray:
             duration = rot / (2.0 * math.pi) * mat.rabi_period
             energy = drive_report(
                 mat.g_factor, mat.rabi_period, mat.gate_distance
-            ).power * duration
+            )["power_watt"] * duration
         else:
             if not self.adjacent(*positions):
                 raise AdjacencyError(f"{positions} are not grid neighbors")

@@ -12,58 +12,12 @@ Conventions that the numbers pin down:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import H_EV_S, HBAR_EV_S, MU_0, MU_B_EV_T
 from .errors import StateError
 
 GAAS_G_FACTOR = 0.44
 INAS_BULK_G_FACTOR = 15.0
-
-
-@dataclass(frozen=True)
-class DriveReport:
-    """Resource figures for one Rabi drive configuration."""
-
-    b_ac: float          # tesla
-    i_ac: float          # amperes
-    v_ac: float          # volts
-    power: float         # watts
-    rabi_period: float   # seconds
-
-    def __post_init__(self):
-        for name in ("b_ac", "i_ac", "v_ac", "power", "rabi_period"):
-            if getattr(self, name) <= 0:
-                raise StateError(f"DriveReport.{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "b_ac_tesla": self.b_ac,
-            "i_ac_ampere": self.i_ac,
-            "v_ac_volt": self.v_ac,
-            "power_watt": self.power,
-            "rabi_period_s": self.rabi_period,
-        }
-
-
-@dataclass(frozen=True)
-class ExchangeEstimate:
-    """Direct and intermediary-dot exchange couplings plus the swap time."""
-
-    J_direct: float      # eV
-    J_indirect: float    # eV
-    t_swap: float        # seconds
-
-    def __post_init__(self):
-        if self.J_direct <= 0 or self.J_indirect <= 0 or self.t_swap <= 0:
-            raise StateError("ExchangeEstimate fields must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "J_direct_eV": self.J_direct,
-            "J_indirect_eV": self.J_indirect,
-            "t_swap_s": self.t_swap,
-        }
 
 
 def zeeman_splitting(g: float, B: float) -> float:
@@ -150,28 +104,32 @@ def indirect_exchange(t_i: float, U: float, dE_in: float) -> float:
     return t_i**4 / (U * U * dE_in)
 
 
+def _positive(report: dict) -> dict:
+    for key, value in report.items():
+        if value <= 0:
+            raise StateError(f"{key} must be positive")
+    return report
+
+
 def drive_report(
     g: float,
     rabi_period: float = 100e-9,
     wire_distance: float = 100e-9,
     load_ohms: float = 50.0,
-) -> DriveReport:
+) -> dict:
     """Chain field -> current -> voltage -> power for one drive setting."""
     b = rabi_field(g, rabi_period)
     i = wire_current(b, wire_distance)
     v, p = drive_electrical(i, load_ohms)
-    return DriveReport(b_ac=b, i_ac=i, v_ac=v, power=p, rabi_period=rabi_period)
+    return _positive({"b_ac_tesla": b, "i_ac_ampere": i, "v_ac_volt": v,
+                      "power_watt": p, "rabi_period_s": rabi_period})
 
 
-def exchange_estimate(
-    J_on: float, U: float, dE_in: float = 0.1e-3
-) -> ExchangeEstimate:
+def exchange_estimate(J_on: float, U: float, dE_in: float = 0.1e-3) -> dict:
     """Exchange figures for tunneling amplitudes tuned so that the direct and
     intermediary-dot couplings both equal J_on."""
     t_g = math.sqrt(J_on * U)
     t_i = (J_on * U * U * dE_in) ** 0.25
-    return ExchangeEstimate(
-        J_direct=direct_exchange(t_g, U),
-        J_indirect=indirect_exchange(t_i, U, dE_in),
-        t_swap=swap_duration(J_on),
-    )
+    return _positive({"J_direct_eV": direct_exchange(t_g, U),
+                      "J_indirect_eV": indirect_exchange(t_i, U, dE_in),
+                      "t_swap_s": swap_duration(J_on)})

@@ -74,22 +74,6 @@ class LogicalQubit:
         return (self.principal, *self.syndrome_qubits)
 
 
-@dataclass(frozen=True)
-class PulseBudget:
-    """How many correction cycles fit into one dephasing time."""
-
-    pulses_per_cycle: int
-    t_pulse: float
-    cycles_in_T2: int
-
-    def to_dict(self) -> dict:
-        return {
-            "pulses_per_cycle": self.pulses_per_cycle,
-            "t_pulse_s": self.t_pulse,
-            "cycles_in_T2": self.cycles_in_T2,
-        }
-
-
 @lru_cache(maxsize=1)
 def _encoder_unitary() -> np.ndarray:
     """The encoder as one read-only 32x32 unitary: _ENCODE_OPS run once over
@@ -344,15 +328,10 @@ def parity_measure(
     return bit, state
 
 
-def pulse_budget(
-    material: MaterialParams, pulses_per_cycle: int = 500
-) -> PulseBudget:
+def pulse_budget(material: MaterialParams, pulses_per_cycle: int = 500) -> dict:
     """floor(T2 / (pulses_per_cycle * t_pulse)) cycles fit in one T2."""
     if pulses_per_cycle <= 0:
         raise StateError(f"pulses_per_cycle must be positive, got {pulses_per_cycle}")
     cycles = int(material.noise.T2 / (pulses_per_cycle * material.t_pulse))
-    return PulseBudget(
-        pulses_per_cycle=pulses_per_cycle,
-        t_pulse=material.t_pulse,
-        cycles_in_T2=cycles,
-    )
+    return {"pulses_per_cycle": pulses_per_cycle, "t_pulse_s": material.t_pulse,
+            "cycles_in_T2": cycles}

@@ -82,37 +82,37 @@ class QuantumState:
         return 2**self.n_qubits
 
     @staticmethod
-    def zero(n_qubits: int, cap: int = VECTOR_QUBIT_CAP) -> "QuantumState":
+    def zero(n_qubits: int) -> "QuantumState":
         """|0...0> on n qubits; n = 0 gives the trivial 1-dim register."""
-        if n_qubits < 0 or n_qubits > cap:
-            raise StateError(f"qubit count {n_qubits} outside [0, {cap}]")
+        if n_qubits < 0 or n_qubits > VECTOR_QUBIT_CAP:
+            raise StateError(f"qubit count {n_qubits} outside [0, {VECTOR_QUBIT_CAP}]")
         vec = np.zeros(2**n_qubits, dtype=complex)
         vec[0] = 1.0
         return QuantumState(vec, n_qubits)
 
     @staticmethod
-    def from_vector(vec, cap: int = VECTOR_QUBIT_CAP) -> "QuantumState":
+    def from_vector(vec) -> "QuantumState":
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         n = int(round(np.log2(vec.size)))
         if 2**n != vec.size:
             raise StateError(f"vector length {vec.size} is not a power of two")
-        if n > cap:
-            raise StateError(f"{n} qubits exceeds vector cap {cap}")
+        if n > VECTOR_QUBIT_CAP:
+            raise StateError(f"{n} qubits exceeds vector cap {VECTOR_QUBIT_CAP}")
         norm = float(np.sum(np.abs(vec) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise StateError(f"vector norm^2 = {norm}, not 1 within {NORM_TOL}")
         return QuantumState(vec.copy(), n)
 
     @staticmethod
-    def from_matrix(mat, cap: int = MATRIX_QUBIT_CAP) -> "QuantumState":
+    def from_matrix(mat) -> "QuantumState":
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateError("density matrix must be square")
         n = int(round(np.log2(mat.shape[0])))
         if 2**n != mat.shape[0]:
             raise StateError("matrix dimension is not a power of two")
-        if n > cap:
-            raise StateError(f"{n} qubits exceeds matrix cap {cap}")
+        if n > MATRIX_QUBIT_CAP:
+            raise StateError(f"{n} qubits exceeds matrix cap {MATRIX_QUBIT_CAP}")
         if np.max(np.abs(mat - mat.conj().T)) > NORM_TOL:
             raise StateError("density matrix is not Hermitian")
         tr = complex(np.trace(mat))
@@ -123,19 +123,17 @@ class QuantumState:
             raise StateError(f"negative eigenvalue {evals.min()}")
         return QuantumState(mat.copy(), n)
 
-    def to_density(self, cap: int = MATRIX_QUBIT_CAP) -> "QuantumState":
+    def to_density(self) -> "QuantumState":
         """Promote a pure state to its density matrix |psi><psi|."""
         if not self.is_vector:
             return self
-        if self.n_qubits > cap:
-            raise StateError(f"{self.n_qubits} qubits exceeds matrix cap {cap}")
+        if self.n_qubits > MATRIX_QUBIT_CAP:
+            raise StateError(f"{self.n_qubits} qubits exceeds matrix cap {MATRIX_QUBIT_CAP}")
         return QuantumState(np.outer(self.data, self.data.conj()), self.n_qubits)
 
-    def append_zero_qubit(self, cap: int | None = None) -> "QuantumState":
+    def append_zero_qubit(self) -> "QuantumState":
         """Tensor a fresh |0> qubit on as the new last (least significant) qubit."""
-        cap = cap if cap is not None else (
-            VECTOR_QUBIT_CAP if self.is_vector else MATRIX_QUBIT_CAP
-        )
+        cap = VECTOR_QUBIT_CAP if self.is_vector else MATRIX_QUBIT_CAP
         if self.n_qubits + 1 > cap:
             raise StateError(f"{self.n_qubits + 1} qubits exceeds cap {cap}")
         if self.is_vector:

@@ -248,9 +248,9 @@ def resources_report(material: MaterialParams, rabi_period: float,
     `resources` analytics kind and the `qdotsim resources` command."""
     return {
         "drive": pulses.drive_report(material.g_factor, rabi_period,
-                                     material.gate_distance, load_ohms).to_dict(),
+                                     material.gate_distance, load_ohms),
         "exchange": pulses.exchange_estimate(material.J_on, material.U_charging,
-                                             dE_in).to_dict(),
+                                             dE_in),
         "min_rabi_field_tesla": pulses.min_rabi_field(material.g_factor, material.noise.T2),
     }
 
@@ -293,7 +293,7 @@ _ANALYTICS: dict[str, Callable[[dict, MaterialParams], dict]] = {
         float(request.get("fidelity_threshold", 1e-4)),
     )},
     "pulse_budget": lambda request, material: {"report": qec.pulse_budget(
-        material, request.get("pulses_per_cycle", 500)).to_dict()},
+        material, request.get("pulses_per_cycle", 500))},
     "zeeman_ratio": lambda request, material: {
         "field_ratio": pulses.equal_splitting_field_ratio(
             float(request.get("g_small", 0.44)), float(request.get("g_large", 15.0))),
@@ -458,7 +458,7 @@ def run_scenario(
                 for extra in ("path", "qec_report"):
                     if extra in result:
                         entry[extra] = result[extra]
-                event_log.append(_jsonable(entry))
+                event_log.append(entry)
         if prefix is None:
             prefix = (len(steps), array.state, array.qubit_positions, array.clock, bits)
         record = "".join(str(b) for b in bits)
@@ -474,7 +474,7 @@ def run_scenario(
         "seed": seed,
         "shots": shots,
         "strict": strict_flag,
-        "material": _jsonable(dataclasses.asdict(material)),
+        "material": dataclasses.asdict(material),
         "events": event_log,
         "measurement_records": shot_records,
         "measurement_counts": dict(sorted(counts.items())),
@@ -487,18 +487,6 @@ def run_scenario(
         "analytics": analytics,
     }
     return report
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def write_report(report: dict, out_dir: str | Path) -> tuple[Path, Path]:

@@ -73,10 +73,10 @@ def test_criterion_01_rabi_drive_chain():
             rep = drive_report(
                 MATERIAL.g_factor, MATERIAL.rabi_period, MATERIAL.gate_distance, 50.0
             )
-        assert rep.b_ac == pytest.approx(71e-6, rel=0.01)
-        assert rep.i_ac == pytest.approx(36e-6, rel=0.02)
-        assert rep.v_ac == pytest.approx(1.8e-3, rel=0.02)
-        assert rep.power == pytest.approx(46e-9, rel=0.03)
+        assert rep["b_ac_tesla"] == pytest.approx(71e-6, rel=0.01)
+        assert rep["i_ac_ampere"] == pytest.approx(36e-6, rel=0.02)
+        assert rep["v_ac_volt"] == pytest.approx(1.8e-3, rel=0.02)
+        assert rep["power_watt"] == pytest.approx(46e-9, rel=0.03)
         # the same figures must come out of the CLI surface
         proc = subprocess.run(
             [sys.executable, "-m", "qdotsim.cli", "resources", "--preset", "inas"],
@@ -207,8 +207,8 @@ def test_criterion_09_pulse_budget():
         from qdotsim.qec import pulse_budget
 
         budget_report = pulse_budget(MATERIAL, 500)
-        assert budget_report.cycles_in_T2 == 10_000
-        assert budget_report.t_pulse == pytest.approx(2e-11)
+        assert budget_report["cycles_in_T2"] == 10_000
+        assert budget_report["t_pulse_s"] == pytest.approx(2e-11)
 
 
 def test_criterion_10_zeeman_ratio():

@@ -110,22 +110,22 @@ def test_drive_electrical_values():
 
 def test_full_drive_chain_frozen():
     rep = drive_report(-10.0, 100e-9, 100e-9, 50.0)
-    assert rep.b_ac == pytest.approx(B_AC_100NS_G10, rel=1e-12)
-    assert rep.i_ac == pytest.approx(I_AC_CHAINED, rel=1e-12)
-    assert rep.v_ac == pytest.approx(V_AC_CHAINED, rel=1e-9)
-    assert rep.power == pytest.approx(P_CHAINED, rel=1e-9)
+    assert rep["b_ac_tesla"] == pytest.approx(B_AC_100NS_G10, rel=1e-12)
+    assert rep["i_ac_ampere"] == pytest.approx(I_AC_CHAINED, rel=1e-12)
+    assert rep["v_ac_volt"] == pytest.approx(V_AC_CHAINED, rel=1e-9)
+    assert rep["power_watt"] == pytest.approx(P_CHAINED, rel=1e-9)
 
 
 def test_drive_report_invariant():
     rep = drive_report(-10.0, 100e-9)
-    assert rep.rabi_period * 10.0 * MU_B_EV_T * rep.b_ac == pytest.approx(
+    assert rep["rabi_period_s"] * 10.0 * MU_B_EV_T * rep["b_ac_tesla"] == pytest.approx(
         H_EV_S, rel=1e-9
     )
 
 
 def test_power_scales_with_inverse_g_squared():
-    p_inas = drive_report(10.0, 100e-9).power
-    p_gaas = drive_report(0.44, 100e-9).power
+    p_inas = drive_report(10.0, 100e-9)["power_watt"]
+    p_gaas = drive_report(0.44, 100e-9)["power_watt"]
     assert p_gaas / p_inas == pytest.approx((10.0 / 0.44) ** 2, rel=1e-9)
     assert p_gaas / p_inas == pytest.approx(516.5, rel=1e-3)
 
@@ -209,9 +209,9 @@ def test_direct_exchange_matches_on_state():
 
 def test_exchange_estimate_consistency():
     est = exchange_estimate(5e-6, 2e-3, 1e-4)
-    assert est.J_direct == pytest.approx(5e-6, rel=1e-9)
-    assert est.J_indirect == pytest.approx(5e-6, rel=1e-9)
-    assert est.t_swap == pytest.approx(math.pi * HBAR_EV_S / est.J_direct, rel=1e-12)
+    assert est["J_direct_eV"] == pytest.approx(5e-6, rel=1e-9)
+    assert est["J_indirect_eV"] == pytest.approx(5e-6, rel=1e-9)
+    assert est["t_swap_s"] == pytest.approx(math.pi * HBAR_EV_S / est["J_direct_eV"], rel=1e-12)
 
 
 def test_indirect_exchange_rejects_zero_denominators():

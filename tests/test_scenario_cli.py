@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_shots_eagerly
+from qdotsim import cli
 from qdotsim.channels import line_report
 from qdotsim.errors import QdotsimError, SchemaError
 from qdotsim.report import canonical_json, digest, dumps_report, format_float, stream
@@ -228,9 +229,11 @@ def test_paper_numbers_analytics_values():
     assert by_kind["zeeman_ratio"][0]["field_ratio"] == pytest.approx(34.09, rel=1e-3)
 
 
-def test_channel_and_analytics_bytes_are_pinned():
+def test_channel_and_analytics_bytes_are_pinned(capsys):
     # sha256 of the canonical bytes, recorded before the channel layer became
-    # one function; any change to a figure, key, note or digit shows here
+    # one function (and the CLI ones before the drive, exchange and budget
+    # figures became plain dicts); any change to a figure, key, note or digit
+    # shows here
     material = build_material("inas")
     pins = {
         "swap": "0c84aa8adee30f330183eda9fe7a12974f953269ee3a29adf7f0f6d21170afbf",
@@ -241,6 +244,17 @@ def test_channel_and_analytics_bytes_are_pinned():
     analytics = run_scenario(PAPER_NUMBERS)["analytics"]
     assert digest(dumps_report(analytics)) == (
         "fc26dfb5563b5284594c34f98fece41155aaa02deeebc186d41397e0219d947a")
+    commands = {
+        ("resources",):
+            "348490d9e94510d6e3047fb4133323d23ec98c199bce83fca4d16388863d0467",
+        ("resources", "--preset", "si", "--t2", "1e-3"):
+            "a6f549672ed426e4abf4645e882f1783d9f4b043579ddab9848ff77b7fb5dd29",
+        ("qec", "--cycles", "50", "--p", "1e-2", "--seed", "3"):
+            "44107d36496f1ed969089fa8fb19308dadbc368bcf018f2d7ea4ee1e9422040d",
+    }
+    for argv, pin in commands.items():
+        assert cli.main(list(argv)) == 0
+        assert digest(capsys.readouterr().out) == pin
 
 
 def test_strict_mode_propagates():
@@ -475,6 +489,29 @@ def test_cli_channel_teleport_kind():
     assert 1.65e8 / 3 <= bw <= 1.65e8 * 3
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (("--kind", "teleport", "--lambda", "0.5"), "--lambda"),
+        (("--kind", "teleport", "--t-hop", "1e-3"), "--t-hop"),
+        (("--kind", "teleport", "--distance-m", "0.01", "--length-qubits", "10"),
+         "--length-qubits"),
+        (("--kind", "swap", "--distance-m", "5"), "--distance-m"),
+        (("--kind", "swap", "--purification-rounds", "3"), "--purification-rounds"),
+        (("--kind", "tunnel", "--distance-m", "5"), "--distance-m"),
+    ],
+    ids=["teleport-lambda", "teleport-t-hop", "teleport-distance-and-length",
+         "swap-distance", "swap-rounds", "tunnel-distance"],
+)
+def test_cli_channel_rejects_options_of_another_kind(args, option, tmp_path):
+    proc = run_cli("channel", *args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)
+    assert error["error"] == "schema"
+    assert option in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_unknown_subcommand_exits_64():
     proc = run_cli("frobnicate")
     assert proc.returncode == 64
@@ -540,9 +577,10 @@ def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
         ("qec", "--p", "2"),
         ("qec", "--p", "-0.1"),
         ("qec", "--cycles", "-1"),
+        ("resources", "--rabi-period", "1e300"),
     ],
     ids=["resources-t2-nan", "qec-t2-nan", "t2-inf", "t2-negative", "p-above-1",
-         "p-negative", "cycles-negative"],
+         "p-negative", "cycles-negative", "rabi-period-power-underflow"],
 )
 def test_cli_rejects_bad_numbers(args):
     proc = run_cli(*args)
