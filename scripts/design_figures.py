@@ -3,12 +3,7 @@
 
 Usage: python scripts/design_figures.py
 """
-from qdotsim.channels import (
-    channel_fidelity,
-    channel_lambda,
-    max_channel_distance,
-    teleport_bandwidth,
-)
+from qdotsim.channels import channel_lambda, line_report, teleport_bandwidth
 from qdotsim.device import inas_material
 from qdotsim.pulses import drive_report, equal_splitting_field_ratio, min_rabi_field
 from qdotsim.qec import cycle_pulse_count, pulse_budget
@@ -31,14 +26,16 @@ def main():
         ("tunnel hop", f"{material.t_hop * 1e12:.1f} ps"),
     ]
     lam_nominal = channel_lambda(1e-10, material.noise.T2)
+    line = line_report("swap", material, 10, t_hop=1e-10, lam=lam_nominal)
+    reach = line["max_distance_by_threshold"]
     rows += [
         ("per-hop error lambda (1e-10 s hop)", f"{lam_nominal:.2e}"),
-        ("swap line, 10 qubits: fidelity",
-         f"{channel_fidelity(lam_nominal, 10):.7f}"),
-        ("swap line latency / physical bw", "1.0 ns / 1.0e9 bits/s"),
+        ("swap line, 10 qubits: fidelity", f"{line['fidelity']:.7f}"),
+        ("swap line latency / physical bw",
+         f"{line['latency_s'] * 1e9:.1f} ns / "
+         f"{line['physical_bandwidth_bits_per_s']:.1e} bits/s"),
         ("swap reach @ 1e-4 / 1e-5 threshold",
-         f"{max_channel_distance(lam_nominal, 1e-4):.1f} / "
-         f"{max_channel_distance(lam_nominal, 1e-5):.1f} qubits"),
+         f"{reach['1e-4']:.1f} / {reach['1e-5']:.1f} qubits"),
     ]
     tele = teleport_bandwidth(0.01, material, purification_rounds=0)
     rows += [

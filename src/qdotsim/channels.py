@@ -72,7 +72,10 @@ def max_channel_distance(lam: float, threshold: float = FIDELITY_THRESHOLD_DEFAU
         raise StateError(f"threshold must be in (0, 1), got {threshold}")
     if lam <= 0:
         raise StateError(f"lambda must be positive, got {lam}")
-    return math.log(1.0 - threshold) / (-lam)
+    distance = math.log(1.0 - threshold) / (-lam)
+    if not math.isfinite(distance):
+        raise StateError(f"max distance overflows for lambda = {lam}")
+    return distance
 
 
 MAX_DISTANCE_NOTE = (
@@ -109,6 +112,8 @@ def line_report(
     if not 0.0 < f <= 1.0:
         raise StateError(f"fidelity must be in (0, 1], got {f}")
     phys = 1.0 / latency
+    if not math.isfinite(phys):
+        raise StateError(f"physical bandwidth overflows for latency {latency} s")
     if kind == "swap":
         note = (f"hop time {t_hop:.6g} s; material swap window pi*hbar/J_on = "
                 f"{material.t_swap:.6g} s")
@@ -319,21 +324,6 @@ def purify_fidelity(F: float) -> tuple[float, float]:
     num = F * F + (1.0 - F) ** 2 / 9.0
     den = F * F + 2.0 * F * (1.0 - F) / 3.0 + 5.0 * (1.0 - F) ** 2 / 9.0
     return num / den, den
-
-
-def purify(F: float, n_pairs: int, rng_seed=0) -> tuple[int, float]:
-    """Consume pairs two at a time through one recurrence round.
-
-    Each attempt succeeds with the round's success probability; the
-    survivor count is sampled (seeded) and the survivors share the
-    improved fidelity F'."""
-    if n_pairs < 0:
-        raise StateError(f"negative pair count {n_pairs}")
-    f_out, p_success = purify_fidelity(F)
-    attempts = n_pairs // 2
-    rng = as_rng(rng_seed)
-    survivors = int(rng.binomial(attempts, p_success)) if attempts else 0
-    return survivors, f_out
 
 
 def teleport_bandwidth(

@@ -89,9 +89,6 @@ class MaterialParams:
         """One tunneling hop; an order of magnitude faster than a swap."""
         return self.t_swap / 10.0
 
-    def with_noise(self, noise: NoiseParams) -> "MaterialParams":
-        return replace(self, noise=noise)
-
 
 def inas_material(noise: NoiseParams | None = None) -> MaterialParams:
     """InAs composite-well preset: large |g|, 5 ueV on-state exchange."""
@@ -357,37 +354,3 @@ class DotArray:
             raise StateError(f"negative idle time {t}")
         self.advance(t, "idle", t=t)
         return self
-
-    def residual_coupling_error(self, idle_t: float) -> dict[tuple[Pos, Pos], float]:
-        """Accumulated off-state exchange pulse area J_off*t/hbar for every
-        adjacent occupied pair. Query only; strict mode applies it."""
-        if idle_t < 0:
-            raise StateError(f"negative idle time {idle_t}")
-        theta = self.material.J_off * idle_t / HBAR_EV_S
-        return {pair: theta for pair in self.adjacent_occupied_pairs()}
-
-    # -- export -----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        ids = {pos: q for q, pos in enumerate(self.qubit_positions)}
-        return {
-            "width": self.width,
-            "height": self.height,
-            "dots": [
-                {
-                    "x": x,
-                    "y": y,
-                    "occupied": (x, y) in ids,
-                    "role": self.roles.get((x, y), "empty"),
-                    "qubit_id": ids.get((x, y)),
-                }
-                for y in range(self.height)
-                for x in range(self.width)
-            ],
-            "clock": self.clock,
-        }
-
-    def snapshot_json(self) -> str:
-        from .report import dumps_report
-
-        return dumps_report(self.snapshot())

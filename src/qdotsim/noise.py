@@ -127,14 +127,6 @@ def idle_window(
     ])
 
 
-def idle_channel(
-    state: QuantumState, qubit: int, t: float, params: NoiseParams,
-    T2_override: float | None = None,
-) -> QuantumState:
-    """idle_window on one qubit."""
-    return idle_window(state, t, params, {qubit: T2_override})
-
-
 def jump_probabilities(
     dt: float, params: NoiseParams, T2_override: float | None = None
 ) -> tuple[float, float]:
@@ -157,7 +149,7 @@ def apply_idle_jumps(
     T2_override: float | None = None,
 ) -> QuantumState:
     """One stochastic step on a vector state: Kraus-sampled damping plus a
-    possible Z flip. Averaged over seeds this equals idle_channel exactly."""
+    possible Z flip. Averaged over seeds this equals idle_window exactly."""
     if not state.is_vector:
         raise StateError("trajectory jumps act on vector states")
     if not params.enabled or dt == 0:

@@ -43,15 +43,6 @@ def rabi_field(g: float, rabi_period: float) -> float:
     return H_EV_S / (abs(g) * MU_B_EV_T * rabi_period)
 
 
-def rabi_period_from_field(g: float, b_ac: float) -> float:
-    """Inverse of rabi_field."""
-    if g == 0:
-        raise StateError("zero g factor")
-    if b_ac <= 0:
-        raise StateError(f"b_ac must be positive, got {b_ac}")
-    return H_EV_S / (abs(g) * MU_B_EV_T * b_ac)
-
-
 def wire_current(B: float, r: float) -> float:
     """Current through a straight wire at distance r producing field B."""
     if r <= 0:
@@ -106,8 +97,8 @@ def indirect_exchange(t_i: float, U: float, dE_in: float) -> float:
 
 def _positive(report: dict) -> dict:
     for key, value in report.items():
-        if value <= 0:
-            raise StateError(f"{key} must be positive")
+        if not 0 < value < math.inf:
+            raise StateError(f"{key} must be positive and finite, got {value}")
     return report
 
 

@@ -431,30 +431,3 @@ def norm_error(state: QuantumState) -> float:
     if state.is_vector:
         return abs(float(np.sum(np.abs(state.data) ** 2)) - 1.0)
     return abs(complex(np.trace(state.data)) - 1.0)
-
-
-def state_to_dict(state: QuantumState) -> dict:
-    """Serializable dump: entries as [re, im] pairs in index order."""
-    flat = state.data.reshape(-1)
-    return {
-        "n_qubits": state.n_qubits,
-        "representation": "vector" if state.is_vector else "matrix",
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
-def state_to_json(state: QuantumState) -> str:
-    """Canonical JSON dump with 17-significant-digit floats."""
-    from .report import dumps_report
-
-    return dumps_report(state_to_dict(state))
-
-
-def state_from_dict(payload: dict) -> QuantumState:
-    entries = np.array(
-        [complex(re, im) for re, im in payload["entries"]], dtype=complex
-    )
-    if payload["representation"] == "vector":
-        return QuantumState.from_vector(entries)
-    dim = int(round(np.sqrt(entries.size)))
-    return QuantumState.from_matrix(entries.reshape(dim, dim))

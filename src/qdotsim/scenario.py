@@ -104,7 +104,7 @@ def build_material(spec) -> MaterialParams:
         t2 = float(noise.get("T2", base.noise.T2))
         noise_params = NoiseParams(T1=float(noise.get("T1", 2.0 * t2)), T2=t2,
                                    enabled=noise.get("enabled", False))
-        return dataclasses.replace(base.with_noise(noise_params),
+        return dataclasses.replace(base, noise=noise_params,
                                    **{k: float(v) for k, v in spec.items()})
     except (QdotsimError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad material parameters: {exc}") from exc
@@ -114,7 +114,8 @@ def build_material(spec) -> MaterialParams:
 #
 # One _Op entry per op. Validation runs its check (which must make sure each
 # `lists` field is a list of the right length), requires each `numbers` field
-# to be a nonnegative number, and parses the position fields once per run.
+# to be a nonnegative number, and parses the position fields once per run;
+# no op takes one dot twice, so an event's positions must be distinct.
 # Each shot calls run(array, event, at, rng), `at` mapping a field to its
 # position or list of positions. A dict returned by run holds the event's
 # report fields; anything else (DotArray methods return the array) means none.
@@ -363,6 +364,9 @@ def validate_scenario(scenario: dict) -> list[dict]:
         at = {key: pos_in_grid(event.get(key), f"{label} {key}") for key in spec.points}
         for key in spec.lists:
             at[key] = [pos_in_grid(p, f"{label} {key}") for p in event[key]]
+        named = [at[key] for key in spec.points] + [p for key in spec.lists for p in at[key]]
+        _require(len(set(named)) == len(named),
+                 f"{label}: positions must be distinct, got {named}")
         positions.append(at)
 
     analytics = scenario.get("analytics", [])

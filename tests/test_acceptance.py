@@ -24,7 +24,7 @@ from qdotsim.channels import (
     teleport_branches,
 )
 from qdotsim.device import inas_material
-from qdotsim.noise import NoiseParams, idle_channel
+from qdotsim.noise import NoiseParams, idle_window
 from qdotsim.pulses import (
     drive_report,
     equal_splitting_field_ratio,
@@ -239,7 +239,7 @@ def test_criterion_11b_trajectory_channel_convergence():
     with criterion(11, "property: trajectory error shrinks like 1/sqrt(N)"):
         params = NoiseParams(T1=200e-6, T2=100e-6, enabled=True)
         plus = apply_gate(QuantumState.zero(1), gate_h(0))
-        exact = idle_channel(plus.to_density(), 0, 100e-6, params).data
+        exact = idle_window(plus.to_density(), 100e-6, params, {0: None}).data
         errors = {}
         for n in (100, 1000, 10_000):
             acc = np.zeros((2, 2), dtype=complex)

@@ -17,7 +17,6 @@ from qdotsim.channels import (
     make_epr,
     max_channel_distance,
     plan_tunnel_route,
-    purify,
     purify_fidelity,
     run_tunnel_route,
     teleport,
@@ -453,9 +452,6 @@ def test_purify_perfect_pairs_are_fixed():
     f_out, p = purify_fidelity(1.0)
     assert f_out == pytest.approx(1.0, abs=1e-12)
     assert p == pytest.approx(1.0, abs=1e-12)
-    survivors, f_out = purify(1.0, 10, rng_seed=0)
-    assert survivors == 5  # every attempt keeps its pair
-    assert f_out == 1.0
 
 
 def test_purify_09_matches_density_matrix_oracle():
@@ -491,16 +487,6 @@ def test_purify_monotone_on_grid():
 def test_purify_below_threshold_reported():
     with pytest.raises(ProtocolError):
         purify_fidelity(0.25)
-    with pytest.raises(ProtocolError):
-        purify(0.2, 10)
-
-
-def test_purify_survivor_sampling_deterministic():
-    a = purify(0.8, 100, rng_seed=12)
-    b = purify(0.8, 100, rng_seed=12)
-    assert a == b
-    survivors, _ = a
-    assert 0 <= survivors <= 50
 
 
 # ---------------------------------------------------------------------------

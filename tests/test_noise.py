@@ -15,7 +15,6 @@ from qdotsim.noise import (
     damping_kraus,
     dephase,
     dephasing_kraus,
-    idle_channel,
     idle_window,
     jump_probabilities,
     pure_dephasing_time,
@@ -126,14 +125,14 @@ def test_damping_kraus_complete(gamma):
 def test_idle_channel_total_coherence_decay():
     # pure dephasing times damping must combine to exp(-t/T2) on coherences
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    out = idle_channel(plus_density(), 0, T2, params)
+    out = idle_window(plus_density(), T2, params, {0: None})
     assert abs(abs(out.data[0, 1]) - 0.5 * math.exp(-1)) < 1e-12
 
 
 def test_idle_channel_on_selected_qubit_only(rng):
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
     psi = haar_state(2, rng).to_density()
-    out = idle_channel(psi, 0, T2, params)
+    out = idle_window(psi, T2, params, {0: None})
     # qubit 1 marginals untouched
     before = psi.data.reshape(2, 2, 2, 2)
     after = out.data.reshape(2, 2, 2, 2)
@@ -216,7 +215,7 @@ def test_trajectory_average_matches_exact_channel():
     n = 10_000
     avg = _trajectory_average(n, T2, seed_base=42)
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    exact = idle_channel(plus_density(), 0, T2, params)
+    exact = idle_window(plus_density(), T2, params, {0: None})
     # off-diagonal magnitude lands within 3 statistical sigma of 0.5/e
     sigma = 0.5 / math.sqrt(n)
     assert abs(abs(avg[0, 1]) - 0.5 * math.exp(-1)) < 3 * sigma
@@ -225,7 +224,7 @@ def test_trajectory_average_matches_exact_channel():
 
 def test_trajectory_error_shrinks_like_inverse_sqrt_n():
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    exact = idle_channel(plus_density(), 0, T2, params).data
+    exact = idle_window(plus_density(), T2, params, {0: None}).data
     errors = {}
     for n in (100, 1000, 10_000):
         avg = _trajectory_average(n, T2, seed_base=2024)

@@ -16,7 +16,6 @@ from qdotsim.pulses import (
     indirect_exchange,
     min_rabi_field,
     rabi_field,
-    rabi_period_from_field,
     swap_duration,
     wire_current,
     zeeman_splitting,
@@ -77,11 +76,6 @@ def test_rabi_field_inverse_proportional():
 
 def test_rabi_field_sign_independent():
     assert rabi_field(-10.0, 100e-9) == rabi_field(10.0, 100e-9)
-
-
-def test_rabi_round_trip():
-    b = rabi_field(-10.0, 100e-9)
-    assert rabi_period_from_field(-10.0, b) == pytest.approx(100e-9, rel=1e-12)
 
 
 def test_rabi_field_rejects_zero_g():

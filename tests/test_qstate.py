@@ -1,5 +1,4 @@
 """Register simulation: gates, exchange evolution, measurement, fidelity."""
-import json
 import math
 
 import numpy as np
@@ -37,9 +36,6 @@ from qdotsim.qstate import (
     qubit_probabilities,
     reduced_density,
     state_fidelity,
-    state_from_dict,
-    state_to_dict,
-    state_to_json,
     states_close,
 )
 
@@ -441,39 +437,6 @@ def test_state_validation_rejects_bad_inputs():
         QuantumState.from_matrix([[0.5, 0.5j], [0.5j, 0.5]])  # not Hermitian
     with pytest.raises(StateError):
         QuantumState.from_matrix([[2.0, 0], [0, -1.0]])  # trace/positivity
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_state_dict_round_trip(rng):
-    s = haar_state(3, rng)
-    again = state_from_dict(state_to_dict(s))
-    assert np.max(np.abs(again.data - s.data)) < 1e-15
-    rho = haar_state(2, rng).to_density()
-    again = state_from_dict(state_to_dict(rho))
-    assert np.max(np.abs(again.data - rho.data)) < 1e-15
-
-
-def test_state_dict_layout():
-    payload = state_to_dict(QuantumState.zero(1))
-    assert payload == {
-        "n_qubits": 1,
-        "representation": "vector",
-        "entries": [[1.0, 0.0], [0.0, 0.0]],
-    }
-
-
-def test_state_json_dump_fixed_formatting():
-    plus = apply_gate(QuantumState.zero(1), gate_h(0))
-    text = state_to_json(plus)
-    assert text == state_to_json(plus)  # byte stable
-    parsed = json.loads(text)
-    assert parsed["representation"] == "vector"
-    assert parsed["entries"][0][0] == pytest.approx(SQ2, abs=1e-16)
-    # 17 significant digits round-trip doubles exactly
-    assert parsed["entries"][0][0] == plus.data[0].real
 
 
 def test_reduced_density_of_bell():

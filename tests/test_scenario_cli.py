@@ -130,6 +130,17 @@ def test_invalid_json_is_schema_error(tmp_path):
         lambda s: s.update(analytics=[{"kind": "teleport_bandwidth", "rounds": 1.7}]),
         lambda s: s["array"]["dots"][0].update(t2_override=5e-4),  # > 2*T1 of inas
         lambda s: s["array"]["dots"].append({"pos": [0, 1], "role": "empty"}),
+        lambda s: s["program"].append(
+            {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [0, 0]]}
+        ),
+        lambda s: s["program"].append(
+            {"op": "qec_cycle", "principal": [0, 0],
+             "syndromes": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+        ),
+        lambda s: s["program"].append(
+            {"op": "teleport", "payload": [0, 0], "a": [0, 0], "b": [1, 0]}
+        ),
+        lambda s: s["program"].append({"op": "epr", "a": [0, 0], "b": [0, 0]}),
     ],
 )
 def test_validation_rejects_bad_scenarios(mutate):
@@ -578,9 +589,15 @@ def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
         ("qec", "--p", "-0.1"),
         ("qec", "--cycles", "-1"),
         ("resources", "--rabi-period", "1e300"),
+        ("resources", "--rabi-period", "1e-300"),
+        ("channel", "--kind", "swap", "--t-hop", "1e-320"),
+        ("channel", "--kind", "tunnel", "--t2", "1e305"),
+        ("channel", "--kind", "teleport", "--t2", "1e305"),
     ],
     ids=["resources-t2-nan", "qec-t2-nan", "t2-inf", "t2-negative", "p-above-1",
-         "p-negative", "cycles-negative", "rabi-period-power-underflow"],
+         "p-negative", "cycles-negative", "rabi-period-power-underflow",
+         "rabi-period-power-overflow", "swap-bandwidth-overflow",
+         "tunnel-distance-overflow", "teleport-reach-overflow"],
 )
 def test_cli_rejects_bad_numbers(args):
     proc = run_cli(*args)
@@ -610,8 +627,11 @@ def test_cli_channel_rejects_zero_instead_of_defaulting(args):
     [
         {"kind": "swap_channel", "lambda": 0},
         {"kind": "pulse_budget", "pulses_per_cycle": 0},
+        {"kind": "resources", "rabi_period": 1e-300},
+        {"kind": "max_distance", "lambda": 1e-320},
     ],
-    ids=["swap-lambda-0", "pulses-per-cycle-0"],
+    ids=["swap-lambda-0", "pulses-per-cycle-0", "resources-power-overflow",
+         "max-distance-overflow"],
 )
 def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
     scenario = copy.deepcopy(BELL)
