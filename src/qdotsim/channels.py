@@ -56,7 +56,10 @@ def channel_lambda(t_op: float, T2: float) -> float:
     1e-6; the inverse ratio would make every fidelity figure collapse."""
     if t_op < 0 or T2 <= 0:
         raise StateError(f"need t_op >= 0 and T2 > 0, got {t_op}, {T2}")
-    return t_op / T2
+    lam = t_op / T2
+    if not math.isfinite(lam):
+        raise StateError(f"lambda = t_op/T2 is not finite for {t_op}, {T2}")
+    return lam
 
 
 def channel_fidelity(lam: float, d: float) -> float:
@@ -245,10 +248,7 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
     array.apply_gate_at("CNOT", [c, a])
     phase_bit, array.state = measure(array.state, qc, "X", rng)
     amp_bit, array.state = measure(array.state, qa, "Z", rng)
-    array.advance(
-        2.0 * (array.material.readout_transfer + array.material.readout_measure),
-        "teleport_measure", c=c, a=a, bits=[phase_bit, amp_bit],
-    )
+    array.advance(2.0 * (array.material.readout_transfer + array.material.readout_measure))
     if array.material.classical_latency > 0:
         # the two classical bits ride a wire to b's site before correcting
         array.idle(array.material.classical_latency)

@@ -13,7 +13,9 @@ contributes an idle window instead. During an exchange window the coupled
 pair is excluded from that window's idle noise.
 
 Strict mode additionally applies the always-on residual exchange J_off to
-every adjacent occupied pair during each timed window.
+every adjacent occupied pair but the coupled one during each timed window.
+The array keeps only the clock and the drive energy spent; the per-event
+log belongs to the scenario report.
 """
 from __future__ import annotations
 
@@ -116,7 +118,7 @@ def si_material(T2: float) -> MaterialParams:
 
 class DotArray:
     """Mutable array under a single controller; events are serialized by
-    the clock and logged for reporting."""
+    the clock, which with the drive energy is all the array books."""
 
     def __init__(
         self,
@@ -151,7 +153,7 @@ class DotArray:
         self.state = state.to_density() if representation == "matrix" else state
         self.qubit_positions: list[Pos] = []
         self.clock = 0.0
-        self.events: list[dict] = []
+        self.energy = 0.0
         self._rng = seed if isinstance(seed, _Stream) else as_rng(seed)
 
     # -- geometry ---------------------------------------------------------
@@ -182,12 +184,12 @@ class DotArray:
 
     # -- clock and noise --------------------------------------------------
 
-    def _noise_window(self, duration: float, exclude: frozenset[Pos]) -> None:
+    def _noise_window(self, duration: float, pair: tuple[Pos, ...]) -> None:
         params = self.material.noise
         if not params.enabled or duration <= 0:
             return
         idling = {q: self.t2_overrides.get(p)
-                  for q, p in enumerate(self.qubit_positions) if p not in exclude}
+                  for q, p in enumerate(self.qubit_positions) if p not in pair}
         if not self.state.is_vector:
             self.state = idle_window(self.state, duration, params, idling)
             return
@@ -198,11 +200,11 @@ class DotArray:
             self.state = apply_idle_jumps(self.state, q, duration, params,
                                           rng, T2_override=t2)
 
-    def _residual_window(self, duration: float, exclude_pair=None) -> None:
+    def _residual_window(self, duration: float, pair: tuple[Pos, ...]) -> None:
         if not self.strict or duration <= 0:
             return
         for a, b in self.adjacent_occupied_pairs():
-            if exclude_pair and {a, b} == set(exclude_pair):
+            if a in pair and b in pair:
                 continue
             self.state = exchange_evolution(
                 self.state,
@@ -211,28 +213,18 @@ class DotArray:
                 duration,
             )
 
-    def advance(self, duration: float, kind: str, *, exclude=frozenset(),
-                exclude_pair=None, energy: float = 0.0, **log) -> dict:
-        """Book one event of `duration` seconds: idle noise and residual
-        exchange on every qubit outside `exclude`, then the clock and the
-        event log; returns the log entry."""
+    def advance(self, duration: float, *, pair: tuple[Pos, ...] = (),
+                energy: float = 0.0) -> None:
+        """Book one event of `duration` seconds: idle noise on every qubit
+        outside `pair` and, in strict mode, residual exchange on every
+        adjacent pair but `pair`; then add to the clock and the energy."""
         if duration < 0:
             raise StateError(f"negative event duration {duration}")
-        before = self.clock
-        self._noise_window(duration, frozenset(exclude))
-        self._residual_window(duration, exclude_pair)
-        self.clock = before + duration
-        entry = {
-            "event": kind,
-            "clock_before": before,
-            "clock_after": self.clock,
-            "duration": duration,
-            "energy": energy,
-            **log,
-        }
-        self.events.append(entry)
+        self._noise_window(duration, pair)
+        self._residual_window(duration, pair)
+        self.clock += duration
+        self.energy += energy
         self._check_invariants()
-        return entry
 
     def _check_invariants(self) -> None:
         n = len(self.qubit_positions)
@@ -253,7 +245,7 @@ class DotArray:
             raise StateError(f"dot {pos} is a readout dot")
         self.state = self.state.append_zero_qubit()
         self.qubit_positions.append(pos)
-        self.advance(self.material.t_pulse, "init", pos=pos)
+        self.advance(self.material.t_pulse)
         return self
 
     def move_electron(self, src: Pos, dst: Pos) -> "DotArray":
@@ -269,7 +261,7 @@ class DotArray:
         if self.roles.get(dst) == "readout":
             raise StateError(f"cannot park a qubit on readout dot {dst}")
         self.qubit_positions[self.qubit_positions.index(src)] = dst
-        self.advance(self.material.t_hop, "move", src=src, dst=dst)
+        self.advance(self.material.t_hop)
         return self
 
     def coupling_window(self, a: Pos, b: Pos, theta: float) -> "DotArray":
@@ -284,8 +276,7 @@ class DotArray:
             return self
         t = theta * HBAR_EV_S / self.material.J_on
         self.state = exchange_evolution(self.state, (qa, qb), self.material.J_on, t)
-        self.advance(t, "coupling_window", exclude={a, b}, exclude_pair=(a, b),
-                     a=a, b=b, theta=theta)
+        self.advance(t, pair=(a, b))
         return self
 
     def apply_gate_at(self, kind: str, positions: list[Pos], *,
@@ -297,8 +288,7 @@ class DotArray:
         targets = tuple(self.qubit_index(p) for p in positions)
         gate = Gate(kind, targets, axis=axis, angle=angle, theta=theta)
         mat = self.material
-        exclude: set[Pos] = set()
-        exclude_pair = None
+        pair: tuple[Pos, ...] = ()
         energy = 0.0
         if gate.n_targets == 1:
             rot = ROTATION_ANGLE.get(kind, abs(angle) if angle is not None else math.pi)
@@ -315,11 +305,9 @@ class DotArray:
                 duration = theta * HBAR_EV_S / mat.J_on
             else:
                 duration = mat.t_swap
-            exclude = set(positions)
-            exclude_pair = tuple(positions)
+            pair = tuple(positions)
         self.state = apply_gate(self.state, gate)
-        self.advance(duration, "gate", exclude=exclude, exclude_pair=exclude_pair,
-                     energy=energy, gate_kind=kind, positions=list(positions))
+        self.advance(duration, pair=pair, energy=energy)
         return self
 
     def readout(self, qubit_pos: Pos, readout_pos: Pos, rng_seed=None) -> tuple[int, "DotArray"]:
@@ -337,20 +325,12 @@ class DotArray:
         bit = outcome
         if self.material.readout_error > 0 and rng.random() < self.material.readout_error:
             bit = 1 - bit
-        charge_event = bit == 0
-        self.advance(
-            self.material.readout_transfer + self.material.readout_measure,
-            "readout",
-            qubit=qubit_pos,
-            readout=readout_pos,
-            outcome=bit,
-            charge_event=charge_event,
-        )
+        self.advance(self.material.readout_transfer + self.material.readout_measure)
         return bit, self
 
     def idle(self, t: float) -> "DotArray":
         """Let the array sit for t seconds; only noise and residual exchange act."""
         if t < 0:
             raise StateError(f"negative idle time {t}")
-        self.advance(t, "idle", t=t)
+        self.advance(t)
         return self

@@ -68,7 +68,10 @@ def min_rabi_field(g: float, T2: float) -> float:
         raise StateError("zero g factor")
     if T2 <= 0:
         raise StateError(f"T2 must be positive, got {T2}")
-    return HBAR_EV_S / (abs(g) * MU_B_EV_T * T2)
+    denominator = abs(g) * MU_B_EV_T * T2
+    if denominator == 0:  # a subnormal T2 underflows it: the field is inf
+        raise StateError(f"minimum Rabi field is not finite for T2 = {T2}")
+    return HBAR_EV_S / denominator
 
 
 def swap_duration(J: float) -> float:

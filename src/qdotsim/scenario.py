@@ -147,8 +147,8 @@ def _check_gate(event: dict, label: str) -> None:
     if kind == "Rot":
         _require(_is_number(event.get("angle")), f"{label}: Rot needs a numeric angle")
     if kind == "ExchangeEvolve":
-        _require(_is_number(event.get("theta")),
-                 f"{label}: ExchangeEvolve needs numeric theta")
+        _require(_is_number(event.get("theta")) and event["theta"] >= 0,
+                 f"{label}: ExchangeEvolve needs a nonnegative numeric theta")
 
 
 def _check_qec(event: dict, label: str) -> None:
@@ -200,8 +200,7 @@ def _qec_cycle(array: DotArray, event: dict, at: dict, rng) -> dict:
     inject = [tuple(e) for e in event.get("inject", [])] or None
     state, rep = qec.qec_cycle(state, lq, inject, rng)
     array.state = qec.decode5(state, lq)
-    array.advance(rep["pulse_count"] * array.material.t_pulse, "qec_cycle",
-                  syndrome=rep["syndrome"])
+    array.advance(rep["pulse_count"] * array.material.t_pulse)
     return {
         "measurements": rep["syndrome"],
         "fidelity_checks": {
@@ -304,9 +303,10 @@ _ANALYTICS: dict[str, Callable[[dict, MaterialParams], dict]] = {
 _COUNTS = ("length_qubits", "rounds", "pulses_per_cycle")
 
 
-def validate_scenario(scenario: dict) -> list[dict]:
+def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]:
     """Full static validation; raises SchemaError before any execution.
-    Returns every program event's grid positions, parsed."""
+    Returns what it parsed: the material, the dot roles, the T2 overrides
+    and one (op spec, event, positions) step per program event."""
     _require(scenario.get("schema_version") == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}")
     _require(_is_int(scenario.get("seed")),
@@ -329,20 +329,20 @@ def validate_scenario(scenario: dict) -> list[dict]:
 
     dots = array.get("dots", [])
     _require(isinstance(dots, list), "array.dots must be a list")
-    listed = set()
+    roles, t2_overrides = {}, {}
     for dot in dots:
         _require(isinstance(dot, dict), "array.dots entries must be objects")
         pos = pos_in_grid(dot.get("pos"), "dot.pos")
-        _require(pos not in listed, f"dot {pos} is listed twice")
-        listed.add(pos)
-        role = dot.get("role", "empty")
-        _require(role in ROLES, f"unknown dot role {role!r}")
+        _require(pos not in roles, f"dot {pos} is listed twice")
+        roles[pos] = dot.get("role", "empty")
+        _require(roles[pos] in ROLES, f"unknown dot role {roles[pos]!r}")
         t2 = dot.get("t2_override")
         _require(t2 is None or (_is_number(t2) and t2 > 0),
                  f"dot {pos}: t2_override must be a positive number")
         if t2 is not None:
+            t2_overrides[pos] = float(t2)
             try:
-                NoiseParams(T1=material.noise.T1, T2=float(t2))
+                NoiseParams(T1=material.noise.T1, T2=t2_overrides[pos])
             except StateError as exc:
                 raise SchemaError(f"dot {pos}: t2_override: {exc}") from exc
     rep = array.get("representation", "vector")
@@ -350,7 +350,7 @@ def validate_scenario(scenario: dict) -> list[dict]:
 
     program = scenario.get("program", [])
     _require(isinstance(program, list), "program must be a list of events")
-    positions = []
+    steps = []
     for i, event in enumerate(program):
         _require(isinstance(event, dict), f"event {i} must be an object")
         op = event.get("op")
@@ -367,7 +367,7 @@ def validate_scenario(scenario: dict) -> list[dict]:
         named = [at[key] for key in spec.points] + [p for key in spec.lists for p in at[key]]
         _require(len(set(named)) == len(named),
                  f"{label}: positions must be distinct, got {named}")
-        positions.append(at)
+        steps.append((spec, event, at))
 
     analytics = scenario.get("analytics", [])
     _require(isinstance(analytics, list), "analytics must be a list")
@@ -382,7 +382,7 @@ def validate_scenario(scenario: dict) -> list[dict]:
             else:
                 ok = key == "kind" or (_is_int if key in _COUNTS else _is_number)(value)
             _require(ok, f"analytics entry {i} ({kind}): bad {key} {value!r}")
-    return positions
+    return material, roles, t2_overrides, steps
 
 
 def run_scenario(
@@ -392,19 +392,12 @@ def run_scenario(
     strict: bool | None = None,
 ) -> dict:
     """Validate and execute a scenario; returns the full run report."""
-    positions = validate_scenario(scenario)
+    material, roles, t2_overrides, steps = validate_scenario(scenario)
     if shots < 1:
         raise SchemaError(f"shots must be >= 1, got {shots}")
     seed = int(seed_override if seed_override is not None else scenario["seed"])
     strict_flag = bool(scenario.get("strict", False) if strict is None else strict)
-    material = build_material(scenario.get("material", "inas"))
-    program = scenario.get("program", [])
     section = scenario["array"]
-    dots = [(_pos(d["pos"], "dot.pos"), d) for d in section.get("dots", [])]
-    roles = {pos: d.get("role", "empty") for pos, d in dots}
-    t2_overrides = {pos: float(d["t2_override"]) for pos, d in dots
-                    if d.get("t2_override") is not None}
-    steps = [(_OPS[event["op"]], event, at) for event, at in zip(program, positions)]
     analytics = []
     for i, request in enumerate(scenario.get("analytics", [])):
         try:
@@ -470,7 +463,7 @@ def run_scenario(
         counts[record] = counts.get(record, 0) + 1
         if shot == 0:
             final_clock = array.clock
-            total_energy = sum(e.get("energy", 0.0) for e in array.events)
+            total_energy = array.energy
     scenario_text = json.dumps(scenario, sort_keys=True)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -486,7 +479,7 @@ def run_scenario(
         "budgets": {
             "total_time_s": final_clock,
             "total_energy_j": total_energy,
-            "event_count": len(program),
+            "event_count": len(steps),
         },
         "analytics": analytics,
     }

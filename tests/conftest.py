@@ -69,27 +69,22 @@ def run_shots_eagerly(scenario: dict, shots: int) -> dict:
     np.random.default_rng([seed, shot, i]) for event i and [seed, shot,
     0xFFFF] for the array. Returns the run_scenario report fields
     measurement_records, measurement_counts and events (shot 0's log)."""
-    positions = scenario_mod.validate_scenario(scenario)
+    material, roles, t2_overrides, steps = scenario_mod.validate_scenario(scenario)
     seed = scenario["seed"]
     section = scenario["array"]
-    material = scenario_mod.build_material(scenario.get("material", "inas"))
-    dots = section.get("dots", [])
     records, events = [], []
     for shot in range(shots):
         array = DotArray(
-            section["width"], section["height"], material,
-            roles={tuple(d["pos"]): d.get("role", "empty") for d in dots},
+            section["width"], section["height"], material, roles=roles,
             representation=section.get("representation", "vector"),
             strict=scenario.get("strict", False),
             seed=np.random.default_rng([seed, shot, 0xFFFF]),
-            t2_overrides={tuple(d["pos"]): float(d["t2_override"])
-                          for d in dots if d.get("t2_override") is not None},
+            t2_overrides=t2_overrides,
         )
         bits = []
-        for index, (event, at) in enumerate(zip(scenario["program"], positions)):
+        for index, (spec, event, at) in enumerate(steps):
             clock_before = array.clock
-            result = scenario_mod._OPS[event["op"]].run(
-                array, event, at, np.random.default_rng([seed, shot, index]))
+            result = spec.run(array, event, at, np.random.default_rng([seed, shot, index]))
             result = result if isinstance(result, dict) else {}
             bits += result.get("measurements") or []
             if shot == 0:

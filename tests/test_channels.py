@@ -367,18 +367,20 @@ def test_teleport_needs_distinct_qubits():
 
 
 def test_teleport_classical_latency_adds_idle_window():
-    material = inas_material().__class__(
-        **{**inas_material().__dict__, "classical_latency": 1e-5}
-    )
-    array = DotArray(3, 1, material)
-    for x in range(3):
-        array.init_qubit((x, 0))
-    make_epr(array, (1, 0), (2, 0))
-    t0 = array.clock
-    teleport(array, (0, 0), (1, 0), (2, 0), 0)
-    idles = [e for e in array.events if e["event"] == "idle"]
-    assert idles and idles[-1]["duration"] == pytest.approx(1e-5)
-    assert array.clock - t0 > 1e-5
+    elapsed = []
+    for latency in (0.0, 1e-5):
+        material = inas_material().__class__(
+            **{**inas_material().__dict__, "classical_latency": latency}
+        )
+        array = DotArray(3, 1, material)
+        for x in range(3):
+            array.init_qubit((x, 0))
+        make_epr(array, (1, 0), (2, 0))
+        t0 = array.clock
+        teleport(array, (0, 0), (1, 0), (2, 0), 0)
+        elapsed.append(array.clock - t0)
+    assert elapsed[1] - elapsed[0] == pytest.approx(1e-5, rel=1e-9)
+    assert elapsed[1] > 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,6 @@ def test_readout_ground_state_registers_charge():
     array.init_qubit((0, 0))
     bit, _ = array.readout((0, 0), (0, 1), 3)
     assert bit == 0
-    assert array.events[-1]["charge_event"] is True
 
 
 def test_readout_excited_state_no_charge():
@@ -331,7 +330,6 @@ def test_readout_excited_state_no_charge():
     array.apply_gate_at("X", [(0, 0)])
     bit, _ = array.readout((0, 0), (0, 1), 3)
     assert bit == 1
-    assert array.events[-1]["charge_event"] is False
 
 
 def test_readout_superposition_statistics():
@@ -387,29 +385,36 @@ def test_readout_error_probability():
 
 def test_clock_is_exact_sum_of_event_durations():
     array = readout_array()
-    array.init_qubit((0, 0))
-    array.init_qubit((1, 0))
-    array.apply_gate_at("H", [(0, 0)])
-    array.coupling_window((0, 0), (1, 0), math.pi / 2)
-    array.move_electron((1, 0), (1, 1))
-    array.idle(3.5e-8)
-    array.readout((0, 0), (0, 1), 1)
-    total = 0.0
-    for event in array.events:
-        total = total + event["duration"]
+    mat = array.material
+    steps = [
+        (lambda: array.init_qubit((0, 0)), mat.t_pulse),
+        (lambda: array.init_qubit((1, 0)), mat.t_pulse),
+        (lambda: array.apply_gate_at("H", [(0, 0)]),
+         math.pi / (2.0 * math.pi) * mat.rabi_period),
+        (lambda: array.coupling_window((0, 0), (1, 0), math.pi / 2),
+         math.pi / 2 * HBAR_EV_S / mat.J_on),
+        (lambda: array.move_electron((1, 0), (1, 1)), mat.t_hop),
+        (lambda: array.idle(3.5e-8), 3.5e-8),
+        (lambda: array.readout((0, 0), (0, 1), 1),
+         mat.readout_transfer + mat.readout_measure),
+    ]
+    total, clocks = 0.0, []
+    for run, duration in steps:
+        run()
+        total = total + duration
+        clocks.append(array.clock)
     assert array.clock == total  # exact float equality, same summation order
-    assert [e["clock_after"] for e in array.events] == pytest.approx(
-        np.cumsum([e["duration"] for e in array.events]).tolist()
-    )
+    assert clocks == pytest.approx(np.cumsum([d for _, d in steps]).tolist())
 
 
 def test_clock_monotone():
     array = make_array()
-    array.init_qubit((0, 0))
-    clocks = [e["clock_after"] for e in array.events]
-    array.apply_gate_at("H", [(0, 0)])
-    array.idle(1e-9)
-    clocks += [e["clock_after"] for e in array.events[len(clocks):]]
+    clocks = [array.clock]
+    for run in (lambda: array.init_qubit((0, 0)),
+                lambda: array.apply_gate_at("H", [(0, 0)]),
+                lambda: array.idle(1e-9)):
+        run()
+        clocks.append(array.clock)
     assert clocks == sorted(clocks)
 
 

@@ -14,6 +14,7 @@ from conftest import run_shots_eagerly
 from qdotsim import cli
 from qdotsim.channels import line_report
 from qdotsim.errors import QdotsimError, SchemaError
+from qdotsim.pulses import drive_report
 from qdotsim.report import canonical_json, digest, dumps_report, format_float, stream
 from qdotsim.scenario import (
     build_material,
@@ -141,6 +142,10 @@ def test_invalid_json_is_schema_error(tmp_path):
             {"op": "teleport", "payload": [0, 0], "a": [0, 0], "b": [1, 0]}
         ),
         lambda s: s["program"].append({"op": "epr", "a": [0, 0], "b": [0, 0]}),
+        lambda s: s["program"].append(
+            {"op": "gate", "kind": "ExchangeEvolve", "targets": [[0, 0], [1, 0]],
+             "theta": -1.0}
+        ),
     ],
 )
 def test_validation_rejects_bad_scenarios(mutate):
@@ -266,6 +271,79 @@ def test_channel_and_analytics_bytes_are_pinned(capsys):
     for argv, pin in commands.items():
         assert cli.main(list(argv)) == 0
         assert digest(capsys.readouterr().out) == pin
+
+
+# a strict, noisy 4x3 run through every device event: clock, energy, idle
+# noise (one dot with its own T2) and residual exchange all reach the report
+STRICT_NOISY = {
+    "schema_version": 1,
+    "seed": 1234,
+    "strict": True,
+    "material": {"preset": "inas", "noise": {"enabled": True, "T1": 2e-6, "T2": 1e-6}},
+    "array": {"width": 4, "height": 3, "dots": [
+        {"pos": [0, 2], "role": "readout"},
+        {"pos": [1, 0], "role": "qubit", "t2_override": 3e-7}]},
+    "program": [
+        {"op": "init", "pos": [0, 0]},
+        {"op": "init", "pos": [1, 0]},
+        {"op": "init", "pos": [2, 0]},
+        {"op": "init", "pos": [0, 1]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [1, 0]]},
+        {"op": "gate", "kind": "SqrtSWAP", "targets": [[1, 0], [2, 0]]},
+        {"op": "gate", "kind": "ExchangeEvolve", "targets": [[0, 0], [0, 1]],
+         "theta": 0.7},
+        {"op": "coupling_window", "a": [1, 0], "b": [2, 0], "theta": 1.3},
+        {"op": "move", "src": [2, 0], "dst": [3, 0]},
+        {"op": "route", "src": [3, 0], "dst": [3, 2]},
+        {"op": "idle", "t": 2e-7},
+        {"op": "readout", "qubit": [0, 1], "readout": [0, 2]},
+        {"op": "readout", "qubit": [1, 0], "readout": [0, 2]},
+    ],
+}
+
+
+def test_run_reports_are_pinned():
+    # sha256 of the canonical report bytes, recorded before the device stopped
+    # keeping its own event log and the runner stopped re-parsing the scenario
+    assert digest(dumps_report(run_scenario(BELL, shots=200))) == (
+        "fbec37f02fe0aeb26c3ac5872e4f1e4bba463de8d98872f770e3eb6670a0cf0b")
+    assert digest(dumps_report(run_scenario(TELEPORT, shots=500))) == (
+        "75cebbe9c4e478b354f3084d255ad2b7b5bdf84b61cd78cc1cf034f94ca3b634")
+    pins = {
+        "vector": "39c4b06c48e19d3b8eee50626f719a9274aaf46c19961566666ac4022e1b27d3",
+        "matrix": "46dec7e13088eebb304612ebf3938ef58854f0260120fe8d1cb9c7309e4b2dd2",
+    }
+    for representation, pin in pins.items():
+        scenario = copy.deepcopy(STRICT_NOISY)
+        scenario["array"]["representation"] = representation
+        assert digest(dumps_report(run_scenario(scenario, shots=20))) == pin
+
+
+def test_energy_budget_is_drive_power_times_single_qubit_gate_time():
+    material = build_material("inas")
+    power = drive_report(material.g_factor, material.rabi_period,
+                         material.gate_distance)["power_watt"]
+    # bell drives one H, half a Rabi flop
+    report = run_scenario(BELL)
+    assert report["budgets"]["total_energy_j"] == power * (material.rabi_period / 2)
+    # X, S and T: a half, a quarter and an eighth of a flop, summed in order
+    scenario = copy.deepcopy(BELL)
+    scenario["program"][2:3] = [{"op": "gate", "kind": kind, "targets": [[0, 0]]}
+                                for kind in ("X", "S", "T")]
+    expected = 0.0
+    for turn in (0.5, 0.25, 0.125):
+        expected += power * (turn * material.rabi_period)
+    assert run_scenario(scenario)["budgets"]["total_energy_j"] == expected
+
+
+def test_energy_budget_ignores_exchange_hops_idles_and_readouts():
+    scenario = copy.deepcopy(STRICT_NOISY)
+    hadamard = scenario["program"].pop(4)
+    assert hadamard["kind"] == "H"
+    report = run_scenario(scenario, shots=3)
+    assert report["final_clock_s"] > 0
+    assert report["budgets"]["total_energy_j"] == 0.0
 
 
 def test_strict_mode_propagates():
@@ -562,8 +640,10 @@ def test_cli_physics_violation_exits_3(tmp_path):
         lambda s: s["program"].append({"op": "idle", "t": 1e999}),
         lambda s: s.update(seed=True),
         lambda s: s["program"].append({"op": "init", "pos": [True, 0]}),
+        lambda s: s["program"].insert(2, {"op": "gate", "kind": "ExchangeEvolve",
+                                          "targets": [[0, 0], [1, 0]], "theta": -1.0}),
     ],
-    ids=["infinite-idle", "bool-seed", "bool-pos"],
+    ids=["infinite-idle", "bool-seed", "bool-pos", "negative-exchange-theta"],
 )
 def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
     scenario = copy.deepcopy(BELL)
@@ -593,11 +673,14 @@ def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
         ("channel", "--kind", "swap", "--t-hop", "1e-320"),
         ("channel", "--kind", "tunnel", "--t2", "1e305"),
         ("channel", "--kind", "teleport", "--t2", "1e305"),
+        ("resources", "--t2", "5e-324"),
+        ("channel", "--kind", "teleport", "--t2", "5e-324"),
     ],
     ids=["resources-t2-nan", "qec-t2-nan", "t2-inf", "t2-negative", "p-above-1",
          "p-negative", "cycles-negative", "rabi-period-power-underflow",
          "rabi-period-power-overflow", "swap-bandwidth-overflow",
-         "tunnel-distance-overflow", "teleport-reach-overflow"],
+         "tunnel-distance-overflow", "teleport-reach-overflow",
+         "resources-t2-subnormal", "teleport-t2-subnormal"],
 )
 def test_cli_rejects_bad_numbers(args):
     proc = run_cli(*args)
@@ -629,9 +712,10 @@ def test_cli_channel_rejects_zero_instead_of_defaulting(args):
         {"kind": "pulse_budget", "pulses_per_cycle": 0},
         {"kind": "resources", "rabi_period": 1e-300},
         {"kind": "max_distance", "lambda": 1e-320},
+        {"kind": "lambda", "T2": 5e-324},
     ],
     ids=["swap-lambda-0", "pulses-per-cycle-0", "resources-power-overflow",
-         "max-distance-overflow"],
+         "max-distance-overflow", "lambda-t2-subnormal"],
 )
 def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
     scenario = copy.deepcopy(BELL)
@@ -643,6 +727,20 @@ def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
     assert proc.returncode == 2
     message = json.loads(proc.stderr)["message"]
     assert message.startswith(f"analytics entry 0 ({request_['kind']}): ")
+    assert not out_dir.exists()
+
+
+def test_cli_subnormal_material_t2_in_resources_names_the_entry(tmp_path):
+    scenario = copy.deepcopy(BELL)
+    scenario["material"] = {"preset": "inas", "noise": {"T2": 5e-324}}
+    scenario["analytics"] = [{"kind": "resources"}]
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["message"].startswith("analytics entry 0 (resources): ")
     assert not out_dir.exists()
 
 
