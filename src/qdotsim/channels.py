@@ -21,7 +21,6 @@ measurements, keep on agreement).
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -39,9 +38,6 @@ from .qstate import (
     measure,
     reduced_density,
 )
-
-# Deterministic neighbor expansion order for route planning: +x, +y, -x, -y.
-_NEIGHBOR_ORDER = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 BELL_PHI_PLUS = np.zeros(4, dtype=complex)
 BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
@@ -150,26 +146,31 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     blocked = occupied | {pos for pos, role in array.roles.items() if role == "readout"}
     if dst in blocked:
         raise RoutingError(f"destination dot {dst} cannot host an electron")
-    width, height = array.width, array.height
-    parent: dict[Pos, Pos] = {src: src}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        if cur == dst:
+    # Cells are ids into a grid padded by one blocked cell on each side, so a
+    # step never needs a bounds check; the steps keep the +x,+y,-x,-y order.
+    width, stride = array.width, array.width + 2
+    row = b"\0" + b"\1" * width + b"\0"
+    free = bytearray(b"\0" * stride + row * array.height + b"\0" * stride)
+    for x, y in blocked:
+        free[(y + 1) * stride + x + 1] = 0
+    start, goal = (src[1] + 1) * stride + src[0] + 1, (dst[1] + 1) * stride + dst[0] + 1
+    parent = [-1] * len(free)
+    parent[start] = start
+    queue = [start]
+    for cur in queue:  # the list grows while it is read: a FIFO queue
+        if parent[goal] >= 0:  # a discovered cell's parent never changes
             break
-        for dx, dy in _NEIGHBOR_ORDER:
-            nxt = (cur[0] + dx, cur[1] + dy)
-            if (nxt in parent or nxt in blocked
-                    or not (0 <= nxt[0] < width and 0 <= nxt[1] < height)):
-                continue
-            parent[nxt] = cur
-            queue.append(nxt)
-    if dst not in parent:
+        for nxt in (cur + 1, cur + stride, cur - 1, cur - stride):
+            if free[nxt]:
+                free[nxt] = 0
+                parent[nxt] = cur
+                queue.append(nxt)
+    if parent[goal] < 0:
         raise RoutingError(f"no empty path from {src} to {dst}")
-    path = [dst]
-    while path[-1] != src:
+    path = [goal]
+    while path[-1] != start:
         path.append(parent[path[-1]])
-    return path[::-1]
+    return [(cell % stride - 1, cell // stride - 1) for cell in reversed(path)]
 
 
 def run_tunnel_route(array: DotArray, path: list[Pos]) -> DotArray:

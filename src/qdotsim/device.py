@@ -6,11 +6,11 @@ qubit q and the only record of which dots are occupied. The static layout
 is sparse: `roles` holds the listed dots (any other dot is "empty") and
 `t2_overrides` the dots with their own T2. Every event advances the clock
 by its physical duration and, when noise is enabled, applies idle
-decoherence for that window: one exact pass over all idling qubits on
-density-matrix registers, seeded jump sampling qubit by qubit on vector
-registers. Ideal gate unitaries themselves are noiseless; their duration
-contributes an idle window instead. During an exchange window the coupled
-pair is excluded from that window's idle noise.
+decoherence for that window: one pass over all idling qubits, exact on
+density-matrix registers and seeded jump sampling on vector registers.
+Ideal gate unitaries themselves are noiseless; their duration contributes
+an idle window instead. During an exchange window the coupled pair is
+excluded from that window's idle noise.
 
 Strict mode additionally applies the always-on residual exchange J_off to
 every adjacent occupied pair but the coupled one during each timed window.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 from .constants import HBAR_EV_S
 from .errors import AdjacencyError, BlockadeError, StateError
-from .noise import NoiseParams, apply_idle_jumps, idle_window
+from .noise import NoiseParams, idle_jumps_window, idle_window
 from .pulses import drive_report, swap_duration
 from .qstate import (
     Gate,
@@ -193,12 +193,9 @@ class DotArray:
         if not self.state.is_vector:
             self.state = idle_window(self.state, duration, params, idling)
             return
-        if not idling:
-            return
-        rng = as_rng(self._rng)
-        for q, t2 in idling.items():
-            self.state = apply_idle_jumps(self.state, q, duration, params,
-                                          rng, T2_override=t2)
+        if idling:
+            self.state = idle_jumps_window(self.state, duration, params, idling,
+                                           as_rng(self._rng))
 
     def _residual_window(self, duration: float, pair: tuple[Pos, ...]) -> None:
         if not self.strict or duration <= 0:

@@ -12,8 +12,9 @@ exact pass (idle_window) of in-place block arithmetic over every idling
 qubit, each with its own T2 (a dot's t2_override); the pair coupled by an
 exchange window is left out. One-qubit channels on different qubits commute,
 so one pass is exact. The Kraus pairs (Nielsen & Chuang, section 8.3) are
-the reference. Vector states go through apply_idle_jumps, a seeded
-stochastic unraveling whose ensemble average reproduces the exact channels.
+the reference. Vector states go through idle_jumps_window, a seeded
+Monte-Carlo wave-function unraveling (Dalibard, Castin & Molmer, PRL 68, 580
+(1992)) whose ensemble average reproduces the exact channels.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateError
-from .qstate import PAULI_Z, QuantumState, apply_gate, gate_z, qubit_probabilities
+from .qstate import PAULI_Z, QuantumState
 
 _REL_TOL = 1e-12
 
@@ -83,7 +84,7 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
         return state
     if state.is_vector:
         raise StateError("exact channels need a density matrix; route vector "
-                         "states through apply_idle_jumps")
+                         "states through idle_jumps_window")
     n = state.n_qubits
     rho = state.data.copy()
     for qubit, dephasing_rate, damping_rate in steps:
@@ -140,6 +141,48 @@ def jump_probabilities(
     return p_z, gamma
 
 
+def idle_jumps_window(
+    state: QuantumState, t: float, params: NoiseParams,
+    T2_overrides: dict[int, float | None], rng: np.random.Generator,
+) -> QuantumState:
+    """One stochastic step of t seconds on a vector state for every qubit
+    keyed in T2_overrides, in key order (None means params.T2): a possible Z
+    flip, then Kraus-sampled damping. Averaged over seeds this equals
+    idle_window exactly.
+
+    One copy of psi takes every step in place. Which uniforms a qubit draws
+    depends only on p_Z > 0 and gamma > 0, so the window takes them all in
+    one rng.random(k) call: the same values, in the same order, as k scalar
+    draws."""
+    if not state.is_vector:
+        raise StateError("trajectory jumps act on vector states")
+    if not params.enabled or t == 0:
+        return state
+    n = state.n_qubits
+    if not all(0 <= q < n for q in T2_overrides):
+        raise StateError(f"qubits {list(T2_overrides)} out of range for {n}-qubit register")
+    odds = {T2: jump_probabilities(t, params, T2) for T2 in set(T2_overrides.values())}
+    steps = [(q, *odds[T2]) for q, T2 in T2_overrides.items()]
+    draws = iter(rng.random(sum((p_z > 0) + (gamma > 0) for _, p_z, gamma in steps)))
+    psi = state.data.reshape([2] * n).copy()
+    for q, p_z, gamma in steps:
+        pair = psi.reshape(2**q, 2, -1)  # view; pair[:, 1] is qubit q's |1> slice
+        if p_z > 0 and next(draws) < p_z:
+            np.negative(pair[:, 1], out=pair[:, 1])
+        if gamma > 0:
+            other = tuple(i for i in range(n) if i != q)
+            p1 = float((np.abs(psi) ** 2).sum(axis=other)[1])  # as qubit_probabilities rounds it
+            p_jump = gamma * p1
+            if next(draws) < p_jump:
+                # Jump K1: the excited amplitude collapses onto |0>.
+                pair[:, 0] = pair[:, 1] / np.sqrt(p1)
+                pair[:, 1] = 0.0
+            else:
+                pair[:, 1] *= np.sqrt(1.0 - gamma)
+                psi /= np.sqrt(1.0 - p_jump)
+    return QuantumState(psi.reshape(-1), n)
+
+
 def apply_idle_jumps(
     state: QuantumState,
     qubit: int,
@@ -148,29 +191,5 @@ def apply_idle_jumps(
     rng: np.random.Generator,
     T2_override: float | None = None,
 ) -> QuantumState:
-    """One stochastic step on a vector state: Kraus-sampled damping plus a
-    possible Z flip. Averaged over seeds this equals idle_window exactly."""
-    if not state.is_vector:
-        raise StateError("trajectory jumps act on vector states")
-    if not params.enabled or dt == 0:
-        return state
-    p_z, gamma = jump_probabilities(dt, params, T2_override)
-    if p_z > 0 and rng.random() < p_z:
-        state = apply_gate(state, gate_z(qubit))
-    if gamma > 0:
-        p1 = float(qubit_probabilities(state, qubit)[1])
-        p_jump = gamma * p1
-        n = state.n_qubits
-        psi = state.data.reshape([2] * n).copy()
-        sel0 = [slice(None)] * n
-        sel1 = [slice(None)] * n
-        sel0[qubit], sel1[qubit] = 0, 1
-        if rng.random() < p_jump:
-            # Jump K1: the excited amplitude collapses onto |0>.
-            psi[tuple(sel0)] = psi[tuple(sel1)] / np.sqrt(p1)
-            psi[tuple(sel1)] = 0.0
-        else:
-            psi[tuple(sel1)] *= np.sqrt(1.0 - gamma)
-            psi /= np.sqrt(1.0 - p_jump)
-        state = QuantumState(psi.reshape(-1), n)
-    return state
+    """idle_jumps_window for one qubit."""
+    return idle_jumps_window(state, dt, params, {qubit: T2_override}, rng)

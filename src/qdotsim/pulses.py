@@ -40,7 +40,10 @@ def rabi_field(g: float, rabi_period: float) -> float:
         raise StateError("zero g factor")
     if rabi_period <= 0:
         raise StateError(f"rabi_period must be positive, got {rabi_period}")
-    return H_EV_S / (abs(g) * MU_B_EV_T * rabi_period)
+    denominator = abs(g) * MU_B_EV_T * rabi_period
+    if denominator == 0:  # a subnormal period underflows it: the field is inf
+        raise StateError(f"Rabi field is not finite for rabi_period = {rabi_period}")
+    return H_EV_S / denominator
 
 
 def wire_current(B: float, r: float) -> float:

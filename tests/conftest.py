@@ -4,13 +4,16 @@ Oracles here deliberately avoid the package's own gate-application code:
 they build full operators with numpy kron products (or scipy expm) so the
 implementation is checked against a second, unrelated path.
 """
+from collections import deque
+
 import numpy as np
 import pytest
 
 from qdotsim import scenario as scenario_mod
 from qdotsim.device import DotArray
-from qdotsim.noise import apply_idle_jumps
-from qdotsim.qstate import QuantumState
+from qdotsim.errors import RoutingError, StateError
+from qdotsim.noise import jump_probabilities
+from qdotsim.qstate import QuantumState, apply_gate, gate_z, qubit_probabilities
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,15 +55,80 @@ def haar_state(n: int, rng) -> QuantumState:
     return QuantumState.from_vector(vec)
 
 
+def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,
+                     T2_override=None) -> QuantumState:
+    """One qubit's stochastic idle step, a fresh state per operation: a Z
+    gate with probability p_Z, then a Kraus-sampled damping jump with one
+    scalar draw each. noise.idle_jumps_window must match it bit for bit."""
+    if not state.is_vector:
+        raise StateError("trajectory jumps act on vector states")
+    if not params.enabled or dt == 0:
+        return state
+    p_z, gamma = jump_probabilities(dt, params, T2_override)
+    if p_z > 0 and rng.random() < p_z:
+        state = apply_gate(state, gate_z(qubit))
+    if gamma > 0:
+        p1 = float(qubit_probabilities(state, qubit)[1])
+        p_jump = gamma * p1
+        n = state.n_qubits
+        psi = state.data.reshape([2] * n).copy()
+        sel0 = [slice(None)] * n
+        sel1 = [slice(None)] * n
+        sel0[qubit], sel1[qubit] = 0, 1
+        if rng.random() < p_jump:
+            psi[tuple(sel0)] = psi[tuple(sel1)] / np.sqrt(p1)
+            psi[tuple(sel1)] = 0.0
+        else:
+            psi[tuple(sel1)] *= np.sqrt(1.0 - gamma)
+            psi /= np.sqrt(1.0 - p_jump)
+        state = QuantumState(psi.reshape(-1), n)
+    return state
+
+
 def idle_trajectory(state: QuantumState, durations, params, seed) -> QuantumState:
     """One stochastic unraveling of consecutive idle windows on a vector
-    state: each window steps every qubit in order through apply_idle_jumps,
+    state: each window steps every qubit in order through idle_jump_oracle,
     all draws from one generator seeded with `seed`."""
     rng = np.random.default_rng(seed)
     for dt in durations:
         for q in range(state.n_qubits):
-            state = apply_idle_jumps(state, q, dt, params, rng)
+            state = idle_jump_oracle(state, q, dt, params, rng)
     return state
+
+
+def route_oracle(array: DotArray, src, dst) -> list:
+    """Breadth-first route over (x, y) tuples with a parent dict, expanding
+    +x, +y, -x, -y and stopping when dst is popped; the errors and path
+    channels.plan_tunnel_route must reproduce."""
+    array._pos_check(src)
+    array._pos_check(dst)
+    occupied = set(array.qubit_positions)
+    if src not in occupied:
+        raise StateError(f"source dot {src} is empty")
+    if dst in occupied:
+        raise RoutingError(f"destination dot {dst} is occupied")
+    blocked = occupied | {pos for pos, role in array.roles.items() if role == "readout"}
+    if dst in blocked:
+        raise RoutingError(f"destination dot {dst} cannot host an electron")
+    parent = {src: src}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        if cur == dst:
+            break
+        for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            nxt = (cur[0] + dx, cur[1] + dy)
+            if (nxt in parent or nxt in blocked
+                    or not (0 <= nxt[0] < array.width and 0 <= nxt[1] < array.height)):
+                continue
+            parent[nxt] = cur
+            queue.append(nxt)
+    if dst not in parent:
+        raise RoutingError(f"no empty path from {src} to {dst}")
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def run_shots_eagerly(scenario: dict, shots: int) -> dict:

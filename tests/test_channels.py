@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_state, kron_chain
+from conftest import haar_state, kron_chain, route_oracle
 from qdotsim.channels import (
     BELL_PHI_PLUS,
     channel_fidelity,
@@ -206,6 +206,31 @@ def test_route_against_bruteforce_on_random_grids():
                 assert pos not in array.qubit_positions
         checked += 1
     assert checked == 1000
+
+
+@given(width=st.integers(1, 12), height=st.integers(1, 12), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_route_equals_the_oracle_on_random_grids(width, height, data):
+    # same path, or the same error, with random occupied and readout dots
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    kinds = data.draw(st.lists(st.integers(0, 9), min_size=len(cells),
+                               max_size=len(cells)))
+    occupied = [c for c, k in zip(cells, kinds) if k < 3]
+    roles = {c: "readout" for c, k in zip(cells, kinds) if k == 3}
+    array = DotArray(width, height, MATERIAL, roles=roles)
+    # the planner reads only the occupancy record, so set it directly rather
+    # than load more qubits than a register holds
+    array.qubit_positions = occupied
+    src = data.draw(st.sampled_from(occupied + cells))
+    dst = data.draw(st.sampled_from(cells))
+
+    def outcome(plan):
+        try:
+            return plan(array, src, dst)
+        except (RoutingError, StateError) as exc:
+            return type(exc)
+
+    assert outcome(plan_tunnel_route) == outcome(route_oracle)
 
 
 def test_run_tunnel_route_moves_qubit():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed, haar_state, idle_trajectory
+from conftest import embed, haar_state, idle_jump_oracle, idle_trajectory
 from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
@@ -15,6 +15,7 @@ from qdotsim.noise import (
     damping_kraus,
     dephase,
     dephasing_kraus,
+    idle_jumps_window,
     idle_window,
     jump_probabilities,
     pure_dephasing_time,
@@ -249,7 +250,41 @@ def test_trajectory_damping_statistics():
     assert abs(stays / n - math.exp(-1)) < 3 * sigma
 
 
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(0.0, 5 * T1),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_idle_jumps_window_equals_the_per_qubit_oracle(n, seed, dt, data):
+    # bit for bit, and the shared generator ends in the same state: the same
+    # draws in the same order, whatever the keys, their order and their T2
+    params = NoiseParams(T1=T1, T2=T2, enabled=True)
+    qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    overrides = {
+        q: data.draw(st.one_of(st.none(), st.just(2 * T1), st.floats(T2 / 20, 2 * T1)))
+        for q in qubits
+    }
+    psi = haar_state(n, np.random.default_rng(seed))
+    oracle_rng, window_rng = (np.random.default_rng([seed, 1]) for _ in range(2))
+    expected = psi
+    for q, t2 in overrides.items():
+        expected = idle_jump_oracle(expected, q, dt, params, oracle_rng, T2_override=t2)
+    out = idle_jumps_window(psi, dt, params, overrides, window_rng)
+    assert np.array_equal(out.data, expected.data)
+    assert window_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_jump_step_requires_vector():
     params = NoiseParams(enabled=True)
     with pytest.raises(StateError):
         apply_idle_jumps(plus_density(), 0, 1e-6, params, np.random.default_rng(0))
+
+
+def test_jump_step_rejects_a_qubit_outside_the_register():
+    params = NoiseParams(enabled=True)
+    for qubit in (-1, 2):
+        with pytest.raises(StateError):
+            apply_idle_jumps(QuantumState.zero(2), qubit, 1e-6, params,
+                             np.random.default_rng(0))

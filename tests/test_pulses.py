@@ -83,6 +83,12 @@ def test_rabi_field_rejects_zero_g():
         rabi_field(0.0, 100e-9)
 
 
+def test_rabi_field_rejects_an_underflowed_denominator():
+    # |g| mu_B T rounds to 0 for a subnormal period: the field would be inf
+    with pytest.raises(StateError, match="not finite"):
+        rabi_field(-10.0, 5e-324)
+
+
 def test_wire_current_values():
     assert wire_current(71e-6, 100e-9) == pytest.approx(35.5e-6, rel=1e-12)
     assert wire_current(0.0, 100e-9) == 0.0

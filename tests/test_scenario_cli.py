@@ -320,6 +320,64 @@ def test_run_reports_are_pinned():
         assert digest(dumps_report(run_scenario(scenario, shots=20))) == pin
 
 
+# vector runs whose idle windows jump often: microsecond idles against
+# T1 = 2 us with one dot on its own T2, and two long routes on a noisy 16x16
+# grid before an EPR pair, a teleport and a readout
+JUMP_HEAVY = {
+    "schema_version": 1,
+    "seed": 77,
+    "strict": True,
+    "material": {"preset": "inas", "noise": {"enabled": True, "T1": 2e-6, "T2": 1.5e-6}},
+    "array": {"width": 3, "height": 3, "dots": [
+        {"pos": [2, 2], "role": "readout"},
+        {"pos": [1, 1], "role": "qubit", "t2_override": 4e-7}]},
+    "program": [
+        {"op": "init", "pos": [0, 0]},
+        {"op": "init", "pos": [1, 0]},
+        {"op": "init", "pos": [1, 1]},
+        {"op": "init", "pos": [0, 2]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "X", "targets": [[1, 1]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [1, 0]]},
+        {"op": "idle", "t": 1e-6},
+        {"op": "gate", "kind": "H", "targets": [[0, 2]]},
+        {"op": "idle", "t": 3e-6},
+        {"op": "move", "src": [1, 1], "dst": [2, 1]},
+        {"op": "idle", "t": 2e-6},
+        {"op": "readout", "qubit": [2, 1], "readout": [2, 2]},
+        {"op": "readout", "qubit": [0, 0], "readout": [2, 2]},
+        {"op": "readout", "qubit": [0, 2], "readout": [2, 2]},
+    ],
+}
+LONG_ROUTES = {
+    "schema_version": 1,
+    "seed": 4242,
+    "material": {"preset": "inas", "noise": {"enabled": True, "T1": 1e-7, "T2": 5e-8}},
+    "array": {"width": 16, "height": 16, "dots": [{"pos": [15, 14], "role": "readout"}]},
+    "program": [
+        {"op": "init", "pos": [0, 0]},
+        {"op": "init", "pos": [1, 0]},
+        {"op": "init", "pos": [15, 15]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "S", "targets": [[0, 0]]},
+        {"op": "route", "src": [1, 0], "dst": [14, 15]},
+        {"op": "route", "src": [0, 0], "dst": [13, 15]},
+        {"op": "epr", "a": [14, 15], "b": [15, 15]},
+        {"op": "teleport", "payload": [13, 15], "a": [14, 15], "b": [15, 15]},
+        {"op": "readout", "qubit": [15, 15], "readout": [15, 14]},
+    ],
+}
+
+
+def test_vector_jump_reports_are_pinned():
+    # sha256 of the canonical report bytes, recorded before the vector idle
+    # window became one pass and route planning a flat-grid search
+    assert digest(dumps_report(run_scenario(JUMP_HEAVY, shots=20))) == (
+        "a2c9fe8dd3ef22a3f8eba2864ccd404f0a4bda23494420c4b61aa2c65e6d927c")
+    assert digest(dumps_report(run_scenario(LONG_ROUTES, shots=5))) == (
+        "90c8625e81ad3b29b218f602898b3b4b589af96846764d7839156b7a209bb12b")
+
+
 def test_energy_budget_is_drive_power_times_single_qubit_gate_time():
     material = build_material("inas")
     power = drive_report(material.g_factor, material.rabi_period,
@@ -675,12 +733,14 @@ def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
         ("channel", "--kind", "teleport", "--t2", "1e305"),
         ("resources", "--t2", "5e-324"),
         ("channel", "--kind", "teleport", "--t2", "5e-324"),
+        ("resources", "--rabi-period", "5e-324"),
     ],
     ids=["resources-t2-nan", "qec-t2-nan", "t2-inf", "t2-negative", "p-above-1",
          "p-negative", "cycles-negative", "rabi-period-power-underflow",
          "rabi-period-power-overflow", "swap-bandwidth-overflow",
          "tunnel-distance-overflow", "teleport-reach-overflow",
-         "resources-t2-subnormal", "teleport-t2-subnormal"],
+         "resources-t2-subnormal", "teleport-t2-subnormal",
+         "rabi-period-subnormal"],
 )
 def test_cli_rejects_bad_numbers(args):
     proc = run_cli(*args)
@@ -713,9 +773,10 @@ def test_cli_channel_rejects_zero_instead_of_defaulting(args):
         {"kind": "resources", "rabi_period": 1e-300},
         {"kind": "max_distance", "lambda": 1e-320},
         {"kind": "lambda", "T2": 5e-324},
+        {"kind": "resources", "rabi_period": 5e-324},
     ],
     ids=["swap-lambda-0", "pulses-per-cycle-0", "resources-power-overflow",
-         "max-distance-overflow", "lambda-t2-subnormal"],
+         "max-distance-overflow", "lambda-t2-subnormal", "resources-rabi-period-subnormal"],
 )
 def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
     scenario = copy.deepcopy(BELL)
@@ -741,6 +802,23 @@ def test_cli_subnormal_material_t2_in_resources_names_the_entry(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["message"].startswith("analytics entry 0 (resources): ")
+    assert not out_dir.exists()
+
+
+def test_cli_subnormal_material_rabi_period_fails_at_the_first_drive(tmp_path):
+    # the material is valid (a positive period); the drive it implies is not,
+    # so the EPR event's Hadamard fails as a state error naming the event
+    scenario = copy.deepcopy(BELL)
+    scenario["material"] = {"preset": "inas", "rabi_period": 5e-324}
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "state"
+    assert error["message"].startswith("event 2 (epr): Rabi field is not finite")
     assert not out_dir.exists()
 
 
