@@ -1,10 +1,12 @@
-"""Five-qubit error correction: encode, decode, syndrome lookup, correction.
+"""Five-qubit error correction: one cycle encodes, decodes, reads the
+syndrome and corrects.
 
 The code is the [[5,1,3]] perfect code, stabilized by XZZXI and its cyclic
-shifts. One principal qubit carries the protected amplitude; four syndrome
-qubits start in |0> and, after decoding, hold a 4-bit pattern that names
-the single-qubit Pauli error (if any) that struck while encoded. The 15
-possible errors plus "none" exactly fill the 16 syndrome patterns.
+shifts. A block is five qubits, the principal first: the principal carries
+the protected amplitude; the four syndrome qubits start in |0> and, after
+decoding, hold a 4-bit pattern that names the single-qubit Pauli error (if
+any) that struck while encoded. The 15 possible errors plus "none" exactly
+fill the 16 syndrome patterns.
 
 The encoding circuit is a fixed Clifford sequence; compiled onto the device
 gate set (Rabi rotations plus exchange-composed CNOT/CZ) its pulse count is
@@ -12,7 +14,6 @@ reported next to the conventional 500-pulse cycle budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,26 +53,12 @@ _ENCODE_OPS: tuple[tuple[str, tuple[int, ...]], ...] = (
 PULSE_COST = {"1q": 1, "CZ": 5, "CNOT": 7, "measure": 1, "reset": 1}
 
 # Paulis as (x, z) bits packed into x + 2z: a product of Paulis on one qubit
-# is, up to phase, the XOR of their codes.
+# is, up to phase, the XOR of their codes, and _PAULI_NAMES[code] names it.
 _PAULI_BITS = {"X": 1, "Y": 3, "Z": 2}
+_PAULI_NAMES = "IXZY"
 
-
-@dataclass
-class LogicalQubit:
-    """Five physical qubits: the protected principal plus four syndromes."""
-
-    principal: int
-    syndrome_qubits: tuple[int, int, int, int]
-    encoded: bool = False
-
-    def __post_init__(self):
-        all_q = (self.principal, *self.syndrome_qubits)
-        if len(set(all_q)) != 5:
-            raise StateError(f"logical qubit needs 5 distinct indices, got {all_q}")
-
-    @property
-    def block(self) -> tuple[int, ...]:
-        return (self.principal, *self.syndrome_qubits)
+# The block of a bare five-qubit register.
+_BLOCK = (0, 1, 2, 3, 4)
 
 
 @lru_cache(maxsize=1)
@@ -89,6 +76,8 @@ def _encoder_unitary() -> np.ndarray:
 
 
 def _run_ops(state: QuantumState, qubits, inverse: bool = False) -> QuantumState:
+    """The encoder on a block of qubits, principal first; its adjoint, the
+    decoder, with inverse=True."""
     u = _encoder_unitary()
     return _apply_unitary(state, u.conj().T if inverse else u, qubits)
 
@@ -101,32 +90,6 @@ def encode_pulse_count() -> int:
     return n
 
 
-def _assert_syndromes_ground(state: QuantumState, lq: LogicalQubit) -> None:
-    for q in lq.syndrome_qubits:
-        if qubit_probabilities(state, q)[1] > 1e-9:
-            raise ProtocolError(f"syndrome qubit {q} is not in |0>")
-
-
-def encode5(state: QuantumState, lq: LogicalQubit) -> QuantumState:
-    """Encode the principal amplitude across the five-qubit block."""
-    if lq.encoded:
-        raise ProtocolError("logical qubit is already encoded")
-    _assert_syndromes_ground(state, lq)
-    out = _run_ops(state, lq.block)
-    lq.encoded = True
-    return out
-
-
-def decode5(state: QuantumState, lq: LogicalQubit) -> QuantumState:
-    """Inverse of the encoder; the syndrome qubits disentangle whenever at
-    most one single-qubit Pauli error struck since encoding."""
-    if not lq.encoded:
-        raise ProtocolError("logical qubit is not encoded")
-    out = _run_ops(state, lq.block, inverse=True)
-    lq.encoded = False
-    return out
-
-
 @lru_cache(maxsize=1)
 def _error_tables() -> tuple[dict, dict]:
     """Brute-force both lookup tables on a fresh 5-qubit block.
@@ -137,17 +100,15 @@ def _error_tables() -> tuple[dict, dict]:
     amp = np.array([0.6, 0.8 * np.exp(1j * np.pi / 7)], dtype=complex)
     psi = np.zeros(32, dtype=complex)
     psi[0], psi[16] = amp[0], amp[1]
-    base = QuantumState(psi, 5)
-    lq = LogicalQubit(0, (1, 2, 3, 4))
-    encoded = encode5(base, lq)
+    encoded = _run_ops(QuantumState(psi, 5), _BLOCK)
     syndrome_map: dict[tuple, tuple[str, int]] = {(0, 0, 0, 0): ("I", -1)}
     correction_map: dict[tuple, str] = {(0, 0, 0, 0): "I"}
     for q in range(5):
         for name in ("X", "Y", "Z"):
             hit = apply_gate(encoded, pauli_gate(name, q))
-            dec = _run_ops(hit, lq.block, inverse=True)
+            dec = _run_ops(hit, _BLOCK, inverse=True)
             syndrome = []
-            for sq in lq.syndrome_qubits:
+            for sq in _BLOCK[1:]:
                 p1 = float(qubit_probabilities(dec, sq)[1])
                 if 1e-10 < p1 < 1.0 - 1e-10:
                     raise StateError("syndrome qubit not in a basis state")
@@ -155,7 +116,7 @@ def _error_tables() -> tuple[dict, dict]:
             syndrome = tuple(syndrome)
             if syndrome in syndrome_map:
                 raise StateError(f"syndrome collision for {name}{q}")
-            rho = reduced_density(dec, [lq.principal])
+            rho = reduced_density(dec, [0])
             for cand, mat in _PAULI_BY_NAME.items():
                 fixed = mat @ rho @ mat.conj().T
                 if float(np.real(amp.conj() @ fixed @ amp)) > 1.0 - 1e-9:
@@ -193,53 +154,57 @@ def cycle_pulse_count(n_corrections: int, n_resets: int) -> int:
 
 def qec_cycle(
     state: QuantumState,
-    lq: LogicalQubit,
-    injected_error=None,
+    block,
+    injected=(),
     rng_seed=0,
 ) -> tuple[QuantumState, dict]:
-    """One full correction cycle.
+    """One correction cycle on an unencoded register; returns it unencoded.
 
-    Optionally injects Pauli errors first (a single (name, block position)
-    pair or a list of them). The report flags a possible logical error when
-    their product, phases dropped, acts on two or more block qubits, which
-    exceeds the code distance; cancelling pairs such as X2 X2 are not
-    flagged. Then decode, measure the four syndrome qubits, apply the
-    looked-up principal correction, reset the syndrome qubits, and re-encode.
+    `block` lists five distinct qubits, the principal first; the four
+    syndrome qubits must be in |0>. Encode the block, inject the product of
+    the `injected` (pauli, block position) pairs, decode, measure the four
+    syndrome qubits, apply the looked-up principal correction and reset the
+    syndrome qubits. The report flags a possible logical error when that
+    product, phases dropped, acts on two or more block qubits, which exceeds
+    the code distance; cancelling pairs such as X2 X2 are not flagged. Its
+    pulse count is that of the compiled hardware cycle.
     """
-    if not lq.encoded:
-        raise ProtocolError("logical qubit is not encoded")
+    block = tuple(block)
+    if len(block) != 5 or len(set(block)) != 5:
+        raise StateError(f"a code block needs 5 distinct qubits, got {block}")
+    principal, syndrome_qubits = block[0], block[1:]
+    for q in syndrome_qubits:
+        if qubit_probabilities(state, q)[1] > 1e-9:
+            raise ProtocolError(f"syndrome qubit {q} is not in |0>")
     rng = as_rng(rng_seed)
-    errors = []
-    if injected_error is not None:
-        errors = [injected_error] if isinstance(injected_error, tuple) else list(
-            injected_error
-        )
     net: dict[int, int] = {}  # block qubit -> product Pauli as x + 2z bits
-    for name, block_pos in errors:
-        q = lq.block[block_pos]
-        state = apply_gate(state, pauli_gate(name, q))
+    for name, block_pos in injected:
+        q = block[block_pos]
         net[q] = net.get(q, 0) ^ _PAULI_BITS[name]
-    state = decode5(state, lq)
+    state = _run_ops(state, block)
+    for q, bits in net.items():
+        if bits:
+            state = apply_gate(state, pauli_gate(_PAULI_NAMES[bits], q))
+    state = _run_ops(state, block, inverse=True)
     syndrome = []
-    for sq in lq.syndrome_qubits:
+    for sq in syndrome_qubits:
         bit, state = measure(state, sq, "Z", rng)
         syndrome.append(bit)
     syndrome = tuple(syndrome)
     correction = principal_correction(syndrome)
     if correction != "I":
-        state = apply_gate(state, pauli_gate(correction, lq.principal))
+        state = apply_gate(state, pauli_gate(correction, principal))
     n_resets = 0
-    for sq, bit in zip(lq.syndrome_qubits, syndrome):
+    for sq, bit in zip(syndrome_qubits, syndrome):
         if bit:
             state = apply_gate(state, gate_x(sq))
             n_resets += 1
-    state = encode5(state, lq)
-    diagnosed = syndrome_table()[syndrome]
+    diagnosed = _error_tables()[0][syndrome]
     report = {
         "syndrome": list(syndrome),
         "diagnosed_error": {"pauli": diagnosed[0], "block_position": diagnosed[1]},
         "principal_correction": correction,
-        "injected_errors": [list(e) for e in errors],
+        "injected_errors": [list(e) for e in injected],
         "pulse_count": cycle_pulse_count(int(correction != "I"), n_resets),
         "possible_logical_error": sum(map(bool, net.values())) >= 2,
     }
@@ -249,10 +214,10 @@ def qec_cycle(
 def memory_experiment(
     cycles: int, p: float, rng: np.random.Generator, pulses_per_cycle: int = 500
 ) -> dict:
-    """Independent memory rounds on (|0> + e^{i pi/4}|1>)/sqrt(2): encode,
-    inject Binomial(pulses_per_cycle, p) random single-qubit Paulis, run one
-    correction cycle, decode. A round fails when the decoded fidelity drops
-    below 1 - 1e-6. Returns the failure count, the syndrome histogram and each
+    """Independent memory rounds on (|0> + e^{i pi/4}|1>)/sqrt(2): one
+    correction cycle with Binomial(pulses_per_cycle, p) random single-qubit
+    Paulis injected. A round fails when the decoded fidelity drops below
+    1 - 1e-6. Returns the failure count, the syndrome histogram and each
     round's compiled pulse count; all draws come from rng in a fixed order."""
     amp = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2.0)
     base = np.zeros(32, dtype=complex)
@@ -262,15 +227,12 @@ def memory_experiment(
     failures = 0
     pulse_counts = []
     for _ in range(cycles):
-        lq = LogicalQubit(0, (1, 2, 3, 4))
-        state = encode5(QuantumState(base.copy(), 5), lq)
         n_errors = int(rng.binomial(pulses_per_cycle, p))
         injected = [
             (("X", "Y", "Z")[int(rng.integers(3))], int(rng.integers(5)))
             for _ in range(n_errors)
         ]
-        state, rep = qec_cycle(state, lq, injected or None, rng)
-        state = decode5(state, lq)
+        state, rep = qec_cycle(reference, _BLOCK, injected, rng)
         if state_fidelity(state, reference) < 1.0 - 1e-6:
             failures += 1
         key = "".join(str(b) for b in rep["syndrome"])

@@ -298,18 +298,12 @@ def exchange_evolution(
 
 def qubit_probabilities(state: QuantumState, qubit: int) -> np.ndarray:
     """Marginal Born probabilities (p0, p1) of one qubit."""
+    if not state.is_vector:
+        return np.real(np.diag(reduced_density(state, [qubit])))
     _check_targets(state, [qubit])
     n = state.n_qubits
-    if state.is_vector:
-        psi = np.abs(state.data.reshape([2] * n)) ** 2
-        other = tuple(i for i in range(n) if i != qubit)
-        return psi.sum(axis=other)
-    rho = state.data.reshape([2] * (2 * n))
-    keep = [qubit, n + qubit]
-    order = keep + [i for i in range(2 * n) if i not in keep]
-    rho = np.transpose(rho, order).reshape(2, 2, -1)
-    reduced = np.einsum("ijkk->ij", rho.reshape(2, 2, 2 ** (n - 1), 2 ** (n - 1)))
-    return np.real(np.diag(reduced))
+    psi = np.abs(state.data.reshape([2] * n)) ** 2
+    return psi.sum(axis=tuple(i for i in range(n) if i != qubit))
 
 
 def project(

@@ -104,8 +104,11 @@ def build_material(spec) -> MaterialParams:
         t2 = float(noise.get("T2", base.noise.T2))
         noise_params = NoiseParams(T1=float(noise.get("T1", 2.0 * t2)), T2=t2,
                                    enabled=noise.get("enabled", False))
-        return dataclasses.replace(base, noise=noise_params,
-                                   **{k: float(v) for k, v in spec.items()})
+        material = dataclasses.replace(base, noise=noise_params,
+                                       **{k: float(v) for k, v in spec.items()})
+        # every single-qubit gate books this drive's energy
+        pulses.drive_report(material.g_factor, material.rabi_period, material.gate_distance)
+        return material
     except (QdotsimError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad material parameters: {exc}") from exc
 
@@ -193,13 +196,9 @@ def _teleport(array: DotArray, event: dict, at: dict, rng) -> dict:
 
 
 def _qec_cycle(array: DotArray, event: dict, at: dict, rng) -> dict:
-    principal = array.qubit_index(at["principal"])
-    lq = qec.LogicalQubit(principal, tuple(array.qubit_index(s) for s in at["syndromes"]))
+    block = [array.qubit_index(p) for p in (at["principal"], *at["syndromes"])]
     before = array.state
-    state = qec.encode5(array.state, lq)
-    inject = [tuple(e) for e in event.get("inject", [])] or None
-    state, rep = qec.qec_cycle(state, lq, inject, rng)
-    array.state = qec.decode5(state, lq)
+    array.state, rep = qec.qec_cycle(before, block, event.get("inject", []), rng)
     array.advance(rep["pulse_count"] * array.material.t_pulse)
     return {
         "measurements": rep["syndrome"],

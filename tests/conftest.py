@@ -13,7 +13,17 @@ from qdotsim import scenario as scenario_mod
 from qdotsim.device import DotArray
 from qdotsim.errors import RoutingError, StateError
 from qdotsim.noise import jump_probabilities
-from qdotsim.qstate import QuantumState, apply_gate, gate_z, qubit_probabilities
+from qdotsim.qec import _run_ops, cycle_pulse_count, principal_correction, syndrome_table
+from qdotsim.qstate import (
+    QuantumState,
+    apply_gate,
+    gate_x,
+    gate_z,
+    measure,
+    pauli_gate,
+    phase_aligned_maxdiff,
+    qubit_probabilities,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,6 +63,54 @@ def haar_state(n: int, rng) -> QuantumState:
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     vec /= np.linalg.norm(vec)
     return QuantumState.from_vector(vec)
+
+
+def states_close(a: QuantumState, b: QuantumState, tol: float = 1e-12) -> bool:
+    """Same register within tol entrywise: vectors up to a global phase,
+    density matrices exactly."""
+    if a.n_qubits != b.n_qubits or a.is_vector != b.is_vector:
+        return False
+    if a.is_vector:
+        return phase_aligned_maxdiff(a.data, b.data) < tol
+    return float(np.max(np.abs(a.data - b.data))) < tol
+
+
+def qec_cycle_oracle(state: QuantumState, block, injected, rng) -> tuple[QuantumState, dict]:
+    """The five-qubit correction cycle as separate passes: encode, each
+    injected (pauli, block position) in turn, decode, measure the four
+    syndrome qubits, correct the principal, reset the syndromes, re-encode
+    and decode again. qec.qec_cycle must return the same report and, up to
+    a global phase and rounding, the same register, drawing the same numbers
+    from rng. The weight of the injected product is taken from the Pauli
+    matrices, not from bit codes."""
+    block = tuple(block)
+    state = _run_ops(state, block)
+    products = {}
+    for name, pos in injected:
+        state = apply_gate(state, pauli_gate(name, block[pos]))
+        products[block[pos]] = PAULIS[name] @ products.get(block[pos], I2)
+    state = _run_ops(state, block, inverse=True)
+    syndrome = []
+    for q in block[1:]:
+        bit, state = measure(state, q, "Z", rng)
+        syndrome.append(bit)
+    correction = principal_correction(tuple(syndrome))
+    if correction != "I":
+        state = apply_gate(state, pauli_gate(correction, block[0]))
+    for q, bit in zip(block[1:], syndrome):
+        if bit:
+            state = apply_gate(state, gate_x(q))
+    state = _run_ops(_run_ops(state, block), block, inverse=True)
+    pauli, position = syndrome_table()[tuple(syndrome)]
+    weight = sum(not np.allclose(m, m[0, 0] * I2) for m in products.values())
+    return state, {
+        "syndrome": syndrome,
+        "diagnosed_error": {"pauli": pauli, "block_position": position},
+        "principal_correction": correction,
+        "injected_errors": [list(e) for e in injected],
+        "pulse_count": cycle_pulse_count(int(correction != "I"), sum(syndrome)),
+        "possible_logical_error": weight >= 2,
+    }
 
 
 def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,

@@ -30,7 +30,7 @@ from qdotsim.pulses import (
     equal_splitting_field_ratio,
     swap_duration,
 )
-from qdotsim.qec import LogicalQubit, decode5, encode5, qec_cycle
+from qdotsim.qec import qec_cycle
 from qdotsim.qstate import (
     QuantumState,
     apply_gate,
@@ -185,19 +185,16 @@ def test_criterion_08_qec_corrects_all_single_errors():
             base = np.zeros(32, dtype=complex)
             base[0], base[16] = amp[0], amp[1]
             reference = QuantumState(base.copy(), 5)
+            block = (0, 1, 2, 3, 4)
             for pauli in "XYZ":
                 for qubit in range(5):
-                    lq = LogicalQubit(0, (1, 2, 3, 4))
-                    state = encode5(QuantumState(base.copy(), 5), lq)
-                    state, rep = qec_cycle(state, lq, (pauli, qubit), rng_seed=8)
-                    state = decode5(state, lq)
+                    state, rep = qec_cycle(QuantumState(base.copy(), 5), block,
+                                           [(pauli, qubit)], rng_seed=8)
                     fid = state_fidelity(state, reference)
                     assert fid >= 1 - 1e-9, f"{pauli}{qubit} unrecovered: {fid}"
             # at least one weight-2 error escapes correction
-            lq = LogicalQubit(0, (1, 2, 3, 4))
-            state = encode5(QuantumState(base.copy(), 5), lq)
-            state, rep = qec_cycle(state, lq, [("X", 0), ("X", 1)], rng_seed=8)
-            state = decode5(state, lq)
+            state, rep = qec_cycle(QuantumState(base.copy(), 5), block,
+                                   [("X", 0), ("X", 1)], rng_seed=8)
             assert rep["possible_logical_error"]
             assert state_fidelity(state, reference) < 1 - 1e-3
 

@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import H, I2, X, Z, embed, haar_state, kron_chain, pauli_string
+from conftest import (
+    H,
+    I2,
+    X,
+    Z,
+    embed,
+    haar_state,
+    kron_chain,
+    pauli_string,
+    qec_cycle_oracle,
+    states_close,
+)
 from qdotsim.device import DotArray, inas_material
 from qdotsim.errors import AdjacencyError, ProtocolError, StateError
 from qdotsim.qec import (
-    LogicalQubit,
     STABILIZER_GENERATORS,
     cycle_pulse_count,
-    decode5,
-    encode5,
     encode_pulse_count,
     make_cat,
     parity_measure,
@@ -29,7 +37,6 @@ from qdotsim.qstate import (
     QuantumState,
     apply_gate,
     gate_x,
-    pauli_gate,
     qubit_probabilities,
     reduced_density,
     state_fidelity,
@@ -46,8 +53,7 @@ def five_qubit_state(amp) -> QuantumState:
     return QuantumState(psi, 5)
 
 
-def fresh_logical() -> LogicalQubit:
-    return LogicalQubit(0, (1, 2, 3, 4))
+BLOCK = (0, 1, 2, 3, 4)  # principal, then the four syndrome qubits
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +69,12 @@ def test_encode_zero_matches_stabilizer_projector_oracle():
     vec /= np.linalg.norm(vec)
     oracle_state = QuantumState.from_vector(vec)
 
-    lq = fresh_logical()
-    encoded = encode5(QuantumState.zero(5), lq)
+    encoded = _run_ops(QuantumState.zero(5), BLOCK)
     assert state_fidelity(encoded, oracle_state) > 1 - 1e-12
 
 
 def test_encoded_zero_is_uniform_sixteen_terms():
-    lq = fresh_logical()
-    encoded = encode5(QuantumState.zero(5), lq)
+    encoded = _run_ops(QuantumState.zero(5), BLOCK)
     magnitudes = np.abs(encoded.data)
     nonzero = magnitudes > 1e-12
     assert nonzero.sum() == 16
@@ -78,8 +82,7 @@ def test_encoded_zero_is_uniform_sixteen_terms():
 
 
 def test_encoded_states_are_stabilized():
-    lq = fresh_logical()
-    encoded = encode5(five_qubit_state(TEST_PAYLOAD), lq)
+    encoded = _run_ops(five_qubit_state(TEST_PAYLOAD), BLOCK)
     for gen in STABILIZER_GENERATORS:
         fixed = pauli_string(gen) @ encoded.data
         assert np.max(np.abs(fixed - encoded.data)) < 1e-10
@@ -89,17 +92,15 @@ def test_decode_inverts_encode_on_random_payloads(rng):
     for _ in range(100):
         amp = haar_state(1, rng).data
         state = five_qubit_state(amp)
-        lq = fresh_logical()
-        out = decode5(encode5(state, lq), lq)
+        out = _run_ops(_run_ops(state, BLOCK), BLOCK, inverse=True)
         assert state_fidelity(out, five_qubit_state(amp)) > 1 - 1e-10
 
 
 def test_encode_is_linear():
     alpha, beta = 0.6, 0.8
-    lq = fresh_logical()
-    enc_zero = _run_ops(five_qubit_state([1, 0]), lq.block)
-    enc_one = _run_ops(five_qubit_state([0, 1]), lq.block)
-    enc_mix = _run_ops(five_qubit_state([alpha, beta]), lq.block)
+    enc_zero = _run_ops(five_qubit_state([1, 0]), BLOCK)
+    enc_one = _run_ops(five_qubit_state([0, 1]), BLOCK)
+    enc_mix = _run_ops(five_qubit_state([alpha, beta]), BLOCK)
     combo = alpha * enc_zero.data + beta * enc_one.data
     assert np.max(np.abs(enc_mix.data - combo)) < 1e-12
 
@@ -159,7 +160,6 @@ def test_compiled_encoder_against_kron_oracle(n, matrix, seed):
     # a random ordered block of 5 distinct qubits in a larger register
     rng = np.random.default_rng(seed)
     block = tuple(int(q) for q in rng.permutation(n)[:5])
-    lq = LogicalQubit(block[0], block[1:])
     enc = embed(oracle_encoder(), block, n)
     weights = rng.dirichlet(np.ones(2))
 
@@ -171,7 +171,7 @@ def test_compiled_encoder_against_kron_oracle(n, matrix, seed):
     assert np.max(np.abs(back.data - oracle_apply(enc.conj().T, anything))) < 1e-12
 
     # |psi> on the principal and spectators, |0000> on the syndromes
-    order = [q for q in range(n) if q not in lq.syndrome_qubits] + list(lq.syndrome_qubits)
+    order = [q for q in range(n) if q not in block[1:]] + list(block[1:])
     ground = np.zeros(16, dtype=complex)
     ground[0] = 1.0
     vecs = [
@@ -180,25 +180,24 @@ def test_compiled_encoder_against_kron_oracle(n, matrix, seed):
         for _ in range(2)
     ]
     start = register(vecs, weights, matrix)
-    encoded = encode5(start, lq)
+    encoded = _run_ops(start, block)
     assert np.max(np.abs(encoded.data - oracle_apply(enc, start))) < 1e-12
     for gen in STABILIZER_GENERATORS:
         fixed = embed(pauli_string(gen), block, n) @ encoded.data
         assert np.max(np.abs(fixed - encoded.data)) < 1e-12
-    decoded = decode5(encoded, lq)
+    decoded = _run_ops(encoded, block, inverse=True)
     assert np.max(np.abs(decoded.data - start.data)) < 1e-12
 
 
 def test_encode_requires_ground_syndromes():
-    lq = fresh_logical()
     bad = apply_gate(five_qubit_state(TEST_PAYLOAD), gate_x(2))
     with pytest.raises(ProtocolError):
-        encode5(bad, lq)
+        qec_cycle(bad, BLOCK)
 
 
 def test_logical_qubit_validation():
     with pytest.raises(StateError):
-        LogicalQubit(0, (0, 1, 2, 3))
+        qec_cycle(five_qubit_state(TEST_PAYLOAD), (0, 0, 1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +230,16 @@ def test_syndrome_table_against_bruteforce_decode(rng):
     # independent recomputation: full matrix errors on the encoded state
     table = syndrome_table()
     amp = haar_state(1, rng).data
-    lq = fresh_logical()
-    encoded = encode5(five_qubit_state(amp), lq)
+    encoded = _run_ops(five_qubit_state(amp), BLOCK)
     by_error = {v: k for k, v in table.items()}
     for qubit in range(5):
         for pauli in "XYZ":
             word = "".join(pauli if i == qubit else "I" for i in range(5))
             hit = QuantumState(pauli_string(word) @ encoded.data, 5)
-            decoded = _run_ops(hit, lq.block, inverse=True)
+            decoded = _run_ops(hit, BLOCK, inverse=True)
             bits = tuple(
                 int(qubit_probabilities(decoded, sq)[1] > 0.5)
-                for sq in lq.syndrome_qubits
+                for sq in BLOCK[1:]
             )
             assert bits == by_error[(pauli, qubit)]
 
@@ -251,12 +249,9 @@ def test_syndrome_table_against_bruteforce_decode(rng):
 # ---------------------------------------------------------------------------
 
 def test_cycle_without_error_is_identity():
-    lq = fresh_logical()
-    state = encode5(five_qubit_state(TEST_PAYLOAD), lq)
-    out, report = qec_cycle(state, lq, None, rng_seed=1)
+    out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [], rng_seed=1)
     assert report["syndrome"] == [0, 0, 0, 0]
     assert report["principal_correction"] == "I"
-    out = decode5(out, lq)
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 
 
@@ -264,35 +259,26 @@ def test_cycle_without_error_is_identity():
     "pauli,qubit", [(p, q) for p in "XYZ" for q in range(5)]
 )
 def test_cycle_corrects_every_single_error(pauli, qubit):
-    lq = fresh_logical()
-    state = encode5(five_qubit_state(TEST_PAYLOAD), lq)
-    out, report = qec_cycle(state, lq, (pauli, qubit), rng_seed=2)
+    out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [(pauli, qubit)],
+                            rng_seed=2)
     assert report["diagnosed_error"] == {"pauli": pauli, "block_position": qubit}
     assert not report["possible_logical_error"]
-    out = decode5(out, lq)
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 
 
 def test_cycle_handles_y_then_x_as_net_z():
     # Y then X on the same qubit is Z up to phase, still weight one
-    lq = fresh_logical()
-    state = encode5(five_qubit_state(TEST_PAYLOAD), lq)
-    state = apply_gate(state, pauli_gate("Y", 3))
-    state = apply_gate(state, pauli_gate("X", 3))
-    out, report = qec_cycle(state, lq, None, rng_seed=3)
+    out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK,
+                            [("Y", 3), ("X", 3)], rng_seed=3)
     assert report["diagnosed_error"] == {"pauli": "Z", "block_position": 3}
-    out = decode5(out, lq)
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 
 
 @pytest.mark.parametrize("injected", [[("X", 2), ("X", 2)], [("Y", 3), ("X", 3)]])
 def test_cancelling_injections_are_not_flagged(injected):
     # X2 X2 is the identity and Y3 X3 is Z3 up to phase: weight < 2, correctable
-    lq = fresh_logical()
-    state = encode5(five_qubit_state(TEST_PAYLOAD), lq)
-    out, report = qec_cycle(state, lq, injected, rng_seed=7)
+    out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, injected, rng_seed=7)
     assert not report["possible_logical_error"]
-    out = decode5(out, lq)
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 
 
@@ -304,27 +290,17 @@ def test_some_weight_two_error_is_uncorrectable():
     ):
         if q1 == q2:
             continue
-        lq = fresh_logical()
-        state = encode5(five_qubit_state(TEST_PAYLOAD), lq)
-        out, report = qec_cycle(state, lq, [(p1, q1), (p2, q2)], rng_seed=4)
+        out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK,
+                                [(p1, q1), (p2, q2)], rng_seed=4)
         assert report["possible_logical_error"]
-        out = decode5(out, lq)
         worst = min(worst, state_fidelity(out, five_qubit_state(TEST_PAYLOAD)))
         if worst < 0.5:
             break
     assert worst < 0.5
 
 
-def test_cycle_requires_encoded_block():
-    lq = fresh_logical()
-    with pytest.raises(ProtocolError):
-        qec_cycle(five_qubit_state(TEST_PAYLOAD), lq, None)
-
-
 def test_cycle_reports_pulse_count():
-    lq = fresh_logical()
-    state = encode5(five_qubit_state(TEST_PAYLOAD), lq)
-    _, report = qec_cycle(state, lq, ("X", 1), rng_seed=5)
+    _, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [("X", 1)], rng_seed=5)
     assert report["pulse_count"] == cycle_pulse_count(
         n_corrections=1 if report["principal_correction"] != "I" else 0,
         n_resets=sum(report["syndrome"]),
@@ -337,12 +313,36 @@ def test_cycle_with_extra_ancilla_untouched(rng):
     amp = haar_state(1, rng).data
     psi6 = np.kron(five_qubit_state(TEST_PAYLOAD).data, amp)
     state = QuantumState(psi6, 6)
-    lq = fresh_logical()
-    state = encode5(state, lq)
-    state, _ = qec_cycle(state, lq, ("Y", 2), rng_seed=6)
-    state = decode5(state, lq)
+    state, _ = qec_cycle(state, BLOCK, [("Y", 2)], rng_seed=6)
     expected = QuantumState(np.kron(five_qubit_state(TEST_PAYLOAD).data, amp), 6)
     assert state_fidelity(state, expected) > 1 - 1e-10
+
+
+@given(n=st.integers(5, 6), matrix=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       n_errors=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_cycle_matches_the_multi_pass_oracle(n, matrix, seed, n_errors):
+    # a random payload on the principal (and a spectator), a random ordered
+    # block, 0-4 random Paulis: one pass and the old sequence agree
+    rng = np.random.default_rng(seed)
+    block = tuple(int(q) for q in rng.permutation(n)[:5])
+    order = [q for q in range(n) if q not in block[1:]] + list(block[1:])
+    ground = np.zeros(16, dtype=complex)
+    ground[0] = 1.0
+    vecs = [
+        np.transpose(np.kron(haar_state(n - 4, rng).data, ground).reshape([2] * n),
+                     np.argsort(order)).reshape(-1)
+        for _ in range(2)
+    ]
+    start = register(vecs, rng.dirichlet(np.ones(2)), matrix)
+    injected = [("XYZ"[int(rng.integers(3))], int(rng.integers(5)))
+                for _ in range(n_errors)]
+    one_pass, multi_pass = np.random.default_rng(seed), np.random.default_rng(seed)
+    out, report = qec_cycle(start, block, injected, one_pass)
+    expected, expected_report = qec_cycle_oracle(start, block, injected, multi_pass)
+    assert report == expected_report
+    assert states_close(out, expected, 1e-12)
+    assert one_pass.bit_generator.state == multi_pass.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,36 @@ def test_qec_cycle_event():
     assert not cycle["fidelity_checks"]["possible_logical_error"]
 
 
+QEC_TWO_CYCLES = {
+    "schema_version": 1,
+    "material": {"preset": "inas", "noise": {"enabled": True}},
+    "seed": 11,
+    "array": {"width": 5, "height": 2, "dots": [{"pos": [0, 1], "role": "readout"}]},
+    "program": [
+        *({"op": "init", "pos": [x, 0]} for x in range(5)),
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "Rot", "targets": [[0, 0]], "axis": [0, 1, 1],
+         "angle": 0.7},
+        {"op": "qec_cycle", "principal": [0, 0],
+         "syndromes": [[1, 0], [2, 0], [3, 0], [4, 0]], "inject": [["X", 2]]},
+        {"op": "idle", "t": 2e-7},
+        {"op": "qec_cycle", "principal": [0, 0],
+         "syndromes": [[4, 0], [2, 0], [3, 0], [1, 0]],
+         "inject": [["Y", 3], ["X", 3], ["Z", 0]]},
+        {"op": "readout", "qubit": [0, 0], "readout": [0, 1]},
+    ],
+}
+
+
+def test_qec_cycle_reports_are_pinned():
+    # sha256 of the canonical report bytes of two noisy cycles, recorded
+    # after the cycle became one encode-inject-decode pass
+    report = run_scenario(QEC_TWO_CYCLES, shots=20)
+    assert [e["event"] for e in report["events"]].count("qec_cycle") == 2
+    assert digest(dumps_report(report)) == (
+        "818cfee3fd8f4554881f6980ee62aa65b3eb3f5c7c6fbb867651c3239a13dc39")
+
+
 # ---------------------------------------------------------------------------
 # shots that share the prefix drawing nothing
 # ---------------------------------------------------------------------------
@@ -806,19 +836,19 @@ def test_cli_subnormal_material_t2_in_resources_names_the_entry(tmp_path):
 
 
 def test_cli_subnormal_material_rabi_period_fails_at_the_first_drive(tmp_path):
-    # the material is valid (a positive period); the drive it implies is not,
-    # so the EPR event's Hadamard fails as a state error naming the event
+    # the period is positive but the drive it implies is not finite: the
+    # material is rejected before any event runs, like every other bad one
     scenario = copy.deepcopy(BELL)
     scenario["material"] = {"preset": "inas", "rabi_period": 5e-324}
     path = tmp_path / "bad.scenario"
     path.write_text(json.dumps(scenario))
     out_dir = tmp_path / "results"
     proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
-    assert proc.returncode == 4
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     error = json.loads(proc.stderr)
-    assert error["error"] == "state"
-    assert error["message"].startswith("event 2 (epr): Rabi field is not finite")
+    assert error["error"] == "schema"
+    assert error["message"].startswith("bad material parameters: Rabi field is not finite")
     assert not out_dir.exists()
 
 
