@@ -27,13 +27,10 @@ import numpy as np
 from .device import DotArray, MaterialParams, Pos
 from .errors import AdjacencyError, ProtocolError, RoutingError, StateError
 from .qstate import (
+    Gate,
     QuantumState,
     apply_gate,
     as_rng,
-    gate_cnot,
-    gate_h,
-    gate_x,
-    gate_z,
     project,
     measure,
     reduced_density,
@@ -180,28 +177,6 @@ def run_tunnel_route(array: DotArray, path: list[Pos]) -> DotArray:
     return array
 
 
-def detect_conflicts(routes: list[tuple[list[Pos], tuple[float, float]]]) -> list[dict]:
-    """Flag every grid position shared by two routes whose time windows
-    overlap. A moving qubit crossing another's path is where correlated
-    errors enter; disjoint tunnel routes come back clean."""
-    conflicts = []
-    for i in range(len(routes)):
-        path_i, (s_i, e_i) = routes[i]
-        if e_i < s_i:
-            raise StateError(f"route {i} window ends before it starts")
-        for j in range(i + 1, len(routes)):
-            path_j, (s_j, e_j) = routes[j]
-            lo, hi = max(s_i, s_j), min(e_i, e_j)
-            if lo > hi:
-                continue
-            for pos in path_i:
-                if pos in set(path_j):
-                    conflicts.append(
-                        {"position": pos, "window": (lo, hi), "routes": (i, j)}
-                    )
-    return conflicts
-
-
 def _assert_ground(array: DotArray, pos: Pos) -> None:
     rho = reduced_density(array.state, [array.qubit_index(pos)])
     if abs(rho[0, 0] - 1.0) > 1e-9:
@@ -286,18 +261,18 @@ def teleport_branches(payload: QuantumState) -> list[dict]:
     psi[0] = payload.data[0]
     psi[4] = payload.data[1]
     reg = QuantumState(psi, 3)
-    reg = apply_gate(reg, gate_h(1))
-    reg = apply_gate(reg, gate_cnot(1, 2))
-    reg = apply_gate(reg, gate_cnot(0, 1))
+    reg = apply_gate(reg, Gate("H", (1,)))
+    reg = apply_gate(reg, Gate("CNOT", (1, 2)))
+    reg = apply_gate(reg, Gate("CNOT", (0, 1)))
     branches = []
     for phase_bit in (0, 1):
         for amp_bit in (0, 1):
             p1, st = project(reg, 0, phase_bit, "X")
             p2, st = project(st, 1, amp_bit, "Z")
             if amp_bit:
-                st = apply_gate(st, gate_x(2))
+                st = apply_gate(st, Gate("X", (2,)))
             if phase_bit:
-                st = apply_gate(st, gate_z(2))
+                st = apply_gate(st, Gate("Z", (2,)))
             rho_b = reduced_density(st, [2])
             fid = float(np.real(payload.data.conj() @ rho_b @ payload.data))
             branches.append(

@@ -31,7 +31,6 @@ from .qstate import (
     QuantumState,
     apply_gate,
     as_rng,
-    exchange_evolution,
     measure,
 )
 from .report import _Stream
@@ -203,12 +202,11 @@ class DotArray:
         for a, b in self.adjacent_occupied_pairs():
             if a in pair and b in pair:
                 continue
-            self.state = exchange_evolution(
-                self.state,
+            self.state = apply_gate(self.state, Gate(
+                "ExchangeEvolve",
                 (self.qubit_positions.index(a), self.qubit_positions.index(b)),
-                self.material.J_off,
-                duration,
-            )
+                theta=self.material.J_off * duration / HBAR_EV_S,
+            ))
 
     def advance(self, duration: float, *, pair: tuple[Pos, ...] = (),
                 energy: float = 0.0) -> None:
@@ -261,27 +259,14 @@ class DotArray:
         self.advance(self.material.t_hop)
         return self
 
-    def coupling_window(self, a: Pos, b: Pos, theta: float) -> "DotArray":
-        """Lower the barrier between two neighboring qubits for the time
-        that accumulates exchange pulse area theta = J_on*t/hbar."""
-        if theta < 0:
-            raise StateError(f"negative pulse area theta = {theta}")
-        qa, qb = self.qubit_index(a), self.qubit_index(b)
-        if not self.adjacent(a, b):
-            raise AdjacencyError(f"{a} and {b} are not grid neighbors")
-        if theta == 0:
-            return self
-        t = theta * HBAR_EV_S / self.material.J_on
-        self.state = exchange_evolution(self.state, (qa, qb), self.material.J_on, t)
-        self.advance(t, pair=(a, b))
-        return self
-
     def apply_gate_at(self, kind: str, positions: list[Pos], *,
                       axis=None, angle=None, theta=None) -> "DotArray":
         """Run one named gate on qubits addressed by grid position.
 
         Single-qubit gates take their Rabi-derived duration; two-qubit gates
-        are exchange-composed and are booked as one coupling window."""
+        are exchange-composed and are booked as one coupling window. An
+        ExchangeEvolve of pulse area theta lowers the barrier for
+        theta*hbar/J_on; a negative theta is refused before the state changes."""
         targets = tuple(self.qubit_index(p) for p in positions)
         gate = Gate(kind, targets, axis=axis, angle=angle, theta=theta)
         mat = self.material
@@ -299,6 +284,8 @@ class DotArray:
             if kind == "SqrtSWAP":
                 duration = mat.t_swap / 2.0
             elif kind == "ExchangeEvolve":
+                if theta < 0:
+                    raise StateError(f"negative pulse area theta = {theta}")
                 duration = theta * HBAR_EV_S / mat.J_on
             else:
                 duration = mat.t_swap

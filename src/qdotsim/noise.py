@@ -99,16 +99,6 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
     return QuantumState(rho, n)
 
 
-def dephase(state: QuantumState, qubit: int, t: float, T2: float) -> QuantumState:
-    """Multiply the qubit's coherences by exp(-t/T2); trace preserved."""
-    return _channel(state, t, [(qubit, 1.0 / T2, 0.0)])
-
-
-def amplitude_damp(state: QuantumState, qubit: int, t: float, T1: float) -> QuantumState:
-    """Relax the qubit toward |0> with gamma = 1 - exp(-t/T1)."""
-    return _channel(state, t, [(qubit, 0.0, 1.0 / T1)])
-
-
 def idle_window(
     state: QuantumState, t: float, params: NoiseParams,
     T2_overrides: dict[int, float | None],
@@ -181,15 +171,3 @@ def idle_jumps_window(
                 pair[:, 1] *= np.sqrt(1.0 - gamma)
                 psi /= np.sqrt(1.0 - p_jump)
     return QuantumState(psi.reshape(-1), n)
-
-
-def apply_idle_jumps(
-    state: QuantumState,
-    qubit: int,
-    dt: float,
-    params: NoiseParams,
-    rng: np.random.Generator,
-    T2_override: float | None = None,
-) -> QuantumState:
-    """idle_jumps_window for one qubit."""
-    return idle_jumps_window(state, dt, params, {qubit: T2_override}, rng)

@@ -28,10 +28,7 @@ from .qstate import (
     _apply_unitary_vec,
     apply_gate,
     as_rng,
-    gate_cnot,
-    gate_x,
     measure,
-    pauli_gate,
     qubit_probabilities,
     reduced_density,
     state_fidelity,
@@ -105,7 +102,7 @@ def _error_tables() -> tuple[dict, dict]:
     correction_map: dict[tuple, str] = {(0, 0, 0, 0): "I"}
     for q in range(5):
         for name in ("X", "Y", "Z"):
-            hit = apply_gate(encoded, pauli_gate(name, q))
+            hit = apply_gate(encoded, Gate(name, (q,)))
             dec = _run_ops(hit, _BLOCK, inverse=True)
             syndrome = []
             for sq in _BLOCK[1:]:
@@ -184,7 +181,7 @@ def qec_cycle(
     state = _run_ops(state, block)
     for q, bits in net.items():
         if bits:
-            state = apply_gate(state, pauli_gate(_PAULI_NAMES[bits], q))
+            state = apply_gate(state, Gate(_PAULI_NAMES[bits], (q,)))
     state = _run_ops(state, block, inverse=True)
     syndrome = []
     for sq in syndrome_qubits:
@@ -193,11 +190,11 @@ def qec_cycle(
     syndrome = tuple(syndrome)
     correction = principal_correction(syndrome)
     if correction != "I":
-        state = apply_gate(state, pauli_gate(correction, principal))
+        state = apply_gate(state, Gate(correction, (principal,)))
     n_resets = 0
     for sq, bit in zip(syndrome_qubits, syndrome):
         if bit:
-            state = apply_gate(state, gate_x(sq))
+            state = apply_gate(state, Gate("X", (sq,)))
             n_resets += 1
     diagnosed = _error_tables()[0][syndrome]
     report = {
@@ -283,10 +280,10 @@ def parity_measure(
     if qubit_probabilities(state, ancilla)[1] > 1e-9:
         raise ProtocolError(f"ancilla {ancilla} is not fresh (|0>)")
     for q in qubits:
-        state = apply_gate(state, gate_cnot(q, ancilla))
+        state = apply_gate(state, Gate("CNOT", (q, ancilla)))
     bit, state = measure(state, ancilla, "Z", rng_seed)
     if bit:  # reset so the ancilla is reusable
-        state = apply_gate(state, gate_x(ancilla))
+        state = apply_gate(state, Gate("X", (ancilla,)))
     return bit, state
 
 

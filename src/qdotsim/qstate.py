@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import HBAR_EV_S
 from .errors import StateError
 from .report import _Stream
 
@@ -203,37 +202,6 @@ class Gate:
         return exchange_unitary(self.theta)
 
 
-# Convenience constructors, matching how circuits read.
-def gate_x(q: int) -> Gate:
-    return Gate("X", (q,))
-
-
-def gate_z(q: int) -> Gate:
-    return Gate("Z", (q,))
-
-
-def gate_h(q: int) -> Gate:
-    return Gate("H", (q,))
-
-
-def gate_rot(q: int, axis, angle: float) -> Gate:
-    return Gate("Rot", (q,), axis=tuple(axis), angle=float(angle))
-
-
-def gate_cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target))
-
-
-def gate_exchange(a: int, b: int, theta: float) -> Gate:
-    return Gate("ExchangeEvolve", (a, b), theta=float(theta))
-
-
-def pauli_gate(name: str, q: int) -> Gate:
-    if name not in ("X", "Y", "Z"):
-        raise StateError(f"not a Pauli name: {name!r}")
-    return Gate(name, (q,))
-
-
 def exchange_unitary(theta: float) -> np.ndarray:
     """exp(-i*theta*S1.S2) on two spins, with dimensionless spin-1/2 operators.
 
@@ -281,21 +249,6 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     return _apply_unitary(state, gate.matrix(), gate.targets)
 
 
-def exchange_evolution(
-    state: QuantumState, pair: tuple[int, int], J: float, t: float
-) -> QuantumState:
-    """Evolve a pair under the isotropic exchange Hamiltonian H = J*S1.S2.
-
-    J is in eV, t in seconds; the accumulated pulse area is theta = J*t/hbar.
-    """
-    if J < 0:
-        raise StateError(f"negative exchange coupling J = {J}")
-    if t < 0:
-        raise StateError(f"negative duration t = {t}")
-    theta = J * t / HBAR_EV_S
-    return apply_gate(state, gate_exchange(pair[0], pair[1], theta))
-
-
 def qubit_probabilities(state: QuantumState, qubit: int) -> np.ndarray:
     """Marginal Born probabilities (p0, p1) of one qubit."""
     if not state.is_vector:
@@ -317,7 +270,7 @@ def project(
         raise StateError(f"unsupported basis {basis!r}")
     if outcome not in (0, 1):
         raise StateError(f"outcome must be 0 or 1, got {outcome}")
-    work = apply_gate(state, gate_h(qubit)) if basis == "X" else state
+    work = apply_gate(state, Gate("H", (qubit,))) if basis == "X" else state
     p = float(qubit_probabilities(work, qubit)[outcome])
     return p, _collapse(work, qubit, outcome, p, basis)
 
@@ -341,7 +294,7 @@ def _collapse(work: QuantumState, qubit: int, outcome: int, p: float, basis: str
             rho[tuple(idx)] = 0.0
         out = QuantumState(rho.reshape(2**n, 2**n) / p, n)
     if basis == "X":
-        out = apply_gate(out, gate_h(qubit))
+        out = apply_gate(out, Gate("H", (qubit,)))
     return out
 
 
@@ -352,7 +305,7 @@ def measure(
     rng = as_rng(rng_seed)
     if basis not in ("Z", "X"):
         raise StateError(f"unsupported basis {basis!r}")
-    work = apply_gate(state, gate_h(qubit)) if basis == "X" else state
+    work = apply_gate(state, Gate("H", (qubit,))) if basis == "X" else state
     probs = qubit_probabilities(work, qubit)
     outcome = int(rng.random() < probs[1])
     return outcome, _collapse(work, qubit, outcome, float(probs[outcome]), basis)
@@ -382,7 +335,7 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
     if a.n_qubits != b.n_qubits:
         raise StateError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
     if a.is_vector and b.is_vector:
-        return float(np.abs(np.vdot(a.data, b.data)) ** 2)
+        return float(np.clip(np.abs(np.vdot(a.data, b.data)) ** 2, 0.0, 1.0))
     if a.is_vector:
         val = np.real(np.vdot(a.data, b.data @ a.data))
         return float(np.clip(val, 0.0, 1.0))
@@ -402,11 +355,6 @@ def _factor(rho: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > rho.shape[0] * np.finfo(float).eps * evals[-1]
     return evecs[:, keep] * np.sqrt(evals[keep])
-
-
-def states_close(a: QuantumState, b: QuantumState, tol: float = 1e-10) -> bool:
-    """Phase-insensitive equality: fidelity within tol of 1."""
-    return state_fidelity(a, b) >= 1.0 - tol
 
 
 def phase_aligned_maxdiff(a: np.ndarray, b: np.ndarray) -> float:

@@ -218,9 +218,9 @@ def _readout(array: DotArray, event: dict, at: dict, rng) -> dict:
 _OPS: dict[str, _Op] = {
     "init": _Op(lambda array, event, at, rng: array.init_qubit(at["pos"]), ("pos",)),
     "gate": _Op(_gate, lists=("targets",), check=_check_gate),
-    "coupling_window": _Op(
-        lambda array, event, at, rng: array.coupling_window(
-            at["a"], at["b"], float(event["theta"])),
+    "coupling_window": _Op(  # an ExchangeEvolve gate addressed by "a" and "b"
+        lambda array, event, at, rng: array.apply_gate_at(
+            "ExchangeEvolve", [at["a"], at["b"]], theta=float(event["theta"])),
         ("a", "b"), numbers=("theta",)),
     "move": _Op(lambda array, event, at, rng: array.move_electron(at["src"], at["dst"]),
                 ("src", "dst")),

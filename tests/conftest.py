@@ -15,12 +15,10 @@ from qdotsim.errors import RoutingError, StateError
 from qdotsim.noise import jump_probabilities
 from qdotsim.qec import _run_ops, cycle_pulse_count, principal_correction, syndrome_table
 from qdotsim.qstate import (
+    Gate,
     QuantumState,
     apply_gate,
-    gate_x,
-    gate_z,
     measure,
-    pauli_gate,
     phase_aligned_maxdiff,
     qubit_probabilities,
 )
@@ -87,7 +85,7 @@ def qec_cycle_oracle(state: QuantumState, block, injected, rng) -> tuple[Quantum
     state = _run_ops(state, block)
     products = {}
     for name, pos in injected:
-        state = apply_gate(state, pauli_gate(name, block[pos]))
+        state = apply_gate(state, Gate(name, (block[pos],)))
         products[block[pos]] = PAULIS[name] @ products.get(block[pos], I2)
     state = _run_ops(state, block, inverse=True)
     syndrome = []
@@ -96,10 +94,10 @@ def qec_cycle_oracle(state: QuantumState, block, injected, rng) -> tuple[Quantum
         syndrome.append(bit)
     correction = principal_correction(tuple(syndrome))
     if correction != "I":
-        state = apply_gate(state, pauli_gate(correction, block[0]))
+        state = apply_gate(state, Gate(correction, (block[0],)))
     for q, bit in zip(block[1:], syndrome):
         if bit:
-            state = apply_gate(state, gate_x(q))
+            state = apply_gate(state, Gate("X", (q,)))
     state = _run_ops(_run_ops(state, block), block, inverse=True)
     pauli, position = syndrome_table()[tuple(syndrome)]
     weight = sum(not np.allclose(m, m[0, 0] * I2) for m in products.values())
@@ -124,7 +122,7 @@ def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,
         return state
     p_z, gamma = jump_probabilities(dt, params, T2_override)
     if p_z > 0 and rng.random() < p_z:
-        state = apply_gate(state, gate_z(qubit))
+        state = apply_gate(state, Gate("Z", (qubit,)))
     if gamma > 0:
         p1 = float(qubit_probabilities(state, qubit)[1])
         p_jump = gamma * p1

@@ -32,10 +32,10 @@ from qdotsim.pulses import (
 )
 from qdotsim.qec import qec_cycle
 from qdotsim.qstate import (
+    Gate,
     QuantumState,
     apply_gate,
     exchange_unitary,
-    gate_h,
     norm_error,
     phase_aligned_maxdiff,
     state_fidelity,
@@ -235,7 +235,7 @@ def test_criterion_11a_unitarity_and_trace_preservation(rng):
 def test_criterion_11b_trajectory_channel_convergence():
     with criterion(11, "property: trajectory error shrinks like 1/sqrt(N)"):
         params = NoiseParams(T1=200e-6, T2=100e-6, enabled=True)
-        plus = apply_gate(QuantumState.zero(1), gate_h(0))
+        plus = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
         exact = idle_window(plus.to_density(), 100e-6, params, {0: None}).data
         errors = {}
         for n in (100, 1000, 10_000):

@@ -12,7 +12,6 @@ from qdotsim.channels import (
     BELL_PHI_PLUS,
     channel_fidelity,
     channel_lambda,
-    detect_conflicts,
     line_report,
     make_epr,
     max_channel_distance,
@@ -241,45 +240,6 @@ def test_run_tunnel_route_moves_qubit():
     run_tunnel_route(array, path)
     assert (3, 0) in array.qubit_positions and (0, 0) not in array.qubit_positions
     assert state_fidelity(array.state, before) > 1 - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# correlated-error conflicts
-# ---------------------------------------------------------------------------
-
-def test_disjoint_routes_no_conflicts():
-    routes = [
-        ([(0, 0), (1, 0)], (0.0, 1.0)),
-        ([(0, 2), (1, 2)], (0.0, 1.0)),
-    ]
-    assert detect_conflicts(routes) == []
-
-
-def test_identical_routes_flag_every_position():
-    path = [(0, 0), (1, 0), (2, 0)]
-    routes = [(path, (0.0, 5.0)), (path, (2.0, 7.0))]
-    flagged = detect_conflicts(routes)
-    assert {tuple(c["position"]) for c in flagged} == set(path)
-    assert all(c["window"] == (2.0, 5.0) for c in flagged)
-
-
-def test_crossing_chains_one_flag_and_rescheduled_none():
-    # hand-enumerated 4x4 scenario: a horizontal chain and a vertical chain
-    # sharing exactly the crossing dot (1, 1)
-    horizontal = [(0, 1), (1, 1), (2, 1), (3, 1)]
-    vertical = [(1, 0), (1, 1), (1, 2), (1, 3)]
-    overlapping = [(horizontal, (0.0, 4.0)), (vertical, (2.0, 6.0))]
-    flagged = detect_conflicts(overlapping)
-    assert len(flagged) == 1
-    assert flagged[0]["position"] == (1, 1)
-    # the same geometry re-planned in time (tunnel hops are fast) is clean
-    rescheduled = [(horizontal, (0.0, 4.0)), (vertical, (5.0, 9.0))]
-    assert detect_conflicts(rescheduled) == []
-
-
-def test_conflict_window_validation():
-    with pytest.raises(StateError):
-        detect_conflicts([([(0, 0)], (2.0, 1.0))])
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_coupling_window_pi_swaps():
     array.init_qubit((0, 0))
     array.init_qubit((1, 0))
     array.apply_gate_at("X", [(1, 0)])  # |01>
-    array.coupling_window((0, 0), (1, 0), math.pi)
+    array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi)
     target = QuantumState.from_vector([0, 0, 1, 0])
     assert state_fidelity(array.state, target) > 1 - 1e-10
 
@@ -181,7 +181,7 @@ def test_coupling_window_duration_value():
     array.init_qubit((0, 0))
     array.init_qubit((1, 0))
     clock_before = array.clock
-    array.coupling_window((0, 0), (1, 0), math.pi)
+    array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi)
     duration = array.clock - clock_before
     assert duration == pytest.approx(4.13e-10, rel=0.01)
     assert duration == pytest.approx(math.pi * HBAR_EV_S / 5e-6, rel=1e-12)
@@ -191,9 +191,10 @@ def test_coupling_window_zero_theta_is_noop():
     array = make_array()
     array.init_qubit((0, 0))
     array.init_qubit((1, 0))
-    clock_before = array.clock
-    array.coupling_window((0, 0), (1, 0), 0.0)
+    clock_before, before = array.clock, array.state.data.copy()
+    array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=0.0)
     assert array.clock == clock_before
+    assert np.array_equal(array.state.data, before)
 
 
 def test_coupling_window_requires_adjacency_and_occupancy():
@@ -201,9 +202,21 @@ def test_coupling_window_requires_adjacency_and_occupancy():
     array.init_qubit((0, 0))
     array.init_qubit((2, 0))
     with pytest.raises(AdjacencyError):
-        array.coupling_window((0, 0), (2, 0), math.pi)
+        array.apply_gate_at("ExchangeEvolve", [(0, 0), (2, 0)], theta=math.pi)
     with pytest.raises(StateError):
-        array.coupling_window((0, 0), (1, 0), math.pi)
+        array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi)
+
+
+def test_negative_exchange_theta_leaves_state_and_clock_unchanged():
+    array = make_array()
+    array.init_qubit((0, 0))
+    array.init_qubit((1, 0))
+    array.apply_gate_at("X", [(1, 0)])  # |01>, which any exchange would move
+    clock_before, before = array.clock, array.state.data.copy()
+    with pytest.raises(StateError, match="negative pulse area"):
+        array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=-1.0)
+    assert array.clock == clock_before
+    assert np.array_equal(array.state.data, before)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +287,7 @@ def test_strict_residual_spares_the_coupled_pair():
     ideal.init_qubit((1, 0))
     for a in (array, ideal):
         a.state = QuantumState.from_vector([0, 1, 0, 0])
-        a.coupling_window((0, 0), (1, 0), math.pi)
+        a.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi)
     assert state_fidelity(array.state, ideal.state) > 1 - 1e-12
 
 
@@ -291,7 +304,7 @@ def test_coupled_pair_gets_no_idle_noise_in_matrix_mode():
     array.state = haar_state(3, np.random.default_rng(5)).to_density()
     pair_before = reduced_density(array.state, [0, 1])
     third_before = reduced_density(array.state, [2])
-    array.coupling_window((0, 0), (1, 0), math.pi / 3)
+    array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi / 3)
     u = exchange_unitary(math.pi / 3)
     pair_after = reduced_density(array.state, [0, 1])
     assert np.max(np.abs(pair_after - u @ pair_before @ u.conj().T)) < 1e-12
@@ -391,7 +404,7 @@ def test_clock_is_exact_sum_of_event_durations():
         (lambda: array.init_qubit((1, 0)), mat.t_pulse),
         (lambda: array.apply_gate_at("H", [(0, 0)]),
          math.pi / (2.0 * math.pi) * mat.rabi_period),
-        (lambda: array.coupling_window((0, 0), (1, 0), math.pi / 2),
+        (lambda: array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi / 2),
          math.pi / 2 * HBAR_EV_S / mat.J_on),
         (lambda: array.move_electron((1, 0), (1, 1)), mat.t_hop),
         (lambda: array.idle(3.5e-8), 3.5e-8),
@@ -424,7 +437,7 @@ def test_norm_preserved_through_noisy_events():
     array.init_qubit((0, 0))
     array.init_qubit((1, 0))
     array.apply_gate_at("H", [(0, 0)])
-    array.coupling_window((0, 0), (1, 0), math.pi)
+    array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi)
     array.idle(1e-5)
     assert norm_error(array.state) < 1e-10
 

@@ -10,24 +10,22 @@ from conftest import embed, haar_state, idle_jump_oracle, idle_trajectory
 from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
-    amplitude_damp,
-    apply_idle_jumps,
+    _channel,
     damping_kraus,
-    dephase,
     dephasing_kraus,
     idle_jumps_window,
     idle_window,
     jump_probabilities,
     pure_dephasing_time,
 )
-from qdotsim.qstate import QuantumState, apply_gate, gate_h, gate_x
+from qdotsim.qstate import Gate, QuantumState, apply_gate
 
 T2 = 100e-6
 T1 = 200e-6
 
 
 def plus_density() -> QuantumState:
-    return apply_gate(QuantumState.zero(1), gate_h(0)).to_density()
+    return apply_gate(QuantumState.zero(1), Gate("H", (0,))).to_density()
 
 
 # ---------------------------------------------------------------------------
@@ -54,41 +52,41 @@ def test_pure_dephasing_time():
 
 
 # ---------------------------------------------------------------------------
-# exact channels: closed forms
+# exact channels: closed forms (a _channel step is (qubit, dephasing rate, damping rate))
 # ---------------------------------------------------------------------------
 
 def test_dephase_zero_time_identity():
     rho = plus_density()
-    out = dephase(rho, 0, 0.0, T2)
+    out = _channel(rho, 0.0, [(0, 1 / T2, 0.0)])
     assert np.array_equal(out.data, rho.data)
 
 
 def test_dephase_closed_form_at_t2():
-    out = dephase(plus_density(), 0, T2, T2)
+    out = _channel(plus_density(), T2, [(0, 1 / T2, 0.0)])
     assert abs(abs(out.data[0, 1]) - 0.5 * math.exp(-1)) < 1e-12
     assert abs(np.trace(out.data) - 1) < 1e-14
 
 
 def test_dephase_leaves_diagonal_states_alone():
     rho = QuantumState.from_matrix([[0.3, 0], [0, 0.7]])
-    out = dephase(rho, 0, 5 * T2, T2)
+    out = _channel(rho, 5 * T2, [(0, 1 / T2, 0.0)])
     assert np.max(np.abs(out.data - rho.data)) < 1e-14
 
 
 def test_dephase_rejects_vector():
     with pytest.raises(StateError):
-        dephase(QuantumState.zero(1), 0, 1e-6, T2)
+        _channel(QuantumState.zero(1), 1e-6, [(0, 1 / T2, 0.0)])
 
 
 def test_amplitude_damp_zero_time_identity():
-    rho = apply_gate(QuantumState.zero(1), gate_x(0)).to_density()
-    out = amplitude_damp(rho, 0, 0.0, T1)
+    rho = apply_gate(QuantumState.zero(1), Gate("X", (0,))).to_density()
+    out = _channel(rho, 0.0, [(0, 0.0, 1 / T1)])
     assert np.array_equal(out.data, rho.data)
 
 
 def test_amplitude_damp_closed_form_at_t1():
-    rho = apply_gate(QuantumState.zero(1), gate_x(0)).to_density()
-    out = amplitude_damp(rho, 0, T1, T1)
+    rho = apply_gate(QuantumState.zero(1), Gate("X", (0,))).to_density()
+    out = _channel(rho, T1, [(0, 0.0, 1 / T1)])
     assert abs(out.data[1, 1].real - math.exp(-1)) < 1e-12
     assert abs(np.trace(out.data) - 1) < 1e-14
 
@@ -96,14 +94,14 @@ def test_amplitude_damp_closed_form_at_t1():
 def test_ground_state_is_damping_fixed_point():
     rho = QuantumState.zero(1).to_density()
     for t in (1e-7, T1, 50 * T1):
-        out = amplitude_damp(rho, 0, t, T1)
+        out = _channel(rho, t, [(0, 0.0, 1 / T1)])
         assert np.max(np.abs(out.data - rho.data)) < 1e-14
 
 
 def test_dephase_composition():
     rho = plus_density()
-    a = dephase(dephase(rho, 0, 3e-5, T2), 0, 7e-5, T2)
-    b = dephase(rho, 0, 1e-4, T2)
+    a = _channel(_channel(rho, 3e-5, [(0, 1 / T2, 0.0)]), 7e-5, [(0, 1 / T2, 0.0)])
+    b = _channel(rho, 1e-4, [(0, 1 / T2, 0.0)])
     assert np.max(np.abs(a.data - b.data)) < 1e-12
 
 
@@ -181,14 +179,14 @@ def test_idle_window_matches_kraus_oracle(n, seed, t, data):
 
 def test_disabled_noise_is_noiseless():
     params = NoiseParams(T1=T1, T2=T2, enabled=False)
-    psi = apply_gate(QuantumState.zero(1), gate_h(0))
+    psi = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
     out = idle_trajectory(psi, [T2, 3 * T2], params, seed=5)
     assert np.array_equal(out.data, psi.data)
 
 
 def test_zero_duration_steps_never_jump():
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    psi = apply_gate(QuantumState.zero(1), gate_h(0))
+    psi = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
     for seed in range(10):
         out = idle_trajectory(psi, [0.0] * 20, params, seed=seed)
         assert np.array_equal(out.data, psi.data)
@@ -204,7 +202,7 @@ def test_jump_probabilities_values():
 
 def _trajectory_average(n_samples: int, duration: float, seed_base: int) -> np.ndarray:
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    psi = apply_gate(QuantumState.zero(1), gate_h(0))
+    psi = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
     acc = np.zeros((2, 2), dtype=complex)
     for i in range(n_samples):
         out = idle_trajectory(psi, [duration], params, seed=[seed_base, i])
@@ -240,7 +238,7 @@ def test_trajectory_error_shrinks_like_inverse_sqrt_n():
 
 def test_trajectory_damping_statistics():
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    one = apply_gate(QuantumState.zero(1), gate_x(0))
+    one = apply_gate(QuantumState.zero(1), Gate("X", (0,)))
     n = 5000
     stays = sum(
         abs(idle_trajectory(one, [T1], params, seed=[9, i]).data[1]) > 0.5
@@ -279,12 +277,12 @@ def test_idle_jumps_window_equals_the_per_qubit_oracle(n, seed, dt, data):
 def test_jump_step_requires_vector():
     params = NoiseParams(enabled=True)
     with pytest.raises(StateError):
-        apply_idle_jumps(plus_density(), 0, 1e-6, params, np.random.default_rng(0))
+        idle_jumps_window(plus_density(), 1e-6, params, {0: None}, np.random.default_rng(0))
 
 
 def test_jump_step_rejects_a_qubit_outside_the_register():
     params = NoiseParams(enabled=True)
     for qubit in (-1, 2):
         with pytest.raises(StateError):
-            apply_idle_jumps(QuantumState.zero(2), qubit, 1e-6, params,
-                             np.random.default_rng(0))
+            idle_jumps_window(QuantumState.zero(2), 1e-6, params, {qubit: None},
+                              np.random.default_rng(0))

@@ -34,9 +34,9 @@ from qdotsim.qec import (
 )
 from qdotsim.qec import _ENCODE_OPS, _run_ops
 from qdotsim.qstate import (
+    Gate,
     QuantumState,
     apply_gate,
-    gate_x,
     qubit_probabilities,
     reduced_density,
     state_fidelity,
@@ -190,7 +190,7 @@ def test_compiled_encoder_against_kron_oracle(n, matrix, seed):
 
 
 def test_encode_requires_ground_syndromes():
-    bad = apply_gate(five_qubit_state(TEST_PAYLOAD), gate_x(2))
+    bad = apply_gate(five_qubit_state(TEST_PAYLOAD), Gate("X", (2,)))
     with pytest.raises(ProtocolError):
         qec_cycle(bad, BLOCK)
 

@@ -22,13 +22,7 @@ from qdotsim.qstate import (
     Gate,
     QuantumState,
     apply_gate,
-    exchange_evolution,
     exchange_unitary,
-    gate_cnot,
-    gate_exchange,
-    gate_h,
-    gate_rot,
-    gate_x,
     measure,
     norm_error,
     phase_aligned_maxdiff,
@@ -36,7 +30,6 @@ from qdotsim.qstate import (
     qubit_probabilities,
     reduced_density,
     state_fidelity,
-    states_close,
 )
 
 SQ2 = 1 / math.sqrt(2)
@@ -82,7 +75,7 @@ def test_two_qubit_unitarity(kind):
 )
 @settings(max_examples=50, deadline=None)
 def test_rot_unitarity(ax, ay, az, angle):
-    u = gate_rot(0, (ax, ay, az), angle).matrix()
+    u = Gate("Rot", (0,), axis=(ax, ay, az), angle=angle).matrix()
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
@@ -101,7 +94,7 @@ def test_gate_validation():
     with pytest.raises(StateError):
         Gate("Nope", (0,))
     with pytest.raises(StateError):
-        gate_rot(0, (0.0, 0.0, 0.0), 1.0)
+        Gate("Rot", (0,), axis=(0.0, 0.0, 0.0), angle=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +102,32 @@ def test_gate_validation():
 # ---------------------------------------------------------------------------
 
 def test_x_flips_zero():
-    out = apply_gate(QuantumState.zero(1), gate_x(0))
+    out = apply_gate(QuantumState.zero(1), Gate("X", (0,)))
     assert np.allclose(out.data, [0, 1])
 
 
 def test_h_cnot_makes_bell():
     s = QuantumState.zero(2)
-    s = apply_gate(s, gate_h(0))
-    s = apply_gate(s, gate_cnot(0, 1))
+    s = apply_gate(s, Gate("H", (0,)))
+    s = apply_gate(s, Gate("CNOT", (0, 1)))
     assert np.allclose(s.data, [SQ2, 0, 0, SQ2], atol=1e-12)
 
 
 def test_h_involution_on_random_state(rng):
     s = haar_state(3, rng)
-    out = apply_gate(apply_gate(s, gate_h(1)), gate_h(1))
+    out = apply_gate(apply_gate(s, Gate("H", (1,))), Gate("H", (1,)))
     assert np.max(np.abs(out.data - s.data)) < 1e-12
 
 
 def test_qubit_ordering_msb_first():
     # X on qubit 0 of two qubits must flip the high-order index bit.
-    out = apply_gate(QuantumState.zero(2), gate_x(0))
+    out = apply_gate(QuantumState.zero(2), Gate("X", (0,)))
     assert np.allclose(out.data, [0, 0, 1, 0])
 
 
 def test_apply_gate_against_kron_oracle(rng):
     s = haar_state(4, rng)
-    gate = gate_cnot(3, 1)
+    gate = Gate("CNOT", (3, 1))
     expected = embed(CNOT_MATRIX, [3, 1], 4) @ s.data
     out = apply_gate(s, gate)
     assert np.max(np.abs(out.data - expected)) < 1e-12
@@ -153,8 +146,8 @@ def test_matrix_apply_gate_against_kron_oracle(n, kind, seed):
     rho = a @ a.conj().T
     rho = QuantumState(rho / np.trace(rho), n)
     if kind == "Rot" or n == 1:
-        gate = gate_rot(int(rng.integers(n)), tuple(rng.normal(size=3)),
-                        float(rng.uniform(-6, 6)))
+        gate = Gate("Rot", (int(rng.integers(n)),), axis=tuple(rng.normal(size=3)),
+                    angle=float(rng.uniform(-6, 6)))
     else:
         pair = tuple(int(q) for q in rng.permutation(n)[:2])
         theta = float(rng.uniform(0, 2 * math.pi)) if kind == "ExchangeEvolve" else None
@@ -166,7 +159,7 @@ def test_matrix_apply_gate_against_kron_oracle(n, kind, seed):
 
 def test_target_out_of_range():
     with pytest.raises(StateError):
-        apply_gate(QuantumState.zero(2), gate_x(2))
+        apply_gate(QuantumState.zero(2), Gate("X", (2,)))
 
 
 def test_vector_cap_enforced():
@@ -192,7 +185,7 @@ def exchange_oracle(theta: float) -> np.ndarray:
 
 def test_exchange_zero_is_identity(rng):
     s = haar_state(2, rng)
-    out = exchange_evolution(s, (0, 1), 5e-6, 0.0)
+    out = apply_gate(s, Gate("ExchangeEvolve", (0, 1), theta=0.0))
     assert np.max(np.abs(out.data - s.data)) < 1e-14
 
 
@@ -200,7 +193,8 @@ def test_exchange_pi_swaps_01():
     s = QuantumState.from_vector([0, 1, 0, 0])  # |01>
     hbar = 6.582119569e-16
     J = 5e-6
-    out = exchange_evolution(s, (0, 1), J, math.pi * hbar / J)
+    t = math.pi * hbar / J
+    out = apply_gate(s, Gate("ExchangeEvolve", (0, 1), theta=J * t / hbar))
     target = QuantumState.from_vector([0, 0, 1, 0])  # |10>
     assert state_fidelity(out, target) > 1 - 1e-10
 
@@ -210,17 +204,17 @@ def test_exchange_matches_expm_oracle(theta, rng):
     u = exchange_unitary(theta)
     assert np.max(np.abs(u - exchange_oracle(theta))) < 1e-12
     s = haar_state(2, rng)
-    out = apply_gate(s, gate_exchange(0, 1, theta))
+    out = apply_gate(s, Gate("ExchangeEvolve", (0, 1), theta=theta))
     assert np.max(np.abs(out.data - exchange_oracle(theta) @ s.data)) < 1e-12
 
 
 def test_exchange_half_pi_twice_equals_pi(rng):
     s = haar_state(2, rng)
     half = apply_gate(
-        apply_gate(s, gate_exchange(0, 1, math.pi / 2)),
-        gate_exchange(0, 1, math.pi / 2),
+        apply_gate(s, Gate("ExchangeEvolve", (0, 1), theta=math.pi / 2)),
+        Gate("ExchangeEvolve", (0, 1), theta=math.pi / 2),
     )
-    full = apply_gate(s, gate_exchange(0, 1, math.pi))
+    full = apply_gate(s, Gate("ExchangeEvolve", (0, 1), theta=math.pi))
     assert state_fidelity(half, full) > 1 - 1e-10
 
 
@@ -231,20 +225,12 @@ def test_exchange_pi_is_swap_up_to_phase():
     assert diff < 1e-12
 
 
-def test_exchange_negative_inputs_rejected():
-    s = QuantumState.zero(2)
-    with pytest.raises(StateError):
-        exchange_evolution(s, (0, 1), -1e-6, 1.0)
-    with pytest.raises(StateError):
-        exchange_evolution(s, (0, 1), 1e-6, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # measurement
 # ---------------------------------------------------------------------------
 
 def test_measure_one_is_deterministic():
-    s = apply_gate(QuantumState.zero(1), gate_x(0))
+    s = apply_gate(QuantumState.zero(1), Gate("X", (0,)))
     for seed in range(5):
         outcome, post = measure(s, 0, "Z", seed)
         assert outcome == 1
@@ -252,7 +238,7 @@ def test_measure_one_is_deterministic():
 
 
 def test_measure_plus_statistics():
-    plus = apply_gate(QuantumState.zero(1), gate_h(0))
+    plus = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
     rng = np.random.default_rng(99)
     n = 10_000
     ones = sum(measure(plus, 0, "Z", rng)[0] for _ in range(n))
@@ -262,7 +248,7 @@ def test_measure_plus_statistics():
 
 def test_measure_chi_square_born():
     # chi^2 against the Born rule at the 0.001 level (1 dof critical 10.828)
-    state = apply_gate(QuantumState.zero(1), gate_rot(0, (0, 1, 0), 1.1))
+    state = apply_gate(QuantumState.zero(1), Gate("Rot", (0,), axis=(0, 1, 0), angle=1.1))
     p1 = float(qubit_probabilities(state, 0)[1])
     rng = np.random.default_rng(123)
     n = 10_000
@@ -275,7 +261,7 @@ def test_measure_chi_square_born():
 
 
 def test_x_basis_measure_of_plus():
-    plus = apply_gate(QuantumState.zero(1), gate_h(0))
+    plus = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
     for seed in range(5):
         outcome, post = measure(plus, 0, "X", seed)
         assert outcome == 0
@@ -303,8 +289,8 @@ def test_fidelity_basics(rng):
     psi = haar_state(2, rng)
     assert state_fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
     zero = QuantumState.zero(1)
-    one = apply_gate(zero, gate_x(0))
-    plus = apply_gate(zero, gate_h(0))
+    one = apply_gate(zero, Gate("X", (0,)))
+    plus = apply_gate(zero, Gate("H", (0,)))
     assert state_fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
     assert state_fidelity(zero, plus) == pytest.approx(0.5, abs=1e-12)
 
@@ -380,7 +366,7 @@ def test_fidelity_dimension_mismatch():
 def test_global_phase_ignored(rng):
     s = haar_state(2, rng)
     rotated = QuantumState(np.exp(0.7j) * s.data, 2)
-    assert states_close(s, rotated, 1e-12)
+    assert state_fidelity(s, rotated) >= 1.0 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +381,11 @@ def _random_gate(rng, n):
         return Gate(kind, (int(qubits[0]),))
     if kind == "Rot":
         axis = rng.normal(size=3)
-        return gate_rot(int(qubits[0]), tuple(axis), float(rng.uniform(-6, 6)))
+        return Gate("Rot", (int(qubits[0]),), axis=tuple(axis),
+                    angle=float(rng.uniform(-6, 6)))
     theta = float(rng.uniform(0, 2 * math.pi))
     pair = (int(qubits[0]), int(qubits[1]))
-    if kind == "ExchangeEvolve":
-        return gate_exchange(*pair, theta)
-    return Gate(kind, pair)
+    return Gate(kind, pair, theta=theta if kind == "ExchangeEvolve" else None)
 
 
 def test_norm_preserved_over_1000_random_gates(rng):
@@ -440,7 +425,7 @@ def test_state_validation_rejects_bad_inputs():
 
 
 def test_reduced_density_of_bell():
-    s = apply_gate(QuantumState.zero(2), gate_h(0))
-    s = apply_gate(s, gate_cnot(0, 1))
+    s = apply_gate(QuantumState.zero(2), Gate("H", (0,)))
+    s = apply_gate(s, Gate("CNOT", (0, 1)))
     rho = reduced_density(s, [0])
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)

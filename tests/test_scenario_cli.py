@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import run_shots_eagerly
 from qdotsim import cli
 from qdotsim.channels import line_report
+from qdotsim.device import DotArray
 from qdotsim.errors import QdotsimError, SchemaError
 from qdotsim.pulses import drive_report
 from qdotsim.report import canonical_json, digest, dumps_report, format_float, stream
@@ -320,6 +321,47 @@ def test_run_reports_are_pinned():
         assert digest(dumps_report(run_scenario(scenario, shots=20))) == pin
 
 
+
+def _final_array(scenario):
+    """Shot 0 of a scenario run step by step, returning its array."""
+    material, roles, t2_overrides, steps = validate_scenario(scenario)
+    section = scenario["array"]
+    array = DotArray(section["width"], section["height"], material, roles=roles,
+                     representation=section["representation"], strict=scenario["strict"],
+                     seed=stream(scenario["seed"], 0, 0xFFFF), t2_overrides=t2_overrides)
+    for index, (spec, event, at) in enumerate(steps):
+        spec.run(array, event, at, stream(scenario["seed"], 0, index))
+    return array
+
+
+@pytest.mark.parametrize("representation", ["vector", "matrix"])
+def test_coupling_window_op_is_the_exchange_evolve_gate(representation):
+    # theta = 2.5 does not survive a theta -> t -> theta round trip, so the op
+    # must hand the gate its theta unchanged
+    program = [
+        {"op": "init", "pos": [0, 0]},
+        {"op": "init", "pos": [1, 0]},
+        {"op": "init", "pos": [2, 0]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "Rot", "targets": [[1, 0]], "axis": [1, 0, 1], "angle": 0.4},
+        {"op": "coupling_window", "a": [0, 0], "b": [1, 0], "theta": 2.5},
+        {"op": "idle", "t": 1e-8},
+    ]
+    arrays = []
+    for window in (program[5], {"op": "gate", "kind": "ExchangeEvolve",
+                                "targets": [[0, 0], [1, 0]], "theta": 2.5}):
+        scenario = {
+            "schema_version": 1, "seed": 3, "strict": True,
+            "material": {"preset": "inas",
+                         "noise": {"enabled": True, "T1": 2e-6, "T2": 1e-6}},
+            "array": {"width": 3, "height": 1, "representation": representation},
+            "program": program[:5] + [window] + program[6:],
+        }
+        arrays.append(_final_array(scenario))
+    window_op, gate_op = arrays
+    assert window_op.clock == gate_op.clock
+    assert np.array_equal(window_op.state.data, gate_op.state.data)
+
 # vector runs whose idle windows jump often: microsecond idles against
 # T1 = 2 us with one dot on its own T2, and two long routes on a noisy 16x16
 # grid before an EPR pair, a teleport and a readout
@@ -496,6 +538,28 @@ def test_qec_cycle_event():
     assert cycle["fidelity_checks"]["post_cycle_fidelity"] > 1 - 1e-9
     assert not cycle["fidelity_checks"]["possible_logical_error"]
 
+
+
+def test_qec_cycle_fidelity_never_exceeds_one():
+    # noiseless vector register: the second cycle's overlap rounds to
+    # 1 + 4.4e-16 before it is clipped like every other fidelity branch
+    block = {"principal": [0, 0], "syndromes": [[1, 0], [2, 0], [3, 0], [4, 0]]}
+    scenario = {
+        "schema_version": 1,
+        "material": "inas",
+        "seed": 7,
+        "array": {"width": 5, "height": 1},
+        "program": [
+            *({"op": "init", "pos": [x, 0]} for x in range(5)),
+            {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+            {"op": "qec_cycle", **block},
+            {"op": "qec_cycle", **block},
+        ],
+    }
+    fidelities = [e["fidelity_checks"]["post_cycle_fidelity"]
+                  for e in run_scenario(scenario)["events"] if e["event"] == "qec_cycle"]
+    assert len(fidelities) == 2
+    assert all(1.0 - 1e-12 <= f <= 1.0 for f in fidelities)
 
 QEC_TWO_CYCLES = {
     "schema_version": 1,
