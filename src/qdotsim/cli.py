@@ -137,8 +137,10 @@ def cmd_teleport(args) -> int:
 
 def cmd_qec(args) -> int:
     material = _material(args)
-    if not (0.0 <= args.p <= 1.0 and args.cycles >= 0 and args.pulses_per_cycle >= 1):
-        raise SchemaError("need 0 <= --p <= 1, --cycles >= 0 and --pulses-per-cycle >= 1")
+    if not (0.0 <= args.p <= 1.0 and args.cycles >= 0 and args.pulses_per_cycle >= 1
+            and args.seed >= 0):
+        raise SchemaError("need 0 <= --p <= 1, --cycles >= 0, --pulses-per-cycle >= 1 "
+                          "and --seed >= 0")
     run = qec.memory_experiment(args.cycles, args.p,
                                 np.random.default_rng([args.seed, 0x5EC]),
                                 args.pulses_per_cycle)

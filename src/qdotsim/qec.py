@@ -26,6 +26,7 @@ from .qstate import (
     QuantumState,
     _apply_unitary,
     _apply_unitary_vec,
+    _collapse,
     apply_gate,
     as_rng,
     measure,
@@ -149,6 +150,43 @@ def cycle_pulse_count(n_corrections: int, n_resets: int) -> int:
     )
 
 
+def _pauli_codes(injected) -> tuple[int, ...]:
+    """The product of the injected (pauli, block position) pairs, phases
+    dropped: one x + 2z code per block position."""
+    codes = [0] * 5
+    for name, block_pos in injected:
+        codes[block_pos] ^= _PAULI_BITS[name]
+    return tuple(codes)
+
+
+def _cycle(state: QuantumState, block, codes, uniforms) -> tuple[QuantumState, tuple, tuple, int]:
+    """Encode the block, apply the net Pauli `codes`, decode, measure the
+    four syndrome qubits, correct the principal and reset the syndromes.
+    Measurement k compares uniforms[k] with its marginal p1 as
+    qstate.measure does. Returns the register, the syndrome, the four p1 it
+    compared with and the compiled pulse count."""
+    state = _run_ops(state, block)
+    for q, bits in zip(block, codes):
+        if bits:
+            state = apply_gate(state, Gate(_PAULI_NAMES[bits], (q,)))
+    state = _run_ops(state, block, inverse=True)
+    syndrome, marginals = [], []
+    for sq, u in zip(block[1:], uniforms):
+        probs = qubit_probabilities(state, sq)
+        bit = int(u < probs[1])
+        state = _collapse(state, sq, bit, float(probs[bit]), "Z")
+        syndrome.append(bit)
+        marginals.append(float(probs[1]))
+    syndrome, marginals = tuple(syndrome), tuple(marginals)
+    correction = principal_correction(syndrome)
+    if correction != "I":
+        state = apply_gate(state, Gate(correction, (block[0],)))
+    for sq, bit in zip(block[1:], syndrome):
+        if bit:
+            state = apply_gate(state, Gate("X", (sq,)))
+    return state, syndrome, marginals, cycle_pulse_count(int(correction != "I"), sum(syndrome))
+
+
 def qec_cycle(
     state: QuantumState,
     block,
@@ -169,43 +207,46 @@ def qec_cycle(
     block = tuple(block)
     if len(block) != 5 or len(set(block)) != 5:
         raise StateError(f"a code block needs 5 distinct qubits, got {block}")
-    principal, syndrome_qubits = block[0], block[1:]
-    for q in syndrome_qubits:
+    for q in block[1:]:
         if qubit_probabilities(state, q)[1] > 1e-9:
             raise ProtocolError(f"syndrome qubit {q} is not in |0>")
-    rng = as_rng(rng_seed)
-    net: dict[int, int] = {}  # block qubit -> product Pauli as x + 2z bits
-    for name, block_pos in injected:
-        q = block[block_pos]
-        net[q] = net.get(q, 0) ^ _PAULI_BITS[name]
-    state = _run_ops(state, block)
-    for q, bits in net.items():
-        if bits:
-            state = apply_gate(state, Gate(_PAULI_NAMES[bits], (q,)))
-    state = _run_ops(state, block, inverse=True)
-    syndrome = []
-    for sq in syndrome_qubits:
-        bit, state = measure(state, sq, "Z", rng)
-        syndrome.append(bit)
-    syndrome = tuple(syndrome)
-    correction = principal_correction(syndrome)
-    if correction != "I":
-        state = apply_gate(state, Gate(correction, (principal,)))
-    n_resets = 0
-    for sq, bit in zip(syndrome_qubits, syndrome):
-        if bit:
-            state = apply_gate(state, Gate("X", (sq,)))
-            n_resets += 1
+    codes = _pauli_codes(injected)
+    state, syndrome, _, pulse_count = _cycle(state, block, codes, as_rng(rng_seed).random(4))
     diagnosed = _error_tables()[0][syndrome]
     report = {
         "syndrome": list(syndrome),
         "diagnosed_error": {"pauli": diagnosed[0], "block_position": diagnosed[1]},
-        "principal_correction": correction,
+        "principal_correction": principal_correction(syndrome),
         "injected_errors": [list(e) for e in injected],
-        "pulse_count": cycle_pulse_count(int(correction != "I"), n_resets),
-        "possible_logical_error": sum(map(bool, net.values())) >= 2,
+        "pulse_count": pulse_count,
+        "possible_logical_error": sum(map(bool, codes)) >= 2,
     }
     return state, report
+
+
+@lru_cache(maxsize=1)
+def _memory_reference() -> QuantumState:
+    """(|0> + e^{i pi/4}|1>)/sqrt(2) on the principal of a bare block."""
+    psi = np.zeros(32, dtype=complex)
+    psi[0], psi[16] = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2.0)
+    psi.flags.writeable = False
+    return QuantumState(psi, 5)
+
+
+def _memory_round(codes, uniforms) -> tuple[tuple, str, bool, int]:
+    """One memory round with net Pauli `codes`, measured against `uniforms`:
+    (the four p1 compared with, syndrome string, failed, pulse count)."""
+    reference = _memory_reference()
+    state, syndrome, marginals, pulse_count = _cycle(reference, _BLOCK, codes, uniforms)
+    failed = state_fidelity(state, reference) < 1.0 - 1e-6
+    return marginals, "".join(map(str, syndrome)), failed, pulse_count
+
+
+@lru_cache(maxsize=4**5)
+def _pauli_class(codes) -> tuple[tuple, str, bool, int]:
+    """The round of one net Pauli class along its likely measurement branch
+    (every draw 0.5), built once with the state-vector cycle."""
+    return _memory_round(codes, (0.5, 0.5, 0.5, 0.5))
 
 
 def memory_experiment(
@@ -215,11 +256,17 @@ def memory_experiment(
     correction cycle with Binomial(pulses_per_cycle, p) random single-qubit
     Paulis injected. A round fails when the decoded fidelity drops below
     1 - 1e-6. Returns the failure count, the syndrome histogram and each
-    round's compiled pulse count; all draws come from rng in a fixed order."""
-    amp = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2.0)
-    base = np.zeros(32, dtype=complex)
-    base[0], base[16] = amp[0], amp[1]
-    reference = QuantumState(base, 5)
+    round's compiled pulse count.
+
+    A round depends only on its net Pauli class (4**5 of them, phases
+    dropped) and on its four measurement draws, so each class is simulated
+    once, lazily, and kept with the p1 marginals its syndrome was measured
+    against. A round reuses its class when each draw u falls on the same side
+    of its p1 (u < p1 reads 1, as in qstate.measure); a draw on the other
+    side, possible only where p1 sits within rounding of 0 or 1, runs the
+    state-vector cycle on the same four draws. The draws are those of one
+    cycle at a time: Binomial, then two integers per error (Pauli, block
+    position), then four uniforms."""
     histogram: dict[str, int] = {}
     failures = 0
     pulse_counts = []
@@ -229,12 +276,14 @@ def memory_experiment(
             (("X", "Y", "Z")[int(rng.integers(3))], int(rng.integers(5)))
             for _ in range(n_errors)
         ]
-        state, rep = qec_cycle(reference, _BLOCK, injected, rng)
-        if state_fidelity(state, reference) < 1.0 - 1e-6:
-            failures += 1
-        key = "".join(str(b) for b in rep["syndrome"])
+        codes = _pauli_codes(injected)
+        uniforms = rng.random(4).tolist()
+        marginals, key, failed, pulse_count = _pauli_class(codes)
+        if any((u < p1) != (bit == "1") for u, p1, bit in zip(uniforms, marginals, key)):
+            _, key, failed, pulse_count = _memory_round(codes, uniforms)
+        failures += failed
         histogram[key] = histogram.get(key, 0) + 1
-        pulse_counts.append(rep["pulse_count"])
+        pulse_counts.append(pulse_count)
     return {"failures": failures, "syndrome_histogram": histogram,
             "pulse_counts": pulse_counts}
 

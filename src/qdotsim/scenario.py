@@ -308,8 +308,8 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
     and one (op spec, event, positions) step per program event."""
     _require(scenario.get("schema_version") == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}")
-    _require(_is_int(scenario.get("seed")),
-             "seed is mandatory and must be an integer (no wall-clock entropy)")
+    _require(_is_int(scenario.get("seed")) and scenario["seed"] >= 0,
+             "seed is mandatory and must be a non-negative integer (no wall-clock entropy)")
     _require(_all_finite(scenario), "scenario holds a non-finite number (inf or nan)")
     _require(isinstance(scenario.get("strict", False), bool), "strict must be true or false")
     material = build_material(scenario.get("material", "inas"))
@@ -394,6 +394,8 @@ def run_scenario(
     material, roles, t2_overrides, steps = validate_scenario(scenario)
     if shots < 1:
         raise SchemaError(f"shots must be >= 1, got {shots}")
+    if seed_override is not None and seed_override < 0:
+        raise SchemaError(f"seed must be >= 0, got {seed_override}")
     seed = int(seed_override if seed_override is not None else scenario["seed"])
     strict_flag = bool(scenario.get("strict", False) if strict is None else strict)
     section = scenario["array"]

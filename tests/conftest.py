@@ -13,7 +13,13 @@ from qdotsim import scenario as scenario_mod
 from qdotsim.device import DotArray
 from qdotsim.errors import RoutingError, StateError
 from qdotsim.noise import jump_probabilities
-from qdotsim.qec import _run_ops, cycle_pulse_count, principal_correction, syndrome_table
+from qdotsim.qec import (
+    _run_ops,
+    cycle_pulse_count,
+    principal_correction,
+    qec_cycle,
+    syndrome_table,
+)
 from qdotsim.qstate import (
     Gate,
     QuantumState,
@@ -21,6 +27,7 @@ from qdotsim.qstate import (
     measure,
     phase_aligned_maxdiff,
     qubit_probabilities,
+    state_fidelity,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -109,6 +116,35 @@ def qec_cycle_oracle(state: QuantumState, block, injected, rng) -> tuple[Quantum
         "pulse_count": cycle_pulse_count(int(correction != "I"), sum(syndrome)),
         "possible_logical_error": weight >= 2,
     }
+
+
+def memory_experiment_oracle(cycles: int, p: float, rng, pulses_per_cycle: int = 500) -> dict:
+    """The memory experiment with one state-vector qec_cycle per round: draw
+    Binomial(pulses_per_cycle, p) errors, a (Pauli, block position) pair of
+    integers for each, run the cycle on (|0> + e^{i pi/4}|1>)/sqrt(2) and
+    count a failure below fidelity 1 - 1e-6. qec.memory_experiment must
+    return the same dict and leave rng in the same state."""
+    amp = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2.0)
+    base = np.zeros(32, dtype=complex)
+    base[0], base[16] = amp[0], amp[1]
+    reference = QuantumState(base, 5)
+    histogram: dict[str, int] = {}
+    failures = 0
+    pulse_counts = []
+    for _ in range(cycles):
+        n_errors = int(rng.binomial(pulses_per_cycle, p))
+        injected = [
+            (("X", "Y", "Z")[int(rng.integers(3))], int(rng.integers(5)))
+            for _ in range(n_errors)
+        ]
+        state, rep = qec_cycle(reference, (0, 1, 2, 3, 4), injected, rng)
+        if state_fidelity(state, reference) < 1.0 - 1e-6:
+            failures += 1
+        key = "".join(str(b) for b in rep["syndrome"])
+        histogram[key] = histogram.get(key, 0) + 1
+        pulse_counts.append(rep["pulse_count"])
+    return {"failures": failures, "syndrome_histogram": histogram,
+            "pulse_counts": pulse_counts}
 
 
 def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,

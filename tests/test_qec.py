@@ -15,6 +15,7 @@ from conftest import (
     embed,
     haar_state,
     kron_chain,
+    memory_experiment_oracle,
     pauli_string,
     qec_cycle_oracle,
     states_close,
@@ -26,13 +27,14 @@ from qdotsim.qec import (
     cycle_pulse_count,
     encode_pulse_count,
     make_cat,
+    memory_experiment,
     parity_measure,
     pulse_budget,
     qec_cycle,
     syndrome_table,
     un_make_cat,
 )
-from qdotsim.qec import _ENCODE_OPS, _run_ops
+from qdotsim.qec import _ENCODE_OPS, _PAULI_NAMES, _memory_reference, _pauli_class, _run_ops
 from qdotsim.qstate import (
     Gate,
     QuantumState,
@@ -343,6 +345,68 @@ def test_cycle_matches_the_multi_pass_oracle(n, matrix, seed, n_errors):
     assert report == expected_report
     assert states_close(out, expected, 1e-12)
     assert one_pass.bit_generator.state == multi_pass.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the memory experiment and its Pauli-class table
+# ---------------------------------------------------------------------------
+
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 0.2),
+       pulses_per_cycle=st.integers(1, 500), cycles=st.integers(0, 20))
+@settings(max_examples=40, deadline=None)
+def test_memory_experiment_matches_the_per_cycle_oracle(seed, p, pulses_per_cycle, cycles):
+    # up to ~100 Paulis per round, so classes of every weight are looked up
+    table, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert memory_experiment(cycles, p, table, pulses_per_cycle) == (
+        memory_experiment_oracle(cycles, p, oracle, pulses_per_cycle))
+    assert table.bit_generator.state == oracle.bit_generator.state
+    assert _pauli_class.cache_info().currsize <= 4**5
+
+
+class _Draws(np.random.Generator):
+    """Replays one round's draws: binomial gives n_errors, integers the
+    listed values in turn and random the given uniforms."""
+
+    def __init__(self, n_errors, integers, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.n_errors, self.ints, self.uniforms = n_errors, iter(integers), uniforms
+
+    def binomial(self, n, p):
+        return self.n_errors
+
+    def integers(self, high):
+        return next(self.ints)
+
+    def random(self, size=None):
+        return np.array(self.uniforms)
+
+
+def _improbable_draw(near_one: bool):
+    """The first class with a syndrome marginal p1 within 1e-12 of 1 (or of
+    0, but not 0): its net Pauli, the injection that makes it and a draw
+    on the improbable side of p1."""
+    for codes in itertools.product(range(4), repeat=5):
+        for k, p1 in enumerate(_pauli_class(codes)[0]):
+            if (1 - 1e-12 < p1 < 1) if near_one else (0 < p1 < 1e-12):
+                uniforms = [0.5] * 4
+                uniforms[k] = p1 if near_one else 0.0  # u < p1 reads 1
+                injected = [(_PAULI_NAMES[c], pos) for pos, c in enumerate(codes) if c]
+                return codes, injected, uniforms
+    raise AssertionError("no class has a marginal a rounding away from 0 or 1")
+
+
+@pytest.mark.parametrize("near_one", [True, False], ids=["p1-below-1", "p1-above-0"])
+def test_improbable_syndrome_draw_fails_like_the_state_vector_cycle(near_one):
+    codes, injected, uniforms = _improbable_draw(near_one)
+    integers = [v for name, pos in injected for v in (("X", "Y", "Z").index(name), pos)]
+    likely = memory_experiment(1, 0.5, _Draws(len(injected), integers, [0.5] * 4))
+    assert likely["syndrome_histogram"] == {_pauli_class(codes)[1]: 1}
+    with pytest.raises(StateError) as table:
+        memory_experiment(1, 0.5, _Draws(len(injected), integers, uniforms))
+    with pytest.raises(StateError) as state_vector:
+        qec_cycle(_memory_reference(), BLOCK, injected, _Draws(0, [], uniforms))
+    assert str(table.value) == str(state_vector.value)
+    assert str(table.value).startswith("branch (Z, ")
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,14 @@ def test_channel_and_analytics_bytes_are_pinned(capsys):
             "a6f549672ed426e4abf4645e882f1783d9f4b043579ddab9848ff77b7fb5dd29",
         ("qec", "--cycles", "50", "--p", "1e-2", "--seed", "3"):
             "44107d36496f1ed969089fa8fb19308dadbc368bcf018f2d7ea4ee1e9422040d",
+        # these three recorded before the memory experiment looked rounds up
+        # by net Pauli class; p = 0.05 puts ~25 Paulis in a round
+        ("qec", "--cycles", "200", "--p", "1e-3", "--seed", "3"):
+            "c9f4c40ba535f036d656d278d2c957ec719652ed63137d02cb4039b8e45558dc",
+        ("qec", "--cycles", "200", "--p", "0.01", "--seed", "11"):
+            "4a069046bf7e583e5ba7bd3957ebb313de114d1c6e6fe5a7818df8f7c1ad68fb",
+        ("qec", "--cycles", "200", "--p", "0.05", "--seed", "5"):
+            "cf94884b0aeca3a1f8b4818390709253ce5956dca56f06407ef7d345824b1a5a",
     }
     for argv, pin in commands.items():
         assert cli.main(list(argv)) == 0
@@ -794,8 +802,10 @@ def test_cli_physics_violation_exits_3(tmp_path):
         lambda s: s["program"].append({"op": "init", "pos": [True, 0]}),
         lambda s: s["program"].insert(2, {"op": "gate", "kind": "ExchangeEvolve",
                                           "targets": [[0, 0], [1, 0]], "theta": -1.0}),
+        lambda s: s.update(seed=-4),
     ],
-    ids=["infinite-idle", "bool-seed", "bool-pos", "negative-exchange-theta"],
+    ids=["infinite-idle", "bool-seed", "bool-pos", "negative-exchange-theta",
+         "negative-seed"],
 )
 def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
     scenario = copy.deepcopy(BELL)
@@ -828,13 +838,17 @@ def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
         ("resources", "--t2", "5e-324"),
         ("channel", "--kind", "teleport", "--t2", "5e-324"),
         ("resources", "--rabi-period", "5e-324"),
+        ("qec", "--seed", "-1"),
+        ("simulate", "--scenario", "bell.scenario", "--seed", "-1"),
+        ("teleport", "--seed", "-5"),
     ],
     ids=["resources-t2-nan", "qec-t2-nan", "t2-inf", "t2-negative", "p-above-1",
          "p-negative", "cycles-negative", "rabi-period-power-underflow",
          "rabi-period-power-overflow", "swap-bandwidth-overflow",
          "tunnel-distance-overflow", "teleport-reach-overflow",
          "resources-t2-subnormal", "teleport-t2-subnormal",
-         "rabi-period-subnormal"],
+         "rabi-period-subnormal", "qec-negative-seed", "simulate-negative-seed",
+         "teleport-negative-seed"],
 )
 def test_cli_rejects_bad_numbers(args):
     proc = run_cli(*args)
