@@ -29,9 +29,10 @@ from .pulses import drive_report, swap_duration
 from .qstate import (
     Gate,
     QuantumState,
+    _collapse,
     apply_gate,
     as_rng,
-    measure,
+    qubit_probabilities,
 )
 from .report import _Stream
 
@@ -113,6 +114,18 @@ def si_material(T2: float) -> MaterialParams:
         raise StateError("the Si preset requires an explicit positive T2")
     base = inas_material(NoiseParams(T1=2.0 * T2, T2=T2))
     return replace(base, g_factor=2.0)
+
+
+def draw_readout(p1: float, readout_error: float, rng) -> tuple[int, int]:
+    """(true outcome, reported bit) of a Z readout with Born marginal p1:
+    the outcome is `u < p1` for a uniform u, misread if a second uniform is
+    below readout_error. With no readout error a certain outcome (p1 <= 0 or
+    p1 >= 1) is the same for every u, so a lazy stream builds no generator."""
+    if readout_error == 0 and not 0 < p1 < 1:
+        return int(p1 >= 1), int(p1 >= 1)
+    rng = as_rng(rng)
+    outcome = int(rng.random() < p1)
+    return outcome, outcome ^ (readout_error > 0 and rng.random() < readout_error)
 
 
 class DotArray:
@@ -294,23 +307,23 @@ class DotArray:
         self.advance(duration, pair=pair, energy=energy)
         return self
 
-    def readout(self, qubit_pos: Pos, readout_pos: Pos, rng_seed=None) -> tuple[int, "DotArray"]:
+    def readout(self, qubit_pos: Pos, readout_pos: Pos, rng_seed=None) -> tuple[int, int, float]:
         """Spin-to-charge readout: project the qubit in Z. A ground-state
         (spin-up, |0>) electron tunnels to the readout dot and registers a
-        charge event; the excited spin stays put."""
+        charge event; the excited spin stays put. Returns the reported bit,
+        the true outcome and the Born marginal p1 it was drawn from."""
         self._pos_check(readout_pos)
         if self.roles.get(readout_pos) != "readout":
             raise StateError(f"dot {readout_pos} is not a readout dot")
         if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
         q = self.qubit_index(qubit_pos)
-        rng = as_rng(self._rng if rng_seed is None else rng_seed)
-        outcome, self.state = measure(self.state, q, "Z", rng)
-        bit = outcome
-        if self.material.readout_error > 0 and rng.random() < self.material.readout_error:
-            bit = 1 - bit
+        probs = qubit_probabilities(self.state, q)
+        outcome, bit = draw_readout(float(probs[1]), self.material.readout_error,
+                                    self._rng if rng_seed is None else rng_seed)
+        self.state = _collapse(self.state, q, outcome, float(probs[outcome]), "Z")
         self.advance(self.material.readout_transfer + self.material.readout_measure)
-        return bit, self
+        return bit, outcome, float(probs[1])
 
     def idle(self, t: float) -> "DotArray":
         """Let the array sit for t seconds; only noise and residual exchange act."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import channels, pulses, qec
 from .device import (REPRESENTATIONS, ROLES, DotArray, MaterialParams, NoiseParams,
-                     inas_material, si_material)
+                     draw_readout, inas_material, si_material)
 from .errors import QdotsimError, SchemaError, StateError
 from .qstate import Gate, state_fidelity
 from .report import digest, dumps_report, stream
@@ -121,7 +121,8 @@ def build_material(spec) -> MaterialParams:
 # no op takes one dot twice, so an event's positions must be distinct.
 # Each shot calls run(array, event, at, rng), `at` mapping a field to its
 # position or list of positions. A dict returned by run holds the event's
-# report fields; anything else (DotArray methods return the array) means none.
+# report fields (a readout's also its true outcome and Born marginal p1, for
+# the shot loop); anything else (DotArray methods return the array) means none.
 # Library functions are looked up on their module at call time.
 
 
@@ -211,8 +212,8 @@ def _qec_cycle(array: DotArray, event: dict, at: dict, rng) -> dict:
 
 
 def _readout(array: DotArray, event: dict, at: dict, rng) -> dict:
-    bit, _ = array.readout(at["qubit"], at["readout"], rng)
-    return {"measurements": [bit]}
+    bit, outcome, p1 = array.readout(at["qubit"], at["readout"], rng)
+    return {"measurements": [bit], "outcome": outcome, "p1": p1}
 
 
 _OPS: dict[str, _Op] = {
@@ -408,63 +409,76 @@ def run_scenario(
             raise SchemaError(f"analytics entry {i} ({request['kind']}): {exc}") from exc
 
     # Shots differ only in their streams, so each repeats shot 0 up to the first
-    # event that builds its own or the array's stream, and starts there.
+    # event that builds its own or the array's stream, and starts there. If only
+    # readouts follow and the array never draws, their Born marginals depend only
+    # on the true outcomes read since then: `born` maps those outcomes to the next
+    # readout's p1 (None at the end), and a shot whose path it holds builds no array.
+    quiet = not material.noise.enabled or section.get("representation") == "matrix"
     event_log: list[dict] = []
     shot_records: list[str] = []
     counts: dict[str, int] = {}
     final_clock = 0.0
     total_energy = 0.0
-    prefix = None
+    prefix, replay, born = None, False, {}
     for shot in range(shots):
-        array_stream = stream(seed, shot, 0xFFFF)
-        array = DotArray(
-            section["width"], section["height"], material, roles=roles,
-            representation=section.get("representation", "vector"),
-            strict=strict_flag, seed=array_stream, t2_overrides=t2_overrides,
-        )
-        start, bits = 0, []
-        if prefix:
-            start, array.state, positions, array.clock, bits = prefix
-            array.qubit_positions, bits = list(positions), list(bits)
-        for index in range(start, len(steps)):
-            spec, event, at = steps[index]
+        bits = _replay(born, prefix, material.readout_error, seed, shot) if replay else None
+        if bits is None:
+            array_stream = stream(seed, shot, 0xFFFF)
+            array = DotArray(
+                section["width"], section["height"], material, roles=roles,
+                representation=section.get("representation", "vector"),
+                strict=strict_flag, seed=array_stream, t2_overrides=t2_overrides,
+            )
+            start, bits, path = 0, [], ()
+            if prefix:
+                start, array.state, positions, array.clock, bits = prefix
+                array.qubit_positions, bits = list(positions), list(bits)
+            for index in range(start, len(steps)):
+                spec, event, at = steps[index]
+                if prefix is None:
+                    before = (index, array.state, list(array.qubit_positions), array.clock,
+                              list(bits))
+                rng = stream(seed, shot, index)
+                clock_before = array.clock
+                try:
+                    result = spec.run(array, event, at, rng)
+                except QdotsimError as exc:
+                    raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
+                if not isinstance(result, dict):
+                    result = {}
+                if prefix is None and (rng.built or array_stream.built):
+                    prefix = before
+                    replay = quiet and all(later.run is _readout for later, _, _ in steps[index:])
+                if replay and index >= prefix[0]:
+                    born[path] = result["p1"]
+                    path += (result["outcome"],)
+                measurements = result.get("measurements")
+                if measurements:
+                    bits.extend(measurements)
+                if shot == 0:
+                    entry = {
+                        "index": index,
+                        "event": event["op"],
+                        "clock_before": clock_before,
+                        "clock_after": array.clock,
+                        "fidelity_checks": result.get("fidelity_checks"),
+                        "measurements": measurements,
+                    }
+                    for extra in ("path", "qec_report"):
+                        if extra in result:
+                            entry[extra] = result[extra]
+                    event_log.append(entry)
             if prefix is None:
-                before = (index, array.state, list(array.qubit_positions), array.clock,
-                          list(bits))
-            rng = stream(seed, shot, index)
-            clock_before = array.clock
-            try:
-                result = spec.run(array, event, at, rng)
-            except QdotsimError as exc:
-                raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
-            if not isinstance(result, dict):
-                result = {}
-            if prefix is None and (rng.built or array_stream.built):
-                prefix = before
-            measurements = result.get("measurements")
-            if measurements:
-                bits.extend(measurements)
+                prefix, replay = (len(steps), array.state, array.qubit_positions,
+                                  array.clock, bits), True
+            if replay:
+                born[path] = None
             if shot == 0:
-                entry = {
-                    "index": index,
-                    "event": event["op"],
-                    "clock_before": clock_before,
-                    "clock_after": array.clock,
-                    "fidelity_checks": result.get("fidelity_checks"),
-                    "measurements": measurements,
-                }
-                for extra in ("path", "qec_report"):
-                    if extra in result:
-                        entry[extra] = result[extra]
-                event_log.append(entry)
-        if prefix is None:
-            prefix = (len(steps), array.state, array.qubit_positions, array.clock, bits)
+                final_clock = array.clock
+                total_energy = array.energy
         record = "".join(str(b) for b in bits)
         shot_records.append(record)
         counts[record] = counts.get(record, 0) + 1
-        if shot == 0:
-            final_clock = array.clock
-            total_energy = array.energy
     scenario_text = json.dumps(scenario, sort_keys=True)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -485,6 +499,22 @@ def run_scenario(
         "analytics": analytics,
     }
     return report
+
+
+def _replay(born: dict, prefix: tuple, readout_error: float,
+            seed: int, shot: int) -> list[int] | None:
+    """One shot's bits: the prefix's, then its trailing readouts drawn from
+    their Born marginals in `born`; None when its path of true outcomes
+    leaves the table. `prefix` is (start index, ..., bits) as in run_scenario."""
+    bits, path = list(prefix[4]), ()
+    while path in born:
+        if born[path] is None:
+            return bits
+        outcome, bit = draw_readout(born[path], readout_error,
+                                    stream(seed, shot, prefix[0] + len(path)))
+        bits.append(bit)
+        path += (outcome,)
+    return None
 
 
 def write_report(report: dict, out_dir: str | Path) -> tuple[Path, Path]:

@@ -333,7 +333,7 @@ def readout_array():
 def test_readout_ground_state_registers_charge():
     array = readout_array()
     array.init_qubit((0, 0))
-    bit, _ = array.readout((0, 0), (0, 1), 3)
+    bit = array.readout((0, 0), (0, 1), 3)[0]
     assert bit == 0
 
 
@@ -341,7 +341,7 @@ def test_readout_excited_state_no_charge():
     array = readout_array()
     array.init_qubit((0, 0))
     array.apply_gate_at("X", [(0, 0)])
-    bit, _ = array.readout((0, 0), (0, 1), 3)
+    bit = array.readout((0, 0), (0, 1), 3)[0]
     assert bit == 1
 
 
@@ -355,7 +355,7 @@ def test_readout_superposition_statistics():
     base = array.state.data.copy()
     for _ in range(n):
         array.state = QuantumState(base.copy(), 1)
-        bit, _ = array.readout((0, 0), (0, 1), rng)
+        bit = array.readout((0, 0), (0, 1), rng)[0]
         ground += 1 - bit
     sigma = math.sqrt(0.25 / n)
     assert abs(ground / n - 0.5) < 3 * sigma
@@ -388,7 +388,7 @@ def test_readout_error_probability():
     material = material.__class__(**{**material.__dict__, "readout_error": 1.0})
     array = DotArray(2, 2, material, roles={(0, 1): "readout"})
     array.init_qubit((0, 0))
-    bit, _ = array.readout((0, 0), (0, 1), 0)
+    bit = array.readout((0, 0), (0, 1), 0)[0]
     assert bit == 1  # certain misread flips the ground outcome
 
 

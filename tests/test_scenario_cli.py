@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import run_shots_eagerly
 from qdotsim import cli
+from qdotsim import scenario as scenario_mod
 from qdotsim.channels import line_report
 from qdotsim.device import DotArray
 from qdotsim.errors import QdotsimError, SchemaError
@@ -311,6 +312,31 @@ STRICT_NOISY = {
     ],
 }
 
+# a noisy matrix-mode run ending in three readouts that misread one bit in ten:
+# each readout's Born marginal depends on the outcomes read before it
+MATRIX_MISREAD = {
+    "schema_version": 1,
+    "seed": 11,
+    "strict": True,
+    "material": {"preset": "inas", "readout_error": 0.1,
+                 "noise": {"enabled": True, "T1": 2e-6, "T2": 1e-6}},
+    "array": {"width": 3, "height": 2, "representation": "matrix",
+              "dots": [{"pos": [x, 1], "role": "readout"} for x in range(3)]},
+    "program": [
+        {"op": "init", "pos": [0, 0]},
+        {"op": "init", "pos": [1, 0]},
+        {"op": "init", "pos": [2, 0]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [1, 0]]},
+        {"op": "gate", "kind": "Rot", "targets": [[2, 0]], "axis": [1, 0, 1], "angle": 0.9},
+        {"op": "coupling_window", "a": [1, 0], "b": [2, 0], "theta": 1.1},
+        {"op": "idle", "t": 1e-7},
+        {"op": "readout", "qubit": [0, 0], "readout": [0, 1]},
+        {"op": "readout", "qubit": [1, 0], "readout": [1, 1]},
+        {"op": "readout", "qubit": [2, 0], "readout": [2, 1]},
+    ],
+}
+
 
 def test_run_reports_are_pinned():
     # sha256 of the canonical report bytes, recorded before the device stopped
@@ -327,6 +353,12 @@ def test_run_reports_are_pinned():
         scenario = copy.deepcopy(STRICT_NOISY)
         scenario["array"]["representation"] = representation
         assert digest(dumps_report(run_scenario(scenario, shots=20))) == pin
+    # these two recorded before certain readouts stopped drawing and later
+    # shots replayed trailing readouts from their Born marginals
+    assert digest(dumps_report(run_scenario(BELL, shots=10_000))) == (
+        "0252303b3522a28623e69a607d20b23b71e684d51cc254048d053877cf597e9e")
+    assert digest(dumps_report(run_scenario(MATRIX_MISREAD, shots=500))) == (
+        "924e16435f7bd5b7724fd162c61df72818915e9f2253ae03b4ad83005ff17dd6")
 
 
 
@@ -675,7 +707,7 @@ def _outcome(run):
         return type(exc)
 
 
-@given(scenario=shot_scenarios(), shots=st.integers(1, 6))
+@given(scenario=shot_scenarios(), shots=st.integers(1, 40))
 @settings(max_examples=120, deadline=None)
 def test_shared_prefix_matches_the_eager_shot_loop(scenario, shots):
     got = _outcome(lambda: run_scenario(copy.deepcopy(scenario), shots=shots))
@@ -695,6 +727,49 @@ def test_bundled_scenarios_match_the_eager_shot_loop():
             assert dumps_report(got[key]) == dumps_report(want[key]), key
 
 
+def test_trailing_misread_readouts_match_the_eager_shot_loop(monkeypatch):
+    arrays = []
+    monkeypatch.setattr(scenario_mod, "DotArray",
+                        lambda *args, **kwargs: arrays.append(1) or DotArray(*args, **kwargs))
+    got = run_scenario(copy.deepcopy(MATRIX_MISREAD), shots=300)
+    # only a shot on a path of true outcomes no earlier shot took builds an array
+    assert len(arrays) <= 2 ** 3
+    monkeypatch.undo()
+    want = run_shots_eagerly(copy.deepcopy(MATRIX_MISREAD), 300)
+    for key in ("measurement_records", "measurement_counts", "events"):
+        assert dumps_report(got[key]) == dumps_report(want[key]), key
+
+
+@pytest.mark.parametrize("readout_error", [0.0, 0.25])
+def test_a_certain_readout_draws_only_for_a_misread(monkeypatch, readout_error):
+    scenario = {
+        "schema_version": 1, "seed": 5,
+        "material": {"preset": "inas", "readout_error": readout_error},
+        "array": {"width": 1, "height": 2, "dots": [{"pos": [0, 1], "role": "readout"}]},
+        "program": [{"op": "init", "pos": [0, 0]},
+                    {"op": "gate", "kind": "X", "targets": [[0, 0]]},
+                    {"op": "readout", "qubit": [0, 0], "readout": [0, 1]}],
+    }
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: built.append(seed) or default_rng(seed))
+    got = run_scenario(copy.deepcopy(scenario), shots=50)
+    monkeypatch.undo()
+    if readout_error == 0:
+        assert built == []
+        assert got["measurement_records"] == ["1"] * 50
+    else:
+        # the Born draw is the first uniform, the misread the second
+        assert built == [[5, shot, 2] for shot in range(50)]
+        misread = [default_rng([5, shot, 2]).random(2)[1] < 0.25 for shot in range(50)]
+        assert got["measurement_records"] == [str(1 - m) for m in misread]
+        assert "0" in got["measurement_records"]
+    want = run_shots_eagerly(copy.deepcopy(scenario), 50)
+    for key in ("measurement_records", "measurement_counts", "events"):
+        assert dumps_report(got[key]) == dumps_report(want[key]), key
+
+
 def test_a_stream_that_never_draws_builds_no_generator(monkeypatch):
     built = []
     default_rng = np.random.default_rng
@@ -706,9 +781,13 @@ def test_a_stream_that_never_draws_builds_no_generator(monkeypatch):
     assert unused.random() == twin.random()
     assert built == [[7, 0, 3], [7, 0, 3]]
     built.clear()
-    # bell draws only in its two readouts; noise is off, so no array stream
-    run_scenario(copy.deepcopy(BELL), shots=5)
-    assert sorted(built) == sorted([[7, shot, i] for shot in range(5) for i in (3, 4)])
+    # bell draws only in its first readout: the second one's outcome is
+    # certain and there is no readout error; noise is off, so no array stream
+    records = run_scenario(copy.deepcopy(BELL), shots=5)["measurement_records"]
+    assert {tuple(key) for key in built} == {(7, shot, 3) for shot in range(5)}
+    # a later shot whose outcome no earlier shot read reruns the per-shot loop
+    # from the prefix, which builds that shot's stream a second time
+    assert len(built) == 5 + len({record[0] for record in records}) - 1
 
 
 # ---------------------------------------------------------------------------
