@@ -116,16 +116,17 @@ def si_material(T2: float) -> MaterialParams:
     return replace(base, g_factor=2.0)
 
 
-def draw_readout(p1: float, readout_error: float, rng) -> tuple[int, int]:
-    """(true outcome, reported bit) of a Z readout with Born marginal p1:
-    the outcome is `u < p1` for a uniform u, misread if a second uniform is
-    below readout_error. With no readout error a certain outcome (p1 <= 0 or
-    p1 >= 1) is the same for every u, so a lazy stream builds no generator."""
+def draw_readout(p1: float, readout_error: float, draw) -> tuple:
+    """(true outcome, reported bit) of a Z readout with Born marginal p1, or
+    of a batch: `draw(k)` gives k uniforms u per readout on its last axis.
+    The outcome is `u[..., 0] < p1`, misread if the last uniform is below
+    readout_error (never when it is 0). With no readout error a certain
+    outcome (p1 <= 0 or >= 1) draws nothing: a lazy stream builds no generator."""
     if readout_error == 0 and not 0 < p1 < 1:
-        return int(p1 >= 1), int(p1 >= 1)
-    rng = as_rng(rng)
-    outcome = int(rng.random() < p1)
-    return outcome, outcome ^ (readout_error > 0 and rng.random() < readout_error)
+        return p1 >= 1, p1 >= 1
+    u = draw(1 + (readout_error > 0))
+    outcome = u[..., 0] < p1
+    return outcome, outcome ^ (u[..., -1] < readout_error)
 
 
 class DotArray:
@@ -319,8 +320,9 @@ class DotArray:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
         q = self.qubit_index(qubit_pos)
         probs = qubit_probabilities(self.state, q)
-        outcome, bit = draw_readout(float(probs[1]), self.material.readout_error,
-                                    self._rng if rng_seed is None else rng_seed)
+        rng = self._rng if rng_seed is None else rng_seed
+        outcome, bit = map(int, draw_readout(float(probs[1]), self.material.readout_error,
+                                             lambda k: as_rng(rng).random(k)))
         self.state = _collapse(self.state, q, outcome, float(probs[outcome]), "Z")
         self.advance(self.material.readout_transfer + self.material.readout_measure)
         return bit, outcome, float(probs[1])

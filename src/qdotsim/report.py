@@ -5,13 +5,14 @@ scenario and seed, so floats are printed with a fixed 17-significant-digit
 format (which round-trips IEEE doubles exactly) and dictionary keys are
 sorted. RNG streams are split per event index so that inserting an event
 does not perturb the randomness of later events; each builds its generator
-on first use.
+on first use; `first_uniforms` gives many streams' first draws at once.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -37,26 +38,21 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [canonical_json(v, indent + 2) for v in obj]
-        inner = ",\n".join(f"{pad}  {it}" for it in items)
-        return f"[\n{inner}\n{pad}]"
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            items.append(
-                f"{pad}  {json.dumps(key)}: {canonical_json(obj[key], indent + 2)}"
-            )
-        inner = ",\n".join(items)
-        return f"{{\n{inner}\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+        items = [f"{pad}  {encode_basestring_ascii(key)}: {canonical_json(obj[key], indent + 2)}"
+                 for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [f"{pad}  {canonical_json(v, indent + 2)}" for v in obj], "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def dumps_report(obj) -> str:
@@ -95,3 +91,77 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent, reproducible generator for (seed, index, ...), built
     lazily: the same bits as `default_rng([seed, *path])`."""
     return _Stream([int(seed), *[int(p) for p in path]])
+
+
+_M32, _U32, _U64 = 0xFFFFFFFF, np.uint32, np.uint64
+_PCG_HI, _PCG_LO = _U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645)  # LCG multiplier
+
+
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, n: int) -> tuple[int, ...]:
+    """SeedSequence's running hash multiplier before each of n calls and after the last."""
+    return tuple(init * pow(mult, i, 1 << 32) & _M32 for i in range(n + 1))
+
+
+def _hashmix(value, consts):
+    """SeedSequence's hashmix per row of a consts column (see _hash_consts)."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> _U32(16))
+
+
+def _mix(x, y):
+    value = _U32(0xCA01F9DD) * x - _U32(0x4973F715) * y
+    return value ^ (value >> _U32(16))
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc mod 2**128 on (hi, lo) uint64 halves."""
+    half, low = _U64(32), _U64(_M32)
+    a0, a1, b0, b1 = lo & low, lo >> half, _PCG_LO & low, _PCG_LO >> half
+    m1 = a1 * b0 + ((a0 * b0) >> half)
+    m2 = a0 * b1 + (m1 & low)
+    hi = hi * _PCG_LO + lo * _PCG_HI + a1 * b1 + (m1 >> half) + (m2 >> half)
+    lo = lo * _PCG_LO
+    return hi + inc_hi + (lo + inc_lo < lo), lo + inc_lo
+
+
+def first_uniforms(seed: int, shots: np.ndarray, index: int, k: int) -> np.ndarray:
+    """The first k doubles of `np.random.default_rng([seed, shot, index])`
+    (of `stream(seed, shot, index)`) for every shot in an int array, each in
+    [0, 2**32), bit for bit and with no generator built: a (len(shots), k)
+    array. A port of SeedSequence, PCG64 seeding and its XSL-RR output to
+    arrays with one column per shot; every constant is a typed np.uint32 or
+    np.uint64, so numpy 1.x and 2 compute the same bits."""
+    shots = np.asarray(shots)
+    if shots.size and not 0 <= shots.min() <= shots.max() < 2**32:
+        raise ValueError("first_uniforms takes shots in [0, 2**32)")
+    # one row per little-endian 32-bit entropy word; only the shot's varies
+    seed_words, index_words = ([n >> s & _M32 for s in range(0, n.bit_length() or 1, 32)]
+                               for n in (int(seed), int(index)))
+    words = len(seed_words) + 1 + len(index_words)
+    entropy = np.zeros((max(4, words), len(shots)), _U32)
+    entropy[:words] = np.array([*seed_words, 0, *index_words], _U32)[:, None]
+    entropy[len(seed_words)] = shots
+    # hash four words into a pool, mix each into the others, then mix in the rest
+    consts = np.array(_hash_consts(0x43B0D7E5, 0x931E8875, 4 * max(4, words)), _U32)[:, None]
+    pool = _hashmix(entropy[:4], consts[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src:8 + 3 * src]))
+    for row in range(4, words):
+        pool = _mix(pool, _hashmix(entropy[row], consts[4 * row:4 * row + 5]))
+    # generate_state(4, uint64); PCG64 seeding steps from 0, adds init, steps
+    consts = np.array(_hash_consts(0x8B51F9DD, 0x58F38DED, 8), _U32)[:, None]
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], consts).astype(_U64)
+    init_hi, init_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << _U64(32))
+    inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+    inc_lo = (seq_lo << _U64(1)) | _U64(1)
+    hi, lo = _pcg_step(inc_hi + init_hi + (inc_lo + init_lo < inc_lo), inc_lo + init_lo,
+                       inc_hi, inc_lo)
+    out = np.empty((len(shots), k))
+    for j in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        rot, x = hi >> _U64(58), hi ^ lo  # XSL-RR, then the top 53 bits to [0, 1)
+        x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+        out[:, j] = (x >> _U64(11)) * 2.0**-53
+    return out

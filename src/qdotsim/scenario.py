@@ -14,10 +14,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .device import (REPRESENTATIONS, ROLES, DotArray, MaterialParams, NoisePara
                      draw_readout, inas_material, si_material)
 from .errors import QdotsimError, SchemaError, StateError
 from .qstate import Gate, state_fidelity
-from .report import digest, dumps_report, stream
+from .report import digest, dumps_report, first_uniforms, stream
 
 SCHEMA_VERSION = 1
 
@@ -412,109 +413,106 @@ def run_scenario(
     # event that builds its own or the array's stream, and starts there. If only
     # readouts follow and the array never draws, their Born marginals depend only
     # on the true outcomes read since then: `born` maps those outcomes to the next
-    # readout's p1 (None at the end), and a shot whose path it holds builds no array.
+    # readout's p1 (None at the end), and _walk draws the later shots from it.
     quiet = not material.noise.enabled or section.get("representation") == "matrix"
     event_log: list[dict] = []
-    shot_records: list[str] = []
-    counts: dict[str, int] = {}
-    final_clock = 0.0
-    total_energy = 0.0
     prefix, replay, born = None, False, {}
-    for shot in range(shots):
-        bits = _replay(born, prefix, material.readout_error, seed, shot) if replay else None
-        if bits is None:
-            array_stream = stream(seed, shot, 0xFFFF)
-            array = DotArray(
-                section["width"], section["height"], material, roles=roles,
-                representation=section.get("representation", "vector"),
-                strict=strict_flag, seed=array_stream, t2_overrides=t2_overrides,
-            )
-            start, bits, path = 0, [], ()
-            if prefix:
-                start, array.state, positions, array.clock, bits = prefix
-                array.qubit_positions, bits = list(positions), list(bits)
-            for index in range(start, len(steps)):
-                spec, event, at = steps[index]
-                if prefix is None:
-                    before = (index, array.state, list(array.qubit_positions), array.clock,
-                              list(bits))
-                rng = stream(seed, shot, index)
-                clock_before = array.clock
-                try:
-                    result = spec.run(array, event, at, rng)
-                except QdotsimError as exc:
-                    raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
-                if not isinstance(result, dict):
-                    result = {}
-                if prefix is None and (rng.built or array_stream.built):
-                    prefix = before
-                    replay = quiet and all(later.run is _readout for later, _, _ in steps[index:])
-                if replay and index >= prefix[0]:
-                    born[path] = result["p1"]
-                    path += (result["outcome"],)
-                measurements = result.get("measurements")
-                if measurements:
-                    bits.extend(measurements)
-                if shot == 0:
-                    entry = {
-                        "index": index,
-                        "event": event["op"],
-                        "clock_before": clock_before,
-                        "clock_after": array.clock,
-                        "fidelity_checks": result.get("fidelity_checks"),
-                        "measurements": measurements,
-                    }
-                    for extra in ("path", "qec_report"):
-                        if extra in result:
-                            entry[extra] = result[extra]
-                    event_log.append(entry)
+
+    def run_shot(shot: int) -> tuple[str, DotArray]:
+        """One shot's record and final array from the event loop; fills `born`."""
+        nonlocal prefix, replay
+        array_stream = stream(seed, shot, 0xFFFF)
+        array = DotArray(section["width"], section["height"], material, roles=roles,
+                         representation=section.get("representation", "vector"),
+                         strict=strict_flag, seed=array_stream, t2_overrides=t2_overrides)
+        start, bits, path = 0, [], ()
+        if prefix:
+            start, array.state, positions, array.clock, bits = prefix
+            array.qubit_positions, bits = list(positions), list(bits)
+        for index in range(start, len(steps)):
+            spec, event, at = steps[index]
             if prefix is None:
-                prefix, replay = (len(steps), array.state, array.qubit_positions,
-                                  array.clock, bits), True
-            if replay:
-                born[path] = None
+                before = (index, array.state, list(array.qubit_positions), array.clock,
+                          list(bits))
+            rng = stream(seed, shot, index)
+            clock_before = array.clock
+            try:
+                result = spec.run(array, event, at, rng)
+            except QdotsimError as exc:
+                raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
+            result = result if isinstance(result, dict) else {}
+            if prefix is None and (rng.built or array_stream.built):
+                prefix = before
+                replay = quiet and all(later.run is _readout for later, _, _ in steps[index:])
+            if replay and index >= prefix[0]:
+                born[path] = result["p1"]
+                path += (result["outcome"],)
+            measurements = result.get("measurements")
+            bits.extend(measurements or ())
             if shot == 0:
-                final_clock = array.clock
-                total_energy = array.energy
-        record = "".join(str(b) for b in bits)
-        shot_records.append(record)
-        counts[record] = counts.get(record, 0) + 1
-    scenario_text = json.dumps(scenario, sort_keys=True)
-    report = {
+                event_log.append({
+                    "index": index, "event": event["op"], "clock_before": clock_before,
+                    "clock_after": array.clock, "measurements": measurements,
+                    "fidelity_checks": result.get("fidelity_checks"),
+                    **{extra: result[extra] for extra in ("path", "qec_report")
+                       if extra in result}})
+        if prefix is None:
+            prefix, replay = (len(steps), array.state, array.qubit_positions,
+                              array.clock, bits), True
+        if replay:
+            born[path] = None
+        return "".join(str(b) for b in bits), array
+
+    record, array = run_shot(0)
+    shot_records = [record, *(
+        _walk(born, prefix, material.readout_error, seed, shots, run_shot) if replay
+        else (run_shot(shot)[0] for shot in range(1, shots)))]
+    return {
         "schema_version": SCHEMA_VERSION,
-        "scenario_digest": digest(scenario_text),
+        "scenario_digest": digest(json.dumps(scenario, sort_keys=True)),
         "seed": seed,
         "shots": shots,
         "strict": strict_flag,
         "material": dataclasses.asdict(material),
         "events": event_log,
         "measurement_records": shot_records,
-        "measurement_counts": dict(sorted(counts.items())),
-        "final_clock_s": final_clock,
-        "budgets": {
-            "total_time_s": final_clock,
-            "total_energy_j": total_energy,
-            "event_count": len(steps),
-        },
+        "measurement_counts": dict(sorted(Counter(shot_records).items())),
+        "final_clock_s": array.clock,
+        "budgets": {"total_time_s": array.clock, "total_energy_j": array.energy,
+                    "event_count": len(steps)},
         "analytics": analytics,
     }
-    return report
 
 
-def _replay(born: dict, prefix: tuple, readout_error: float,
-            seed: int, shot: int) -> list[int] | None:
-    """One shot's bits: the prefix's, then its trailing readouts drawn from
-    their Born marginals in `born`; None when its path of true outcomes
-    leaves the table. `prefix` is (start index, ..., bits) as in run_scenario."""
-    bits, path = list(prefix[4]), ()
-    while path in born:
-        if born[path] is None:
-            return bits
-        outcome, bit = draw_readout(born[path], readout_error,
-                                    stream(seed, shot, prefix[0] + len(path)))
-        bits.append(bit)
-        path += (outcome,)
-    return None
+_SHOT_CHUNK = 4096  # shots per pass of _walk, so its arrays stay small at any count
+
+
+def _walk(born: dict, prefix: tuple, readout_error: float, seed: int, shots: int,
+          run_shot: Callable[[int], object]) -> Iterator[str]:
+    """Records of shots 1..shots-1 (`prefix` as in run_scenario): a chunk of
+    shots at a time walks `born`, grouped by path of true outcomes; a group
+    draws a readout's uniforms in one `first_uniforms` call. At a path not in
+    the table its lowest shot runs `run_shot` to fill it, then all go on; the
+    last readout's outcomes lead to no p1, so they need no table entry."""
+    start, head = prefix[0], "".join(str(b) for b in prefix[4])
+    depth = max(map(len, born))  # every full path ends at the last readout
+    for first in range(1, shots, _SHOT_CHUNK):
+        ids = np.arange(first, min(first + _SHOT_CHUNK, shots))
+        tails = np.zeros((len(ids), depth), np.uint8)
+        groups = [((), np.arange(len(ids)))] if depth else []
+        while groups:
+            path, rows = groups.pop()
+            outcome, tails[rows, len(path)] = draw_readout(
+                born[path], readout_error,
+                lambda k: first_uniforms(seed, ids[rows], start + len(path), k))
+            for value in (0, 1) if len(path) + 1 < depth else ():
+                later = rows[np.broadcast_to(outcome, rows.shape) == value]
+                if len(later):
+                    if path + (value,) not in born:
+                        run_shot(int(ids[later[0]]))
+                    groups.append((path + (value,), later))
+        text = (tails + ord("0")).tobytes().decode("ascii")
+        yield from (head + text[row * depth:(row + 1) * depth] for row in range(len(ids)))
 
 
 def write_report(report: dict, out_dir: str | Path) -> tuple[Path, Path]:

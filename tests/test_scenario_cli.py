@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_shots_eagerly
@@ -17,7 +17,8 @@ from qdotsim.channels import line_report
 from qdotsim.device import DotArray
 from qdotsim.errors import QdotsimError, SchemaError
 from qdotsim.pulses import drive_report
-from qdotsim.report import canonical_json, digest, dumps_report, format_float, stream
+from qdotsim.report import (canonical_json, digest, dumps_report, first_uniforms,
+                            format_float, stream)
 from qdotsim.scenario import (
     build_material,
     load_scenario,
@@ -73,6 +74,19 @@ def test_stream_splitting_is_stable_and_independent():
     b = stream(7, 0, 4).random(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+@given(seed=st.integers(0, 2**200 - 1), index=st.integers(0, 2**40 - 1),
+       shots=st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+                      max_size=5),
+       k=st.integers(1, 3))
+@example(seed=2**32 + 5, index=3, shots=[], k=2)
+@settings(max_examples=150, deadline=None)
+def test_first_uniforms_are_default_rng_bit_for_bit(seed, index, shots, k):
+    got = first_uniforms(seed, np.array(shots, dtype=np.int64), index, k)
+    want = [np.random.default_rng([seed, shot, index]).random(k) for shot in shots]
+    assert got.shape == (len(shots), k)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +350,7 @@ MATRIX_MISREAD = {
         {"op": "readout", "qubit": [2, 0], "readout": [2, 1]},
     ],
 }
+BELL_MISREAD = {**BELL, "seed": 2**32 + 5, "material": {"preset": "inas", "readout_error": 0.1}}
 
 
 def test_run_reports_are_pinned():
@@ -359,6 +374,10 @@ def test_run_reports_are_pinned():
         "0252303b3522a28623e69a607d20b23b71e684d51cc254048d053877cf597e9e")
     assert digest(dumps_report(run_scenario(MATRIX_MISREAD, shots=500))) == (
         "924e16435f7bd5b7724fd162c61df72818915e9f2253ae03b4ad83005ff17dd6")
+    # recorded before later shots drew their readout uniforms from one batched
+    # kernel; the seed takes two 32-bit entropy words
+    assert digest(dumps_report(run_scenario(BELL_MISREAD, shots=3000))) == (
+        "4f6d12870253549f6d061d385f1c77bbb8418e00417c33a0527657de83a0554b")
 
 
 
@@ -740,6 +759,16 @@ def test_trailing_misread_readouts_match_the_eager_shot_loop(monkeypatch):
         assert dumps_report(got[key]) == dumps_report(want[key]), key
 
 
+def test_batched_shots_across_chunks_match_the_eager_shot_loop(monkeypatch):
+    # chunks of 7 shots, so paths first taken in one chunk recur in later ones
+    monkeypatch.setattr(scenario_mod, "_SHOT_CHUNK", 7)
+    for scenario, shots in ((BELL, 60), (MATRIX_MISREAD, 90), (BELL_MISREAD, 30)):
+        got = run_scenario(copy.deepcopy(scenario), shots=shots)
+        want = run_shots_eagerly(copy.deepcopy(scenario), shots)
+        for key in ("measurement_records", "measurement_counts", "events"):
+            assert dumps_report(got[key]) == dumps_report(want[key]), key
+
+
 @pytest.mark.parametrize("readout_error", [0.0, 0.25])
 def test_a_certain_readout_draws_only_for_a_misread(monkeypatch, readout_error):
     scenario = {
@@ -760,8 +789,11 @@ def test_a_certain_readout_draws_only_for_a_misread(monkeypatch, readout_error):
         assert built == []
         assert got["measurement_records"] == ["1"] * 50
     else:
-        # the Born draw is the first uniform, the misread the second
-        assert built == [[5, shot, 2] for shot in range(50)]
+        # only shot 0 builds its readout stream: later shots take their
+        # uniforms from the batched kernel, and no readout follows this one,
+        # so none runs the per-shot loop; the Born draw is the first uniform,
+        # the misread the second
+        assert built == [[5, 0, 2]]
         misread = [default_rng([5, shot, 2]).random(2)[1] < 0.25 for shot in range(50)]
         assert got["measurement_records"] == [str(1 - m) for m in misread]
         assert "0" in got["measurement_records"]
@@ -784,10 +816,11 @@ def test_a_stream_that_never_draws_builds_no_generator(monkeypatch):
     # bell draws only in its first readout: the second one's outcome is
     # certain and there is no readout error; noise is off, so no array stream
     records = run_scenario(copy.deepcopy(BELL), shots=5)["measurement_records"]
-    assert {tuple(key) for key in built} == {(7, shot, 3) for shot in range(5)}
-    # a later shot whose outcome no earlier shot read reruns the per-shot loop
-    # from the prefix, which builds that shot's stream a second time
-    assert len(built) == 5 + len({record[0] for record in records}) - 1
+    # shot 0 builds its stream; shot 4, the first whose outcome differs,
+    # runs the per-shot loop once to learn the second readout's p1 on the
+    # new path and builds its own; the batched kernel draws every record
+    assert records == ["00", "00", "00", "00", "11"]
+    assert built == [[7, 0, 3], [7, 4, 3]]
 
 
 # ---------------------------------------------------------------------------
