@@ -38,6 +38,7 @@ from .qstate import (
 
 BELL_PHI_PLUS = np.zeros(4, dtype=complex)
 BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
+ROUTE_CELL_CAP = 2**22  # padded cells (width+2)*(height+2) plan_tunnel_route may allocate
 
 FIDELITY_THRESHOLD_DEFAULT = 1e-4
 

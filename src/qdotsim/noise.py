@@ -143,7 +143,12 @@ def idle_jumps_window(
     One copy of psi takes every step in place. Which uniforms a qubit draws
     depends only on p_Z > 0 and gamma > 0, so the window takes them all in
     one rng.random(k) call: the same values, in the same order, as k scalar
-    draws."""
+    draws.
+
+    No step turns a zero amplitude nonzero, so a qubit whose |1> slice is
+    exactly zero at the start never jumps. While psi holds no -0.0 (a Z flip
+    can write one) its no-jump scalings are bitwise no-ops too, and it pays
+    only for its draw; otherwise it runs them with p1 = 0.0."""
     if not state.is_vector:
         raise StateError("trajectory jumps act on vector states")
     if not params.enabled or t == 0:
@@ -155,13 +160,21 @@ def idle_jumps_window(
     steps = [(q, *odds[T2]) for q, T2 in T2_overrides.items()]
     draws = iter(rng.random(sum((p_z > 0) + (gamma > 0) for _, p_z, gamma in steps)))
     psi = state.data.reshape([2] * n).copy()
+    excited = int(np.bitwise_or.reduce(np.flatnonzero(psi)))  # bit n-1-q: q's |1> slice != 0
+    clean = not (psi.reshape(-1).view(np.uint64) == 1 << 63).any()  # no -0.0 in psi
     for q, p_z, gamma in steps:
-        pair = psi.reshape(2**q, 2, -1)  # view; pair[:, 1] is qubit q's |1> slice
         if p_z > 0 and next(draws) < p_z:
-            np.negative(pair[:, 1], out=pair[:, 1])
+            one = psi.reshape(2**q, 2, -1)[:, 1]
+            np.negative(one, out=one)
+            clean = False
         if gamma > 0:
-            other = tuple(i for i in range(n) if i != q)
-            p1 = float((np.abs(psi) ** 2).sum(axis=other)[1])  # as qubit_probabilities rounds it
+            ground = not excited >> (n - 1 - q) & 1
+            if ground and clean:
+                next(draws)
+                continue
+            other = tuple(i for i in range(n) if i != q)  # p1 rounds as qubit_probabilities does
+            p1 = 0.0 if ground else float((np.abs(psi) ** 2).sum(axis=other)[1])
+            pair = psi.reshape(2**q, 2, -1)  # view; pair[:, 1] is qubit q's |1> slice
             p_jump = gamma * p1
             if next(draws) < p_jump:
                 # Jump K1: the excited amplitude collapses onto |0>.

@@ -47,7 +47,10 @@ def canonical_json(obj, indent: int = 0) -> str:
                  for key in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items, brackets = [f"{pad}  {canonical_json(v, indent + 2)}" for v in obj], "[]"
+        kinds = set(map(type, obj))  # all str or all int: no recursive call per item
+        flat = encode_basestring_ascii if kinds == {str} else str if kinds == {int} else None
+        items = [f"{pad}  {flat(v) if flat else canonical_json(v, indent + 2)}" for v in obj]
+        brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
     if not items:

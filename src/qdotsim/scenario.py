@@ -358,6 +358,9 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
         _require(isinstance(op, str) and op in _OPS, f"event {i}: unknown op {op!r}")
         spec, label = _OPS[op], f"event {i} ({op})"
         spec.check(event, label)
+        _require(op != "route" or (width + 2) * (height + 2) <= channels.ROUTE_CELL_CAP,
+                 f"{label}: a {width}x{height} array exceeds the {channels.ROUTE_CELL_CAP} "
+                 "padded cells (width+2)*(height+2) route planning may use")
         for key in spec.numbers:
             value = event.get(key)
             _require(_is_number(value) and value >= 0,

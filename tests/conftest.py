@@ -150,23 +150,27 @@ def memory_experiment_oracle(cycles: int, p: float, rng, pulses_per_cycle: int =
 def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,
                      T2_override=None) -> QuantumState:
     """One qubit's stochastic idle step, a fresh state per operation: a Z
-    gate with probability p_Z, then a Kraus-sampled damping jump with one
-    scalar draw each. noise.idle_jumps_window must match it bit for bit."""
+    flip with probability p_Z, then a Kraus-sampled damping jump with one
+    scalar draw each. noise.idle_jumps_window must match it bit for bit,
+    signs of zeros included, so the flip negates the |1> slice exactly: a
+    Z matrix product would compute 1*a + 0*b and rewrite the sign of a zero."""
     if not state.is_vector:
         raise StateError("trajectory jumps act on vector states")
     if not params.enabled or dt == 0:
         return state
     p_z, gamma = jump_probabilities(dt, params, T2_override)
+    n = state.n_qubits
+    sel0 = [slice(None)] * n
+    sel1 = [slice(None)] * n
+    sel0[qubit], sel1[qubit] = 0, 1
     if p_z > 0 and rng.random() < p_z:
-        state = apply_gate(state, Gate("Z", (qubit,)))
+        psi = state.data.reshape([2] * n).copy()
+        psi[tuple(sel1)] = -psi[tuple(sel1)]
+        state = QuantumState(psi.reshape(-1), n)
     if gamma > 0:
         p1 = float(qubit_probabilities(state, qubit)[1])
         p_jump = gamma * p1
-        n = state.n_qubits
         psi = state.data.reshape([2] * n).copy()
-        sel0 = [slice(None)] * n
-        sel1 = [slice(None)] * n
-        sel0[qubit], sel1[qubit] = 0, 1
         if rng.random() < p_jump:
             psi[tuple(sel0)] = psi[tuple(sel1)] / np.sqrt(p1)
             psi[tuple(sel1)] = 0.0

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,15 @@ def test_canonical_json_round_trips_through_json():
     parsed = json.loads(canonical_json(payload))
     assert parsed["x"] == 0.1 + 0.2
     assert parsed["y"] == [1e-300, 12345678901234567.0]
+
+
+@given(st.recursive(
+    st.one_of(st.integers(), st.text(), st.booleans(), st.none()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20))
+def test_canonical_json_renders_lists_of_str_and_int_as_json_does(payload):
+    # lists of only str or only int take the one-comprehension path
+    assert canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_stream_splitting_is_stable_and_independent():
@@ -1040,6 +1050,29 @@ def test_cli_subnormal_material_rabi_period_fails_at_the_first_drive(tmp_path):
     assert error["error"] == "schema"
     assert error["message"].startswith("bad material parameters: Rabi field is not finite")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("width, height", [(10**19, 2), (10**6, 10**6)])
+def test_cli_route_on_an_oversized_grid_exits_2_before_allocating(tmp_path, width, height):
+    scenario = {"schema_version": 1, "seed": 1,
+                "array": {"width": width, "height": height},
+                "program": [{"op": "init", "pos": [0, 0]},
+                            {"op": "route", "src": [0, 0], "dst": [1, 1]}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=r"^event 1 \(route\): "):
+            validate_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    path = tmp_path / "big.scenario"
+    path.write_text(json.dumps(scenario))
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["message"].startswith("event 1 (route): ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_rejects_material_flags(tmp_path):
