@@ -133,7 +133,11 @@ def line_report(
 
 def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     """Shortest path from an occupied source to an empty destination through
-    empty dots only (breadth-first, fixed +x,+y,-x,-y tie-break)."""
+    empty dots only, the lexicographically first with steps ranked
+    +x,+y,-x,-y: the one a FIFO breadth-first search expanding in that order
+    finds. If a monotone path exists, all shortest paths are monotone, and a
+    depth-first walk in the src-dst rectangle, trying the steps toward dst
+    in rank order and backing out of dead ends, finds it; else the search runs."""
     array._pos_check(src)
     array._pos_check(dst)
     occupied = set(array.qubit_positions)
@@ -144,6 +148,22 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     blocked = occupied | {pos for pos, role in array.roles.items() if role == "readout"}
     if dst in blocked:
         raise RoutingError(f"destination dot {dst} cannot host an electron")
+    sx, sy = (dst[0] > src[0]) - (dst[0] < src[0]), (dst[1] > src[1]) - (dst[1] < src[1])
+    toward = [step for step in ((1, 0), (0, 1), (-1, 0), (0, -1)) if step in ((sx, 0), (0, sy))]
+    path, dead = [src], set()
+    while path and path[-1] != dst:
+        x, y = path[-1]
+        for dx, dy in toward:
+            nxt = (x + dx, y + dy)
+            # a step toward dst leaves the rectangle only past dst's row or column
+            if (nxt not in blocked and nxt not in dead
+                    and (nxt[0] - dst[0]) * sx <= 0 and (nxt[1] - dst[1]) * sy <= 0):
+                path.append(nxt)
+                break
+        else:
+            dead.add(path.pop())  # no monotone path to dst leaves this cell
+    if path:
+        return path
     # Cells are ids into a grid padded by one blocked cell on each side, so a
     # step never needs a bounds check; the steps keep the +x,+y,-x,-y order.
     width, stride = array.width, array.width + 2
@@ -172,8 +192,10 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
 
 
 def run_tunnel_route(array: DotArray, path: list[Pos]) -> DotArray:
-    """Execute a planned route as successive single hops."""
-    for a, b in zip(path, path[1:]):
+    """Execute a planned route as successive single hops, the leading ones
+    that leave the register as it is in one batch (DotArray.quiet_hops)."""
+    hops = list(zip(path, path[1:]))
+    for a, b in hops[array.quiet_hops(hops):]:
         array.move_electron(a, b)
     return array
 

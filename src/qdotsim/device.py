@@ -12,6 +12,9 @@ Ideal gate unitaries themselves are noiseless; their duration contributes
 an idle window instead. During an exchange window the coupled pair is
 excluded from that window's idle noise.
 
+While a route's hops cannot change psi (every qubit in |0>, no Z flip),
+quiet_hops books them in one batch with one draw for all their windows.
+
 Strict mode additionally applies the always-on residual exchange J_off to
 every adjacent occupied pair but the coupled one during each timed window.
 The array keeps only the clock and the drive energy spent; the per-event
@@ -22,9 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .constants import HBAR_EV_S
-from .errors import AdjacencyError, BlockadeError, StateError
-from .noise import NoiseParams, idle_jumps_window, idle_window
+from .errors import AdjacencyError, BlockadeError, QdotsimError, StateError
+from .noise import NoiseParams, idle_jumps_window, idle_window, jump_probabilities
 from .pulses import drive_report, swap_duration
 from .qstate import (
     Gate,
@@ -257,21 +262,68 @@ class DotArray:
         self.advance(self.material.t_pulse)
         return self
 
-    def move_electron(self, src: Pos, dst: Pos) -> "DotArray":
-        """Tunnel the electron, spin amplitudes intact, one hop over."""
+    def _hop_check(self, positions: list[Pos], src: Pos, dst: Pos) -> None:
+        """Raise move_electron's error for a hop src -> dst with qubits at `positions`."""
         self._pos_check(src)
         self._pos_check(dst)
-        if src not in self.qubit_positions:
+        if src not in positions:
             raise StateError(f"source dot {src} is empty")
-        if dst in self.qubit_positions:
+        if dst in positions:
             raise BlockadeError(f"destination dot {dst} is occupied")
         if not self.adjacent(src, dst):
             raise AdjacencyError(f"{src} and {dst} are not grid neighbors")
         if self.roles.get(dst) == "readout":
             raise StateError(f"cannot park a qubit on readout dot {dst}")
+
+    def move_electron(self, src: Pos, dst: Pos) -> "DotArray":
+        """Tunnel the electron, spin amplitudes intact, one hop over."""
+        self._hop_check(self.qubit_positions, src, dst)
         self.qubit_positions[self.qubit_positions.index(src)] = dst
         self.advance(self.material.t_hop)
         return self
+
+    def quiet_hops(self, hops: list[tuple[Pos, Pos]]) -> int:
+        """Book the leading hops of a route that leave psi bit for bit as it
+        is, at once and as move_electron would; returns how many. On a noisy
+        vector register outside strict mode with +0.0 in every amplitude but
+        psi[0] and no -0.0 (a no-jump scaling or division by 1 can flip a
+        zero's sign), every qubit is in |0> and only a Z flip can change psi
+        (see idle_jumps_window). The batch ends before the first hop that
+        move_electron refuses, that changes the T2 map or whose Z flip fires."""
+        t, noise = self.material.t_hop, self.material.noise
+        if not hops or not noise.enabled or self.strict or t <= 0 or not self.state.is_vector:
+            return 0
+        bits = np.ascontiguousarray(self.state.data, complex).view(np.uint64)  # -0.0 is 1 << 63
+        if bits[2:].any() or (bits[:2] == 1 << 63).any():
+            return 0
+        positions, dsts = list(self.qubit_positions), []
+        for src, dst in hops:
+            try:
+                self._hop_check(positions, src, dst)
+            except (QdotsimError, TypeError, ValueError):  # move_electron raises it again
+                break
+            if self.t2_overrides.get(dst) != self.t2_overrides.get(hops[0][1]):
+                break
+            positions[positions.index(src)] = dst
+            dsts.append(dst)
+        if not dsts:
+            return 0
+        limits = []  # one per draw of a hop's window: p_Z for a Z draw, 0.0 for a damping draw
+        for pos in positions:
+            p_z, gamma = jump_probabilities(t, noise, self.t2_overrides.get(pos))
+            limits += [p_z] * (p_z > 0) + [0.0] * (gamma > 0)
+        rng = as_rng(self._rng)
+        saved, k = rng.bit_generator.state, len(dsts)
+        flips = np.flatnonzero((rng.random(k * len(limits)).reshape(k, -1) < limits).any(axis=1))
+        if flips.size:
+            k, rng.bit_generator.state = int(flips[0]), saved
+            rng.random(k * len(limits))
+        if k:
+            self.qubit_positions[self.qubit_positions.index(hops[0][0])] = dsts[k - 1]
+        for _ in range(k):
+            self.clock += t
+            self.energy += 0.0
+        return k
 
     def apply_gate_at(self, kind: str, positions: list[Pos], *,
                       axis=None, angle=None, theta=None) -> "DotArray":

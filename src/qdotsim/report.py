@@ -47,9 +47,13 @@ def canonical_json(obj, indent: int = 0) -> str:
                  for key in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))  # all str or all int: no recursive call per item
+        kinds = set(map(type, obj))  # all str, all int or all flat int lists: one comprehension
         flat = encode_basestring_ascii if kinds == {str} else str if kinds == {int} else None
-        items = [f"{pad}  {flat(v) if flat else canonical_json(v, indent + 2)}" for v in obj]
+        if kinds == {list} and all(set(map(type, v)) == {int} for v in obj):
+            inner = f"\n{pad}    "
+            items = [f"{pad}  [{inner}{f',{inner}'.join(map(str, v))}\n{pad}  ]" for v in obj]
+        else:
+            items = [f"{pad}  {flat(v) if flat else canonical_json(v, indent + 2)}" for v in obj]
         brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")

@@ -227,6 +227,15 @@ def route_oracle(array: DotArray, src, dst) -> list:
     return path[::-1]
 
 
+def hop_oracle(array: DotArray, path) -> DotArray:
+    """A route as one move_electron per hop; channels.run_tunnel_route must
+    leave the array the same bit for bit, generator included, or raise the
+    same error after the same hops."""
+    for a, b in zip(path, path[1:]):
+        array.move_electron(a, b)
+    return array
+
+
 def run_shots_eagerly(scenario: dict, shots: int) -> dict:
     """Reference shot loop with nothing shared between shots: every shot runs
     from event 0 on a fresh array, with eager generators

@@ -1,13 +1,14 @@
 """Transport channels: analytics, routing, conflicts, teleport, purification."""
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_state, kron_chain, route_oracle
+from conftest import haar_state, hop_oracle, kron_chain, route_oracle
 from qdotsim.channels import (
     BELL_PHI_PLUS,
     channel_fidelity,
@@ -23,9 +24,9 @@ from qdotsim.channels import (
     teleport_branches,
 )
 from qdotsim.device import DotArray, inas_material
-from qdotsim.errors import ProtocolError, RoutingError, StateError
+from qdotsim.errors import ProtocolError, QdotsimError, RoutingError, StateError
 from qdotsim.noise import NoiseParams
-from qdotsim.qstate import QuantumState, reduced_density, state_fidelity
+from qdotsim.qstate import QuantumState, as_rng, reduced_density, state_fidelity
 
 MATERIAL = inas_material()
 
@@ -230,6 +231,143 @@ def test_route_equals_the_oracle_on_random_grids(width, height, data):
             return type(exc)
 
     assert outcome(plan_tunnel_route) == outcome(route_oracle)
+
+
+def planned(plan, array, src, dst):
+    """plan's path, or the type and message of its error."""
+    try:
+        return plan(array, src, dst)
+    except QdotsimError as exc:
+        return type(exc), str(exc)
+
+
+@given(width=st.integers(1, 48), height=st.integers(1, 48), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_route_equals_the_oracle_on_large_sparse_grids(width, height, data):
+    # scattered qubits and readout dots, and sometimes a wall of readout dots
+    # with one gap, so both the monotone walk and the breadth-first fallback run
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    occupied = data.draw(st.lists(cell, min_size=1, max_size=40, unique=True))
+    roles = {c: "readout" for c in data.draw(st.lists(cell, max_size=40))}
+    if data.draw(st.booleans()):
+        x, gap = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+        roles.update({(x, y): "readout" for y in range(height) if y != gap})
+    array = DotArray(width, height, MATERIAL, roles=roles)
+    array.qubit_positions = occupied  # the planner reads only the occupancy record
+    src = data.draw(st.sampled_from(occupied))
+    dst = data.draw(cell)
+    assert planned(plan_tunnel_route, array, src, dst) == planned(route_oracle, array, src, dst)
+
+
+@pytest.mark.parametrize("occupied, readouts, dst, path", [
+    # monotone: the +x walk dead-ends at (2, 0) and backs out to (1, 0)
+    ([(0, 0), (3, 0), (2, 1)], [], (3, 2),
+     [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (3, 2)]),
+    # a wall on x = 1 but for y = 2 forces a detour: the breadth-first fallback
+    ([(0, 0)], [(1, 0), (1, 1)], (2, 0),
+     [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0)]),
+    # a -x/+y route: +y ranks before -x
+    ([(3, 0)], [], (0, 2), [(3, 0), (3, 1), (3, 2), (2, 2), (1, 2), (0, 2)]),
+])
+def test_route_branches_take_the_lexicographically_first_shortest_path(
+        occupied, readouts, dst, path):
+    array = DotArray(4, 3, MATERIAL, roles={c: "readout" for c in readouts})
+    array.qubit_positions = occupied
+    assert plan_tunnel_route(array, occupied[0], dst) == path
+    assert route_oracle(array, occupied[0], dst) == path
+
+
+T_HOP = MATERIAL.t_hop
+
+
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_run_tunnel_route_equals_one_move_per_hop(data):
+    # psi's bytes, clock, energy, positions and generator state, or the same
+    # error: ground, signed-zero and excited registers, T2 down to one hop so
+    # that Z flips fire mid-route, strict on and off, T2 overrides anywhere,
+    # and paths with a bad hop spliced in
+    width, height = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 8))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    qubits = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
+    empty = [c for c in cells if c not in qubits]
+    readouts = data.draw(st.lists(st.sampled_from(empty), max_size=3, unique=True)) if empty else []
+    t2 = 10 ** data.draw(st.floats(math.log10(T_HOP), -6))
+    t1 = t2 * data.draw(st.floats(0.5, 100))
+    overrides = {c: 2 * t1 * 10 ** -data.draw(st.floats(0, 5))
+                 for c in data.draw(st.lists(st.sampled_from(cells), max_size=6, unique=True))}
+    material = replace(MATERIAL, noise=NoiseParams(T1=t1, T2=t2, enabled=data.draw(
+        st.sampled_from([True, True, False]))))
+    strict, seed = data.draw(st.booleans()), data.draw(st.integers(0, 2**32))
+    register = data.draw(st.sampled_from(["ground", "signed zeros", "gates"]))
+    gates = data.draw(st.lists(st.tuples(st.sampled_from(["X", "H", "Z", "S"]),
+                                         st.sampled_from(qubits)), min_size=1, max_size=2)
+                      ) if register == "gates" else []
+    phase = data.draw(st.sampled_from([1, -1, 1j, -1j])) if register != "ground" else 1
+    signed = data.draw(st.lists(st.integers(0, 2**(len(qubits) + 1) - 1), max_size=3)
+                       ) if register != "ground" else []
+
+    def build() -> DotArray:
+        # prepared without noise, so that short-T2 routes can start from clean zeros
+        quiet = replace(material, noise=replace(material.noise, enabled=False))
+        array = DotArray(width, height, quiet, strict=strict, seed=seed,
+                         roles={c: "readout" for c in readouts}, t2_overrides=overrides)
+        for q in qubits:
+            array.init_qubit(q)
+        for kind, q in gates:
+            array.apply_gate_at(kind, [q])
+        array.material = material
+        parts = (array.state.data * phase).view(np.float64)  # real and imaginary parts
+        parts[[i for i in signed if parts[i] == 0]] = -0.0
+        array.state = QuantumState(parts.view(complex), len(qubits))
+        return array
+
+    src = data.draw(st.sampled_from(qubits))
+    dst = data.draw(st.sampled_from(empty + [(-1, 0)]))
+    path = planned(plan_tunnel_route, build(), src, dst)
+    path = path if isinstance(path, list) else [src, dst]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(path) - 1))
+        path = path[:i + 1] + [data.draw(st.sampled_from(cells + [(-1, 0)]))] + path[i + 1:]
+
+    def outcome(run) -> tuple:
+        array, error = build(), None
+        try:
+            run(array, path)
+        except QdotsimError as exc:
+            error = type(exc), str(exc)
+        return (error, array.state.data.tobytes(), array.clock, array.energy,
+                array.qubit_positions, as_rng(array._rng).bit_generator.state)
+
+    assert outcome(run_tunnel_route) == outcome(hop_oracle)
+
+
+def test_quiet_hops_book_a_ground_route_up_to_its_first_z_flip():
+    hops = [((x, 0), (x + 1, 0)) for x in range(20)]
+    material = replace(MATERIAL, noise=NoiseParams(enabled=True))
+    array = DotArray(21, 2, material, seed=3)
+    array.init_qubit((0, 0))
+    array.init_qubit((0, 1))
+    assert array.quiet_hops(hops) == 20
+    assert array.qubit_positions == [(20, 0), (0, 1)]
+    # an excited register, strict mode or a bad first hop books nothing
+    array.apply_gate_at("X", [(0, 1)])
+    assert array.quiet_hops([((20, 0), (19, 0))]) == 0
+    assert DotArray(2, 1, material, strict=True).init_qubit((0, 0)).quiet_hops(hops[:1]) == 0
+    assert DotArray(2, 1, material).init_qubit((1, 0)).quiet_hops(hops[:1]) == 0
+    # nor does a -0.0, even in psi[0]: a hop's division by 1 rewrites -1-0j as -1+0j
+    array = DotArray(21, 1, material).init_qubit((0, 0))
+    array.state = QuantumState(np.array([complex(-1.0, -0.0), 0j]), 1)
+    assert array.quiet_hops(hops) == 0
+    run_tunnel_route(array, [(0, 0), (1, 0)])
+    assert array.state.data.view(np.float64).tolist() == [-1.0, 0.0, 0.0, 0.0]
+    assert not np.signbit(array.state.data[0].imag)
+    # with T2 one hop long a Z flip soon fires: the batch stops before its hop
+    material = replace(MATERIAL, noise=NoiseParams(T1=1e-6, T2=T_HOP, enabled=True))
+    array = DotArray(21, 1, material, seed=4).init_qubit((0, 0))
+    booked = array.quiet_hops(hops)
+    assert 0 < booked < 20
+    assert array.qubit_positions == [(booked, 0)]
 
 
 def test_run_tunnel_route_moves_qubit():

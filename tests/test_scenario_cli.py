@@ -70,11 +70,12 @@ def test_canonical_json_round_trips_through_json():
 
 
 @given(st.recursive(
-    st.one_of(st.integers(), st.text(), st.booleans(), st.none()),
+    st.one_of(st.integers(), st.text(), st.booleans(), st.none(),
+              st.lists(st.lists(st.integers(), max_size=3), max_size=4)),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20))
 def test_canonical_json_renders_lists_of_str_and_int_as_json_does(payload):
-    # lists of only str or only int take the one-comprehension path
+    # lists of only str, only int or only flat int lists take the one-comprehension path
     assert canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -478,15 +479,42 @@ LONG_ROUTES = {
         {"op": "readout", "qubit": [15, 15], "readout": [15, 14]},
     ],
 }
+# long routes on a ground register: T2 = 2 ns makes Z flips fire mid-route, a
+# wall of readout dots forces a detour, and one route ends on (and the next
+# leaves) a dot with its own T2
+GROUND_ROUTES = {
+    "schema_version": 1,
+    "seed": 1818,
+    "material": {"preset": "inas", "noise": {"enabled": True, "T1": 1e-6, "T2": 2e-9}},
+    "array": {"width": 20, "height": 20, "dots": [
+        *({"pos": [9, y], "role": "readout"} for y in range(14)),
+        {"pos": [14, 10], "t2_override": 5e-10}]},
+    "program": [
+        {"op": "init", "pos": [0, 0]},
+        {"op": "init", "pos": [19, 0]},
+        {"op": "init", "pos": [0, 19]},
+        {"op": "init", "pos": [19, 19]},
+        {"op": "route", "src": [0, 0], "dst": [18, 5]},
+        {"op": "route", "src": [19, 0], "dst": [14, 10]},
+        {"op": "route", "src": [0, 19], "dst": [12, 2]},
+        {"op": "route", "src": [19, 19], "dst": [1, 18]},
+        {"op": "route", "src": [14, 10], "dst": [16, 3]},
+        {"op": "gate", "kind": "H", "targets": [[12, 2]]},
+        {"op": "readout", "qubit": [12, 2], "readout": [9, 0]},
+    ],
+}
 
 
 def test_vector_jump_reports_are_pinned():
     # sha256 of the canonical report bytes, recorded before the vector idle
-    # window became one pass and route planning a flat-grid search
+    # window became one pass and route planning a flat-grid search; the
+    # ground-register one before routes were planned monotone and run in batches
     assert digest(dumps_report(run_scenario(JUMP_HEAVY, shots=20))) == (
         "a2c9fe8dd3ef22a3f8eba2864ccd404f0a4bda23494420c4b61aa2c65e6d927c")
     assert digest(dumps_report(run_scenario(LONG_ROUTES, shots=5))) == (
         "90c8625e81ad3b29b218f602898b3b4b589af96846764d7839156b7a209bb12b")
+    assert digest(dumps_report(run_scenario(GROUND_ROUTES, shots=5))) == (
+        "5d2ba2dd25e1b443ecc9630f1a372147146bbed8aa45c671482467a3f7d5ee36")
 
 
 def test_energy_budget_is_drive_power_times_single_qubit_gate_time():
