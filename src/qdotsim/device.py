@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR_EV_S
-from .errors import AdjacencyError, BlockadeError, QdotsimError, StateError
+from .errors import AdjacencyError, BlockadeError, StateError
 from .noise import NoiseParams, idle_jumps_window, idle_window, jump_probabilities
 from .pulses import drive_report, swap_duration
 from .qstate import (
@@ -262,22 +262,18 @@ class DotArray:
         self.advance(self.material.t_pulse)
         return self
 
-    def _hop_check(self, positions: list[Pos], src: Pos, dst: Pos) -> None:
-        """Raise move_electron's error for a hop src -> dst with qubits at `positions`."""
+    def move_electron(self, src: Pos, dst: Pos) -> "DotArray":
+        """Tunnel the electron, spin amplitudes intact, one hop over."""
         self._pos_check(src)
         self._pos_check(dst)
-        if src not in positions:
+        if src not in self.qubit_positions:
             raise StateError(f"source dot {src} is empty")
-        if dst in positions:
+        if dst in self.qubit_positions:
             raise BlockadeError(f"destination dot {dst} is occupied")
         if not self.adjacent(src, dst):
             raise AdjacencyError(f"{src} and {dst} are not grid neighbors")
         if self.roles.get(dst) == "readout":
             raise StateError(f"cannot park a qubit on readout dot {dst}")
-
-    def move_electron(self, src: Pos, dst: Pos) -> "DotArray":
-        """Tunnel the electron, spin amplitudes intact, one hop over."""
-        self._hop_check(self.qubit_positions, src, dst)
         self.qubit_positions[self.qubit_positions.index(src)] = dst
         self.advance(self.material.t_hop)
         return self
@@ -289,37 +285,45 @@ class DotArray:
         psi[0] and no -0.0 (a no-jump scaling or division by 1 can flip a
         zero's sign), every qubit is in |0> and only a Z flip can change psi
         (see idle_jumps_window). The batch ends before the first hop that
-        move_electron refuses, that changes the T2 map or whose Z flip fires."""
+        move_electron refuses, that does not carry on the first hop's electron,
+        that changes the T2 map or whose Z flip fires."""
         t, noise = self.material.t_hop, self.material.noise
         if not hops or not noise.enabled or self.strict or t <= 0 or not self.state.is_vector:
             return 0
         bits = np.ascontiguousarray(self.state.data, complex).view(np.uint64)  # -0.0 is 1 << 63
         if bits[2:].any() or (bits[:2] == 1 << 63).any():
             return 0
-        positions, dsts = list(self.qubit_positions), []
-        for src, dst in hops:
-            try:
-                self._hop_check(positions, src, dst)
-            except (QdotsimError, TypeError, ValueError):  # move_electron raises it again
-                break
-            if self.t2_overrides.get(dst) != self.t2_overrides.get(hops[0][1]):
-                break
-            positions[positions.index(src)] = dst
-            dsts.append(dst)
-        if not dsts:
+        start, t2 = hops[0][0], self.t2_overrides
+        others = {p for p in self.qubit_positions if p != start}
+        if len(others) == len(self.qubit_positions):  # the source dot is empty
             return 0
+        at, m = start, 0
+        for src, dst in hops:  # move_electron's checks, for one electron walking on
+            try:
+                x, y = dst
+                if not (src == at and 0 <= x < self.width and 0 <= y < self.height
+                        and abs(x - at[0]) + abs(y - at[1]) == 1 and dst not in others
+                        and self.roles.get(dst) != "readout"
+                        and t2.get(dst) == t2.get(hops[0][1])):
+                    break
+            except (TypeError, ValueError):  # move_electron raises it again
+                break
+            at, m = dst, m + 1
+        if not m:
+            return 0
+        positions = [at if p == start else p for p in self.qubit_positions]
         limits = []  # one per draw of a hop's window: p_Z for a Z draw, 0.0 for a damping draw
         for pos in positions:
             p_z, gamma = jump_probabilities(t, noise, self.t2_overrides.get(pos))
             limits += [p_z] * (p_z > 0) + [0.0] * (gamma > 0)
         rng = as_rng(self._rng)
-        saved, k = rng.bit_generator.state, len(dsts)
+        saved, k = rng.bit_generator.state, m
         flips = np.flatnonzero((rng.random(k * len(limits)).reshape(k, -1) < limits).any(axis=1))
         if flips.size:
             k, rng.bit_generator.state = int(flips[0]), saved
             rng.random(k * len(limits))
         if k:
-            self.qubit_positions[self.qubit_positions.index(hops[0][0])] = dsts[k - 1]
+            self.qubit_positions[self.qubit_positions.index(start)] = hops[k - 1][1]
         for _ in range(k):
             self.clock += t
             self.energy += 0.0

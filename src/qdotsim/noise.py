@@ -11,10 +11,13 @@ On density matrices the device applies each event's idle window in one
 exact pass (idle_window) of in-place block arithmetic over every idling
 qubit, each with its own T2 (a dot's t2_override); the pair coupled by an
 exchange window is left out. One-qubit channels on different qubits commute,
-so one pass is exact. The Kraus pairs (Nielsen & Chuang, section 8.3) are
-the reference. Vector states go through idle_jumps_window, a seeded
-Monte-Carlo wave-function unraveling (Dalibard, Castin & Molmer, PRL 68, 580
-(1992)) whose ensemble average reproduces the exact channels.
+so one pass is exact. A qubit whose |1> rows and columns are exactly +0 when
+the window starts (spin-up, not yet driven) trades its block arithmetic for
+one in-place + 0.0 pass, with the same bits (see _channel). The Kraus pairs
+(Nielsen & Chuang, section 8.3) are the reference. Vector states go through
+idle_jumps_window, a seeded Monte-Carlo wave-function unraveling (Dalibard,
+Castin & Molmer, PRL 68, 580 (1992)) whose ensemble average reproduces the
+exact channels.
 """
 from __future__ import annotations
 
@@ -77,7 +80,14 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
     """Exact decay over t seconds of a copy of a density matrix. Each step
     (qubit, dephasing_rate, damping_rate) moves gamma = 1 - exp(-t*damping_rate)
     of the qubit's |1><1| block into its |0><0| block and scales its
-    coherences by exp(-t*dephasing_rate) * sqrt(1 - gamma)."""
+    coherences by exp(-t*dephasing_rate) * sqrt(1 - gamma).
+
+    A qubit is ground if its |1> rows and columns are +0 (all bits zero) at
+    the start. Other steps compute an entry only from entries with the same
+    bit for it, and +0 times a real factor, or plus +0, is +0, so they stay
+    +0. Its own step then just adds gamma * (+0) to its |0><0| block, turning
+    -0.0 into +0.0: one in-place + 0.0 pass, shared by consecutive ground
+    steps, gives the same bits."""
     if t < 0:
         raise StateError(f"negative duration t = {t}")
     if t == 0:
@@ -86,8 +96,20 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
         raise StateError("exact channels need a density matrix; route vector "
                          "states through idle_jumps_window")
     n = state.n_qubits
+    if not all(0 <= q < n for q, _, _ in steps):
+        raise StateError(f"qubits {[q for q, _, _ in steps]} out of range for {n}-qubit register")
     rho = state.data.copy()
+    parts = rho.view(np.float64)  # real and imaginary parts
+    marks = (parts.view(np.uint64) != 0).view(np.uint16)  # an entry is nonzero, -0.0 included
+    excited = int(np.bitwise_or.reduce(np.flatnonzero(marks.any(axis=0) | marks.any(axis=1))))
+    zeroed = False  # a ground step's pass has run and no block update since
     for qubit, dephasing_rate, damping_rate in steps:
+        if not excited >> (n - 1 - qubit) & 1:  # ground: its |1> rows and columns are +0
+            if not zeroed:
+                np.add(parts, 0.0, out=parts)
+                zeroed = True
+            continue
+        zeroed = False
         gamma = 1.0 - math.exp(-t * damping_rate)
         coherence = math.exp(-t * dephasing_rate) * math.sqrt(1.0 - gamma)
         hi, lo = 2**qubit, 2 ** (n - qubit - 1)

@@ -11,6 +11,7 @@ always enters through an explicit seed or generator, never a global RNG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -224,12 +225,20 @@ def _check_targets(state: QuantumState, targets: Sequence[int]) -> None:
         raise StateError(f"duplicate targets {tuple(targets)}")
 
 
+@lru_cache(maxsize=1024)
+def _axis_orders(targets: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpose orders that move `targets` to the front of n axes and back:
+    the views np.moveaxis(a, targets, range(k)) and its inverse make."""
+    front = targets + tuple(i for i in range(n) if i not in targets)
+    return front, tuple(front.index(i) for i in range(n))
+
+
 def _apply_unitary_vec(vec: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
     """U on the target axes of an n-qubit array; returns a (strided) [2]*n tensor."""
-    k = len(targets)
-    psi = np.moveaxis(vec.reshape([2] * n), targets, range(k))
-    psi = (u @ psi.reshape(2**k, -1)).reshape([2] * n)
-    return np.moveaxis(psi, range(k), targets)
+    front, back = _axis_orders(tuple(targets), n)
+    psi = vec.reshape([2] * n).transpose(front)
+    psi = (u @ psi.reshape(2 ** len(targets), -1)).reshape([2] * n)
+    return psi.transpose(back)
 
 
 def _apply_unitary(state: QuantumState, u: np.ndarray, targets) -> QuantumState:
@@ -319,7 +328,7 @@ def reduced_density(state: QuantumState, qubits: Sequence[int]) -> np.ndarray:
     k = len(qubits)
     if state.is_vector:
         psi = state.data.reshape([2] * n)
-        psi = np.moveaxis(psi, qubits, range(k)).reshape(2**k, -1)
+        psi = psi.transpose(_axis_orders(tuple(qubits), n)[0]).reshape(2**k, -1)
         return psi @ psi.conj().T
     rho = state.data.reshape([2] * (2 * n))
     keep = qubits + [n + q for q in qubits]

@@ -4,6 +4,7 @@ Oracles here deliberately avoid the package's own gate-application code:
 they build full operators with numpy kron products (or scipy expm) so the
 implementation is checked against a second, unrelated path.
 """
+import math
 from collections import deque
 
 import numpy as np
@@ -179,6 +180,29 @@ def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,
             psi /= np.sqrt(1.0 - p_jump)
         state = QuantumState(psi.reshape(-1), n)
     return state
+
+
+def channel_oracle(state: QuantumState, t: float, steps) -> QuantumState:
+    """The exact idle channel as four strided block updates per step, in step
+    order: noise._channel must match it bit for bit, signs of zeros
+    included. A step (qubit, dephasing_rate, damping_rate) moves
+    gamma = 1 - exp(-t*damping_rate) of the qubit's |1><1| block into its
+    |0><0| block and scales its coherences by
+    exp(-t*dephasing_rate) * sqrt(1 - gamma)."""
+    if t == 0:
+        return state
+    n = state.n_qubits
+    rho = state.data.copy()
+    for qubit, dephasing_rate, damping_rate in steps:
+        gamma = 1.0 - math.exp(-t * damping_rate)
+        coherence = math.exp(-t * dephasing_rate) * math.sqrt(1.0 - gamma)
+        hi, lo = 2**qubit, 2 ** (n - qubit - 1)
+        blocks = rho.reshape(hi, 2, lo, hi, 2, lo)
+        blocks[:, 0, :, :, 1, :] *= coherence
+        blocks[:, 1, :, :, 0, :] *= coherence
+        blocks[:, 0, :, :, 0, :] += gamma * blocks[:, 1, :, :, 1, :]
+        blocks[:, 1, :, :, 1, :] *= 1.0 - gamma
+    return QuantumState(rho, n)
 
 
 def idle_trajectory(state: QuantumState, durations, params, seed) -> QuantumState:

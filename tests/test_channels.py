@@ -350,6 +350,21 @@ def test_quiet_hops_book_a_ground_route_up_to_its_first_z_flip():
     array.init_qubit((0, 1))
     assert array.quiet_hops(hops) == 20
     assert array.qubit_positions == [(20, 0), (0, 1)]
+    # the batch walks one electron and ends before a hop of another one, a
+    # diagonal hop or a hop onto an occupied, off-grid, readout or own-T2 dot
+    for route, booked in [
+        ([((0, 0), (1, 0)), ((2, 1), (1, 1))], 1),
+        ([((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (2, 1))], 2),
+        ([((0, 0), (0, -1))], 0),
+        ([((0, 0), (1, 1))], 0),
+        ([((0, 0), (0, 1))], 0),
+        ([((0, 0), (1, 0)), ((1, 0), (2, 0))], 1),
+    ]:
+        pair = DotArray(3, 2, material, roles={(0, 1): "readout"}, t2_overrides={(2, 0): 1e-5})
+        pair.init_qubit((0, 0))
+        pair.init_qubit((2, 1))
+        assert pair.quiet_hops(route) == booked
+        assert pair.qubit_positions == [route[booked - 1][1] if booked else (0, 0), (2, 1)]
     # an excited register, strict mode or a bad first hop books nothing
     array.apply_gate_at("X", [(0, 1)])
     assert array.quiet_hops([((20, 0), (19, 0))]) == 0

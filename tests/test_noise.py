@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed, haar_state, idle_jump_oracle, idle_trajectory
+from conftest import channel_oracle, embed, haar_state, idle_jump_oracle, idle_trajectory
 from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
@@ -171,6 +171,68 @@ def test_idle_window_matches_kraus_oracle(n, seed, t, data):
     assert abs(np.trace(out) - 1) < 1e-12
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(out).min() > -1e-12
+
+
+def _ground_matrix(n: int, ground, rng, sprinkle: float, anywhere: bool) -> np.ndarray:
+    """A random complex matrix whose rows and columns in the |1> block of
+    every qubit in `ground` are exactly +0; about a `sprinkle` fraction of the
+    other float components are then set to -0.0 or to a subnormal of either
+    sign (anywhere=True lets them land in those +0 rows and columns too)."""
+    dim = 2**n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    ones = (np.arange(dim) & sum(1 << (n - 1 - q) for q in ground)) != 0  # those rows/columns
+    rho[ones, :] = 0.0
+    rho[:, ones] = 0.0
+    bits = rho.view(np.uint64)
+    inside = np.repeat(ones[:, None] | ones[None, :], 2, axis=1)  # their float components
+    pick = (anywhere | ~inside) & (rng.random(bits.shape) < sprinkle)
+    subnormal = rng.integers(1, 1 << 52, size=bits.shape, dtype=np.uint64)
+    sign = np.where(rng.random(bits.shape) < 0.5, np.uint64(1 << 63), np.uint64(0))
+    bits[pick] = np.where(rng.random(bits.shape) < 0.5, 0, subnormal)[pick] | sign[pick]
+    return rho
+
+
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.one_of(st.floats(1e-12, 3 * T1), st.sampled_from([40 * T1, 1e3 * T1, 1e6 * T1])),
+    sprinkle=st.sampled_from([0.0, 0.02, 0.3]),
+    anywhere=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_channel_equals_the_block_oracle(n, seed, t, sprinkle, anywhere, data):
+    # bit for bit, signs of zeros included: ground qubits (exactly +0 |1> rows
+    # and columns) meet -0.0 and subnormals elsewhere, dephasing rates of 0,
+    # and t >> T1, where 1 - gamma rounds to 0 and the products underflow
+    rng = np.random.default_rng(seed)
+    ground = data.draw(st.sets(st.integers(0, n - 1)))
+    qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    steps = [(q, data.draw(st.sampled_from([0.0, 1 / T2, 3 / T1])),
+              data.draw(st.sampled_from([1 / T1, 1 / T2]))) for q in qubits]
+    rho = _ground_matrix(n, ground, rng, sprinkle, anywhere)
+    before = rho.tobytes()
+    out = _channel(QuantumState(rho, n), t, steps)
+    assert out.data.tobytes() == channel_oracle(QuantumState(rho, n), t, steps).data.tobytes()
+    assert rho.tobytes() == before
+
+
+def test_channel_ground_step_rewrites_negative_zeros():
+    # qubit 0 of |0><0| is ground, so its step only adds gamma * (+0) to its
+    # |0><0| block: the -0.0 imaginary part of rho[0, 0] becomes +0.0
+    rho = np.zeros((2, 2), dtype=complex)
+    rho[0, 0] = complex(1.0, -0.0)
+    steps = [(0, 1 / T2, 1 / T1)]
+    out = _channel(QuantumState(rho, 1), 1e-6, steps).data
+    assert out.tobytes() == channel_oracle(QuantumState(rho, 1), 1e-6, steps).data.tobytes()
+    assert not np.signbit(out[0, 0].imag)
+
+
+def test_idle_window_rejects_a_qubit_outside_the_register():
+    params = NoiseParams(enabled=True)
+    for qubit in (-1, 2):
+        with pytest.raises(StateError):
+            idle_window(QuantumState.zero(2).to_density(), 1e-7, params, {qubit: None})
 
 
 # ---------------------------------------------------------------------------

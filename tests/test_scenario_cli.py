@@ -361,6 +361,35 @@ MATRIX_MISREAD = {
         {"op": "readout", "qubit": [2, 0], "readout": [2, 1]},
     ],
 }
+# a noisy six-qubit matrix run that keeps most qubits exactly in |0>: Z, S and
+# T on idle ground qubits, a CNOT with a ground control, an exchange window on
+# a ground pair, and a 1 ms idle against T1 = 2 us, where 1 - gamma rounds to 0
+MATRIX_GROUND = {
+    "schema_version": 1,
+    "seed": 19,
+    "material": {"preset": "inas", "noise": {"enabled": True, "T1": 2e-6, "T2": 1e-6}},
+    "array": {"width": 4, "height": 3, "representation": "matrix",
+              "dots": [{"pos": [2, 1], "role": "readout"}, {"pos": [3, 1], "role": "readout"},
+                       {"pos": [1, 1], "t2_override": 4e-7}]},
+    "program": [
+        *({"op": "init", "pos": pos} for pos in ([0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [1, 1])),
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "Z", "targets": [[2, 0]]},
+        {"op": "gate", "kind": "S", "targets": [[3, 0]]},
+        {"op": "gate", "kind": "T", "targets": [[0, 1]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[1, 0], [0, 0]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [0, 1]]},
+        {"op": "coupling_window", "a": [2, 0], "b": [3, 0], "theta": 1.3},
+        {"op": "idle", "t": 1e-7},
+        {"op": "gate", "kind": "X", "targets": [[3, 0]]},
+        {"op": "idle", "t": 1e-3},
+        {"op": "gate", "kind": "Rot", "targets": [[1, 1]], "axis": [1, 0, 1], "angle": 0.7},
+        {"op": "idle", "t": 2e-7},
+        {"op": "readout", "qubit": [0, 0], "readout": [2, 1]},
+        {"op": "readout", "qubit": [1, 1], "readout": [3, 1]},
+        {"op": "readout", "qubit": [0, 1], "readout": [2, 1]},
+    ],
+}
 BELL_MISREAD = {**BELL, "seed": 2**32 + 5, "material": {"preset": "inas", "readout_error": 0.1}}
 
 
@@ -389,6 +418,10 @@ def test_run_reports_are_pinned():
     # kernel; the seed takes two 32-bit entropy words
     assert digest(dumps_report(run_scenario(BELL_MISREAD, shots=3000))) == (
         "4f6d12870253549f6d061d385f1c77bbb8418e00417c33a0527657de83a0554b")
+    # recorded before the matrix idle window skipped the block arithmetic of
+    # qubits whose |1> rows and columns are exactly +0
+    assert digest(dumps_report(run_scenario(MATRIX_GROUND, shots=50))) == (
+        "740f81be8f646145d3f725ea4bd64b65892c78907d8813dd84dc83c224fec36e")
 
 
 
