@@ -191,13 +191,15 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     return [(cell % stride - 1, cell // stride - 1) for cell in reversed(path)]
 
 
-def run_tunnel_route(array: DotArray, path: list[Pos]) -> DotArray:
-    """Execute a planned route as successive single hops, the leading ones
-    that leave the register as it is in one batch (DotArray.quiet_hops)."""
-    hops = list(zip(path, path[1:]))
-    for a, b in hops[array.quiet_hops(hops):]:
+def run_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
+    """Tunnel the electron at src to dst along plan_tunnel_route's path, the
+    one this returns: the leading hops that leave the register as it is in
+    one batch (DotArray._quiet_hops), the rest one move_electron each."""
+    path = plan_tunnel_route(array, src, dst)
+    k = array._quiet_hops(path)
+    for a, b in zip(path[k:], path[k + 1:]):
         array.move_electron(a, b)
-    return array
+    return path
 
 
 def _assert_ground(array: DotArray, pos: Pos) -> None:

@@ -12,8 +12,9 @@ Ideal gate unitaries themselves are noiseless; their duration contributes
 an idle window instead. During an exchange window the coupled pair is
 excluded from that window's idle noise.
 
-While a route's hops cannot change psi (every qubit in |0>, no Z flip),
-quiet_hops books them in one batch with one draw for all their windows.
+channels.run_tunnel_route books a planned route. While its hops cannot
+change psi (every qubit in |0>, no Z flip), _quiet_hops books them in one
+batch with one draw for all their windows.
 
 Strict mode additionally applies the always-on residual exchange J_off to
 every adjacent occupied pair but the coupled one during each timed window.
@@ -166,7 +167,7 @@ class DotArray:
         self.t2_overrides: dict[Pos, float] = dict(t2_overrides or {})
         for pos, t2 in self.t2_overrides.items():
             self._pos_check(pos)
-            NoiseParams(T1=material.noise.T1, T2=t2)
+            NoiseParams(T1=material.noise.T1, T2=t2, enabled=material.noise.enabled)
         state = QuantumState.zero(0)
         self.state = state.to_density() if representation == "matrix" else state
         self.qubit_positions: list[Pos] = []
@@ -234,6 +235,8 @@ class DotArray:
         adjacent pair but `pair`; then add to the clock and the energy."""
         if duration < 0:
             raise StateError(f"negative event duration {duration}")
+        if not math.isfinite(self.clock + duration) or not math.isfinite(self.energy + energy):
+            raise StateError(f"{duration} s and {energy} J overflow the clock or the energy")
         self._noise_window(duration, pair)
         self._residual_window(duration, pair)
         self.clock += duration
@@ -278,43 +281,28 @@ class DotArray:
         self.advance(self.material.t_hop)
         return self
 
-    def quiet_hops(self, hops: list[tuple[Pos, Pos]]) -> int:
-        """Book the leading hops of a route that leave psi bit for bit as it
-        is, at once and as move_electron would; returns how many. On a noisy
-        vector register outside strict mode with +0.0 in every amplitude but
-        psi[0] and no -0.0 (a no-jump scaling or division by 1 can flip a
-        zero's sign), every qubit is in |0> and only a Z flip can change psi
-        (see idle_jumps_window). The batch ends before the first hop that
-        move_electron refuses, that does not carry on the first hop's electron,
-        that changes the T2 map or whose Z flip fires."""
+    def _quiet_hops(self, path: list[Pos]) -> int:
+        """Book the leading hops of `path` that leave psi bit for bit as it
+        is, at once and as move_electron would; returns how many. No hop is
+        checked: the path must be planned on the current occupancy
+        (channels.run_tunnel_route). On a noisy vector register outside
+        strict mode with +0.0 in every amplitude but psi[0] and no -0.0 (a
+        no-jump scaling or division by 1 can flip a zero's sign), every qubit
+        is in |0> and only a Z flip can change psi (see idle_jumps_window).
+        The batch ends before the first hop that changes the T2 map or whose
+        Z flip fires."""
         t, noise = self.material.t_hop, self.material.noise
-        if not hops or not noise.enabled or self.strict or t <= 0 or not self.state.is_vector:
+        if not noise.enabled or self.strict or t <= 0 or not self.state.is_vector:
             return 0
         bits = np.ascontiguousarray(self.state.data, complex).view(np.uint64)  # -0.0 is 1 << 63
         if bits[2:].any() or (bits[:2] == 1 << 63).any():
             return 0
-        start, t2 = hops[0][0], self.t2_overrides
-        others = {p for p in self.qubit_positions if p != start}
-        if len(others) == len(self.qubit_positions):  # the source dot is empty
-            return 0
-        at, m = start, 0
-        for src, dst in hops:  # move_electron's checks, for one electron walking on
-            try:
-                x, y = dst
-                if not (src == at and 0 <= x < self.width and 0 <= y < self.height
-                        and abs(x - at[0]) + abs(y - at[1]) == 1 and dst not in others
-                        and self.roles.get(dst) != "readout"
-                        and t2.get(dst) == t2.get(hops[0][1])):
-                    break
-            except (TypeError, ValueError):  # move_electron raises it again
-                break
-            at, m = dst, m + 1
-        if not m:
-            return 0
-        positions = [at if p == start else p for p in self.qubit_positions]
+        t2 = self.t2_overrides
+        m = next((i for i, p in enumerate(path[2:], 1) if t2.get(p) != t2.get(path[1])),
+                 len(path) - 1)
         limits = []  # one per draw of a hop's window: p_Z for a Z draw, 0.0 for a damping draw
-        for pos in positions:
-            p_z, gamma = jump_probabilities(t, noise, self.t2_overrides.get(pos))
+        for pos in self.qubit_positions:  # the moving electron's windows see path[m]'s T2
+            p_z, gamma = jump_probabilities(t, noise, t2.get(path[m] if pos == path[0] else pos))
             limits += [p_z] * (p_z > 0) + [0.0] * (gamma > 0)
         rng = as_rng(self._rng)
         saved, k = rng.bit_generator.state, m
@@ -322,11 +310,9 @@ class DotArray:
         if flips.size:
             k, rng.bit_generator.state = int(flips[0]), saved
             rng.random(k * len(limits))
-        if k:
-            self.qubit_positions[self.qubit_positions.index(start)] = hops[k - 1][1]
+        self.qubit_positions[self.qubit_positions.index(path[0])] = path[k]
         for _ in range(k):
             self.clock += t
-            self.energy += 0.0
         return k
 
     def apply_gate_at(self, kind: str, positions: list[Pos], *,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateError
-from .qstate import PAULI_Z, QuantumState
+from .qstate import QuantumState
 
 _REL_TOL = 1e-12
 
@@ -48,6 +48,8 @@ class NoiseParams:
             raise StateError(
                 f"T2 = {self.T2} exceeds 2*T1 = {2 * self.T1}: unphysical channel"
             )
+        if self.enabled and not math.isfinite(1.0 / self.T2):
+            raise StateError(f"T2 = {self.T2} is too small: its dephasing rate 1/T2 is not finite")
 
 
 def pure_dephasing_time(T1: float, T2: float) -> float:
@@ -58,22 +60,6 @@ def pure_dephasing_time(T1: float, T2: float) -> float:
     if rate <= 0.0:
         return math.inf
     return 1.0 / rate
-
-
-def dephasing_kraus(decay: float) -> list[np.ndarray]:
-    """Kraus pair {sqrt(p) I, sqrt(1-p) Z} with p = (1 + decay)/2."""
-    p = 0.5 * (1.0 + decay)
-    return [
-        np.sqrt(p) * np.eye(2, dtype=complex),
-        np.sqrt(1.0 - p) * PAULI_Z.copy(),
-    ]
-
-
-def damping_kraus(gamma: float) -> list[np.ndarray]:
-    """Standard amplitude-damping Kraus pair toward |0>."""
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return [k0, k1]
 
 
 def _channel(state: QuantumState, t: float, steps) -> QuantumState:

@@ -126,12 +126,6 @@ def _error_tables() -> tuple[dict, dict]:
     return syndrome_map, correction_map
 
 
-def syndrome_table() -> dict[tuple[int, int, int, int], tuple[str, int]]:
-    """All 16 syndromes: 0000 means no error; the 15 others name the
-    single-qubit Pauli (kind, block position) that produced them."""
-    return dict(_error_tables()[0])
-
-
 def principal_correction(syndrome: tuple[int, int, int, int]) -> str:
     """Pauli to apply to the decoded principal for a measured syndrome."""
     table = _error_tables()[1]

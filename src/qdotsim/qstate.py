@@ -364,21 +364,3 @@ def _factor(rho: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > rho.shape[0] * np.finfo(float).eps * evals[-1]
     return evecs[:, keep] * np.sqrt(evals[keep])
-
-
-def phase_aligned_maxdiff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - e^{i*phi} b| after aligning the global phase on b."""
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    ref = b[idx]
-    if abs(ref) < 1e-300:
-        return float(np.max(np.abs(a - b)))
-    phase = a[idx] / ref
-    phase = phase / abs(phase) if abs(phase) > 0 else 1.0
-    return float(np.max(np.abs(a - phase * b)))
-
-
-def norm_error(state: QuantumState) -> float:
-    """|norm^2 - 1| for vectors, |trace - 1| for matrices."""
-    if state.is_vector:
-        return abs(float(np.sum(np.abs(state.data) ** 2)) - 1.0)
-    return abs(complex(np.trace(state.data)) - 1.0)

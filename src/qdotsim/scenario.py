@@ -180,9 +180,7 @@ def _gate(array: DotArray, event: dict, at: dict, rng) -> DotArray:
 
 
 def _route(array: DotArray, event: dict, at: dict, rng) -> dict:
-    path = channels.plan_tunnel_route(array, at["src"], at["dst"])
-    channels.run_tunnel_route(array, path)
-    return {"path": [list(p) for p in path]}
+    return {"path": [list(p) for p in channels.run_tunnel_route(array, at["src"], at["dst"])]}
 
 
 def _epr(array: DotArray, event: dict, at: dict, rng) -> dict:
@@ -343,7 +341,8 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
         if t2 is not None:
             t2_overrides[pos] = float(t2)
             try:
-                NoiseParams(T1=material.noise.T1, T2=t2_overrides[pos])
+                NoiseParams(T1=material.noise.T1, T2=t2_overrides[pos],
+                            enabled=material.noise.enabled)
             except StateError as exc:
                 raise SchemaError(f"dot {pos}: t2_override: {exc}") from exc
     rep = array.get("representation", "vector")

@@ -15,18 +15,18 @@ from qdotsim.device import DotArray
 from qdotsim.errors import RoutingError, StateError
 from qdotsim.noise import jump_probabilities
 from qdotsim.qec import (
+    _error_tables,
     _run_ops,
     cycle_pulse_count,
     principal_correction,
     qec_cycle,
-    syndrome_table,
 )
 from qdotsim.qstate import (
+    PAULI_Z,
     Gate,
     QuantumState,
     apply_gate,
     measure,
-    phase_aligned_maxdiff,
     qubit_probabilities,
     state_fidelity,
 )
@@ -71,6 +71,40 @@ def haar_state(n: int, rng) -> QuantumState:
     return QuantumState.from_vector(vec)
 
 
+def phase_aligned_maxdiff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - e^{i*phi} b| after aligning the global phase on b."""
+    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    ref = b[idx]
+    if abs(ref) < 1e-300:
+        return float(np.max(np.abs(a - b)))
+    phase = a[idx] / ref
+    phase = phase / abs(phase) if abs(phase) > 0 else 1.0
+    return float(np.max(np.abs(a - phase * b)))
+
+
+def norm_error(state: QuantumState) -> float:
+    """|norm^2 - 1| for vectors, |trace - 1| for matrices."""
+    if state.is_vector:
+        return abs(float(np.sum(np.abs(state.data) ** 2)) - 1.0)
+    return abs(complex(np.trace(state.data)) - 1.0)
+
+
+def dephasing_kraus(decay: float) -> list[np.ndarray]:
+    """Kraus pair {sqrt(p) I, sqrt(1-p) Z} with p = (1 + decay)/2."""
+    p = 0.5 * (1.0 + decay)
+    return [
+        np.sqrt(p) * np.eye(2, dtype=complex),
+        np.sqrt(1.0 - p) * PAULI_Z.copy(),
+    ]
+
+
+def damping_kraus(gamma: float) -> list[np.ndarray]:
+    """Standard amplitude-damping Kraus pair toward |0>."""
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    return [k0, k1]
+
+
 def states_close(a: QuantumState, b: QuantumState, tol: float = 1e-12) -> bool:
     """Same register within tol entrywise: vectors up to a global phase,
     density matrices exactly."""
@@ -107,7 +141,7 @@ def qec_cycle_oracle(state: QuantumState, block, injected, rng) -> tuple[Quantum
         if bit:
             state = apply_gate(state, Gate("X", (q,)))
     state = _run_ops(_run_ops(state, block), block, inverse=True)
-    pauli, position = syndrome_table()[tuple(syndrome)]
+    pauli, position = _error_tables()[0][tuple(syndrome)]
     weight = sum(not np.allclose(m, m[0, 0] * I2) for m in products.values())
     return state, {
         "syndrome": syndrome,
@@ -251,13 +285,13 @@ def route_oracle(array: DotArray, src, dst) -> list:
     return path[::-1]
 
 
-def hop_oracle(array: DotArray, path) -> DotArray:
-    """A route as one move_electron per hop; channels.run_tunnel_route must
-    leave the array the same bit for bit, generator included, or raise the
-    same error after the same hops."""
+def hop_oracle(array: DotArray, path) -> list:
+    """A route as one move_electron per hop; returns the path.
+    channels.run_tunnel_route must leave the array the same bit for bit,
+    generator included, or raise the same error after the same hops."""
     for a, b in zip(path, path[1:]):
         array.move_electron(a, b)
-    return array
+    return path
 
 
 def run_shots_eagerly(scenario: dict, shots: int) -> dict:

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import haar_state, idle_trajectory
+from conftest import haar_state, idle_trajectory, norm_error, phase_aligned_maxdiff
 from qdotsim.channels import (
     channel_lambda,
     line_report,
@@ -36,8 +36,6 @@ from qdotsim.qstate import (
     QuantumState,
     apply_gate,
     exchange_unitary,
-    norm_error,
-    phase_aligned_maxdiff,
     state_fidelity,
 )
 from qdotsim.qstate import SWAP_MATRIX

@@ -283,19 +283,30 @@ T_HOP = MATERIAL.t_hop
 @given(data=st.data())
 @settings(max_examples=500, deadline=None)
 def test_run_tunnel_route_equals_one_move_per_hop(data):
-    # psi's bytes, clock, energy, positions and generator state, or the same
-    # error: ground, signed-zero and excited registers, T2 down to one hop so
-    # that Z flips fire mid-route, strict on and off, T2 overrides anywhere,
-    # and paths with a bad hop spliced in
+    # the path, psi's bytes, clock, energy, positions and generator state, or
+    # the same error: ground, signed-zero and excited registers, T2 down to
+    # one hop so that Z flips fire mid-route, T2 overrides on the path and
+    # off it, strict on and off, noise off, empty sources, bad destinations
+    # and readout walls with one gap that the breadth-first search detours round
     width, height = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 8))
     cells = [(x, y) for y in range(height) for x in range(width)]
     qubits = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
     empty = [c for c in cells if c not in qubits]
     readouts = data.draw(st.lists(st.sampled_from(empty), max_size=3, unique=True)) if empty else []
+    if data.draw(st.booleans()):
+        x, gap = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+        readouts += [(x, y) for y in range(height) if y != gap and (x, y) in empty]
+    roles = {c: "readout" for c in readouts}
+    src = data.draw(st.sampled_from(qubits + empty[:1]))
+    dst = data.draw(st.sampled_from(empty + [(-1, 0)]))
+    probe = DotArray(width, height, MATERIAL, roles=roles)
+    probe.qubit_positions = qubits  # the planner reads only the occupancy record
+    path = planned(route_oracle, probe, src, dst)
+    on_path = path[1:] if isinstance(path, list) else []
     t2 = 10 ** data.draw(st.floats(math.log10(T_HOP), -6))
     t1 = t2 * data.draw(st.floats(0.5, 100))
     overrides = {c: 2 * t1 * 10 ** -data.draw(st.floats(0, 5))
-                 for c in data.draw(st.lists(st.sampled_from(cells), max_size=6, unique=True))}
+                 for c in data.draw(st.lists(st.sampled_from(on_path + cells), max_size=6))}
     material = replace(MATERIAL, noise=NoiseParams(T1=t1, T2=t2, enabled=data.draw(
         st.sampled_from([True, True, False]))))
     strict, seed = data.draw(st.booleans()), data.draw(st.integers(0, 2**32))
@@ -310,8 +321,8 @@ def test_run_tunnel_route_equals_one_move_per_hop(data):
     def build() -> DotArray:
         # prepared without noise, so that short-T2 routes can start from clean zeros
         quiet = replace(material, noise=replace(material.noise, enabled=False))
-        array = DotArray(width, height, quiet, strict=strict, seed=seed,
-                         roles={c: "readout" for c in readouts}, t2_overrides=overrides)
+        array = DotArray(width, height, quiet, strict=strict, seed=seed, roles=roles,
+                         t2_overrides=overrides)
         for q in qubits:
             array.init_qubit(q)
         for kind, q in gates:
@@ -322,65 +333,49 @@ def test_run_tunnel_route_equals_one_move_per_hop(data):
         array.state = QuantumState(parts.view(complex), len(qubits))
         return array
 
-    src = data.draw(st.sampled_from(qubits))
-    dst = data.draw(st.sampled_from(empty + [(-1, 0)]))
-    path = planned(plan_tunnel_route, build(), src, dst)
-    path = path if isinstance(path, list) else [src, dst]
-    if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, len(path) - 1))
-        path = path[:i + 1] + [data.draw(st.sampled_from(cells + [(-1, 0)]))] + path[i + 1:]
-
     def outcome(run) -> tuple:
-        array, error = build(), None
+        array = build()
         try:
-            run(array, path)
+            result = run(array, src, dst)
         except QdotsimError as exc:
-            error = type(exc), str(exc)
-        return (error, array.state.data.tobytes(), array.clock, array.energy,
+            result = type(exc), str(exc)
+        return (result, array.state.data.tobytes(), array.clock, array.energy,
                 array.qubit_positions, as_rng(array._rng).bit_generator.state)
 
-    assert outcome(run_tunnel_route) == outcome(hop_oracle)
+    assert outcome(run_tunnel_route) == outcome(
+        lambda array, src, dst: hop_oracle(array, route_oracle(array, src, dst)))
 
 
 def test_quiet_hops_book_a_ground_route_up_to_its_first_z_flip():
-    hops = [((x, 0), (x + 1, 0)) for x in range(20)]
     material = replace(MATERIAL, noise=NoiseParams(enabled=True))
     array = DotArray(21, 2, material, seed=3)
     array.init_qubit((0, 0))
     array.init_qubit((0, 1))
-    assert array.quiet_hops(hops) == 20
+    assert array._quiet_hops(plan_tunnel_route(array, (0, 0), (20, 0))) == 20
     assert array.qubit_positions == [(20, 0), (0, 1)]
-    # the batch walks one electron and ends before a hop of another one, a
-    # diagonal hop or a hop onto an occupied, off-grid, readout or own-T2 dot
-    for route, booked in [
-        ([((0, 0), (1, 0)), ((2, 1), (1, 1))], 1),
-        ([((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (2, 1))], 2),
-        ([((0, 0), (0, -1))], 0),
-        ([((0, 0), (1, 1))], 0),
-        ([((0, 0), (0, 1))], 0),
-        ([((0, 0), (1, 0)), ((1, 0), (2, 0))], 1),
-    ]:
-        pair = DotArray(3, 2, material, roles={(0, 1): "readout"}, t2_overrides={(2, 0): 1e-5})
-        pair.init_qubit((0, 0))
-        pair.init_qubit((2, 1))
-        assert pair.quiet_hops(route) == booked
-        assert pair.qubit_positions == [route[booked - 1][1] if booked else (0, 0), (2, 1)]
-    # an excited register, strict mode or a bad first hop books nothing
+    # the batch ends before the first hop that changes the T2 map
+    for overrides, booked in [({(2, 0): 1e-5}, 1), ({(1, 0): 1e-5}, 1),
+                              ({(1, 0): 1e-5, (2, 0): 1e-5}, 2), ({(0, 0): 1e-5}, 3)]:
+        line = DotArray(4, 1, material, t2_overrides=overrides).init_qubit((0, 0))
+        assert line._quiet_hops(plan_tunnel_route(line, (0, 0), (3, 0))) == booked
+        assert line.qubit_positions == [(booked, 0)]
+    # an excited register, strict mode or noise off books nothing
     array.apply_gate_at("X", [(0, 1)])
-    assert array.quiet_hops([((20, 0), (19, 0))]) == 0
-    assert DotArray(2, 1, material, strict=True).init_qubit((0, 0)).quiet_hops(hops[:1]) == 0
-    assert DotArray(2, 1, material).init_qubit((1, 0)).quiet_hops(hops[:1]) == 0
+    assert array._quiet_hops(plan_tunnel_route(array, (20, 0), (10, 0))) == 0
+    for strict, noise in [(True, material), (False, MATERIAL)]:
+        pair = DotArray(2, 1, noise, strict=strict).init_qubit((0, 0))
+        assert pair._quiet_hops(plan_tunnel_route(pair, (0, 0), (1, 0))) == 0
     # nor does a -0.0, even in psi[0]: a hop's division by 1 rewrites -1-0j as -1+0j
     array = DotArray(21, 1, material).init_qubit((0, 0))
     array.state = QuantumState(np.array([complex(-1.0, -0.0), 0j]), 1)
-    assert array.quiet_hops(hops) == 0
-    run_tunnel_route(array, [(0, 0), (1, 0)])
+    assert array._quiet_hops(plan_tunnel_route(array, (0, 0), (20, 0))) == 0
+    run_tunnel_route(array, (0, 0), (1, 0))
     assert array.state.data.view(np.float64).tolist() == [-1.0, 0.0, 0.0, 0.0]
     assert not np.signbit(array.state.data[0].imag)
     # with T2 one hop long a Z flip soon fires: the batch stops before its hop
     material = replace(MATERIAL, noise=NoiseParams(T1=1e-6, T2=T_HOP, enabled=True))
     array = DotArray(21, 1, material, seed=4).init_qubit((0, 0))
-    booked = array.quiet_hops(hops)
+    booked = array._quiet_hops(plan_tunnel_route(array, (0, 0), (20, 0)))
     assert 0 < booked < 20
     assert array.qubit_positions == [(booked, 0)]
 
@@ -389,8 +384,8 @@ def test_run_tunnel_route_moves_qubit():
     array = fresh_array(4, 1, occupied=[(0, 0)])
     array.apply_gate_at("H", [(0, 0)])
     before = QuantumState(array.state.data.copy(), 1)
-    path = plan_tunnel_route(array, (0, 0), (3, 0))
-    run_tunnel_route(array, path)
+    path = run_tunnel_route(array, (0, 0), (3, 0))
+    assert path == [(0, 0), (1, 0), (2, 0), (3, 0)]
     assert (3, 0) in array.qubit_positions and (0, 0) not in array.qubit_positions
     assert state_fidelity(array.state, before) > 1 - 1e-12
 

@@ -4,15 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import norm_error
 from qdotsim.constants import HBAR_EV_S
 from qdotsim.device import DotArray, inas_material, si_material
 from qdotsim.errors import AdjacencyError, BlockadeError, StateError
 from qdotsim.noise import NoiseParams
-from qdotsim.qstate import (
-    QuantumState,
-    norm_error,
-    state_fidelity,
-)
+from qdotsim.qstate import QuantumState, state_fidelity
 
 
 def make_array(width=2, height=2, noise=None, **kwargs) -> DotArray:
@@ -431,6 +428,17 @@ def test_clock_monotone():
     assert clocks == sorted(clocks)
 
 
+def test_clock_and_energy_refuse_to_overflow():
+    array = make_array()
+    array.idle(1e308)
+    with pytest.raises(StateError, match="overflow the clock"):
+        array.idle(1e308)
+    array.advance(0.0, energy=1e308)
+    with pytest.raises(StateError, match="overflow the clock"):
+        array.advance(0.0, energy=1e308)
+    assert (array.clock, array.energy) == (1e308, 1e308)
+
+
 def test_norm_preserved_through_noisy_events():
     noise = NoiseParams(T1=200e-6, T2=100e-6, enabled=True)
     array = make_array(noise=noise, representation="matrix")
@@ -465,6 +473,11 @@ def test_layout_is_checked_at_construction():
                    {"t2_overrides": {(0, 0): 1.0}}):  # T2 above 2*T1 of inas
         with pytest.raises(StateError):
             make_array(**kwargs)
+    # a subnormal T2 is refused where noise would use it as a rate
+    make_array(t2_overrides={(0, 0): 5e-324})
+    with pytest.raises(StateError, match="1/T2"):
+        make_array(noise=NoiseParams(T1=1e-6, T2=1e-6, enabled=True),
+                   t2_overrides={(0, 0): 5e-324})
 
 
 def test_gate_durations_follow_rotation_angle():

@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import channel_oracle, embed, haar_state, idle_jump_oracle, idle_trajectory
+from conftest import (
+    channel_oracle,
+    damping_kraus,
+    dephasing_kraus,
+    embed,
+    haar_state,
+    idle_jump_oracle,
+    idle_trajectory,
+)
 from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
     _channel,
-    damping_kraus,
-    dephasing_kraus,
     idle_jumps_window,
     idle_window,
     jump_probabilities,
@@ -43,6 +49,10 @@ def test_unphysical_t2_rejected():
         NoiseParams(T1=1e-6, T2=3e-6)
     with pytest.raises(StateError):
         NoiseParams(T1=-1.0, T2=1e-6)
+    # with noise on, 1/T2 overflows and the first idle window divides by T2' = 0
+    with pytest.raises(StateError, match="1/T2"):
+        NoiseParams(T1=1e-6, T2=5e-324, enabled=True)
+    assert NoiseParams(T1=1e-6, T2=5e-324).T2 == 5e-324  # noise off: never used as a rate
 
 
 def test_pure_dephasing_time():

@@ -31,10 +31,16 @@ from qdotsim.qec import (
     parity_measure,
     pulse_budget,
     qec_cycle,
-    syndrome_table,
     un_make_cat,
 )
-from qdotsim.qec import _ENCODE_OPS, _PAULI_NAMES, _memory_reference, _pauli_class, _run_ops
+from qdotsim.qec import (
+    _ENCODE_OPS,
+    _PAULI_NAMES,
+    _error_tables,
+    _memory_reference,
+    _pauli_class,
+    _run_ops,
+)
 from qdotsim.qstate import (
     Gate,
     QuantumState,
@@ -207,7 +213,7 @@ def test_logical_qubit_validation():
 # ---------------------------------------------------------------------------
 
 def test_syndrome_table_is_a_bijection():
-    table = syndrome_table()
+    table = _error_tables()[0]
     assert len(table) == 16
     assert table[(0, 0, 0, 0)] == ("I", -1)
     labels = set(table.values())
@@ -217,20 +223,20 @@ def test_syndrome_table_is_a_bijection():
 
 
 def test_syndromes_nonzero_for_every_error():
-    table = syndrome_table()
+    table = _error_tables()[0]
     for syndrome, (pauli, qubit) in table.items():
         if pauli != "I":
             assert syndrome != (0, 0, 0, 0)
 
 
 def test_x0_and_x1_differ():
-    table = {v: k for k, v in syndrome_table().items()}
+    table = {v: k for k, v in _error_tables()[0].items()}
     assert table[("X", 0)] != table[("X", 1)]
 
 
 def test_syndrome_table_against_bruteforce_decode(rng):
     # independent recomputation: full matrix errors on the encoded state
-    table = syndrome_table()
+    table = _error_tables()[0]
     amp = haar_state(1, rng).data
     encoded = _run_ops(five_qubit_state(amp), BLOCK)
     by_error = {v: k for k, v in table.items()}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, sqrtm
 
-from conftest import PAULIS, embed, haar_state, kron_chain
+from conftest import PAULIS, embed, haar_state, kron_chain, norm_error, phase_aligned_maxdiff
 from qdotsim.errors import StateError
 from qdotsim.qstate import (
     CNOT_MATRIX,
@@ -24,8 +24,6 @@ from qdotsim.qstate import (
     apply_gate,
     exchange_unitary,
     measure,
-    norm_error,
-    phase_aligned_maxdiff,
     project,
     qubit_probabilities,
     reduced_density,

@@ -1096,6 +1096,48 @@ def test_cli_subnormal_material_t2_in_resources_names_the_entry(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("representation", ["vector", "matrix"])
+@pytest.mark.parametrize("where", ["material", "override"])
+def test_cli_subnormal_t2_with_noise_on_exits_2_before_any_event(tmp_path, where,
+                                                                 representation):
+    # 1/T2 overflows: the first idle window would divide by a zero T2'
+    noise, dot = {"enabled": True, "T1": 1e-6, "T2": 1e-6}, {"pos": [0, 0]}
+    if where == "material":
+        noise["T2"] = 5e-324
+    else:
+        dot["t2_override"] = 5e-324
+    scenario = {"schema_version": 1, "seed": 1, "material": {"preset": "inas", "noise": noise},
+                "array": {"width": 2, "height": 1, "representation": representation,
+                          "dots": [dot]},
+                "program": [{"op": "init", "pos": [0, 0]}, {"op": "idle", "t": 1e-9}]}
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "schema"
+    assert "1/T2 is not finite" in error["message"]
+    assert not out_dir.exists()
+
+
+def test_cli_clock_overflow_exits_4_naming_the_event(tmp_path):
+    scenario = {"schema_version": 1, "seed": 1, "array": {"width": 2, "height": 1},
+                "program": [{"op": "init", "pos": [0, 0]}, {"op": "idle", "t": 1e308},
+                            {"op": "idle", "t": 1e308}]}
+    path = tmp_path / "overflow.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "state"
+    assert error["message"].startswith("event 2 (idle): ")
+    assert not out_dir.exists()
+
+
 def test_cli_subnormal_material_rabi_period_fails_at_the_first_drive(tmp_path):
     # the period is positive but the drive it implies is not finite: the
     # material is rejected before any event runs, like every other bad one
