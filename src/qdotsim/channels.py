@@ -31,9 +31,10 @@ from .qstate import (
     QuantumState,
     apply_gate,
     as_rng,
-    project,
     measure,
+    project,
     reduced_density,
+    require_ground,
 )
 
 BELL_PHI_PLUS = np.zeros(4, dtype=complex)
@@ -202,12 +203,6 @@ def run_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     return path
 
 
-def _assert_ground(array: DotArray, pos: Pos) -> None:
-    rho = reduced_density(array.state, [array.qubit_index(pos)])
-    if abs(rho[0, 0] - 1.0) > 1e-9:
-        raise ProtocolError(f"qubit at {pos} is not in the ground state")
-
-
 def make_epr(array: DotArray, a: Pos, b: Pos) -> DotArray:
     """Entangle two adjacent ground-state qubits into (|00> + |11>)/sqrt(2):
     Hadamard on the first, then CNOT onto the second."""
@@ -216,8 +211,8 @@ def make_epr(array: DotArray, a: Pos, b: Pos) -> DotArray:
     array.qubit_index(a)
     array.qubit_index(b)
     if array.strict:
-        _assert_ground(array, a)
-        _assert_ground(array, b)
+        for pos in (a, b):
+            require_ground(array.state, array.qubit_index(pos), f"qubit at {pos}")
     array.apply_gate_at("H", [a])
     array.apply_gate_at("CNOT", [a, b])
     return array
@@ -247,8 +242,9 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
             )
     payload_before = reduced_density(array.state, [qc])
     array.apply_gate_at("CNOT", [c, a])
-    phase_bit, array.state = measure(array.state, qc, "X", rng)
-    amp_bit, array.state = measure(array.state, qa, "Z", rng)
+    u = rng.random(2)  # two draws even where an outcome is certain
+    phase_bit, _, _, array.state = measure(array.state, qc, "X", lambda k: u[:k])
+    amp_bit, _, _, array.state = measure(array.state, qa, "Z", lambda k: u[1:1 + k])
     array.advance(2.0 * (array.material.readout_transfer + array.material.readout_measure))
     if array.material.classical_latency > 0:
         # the two classical bits ride a wire to b's site before correcting

@@ -8,9 +8,10 @@ is sparse: `roles` holds the listed dots (any other dot is "empty") and
 by its physical duration and, when noise is enabled, applies idle
 decoherence for that window: one pass over all idling qubits, exact on
 density-matrix registers and seeded jump sampling on vector registers.
-Ideal gate unitaries themselves are noiseless; their duration contributes
-an idle window instead. During an exchange window the coupled pair is
-excluded from that window's idle noise.
+Ideal gate unitaries themselves are noiseless; their duration, set by the
+gate's pulse area (Gate.area), contributes an idle window instead. During
+an exchange window the coupled pair is excluded from that window's idle
+noise. A readout is qstate.measure in Z with the material's readout_error.
 
 channels.run_tunnel_route books a planned route. While its hops cannot
 change psi (every qubit in |0>, no Z flip), _quiet_hops books them in one
@@ -32,25 +33,13 @@ from .constants import HBAR_EV_S
 from .errors import AdjacencyError, BlockadeError, StateError
 from .noise import NoiseParams, idle_jumps_window, idle_window, jump_probabilities
 from .pulses import drive_report, swap_duration
-from .qstate import (
-    Gate,
-    QuantumState,
-    _collapse,
-    apply_gate,
-    as_rng,
-    qubit_probabilities,
-)
+from .qstate import Gate, QuantumState, apply_gate, as_rng, measure
 from .report import _Stream
 
 Pos = tuple[int, int]
 
 ROLES = ("qubit", "empty", "readout", "intermediary")
 REPRESENTATIONS = ("vector", "matrix")
-
-# Bloch rotation angle behind each named single-qubit gate; sets the
-# Rabi-derived pulse duration angle/(2*pi) * rabi_period.
-ROTATION_ANGLE = {"X": math.pi, "Y": math.pi, "Z": math.pi, "H": math.pi,
-                  "S": math.pi / 2, "T": math.pi / 4}
 
 
 @dataclass(frozen=True)
@@ -86,6 +75,11 @@ class MaterialParams:
             raise StateError(f"readout_error must be in [0, 1], got {self.readout_error}")
         if self.classical_latency < 0:
             raise StateError("classical_latency cannot be negative")
+        # every single-qubit gate books this drive's energy
+        drive_report(self.g_factor, self.rabi_period, self.gate_distance)
+        if not all(0 < t < math.inf for t in (self.t_hop, self.rabi_period / 8)):
+            raise StateError(f"a hop ({self.t_hop} s) and a T gate ({self.rabi_period / 8} s) "
+                             "must take a positive, finite time")
 
     @property
     def t_swap(self) -> float:
@@ -120,19 +114,6 @@ def si_material(T2: float) -> MaterialParams:
         raise StateError("the Si preset requires an explicit positive T2")
     base = inas_material(NoiseParams(T1=2.0 * T2, T2=T2))
     return replace(base, g_factor=2.0)
-
-
-def draw_readout(p1: float, readout_error: float, draw) -> tuple:
-    """(true outcome, reported bit) of a Z readout with Born marginal p1, or
-    of a batch: `draw(k)` gives k uniforms u per readout on its last axis.
-    The outcome is `u[..., 0] < p1`, misread if the last uniform is below
-    readout_error (never when it is 0). With no readout error a certain
-    outcome (p1 <= 0 or >= 1) draws nothing: a lazy stream builds no generator."""
-    if readout_error == 0 and not 0 < p1 < 1:
-        return p1 >= 1, p1 >= 1
-    u = draw(1 + (readout_error > 0))
-    outcome = u[..., 0] < p1
-    return outcome, outcome ^ (u[..., -1] < readout_error)
 
 
 class DotArray:
@@ -329,22 +310,15 @@ class DotArray:
         pair: tuple[Pos, ...] = ()
         energy = 0.0
         if gate.n_targets == 1:
-            rot = ROTATION_ANGLE.get(kind, abs(angle) if angle is not None else math.pi)
-            duration = rot / (2.0 * math.pi) * mat.rabi_period
-            energy = drive_report(
-                mat.g_factor, mat.rabi_period, mat.gate_distance
-            )["power_watt"] * duration
+            duration = gate.area / (2.0 * math.pi) * mat.rabi_period
+            power = drive_report(mat.g_factor, mat.rabi_period, mat.gate_distance)["power_watt"]
+            energy = power * duration
         else:
             if not self.adjacent(*positions):
                 raise AdjacencyError(f"{positions} are not grid neighbors")
-            if kind == "SqrtSWAP":
-                duration = mat.t_swap / 2.0
-            elif kind == "ExchangeEvolve":
-                if theta < 0:
-                    raise StateError(f"negative pulse area theta = {theta}")
-                duration = theta * HBAR_EV_S / mat.J_on
-            else:
-                duration = mat.t_swap
+            # a named kind's area is pi or pi/2, so area/pi scales t_swap exactly
+            duration = (gate.area * HBAR_EV_S / mat.J_on if kind == "ExchangeEvolve"
+                        else gate.area / math.pi * mat.t_swap)
             pair = tuple(positions)
         self.state = apply_gate(self.state, gate)
         self.advance(duration, pair=pair, energy=energy)
@@ -360,14 +334,12 @@ class DotArray:
             raise StateError(f"dot {readout_pos} is not a readout dot")
         if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
-        q = self.qubit_index(qubit_pos)
-        probs = qubit_probabilities(self.state, q)
         rng = self._rng if rng_seed is None else rng_seed
-        outcome, bit = map(int, draw_readout(float(probs[1]), self.material.readout_error,
-                                             lambda k: as_rng(rng).random(k)))
-        self.state = _collapse(self.state, q, outcome, float(probs[outcome]), "Z")
+        bit, outcome, p1, self.state = measure(self.state, self.qubit_index(qubit_pos), "Z",
+                                               lambda k: as_rng(rng).random(k),
+                                               self.material.readout_error)
         self.advance(self.material.readout_transfer + self.material.readout_measure)
-        return bit, outcome, float(probs[1])
+        return bit, outcome, p1
 
     def idle(self, t: float) -> "DotArray":
         """Let the array sit for t seconds; only noise and residual exchange act."""

@@ -19,19 +19,19 @@ from functools import lru_cache
 import numpy as np
 
 from .device import DotArray, MaterialParams, Pos
-from .errors import AdjacencyError, ProtocolError, StateError
+from .errors import AdjacencyError, StateError
 from .qstate import (
     _PAULI_BY_NAME,
     Gate,
     QuantumState,
     _apply_unitary,
     _apply_unitary_vec,
-    _collapse,
     apply_gate,
     as_rng,
     measure,
     qubit_probabilities,
     reduced_density,
+    require_ground,
     state_fidelity,
 )
 
@@ -156,21 +156,19 @@ def _pauli_codes(injected) -> tuple[int, ...]:
 def _cycle(state: QuantumState, block, codes, uniforms) -> tuple[QuantumState, tuple, tuple, int]:
     """Encode the block, apply the net Pauli `codes`, decode, measure the
     four syndrome qubits, correct the principal and reset the syndromes.
-    Measurement k compares uniforms[k] with its marginal p1 as
-    qstate.measure does. Returns the register, the syndrome, the four p1 it
-    compared with and the compiled pulse count."""
+    Measurement k reads uniforms[k] with qstate.measure. Returns the
+    register, the syndrome, the four p1 it compared with and the compiled
+    pulse count."""
     state = _run_ops(state, block)
     for q, bits in zip(block, codes):
         if bits:
             state = apply_gate(state, Gate(_PAULI_NAMES[bits], (q,)))
     state = _run_ops(state, block, inverse=True)
-    syndrome, marginals = [], []
-    for sq, u in zip(block[1:], uniforms):
-        probs = qubit_probabilities(state, sq)
-        bit = int(u < probs[1])
-        state = _collapse(state, sq, bit, float(probs[bit]), "Z")
+    syndrome, marginals, uniforms = [], [], np.asarray(uniforms, dtype=float)
+    for k, sq in enumerate(block[1:]):
+        bit, _, p1, state = measure(state, sq, "Z", lambda n: uniforms[k:k + n])
         syndrome.append(bit)
-        marginals.append(float(probs[1]))
+        marginals.append(p1)
     syndrome, marginals = tuple(syndrome), tuple(marginals)
     correction = principal_correction(syndrome)
     if correction != "I":
@@ -202,8 +200,7 @@ def qec_cycle(
     if len(block) != 5 or len(set(block)) != 5:
         raise StateError(f"a code block needs 5 distinct qubits, got {block}")
     for q in block[1:]:
-        if qubit_probabilities(state, q)[1] > 1e-9:
-            raise ProtocolError(f"syndrome qubit {q} is not in |0>")
+        require_ground(state, q, f"syndrome qubit {q}")
     codes = _pauli_codes(injected)
     state, syndrome, _, pulse_count = _cycle(state, block, codes, as_rng(rng_seed).random(4))
     diagnosed = _error_tables()[0][syndrome]
@@ -273,6 +270,7 @@ def memory_experiment(
         codes = _pauli_codes(injected)
         uniforms = rng.random(4).tolist()
         marginals, key, failed, pulse_count = _pauli_class(codes)
+        # u < p1 reads 1: qstate.draw_readout's rule with no misread, inline in this hot loop
         if any((u < p1) != (bit == "1") for u, p1, bit in zip(uniforms, marginals, key)):
             _, key, failed, pulse_count = _memory_round(codes, uniforms)
         failures += failed
@@ -292,9 +290,7 @@ def make_cat(array: DotArray, positions: list[Pos]) -> DotArray:
             raise AdjacencyError(f"cat chain breaks between {a} and {b}")
     if array.strict:
         for pos in positions:
-            q = array.qubit_index(pos)
-            if qubit_probabilities(array.state, q)[1] > 1e-9:
-                raise ProtocolError(f"cat input at {pos} is not |0>")
+            require_ground(array.state, array.qubit_index(pos), f"cat input at {pos}")
     array.apply_gate_at("H", [positions[0]])
     for a, b in zip(positions, positions[1:]):
         array.apply_gate_at("CNOT", [a, b])
@@ -320,11 +316,10 @@ def parity_measure(
     else is projected onto the measured parity sector."""
     if ancilla in qubits:
         raise StateError("ancilla cannot be one of the measured qubits")
-    if qubit_probabilities(state, ancilla)[1] > 1e-9:
-        raise ProtocolError(f"ancilla {ancilla} is not fresh (|0>)")
+    require_ground(state, ancilla, f"ancilla {ancilla}")
     for q in qubits:
         state = apply_gate(state, Gate("CNOT", (q, ancilla)))
-    bit, state = measure(state, ancilla, "Z", rng_seed)
+    bit, _, _, state = measure(state, ancilla, "Z", lambda k: as_rng(rng_seed).random(k))
     if bit:  # reset so the ancilla is reusable
         state = apply_gate(state, Gate("X", (ancilla,)))
     return bit, state

@@ -7,6 +7,9 @@ States are either normalized amplitude vectors (pure) or density matrices
 Operations never mutate their input; they return fresh states. Global phase
 is unphysical, so equality and fidelity are phase-insensitive. Randomness
 always enters through an explicit seed or generator, never a global RNG.
+
+Gate is the one table of gate kinds (arity, parameter checks, pulse area);
+measure, by draw_readout's rule, is the one readout of a qubit.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StateError
+from .errors import ProtocolError, StateError
 from .report import _Stream
 
 VECTOR_QUBIT_CAP = 12
@@ -55,6 +58,10 @@ _SINGLET_KET = np.array([0, _SQ2, -_SQ2, 0], dtype=complex)
 SINGLET_PROJECTOR = np.outer(_SINGLET_KET, _SINGLET_KET.conj())
 
 _PAULI_BY_NAME = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -103,26 +110,6 @@ class QuantumState:
             raise StateError(f"vector norm^2 = {norm}, not 1 within {NORM_TOL}")
         return QuantumState(vec.copy(), n)
 
-    @staticmethod
-    def from_matrix(mat) -> "QuantumState":
-        mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise StateError("density matrix must be square")
-        n = int(round(np.log2(mat.shape[0])))
-        if 2**n != mat.shape[0]:
-            raise StateError("matrix dimension is not a power of two")
-        if n > MATRIX_QUBIT_CAP:
-            raise StateError(f"{n} qubits exceeds matrix cap {MATRIX_QUBIT_CAP}")
-        if np.max(np.abs(mat - mat.conj().T)) > NORM_TOL:
-            raise StateError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > NORM_TOL:
-            raise StateError(f"trace = {tr}, not 1 within {NORM_TOL}")
-        evals = np.linalg.eigvalsh(mat)
-        if evals.min() < -NORM_TOL:
-            raise StateError(f"negative eigenvalue {evals.min()}")
-        return QuantumState(mat.copy(), n)
-
     def to_density(self) -> "QuantumState":
         """Promote a pure state to its density matrix |psi><psi|."""
         if not self.is_vector:
@@ -151,6 +138,7 @@ class Gate:
     kinds: ONE_QUBIT and TWO_QUBIT below.
     Rot carries a Bloch axis (normalized on construction) and an angle;
     ExchangeEvolve carries the dimensionless pulse area theta = J*t/hbar.
+    A given axis must be three numbers, not all zero, for any kind.
     """
 
     kind: str
@@ -161,6 +149,10 @@ class Gate:
 
     ONE_QUBIT = ("X", "Y", "Z", "H", "S", "T", "Rot")
     TWO_QUBIT = ("CNOT", "SWAP", "SqrtSWAP", "ExchangeEvolve")
+    # The Bloch angle of a one-qubit kind, the exchange pulse area J*t/hbar of
+    # a two-qubit kind; Rot's is |angle| and ExchangeEvolve's theta.
+    AREA = {"X": np.pi, "Y": np.pi, "Z": np.pi, "H": np.pi, "S": np.pi / 2,
+            "T": np.pi / 4, "CNOT": np.pi, "SWAP": np.pi, "SqrtSWAP": np.pi / 2}
 
     def __post_init__(self):
         if self.kind not in self.ONE_QUBIT and self.kind not in self.TWO_QUBIT:
@@ -172,19 +164,29 @@ class Gate:
             raise StateError(f"duplicate targets {self.targets}")
         if any(t < 0 for t in self.targets):
             raise StateError(f"negative target index in {self.targets}")
+        if self.axis is not None and not (
+                isinstance(self.axis, (list, tuple)) and len(self.axis) == 3
+                and all(map(_is_number, self.axis)) and any(self.axis)):
+            raise StateError(f"axis must be a nonzero [x, y, z] list, got {self.axis!r}")
         if self.kind == "Rot":
-            if self.axis is None or self.angle is None:
-                raise StateError("Rot needs axis and angle")
+            if self.axis is None or not _is_number(self.angle):
+                raise StateError("Rot needs an axis and a numeric angle")
             norm = float(np.linalg.norm(self.axis))
             if norm < 1e-12:
                 raise StateError("Rot axis must be nonzero")
             object.__setattr__(self, "axis", tuple(float(a) / norm for a in self.axis))
-        if self.kind == "ExchangeEvolve" and self.theta is None:
-            raise StateError("ExchangeEvolve needs theta")
+        if self.kind == "ExchangeEvolve" and not _is_number(self.theta):
+            raise StateError("ExchangeEvolve needs a numeric theta")
+        if self.kind == "ExchangeEvolve" and self.theta < 0:
+            raise StateError(f"negative pulse area theta = {self.theta}")
 
     @property
     def n_targets(self) -> int:
         return len(self.targets)
+
+    @property
+    def area(self) -> float:
+        return abs(self.angle) if self.kind == "Rot" else self.AREA.get(self.kind, self.theta)
 
     def matrix(self) -> np.ndarray:
         """The gate unitary on its own targets (2x2 or 4x4)."""
@@ -307,17 +309,37 @@ def _collapse(work: QuantumState, qubit: int, outcome: int, p: float, basis: str
     return out
 
 
+def draw_readout(p1: float, readout_error: float, draw) -> tuple:
+    """(true outcome, reported bit) of a readout with Born marginal p1, or
+    of a batch: `draw(k)` gives k uniforms u per readout on its last axis.
+    The outcome is `u[..., 0] < p1`, misread if the last uniform is below
+    readout_error (never when it is 0). With no readout error a certain
+    outcome (p1 <= 0 or >= 1) draws nothing: a lazy stream builds no generator."""
+    if readout_error == 0 and not 0 < p1 < 1:
+        return p1 >= 1, p1 >= 1
+    u = draw(1 + (readout_error > 0))
+    outcome = u[..., 0] < p1
+    return outcome, outcome ^ (u[..., -1] < readout_error)
+
+
 def measure(
-    state: QuantumState, qubit: int, basis: str = "Z", rng_seed=0
-) -> tuple[int, QuantumState]:
-    """Sample one qubit with Born probabilities; deterministic given the seed."""
-    rng = as_rng(rng_seed)
+    state: QuantumState, qubit: int, basis: str, draw, readout_error: float = 0.0
+) -> tuple[int, int, float, QuantumState]:
+    """Read one qubit in `basis`: (reported bit, true outcome, Born marginal
+    p1, register collapsed onto the outcome), drawn by draw_readout."""
     if basis not in ("Z", "X"):
         raise StateError(f"unsupported basis {basis!r}")
     work = apply_gate(state, Gate("H", (qubit,))) if basis == "X" else state
     probs = qubit_probabilities(work, qubit)
-    outcome = int(rng.random() < probs[1])
-    return outcome, _collapse(work, qubit, outcome, float(probs[outcome]), basis)
+    p1 = float(probs[1])
+    outcome, bit = map(int, draw_readout(p1, readout_error, draw))
+    return bit, outcome, p1, _collapse(work, qubit, outcome, float(probs[outcome]), basis)
+
+
+def require_ground(state: QuantumState, qubit: int, name: str) -> None:
+    """Refuse unless `qubit` is in |0> within 1e-9: its p1 is at most 1e-9."""
+    if qubit_probabilities(state, qubit)[1] > 1e-9:
+        raise ProtocolError(f"{name} is not in |0>")
 
 
 def reduced_density(state: QuantumState, qubits: Sequence[int]) -> np.ndarray:

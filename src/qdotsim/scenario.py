@@ -24,9 +24,9 @@ import numpy as np
 
 from . import channels, pulses, qec
 from .device import (REPRESENTATIONS, ROLES, DotArray, MaterialParams, NoiseParams,
-                     draw_readout, inas_material, si_material)
+                     inas_material, si_material)
 from .errors import QdotsimError, SchemaError, StateError
-from .qstate import Gate, state_fidelity
+from .qstate import Gate, _is_number, draw_readout, state_fidelity
 from .report import digest, dumps_report, first_uniforms, stream
 
 SCHEMA_VERSION = 1
@@ -58,10 +58,6 @@ def _require(cond: bool, msg: str) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _all_finite(obj) -> bool:
@@ -105,11 +101,8 @@ def build_material(spec) -> MaterialParams:
         t2 = float(noise.get("T2", base.noise.T2))
         noise_params = NoiseParams(T1=float(noise.get("T1", 2.0 * t2)), T2=t2,
                                    enabled=noise.get("enabled", False))
-        material = dataclasses.replace(base, noise=noise_params,
-                                       **{k: float(v) for k, v in spec.items()})
-        # every single-qubit gate books this drive's energy
-        pulses.drive_report(material.g_factor, material.rabi_period, material.gate_distance)
-        return material
+        return dataclasses.replace(base, noise=noise_params,
+                                   **{k: float(v) for k, v in spec.items()})
     except (QdotsimError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad material parameters: {exc}") from exc
 
@@ -142,18 +135,11 @@ def _check_gate(event: dict, label: str) -> None:
     want = 1 if kind in Gate.ONE_QUBIT else 2
     _require(isinstance(targets, list) and len(targets) == want,
              f"{label}: {kind} takes {want} target(s)")
-    if kind == "Rot" or "axis" in event:
-        axis = event.get("axis")
-        _require(
-            isinstance(axis, list) and len(axis) == 3
-            and all(_is_number(v) for v in axis) and any(v != 0 for v in axis),
-            f"{label}: axis must be a nonzero [x, y, z] list (Rot needs one)",
-        )
-    if kind == "Rot":
-        _require(_is_number(event.get("angle")), f"{label}: Rot needs a numeric angle")
-    if kind == "ExchangeEvolve":
-        _require(_is_number(event.get("theta")) and event["theta"] >= 0,
-                 f"{label}: ExchangeEvolve needs a nonnegative numeric theta")
+    try:  # Gate checks the axis, angle and theta
+        Gate(kind, tuple(range(want)), axis=event.get("axis"), angle=event.get("angle"),
+             theta=event.get("theta"))
+    except StateError as exc:
+        raise SchemaError(f"{label}: {exc}") from exc
 
 
 def _check_qec(event: dict, label: str) -> None:
@@ -171,12 +157,8 @@ def _check_qec(event: dict, label: str) -> None:
 
 
 def _gate(array: DotArray, event: dict, at: dict, rng) -> DotArray:
-    return array.apply_gate_at(
-        event["kind"], at["targets"],
-        axis=tuple(event["axis"]) if "axis" in event else None,
-        angle=event.get("angle"),
-        theta=event.get("theta"),
-    )
+    return array.apply_gate_at(event["kind"], at["targets"], axis=event.get("axis"),
+                               angle=event.get("angle"), theta=event.get("theta"))
 
 
 def _route(array: DotArray, event: dict, at: dict, rng) -> dict:

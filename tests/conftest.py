@@ -22,6 +22,8 @@ from qdotsim.qec import (
     qec_cycle,
 )
 from qdotsim.qstate import (
+    MATRIX_QUBIT_CAP,
+    NORM_TOL,
     PAULI_Z,
     Gate,
     QuantumState,
@@ -82,6 +84,28 @@ def phase_aligned_maxdiff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - phase * b)))
 
 
+def from_matrix(mat) -> QuantumState:
+    """A density-matrix register, checked square, Hermitian, of unit trace
+    and positive semidefinite."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise StateError("density matrix must be square")
+    n = int(round(np.log2(mat.shape[0])))
+    if 2**n != mat.shape[0]:
+        raise StateError("matrix dimension is not a power of two")
+    if n > MATRIX_QUBIT_CAP:
+        raise StateError(f"{n} qubits exceeds matrix cap {MATRIX_QUBIT_CAP}")
+    if np.max(np.abs(mat - mat.conj().T)) > NORM_TOL:
+        raise StateError("density matrix is not Hermitian")
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > NORM_TOL:
+        raise StateError(f"trace = {tr}, not 1 within {NORM_TOL}")
+    evals = np.linalg.eigvalsh(mat)
+    if evals.min() < -NORM_TOL:
+        raise StateError(f"negative eigenvalue {evals.min()}")
+    return QuantumState(mat.copy(), n)
+
+
 def norm_error(state: QuantumState) -> float:
     """|norm^2 - 1| for vectors, |trace - 1| for matrices."""
     if state.is_vector:
@@ -130,9 +154,9 @@ def qec_cycle_oracle(state: QuantumState, block, injected, rng) -> tuple[Quantum
         state = apply_gate(state, Gate(name, (block[pos],)))
         products[block[pos]] = PAULIS[name] @ products.get(block[pos], I2)
     state = _run_ops(state, block, inverse=True)
-    syndrome = []
-    for q in block[1:]:
-        bit, state = measure(state, q, "Z", rng)
+    syndrome, uniforms = [], rng.random(4)
+    for q, u in zip(block[1:], uniforms):
+        bit, _, _, state = measure(state, q, "Z", lambda k: np.full(k, u))
         syndrome.append(bit)
     correction = principal_correction(tuple(syndrome))
     if correction != "I":

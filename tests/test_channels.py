@@ -26,7 +26,8 @@ from qdotsim.channels import (
 from qdotsim.device import DotArray, inas_material
 from qdotsim.errors import ProtocolError, QdotsimError, RoutingError, StateError
 from qdotsim.noise import NoiseParams
-from qdotsim.qstate import QuantumState, as_rng, reduced_density, state_fidelity
+from qdotsim.qstate import (QuantumState, as_rng, qubit_probabilities, reduced_density,
+                            state_fidelity)
 
 MATERIAL = inas_material()
 
@@ -485,6 +486,23 @@ def test_teleport_destroys_payload():
     # carrying no amplitude information
     probs = np.real(np.diag(rho_c))
     assert probs == pytest.approx([0.5, 0.5], abs=1e-10)
+
+
+@pytest.mark.parametrize("with_pair", [True, False])
+def test_teleport_draws_exactly_two_doubles(with_pair):
+    # without the pair a |0> payload leaves the amplitude qubit at p1 = 0.0
+    # exactly: that outcome is certain, and still costs its draw
+    array = fresh_array(3, 1, occupied=[(0, 0), (1, 0), (2, 0)])
+    if with_pair:
+        make_epr(array, (1, 0), (2, 0))
+    else:
+        probe = fresh_array(3, 1, occupied=[(0, 0), (1, 0), (2, 0)])
+        probe.apply_gate_at("CNOT", [(0, 0), (1, 0)])
+        assert qubit_probabilities(probe.state, 1)[1] == 0.0
+    rng, ahead = np.random.default_rng(8), np.random.default_rng(8)
+    ahead.random(2)
+    teleport(array, (0, 0), (1, 0), (2, 0), rng)
+    assert rng.bit_generator.state == ahead.bit_generator.state
 
 
 def test_teleport_strict_requires_epr_pair():

@@ -1,5 +1,7 @@
 """Dot array events: occupancy, clock accounting, noise windows, readout."""
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from qdotsim.constants import HBAR_EV_S
 from qdotsim.device import DotArray, inas_material, si_material
 from qdotsim.errors import AdjacencyError, BlockadeError, StateError
 from qdotsim.noise import NoiseParams
-from qdotsim.qstate import QuantumState, state_fidelity
+from qdotsim.qstate import Gate, QuantumState, state_fidelity
 
 
 def make_array(width=2, height=2, noise=None, **kwargs) -> DotArray:
@@ -493,3 +495,50 @@ def test_gate_durations_follow_rotation_angle():
     t0 = array.clock
     array.apply_gate_at("T", [(0, 0)])
     assert array.clock - t0 == pytest.approx(array.material.rabi_period / 8, rel=1e-12)
+
+
+def closed_form_duration(kind: str, material, angle=None, theta=None) -> float:
+    """A gate's duration by kind: angle/(2 pi) of a Rabi period for one
+    qubit, t_swap for CNOT and SWAP, t_swap / 2 for SqrtSWAP and
+    theta*hbar/J_on for ExchangeEvolve."""
+    rotation = {"X": math.pi, "Y": math.pi, "Z": math.pi, "H": math.pi, "S": math.pi / 2,
+                "T": math.pi / 4}
+    if kind in Gate.ONE_QUBIT:
+        rot = abs(angle) if kind == "Rot" else rotation[kind]
+        return rot / (2.0 * math.pi) * material.rabi_period
+    if kind == "SqrtSWAP":
+        return material.t_swap / 2.0
+    if kind == "ExchangeEvolve":
+        return theta * HBAR_EV_S / material.J_on
+    return material.t_swap
+
+
+@pytest.mark.parametrize("kind", Gate.ONE_QUBIT + Gate.TWO_QUBIT)
+def test_booked_gate_durations_equal_the_closed_forms_bitwise(kind):
+    # J_on up to where t_hop underflows: t_swap runs from ~2e-8 s down through
+    # the subnormals, where t_swap / 2 and (pi/2)*hbar/J_on differ in places
+    if kind in Gate.ONE_QUBIT:
+        materials = [replace(inas_material(), rabi_period=float(r))
+                     for r in np.geomspace(1e-164, 1e-2, 200)]
+    else:
+        materials = []
+        for j_on in np.concatenate([np.geomspace(1e-7, 1e292, 60),
+                                    np.geomspace(1e292, 1.7e308, 240)]):
+            try:
+                materials.append(replace(inas_material(), J_on=float(j_on)))
+            except StateError:  # t_hop rounds to 0 s
+                assert j_on > 1e307
+        assert sum(m.t_swap < sys.float_info.min for m in materials) > 100
+    params = {"Rot": [{"axis": (1, 0, 1), "angle": a} for a in (-2.2, 0.4, 3.0, 7)],
+              "ExchangeEvolve": [{"theta": t} for t in (0.0, 0.3, math.pi / 2, 2.5, 7)],
+              }.get(kind, [{}])
+    targets = [(0, 0), (1, 0)] if kind in Gate.TWO_QUBIT else [(0, 0)]
+    for material in materials:
+        for kwargs in params:
+            array = DotArray(2, 1, material)
+            array.init_qubit((0, 0))
+            array.init_qubit((1, 0))
+            array.clock = 0.0  # so the clock reads the one duration exactly
+            array.apply_gate_at(kind, targets, **kwargs)
+            want = closed_form_duration(kind, material, kwargs.get("angle"), kwargs.get("theta"))
+            assert array.clock == want, (material.J_on, material.rabi_period, kwargs)

@@ -11,6 +11,7 @@ from conftest import (
     damping_kraus,
     dephasing_kraus,
     embed,
+    from_matrix,
     haar_state,
     idle_jump_oracle,
     idle_trajectory,
@@ -78,7 +79,7 @@ def test_dephase_closed_form_at_t2():
 
 
 def test_dephase_leaves_diagonal_states_alone():
-    rho = QuantumState.from_matrix([[0.3, 0], [0, 0.7]])
+    rho = from_matrix([[0.3, 0], [0, 0.7]])
     out = _channel(rho, 5 * T2, [(0, 1 / T2, 0.0)])
     assert np.max(np.abs(out.data - rho.data)) < 1e-14
 

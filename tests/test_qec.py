@@ -1,6 +1,7 @@
 """Five-qubit code: encoding, syndromes, correction cycles, cat states."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     qec_cycle_oracle,
     states_close,
 )
+from qdotsim.channels import make_epr
 from qdotsim.device import DotArray, inas_material
 from qdotsim.errors import AdjacencyError, ProtocolError, StateError
 from qdotsim.qec import (
@@ -504,6 +506,39 @@ def test_parity_requires_fresh_ancilla():
     psi[0b001] = 1.0  # ancilla (qubit 2) already |1>
     with pytest.raises(ProtocolError):
         parity_measure(QuantumState(psi, 3), [0, 1], 2)
+
+
+def _tilted(state: QuantumState, qubit: int, p1: float) -> QuantumState:
+    """The register with `qubit` turned about y until its p1 is `p1`."""
+    angle = 2 * math.asin(math.sqrt(p1))
+    return apply_gate(state, Gate("Rot", (qubit,), axis=(0, 1, 0), angle=angle))
+
+
+def _ground_site(site: str, p1: float) -> None:
+    """Run one |0> precondition on a register whose checked qubit has p1:
+    (1, 0) for make_epr and make_cat, syndrome qubit 3, ancilla 2."""
+    if site in ("make_epr", "make_cat"):
+        array = DotArray(2, 1, MATERIAL, strict=True)
+        array.init_qubit((0, 0))
+        array.init_qubit((1, 0))
+        array.state = _tilted(array.state, 1, p1)
+        if site == "make_epr":
+            make_epr(array, (0, 0), (1, 0))
+        else:
+            make_cat(array, [(0, 0), (1, 0)])
+    elif site == "qec_cycle":
+        qec_cycle(_tilted(QuantumState.zero(5), 3, p1), range(5))
+    else:
+        parity_measure(_tilted(QuantumState.zero(3), 2, p1), [0, 1], 2)
+
+
+@pytest.mark.parametrize("site,name", [
+    ("make_epr", "qubit at (1, 0)"), ("make_cat", "cat input at (1, 0)"),
+    ("qec_cycle", "syndrome qubit 3"), ("parity_measure", "ancilla 2")])
+def test_every_ground_precondition_draws_the_line_at_p1_1e_9(site, name):
+    with pytest.raises(ProtocolError, match=re.escape(f"{name} is not in |0>")):
+        _ground_site(site, 2e-9)
+    _ground_site(site, 5e-10)
 
 
 # ---------------------------------------------------------------------------

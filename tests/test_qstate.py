@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, sqrtm
 
-from conftest import PAULIS, embed, haar_state, kron_chain, norm_error, phase_aligned_maxdiff
+from conftest import (PAULIS, embed, from_matrix, haar_state, kron_chain, norm_error,
+                      phase_aligned_maxdiff)
 from qdotsim.errors import StateError
 from qdotsim.qstate import (
     CNOT_MATRIX,
@@ -164,7 +165,7 @@ def test_vector_cap_enforced():
     with pytest.raises(StateError):
         QuantumState.zero(13)
     with pytest.raises(StateError):
-        QuantumState.from_matrix(np.eye(2**9) / 2**9)
+        from_matrix(np.eye(2**9) / 2**9)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,7 @@ def test_exchange_pi_is_swap_up_to_phase():
 def test_measure_one_is_deterministic():
     s = apply_gate(QuantumState.zero(1), Gate("X", (0,)))
     for seed in range(5):
-        outcome, post = measure(s, 0, "Z", seed)
+        _, outcome, _, post = measure(s, 0, "Z", np.random.default_rng(seed).random)
         assert outcome == 1
         assert np.allclose(post.data, [0, 1])
 
@@ -239,7 +240,7 @@ def test_measure_plus_statistics():
     plus = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
     rng = np.random.default_rng(99)
     n = 10_000
-    ones = sum(measure(plus, 0, "Z", rng)[0] for _ in range(n))
+    ones = sum(measure(plus, 0, "Z", rng.random)[0] for _ in range(n))
     sigma = math.sqrt(0.25 / n)
     assert abs(ones / n - 0.5) < 3 * sigma
 
@@ -250,7 +251,7 @@ def test_measure_chi_square_born():
     p1 = float(qubit_probabilities(state, 0)[1])
     rng = np.random.default_rng(123)
     n = 10_000
-    ones = sum(measure(state, 0, "Z", rng)[0] for _ in range(n))
+    ones = sum(measure(state, 0, "Z", rng.random)[0] for _ in range(n))
     zeros = n - ones
     chi2 = (ones - n * p1) ** 2 / (n * p1) + (zeros - n * (1 - p1)) ** 2 / (
         n * (1 - p1)
@@ -261,16 +262,77 @@ def test_measure_chi_square_born():
 def test_x_basis_measure_of_plus():
     plus = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
     for seed in range(5):
-        outcome, post = measure(plus, 0, "X", seed)
+        _, outcome, _, post = measure(plus, 0, "X", np.random.default_rng(seed).random)
         assert outcome == 0
         assert state_fidelity(post, plus) > 1 - 1e-12
 
 
 def test_measure_projects_and_renormalizes(rng):
     s = haar_state(3, rng)
-    outcome, post = measure(s, 1, "Z", 7)
+    _, outcome, _, post = measure(s, 1, "Z", np.random.default_rng(7).random)
     assert norm_error(post) < 1e-12
     assert qubit_probabilities(post, 1)[outcome] > 1 - 1e-12
+
+
+def measure_oracle(state: QuantumState, qubit: int, basis: str, uniforms, readout_error):
+    """(bit, outcome, p1, post-state data, uniforms drawn) of a readout from
+    kron-embedded projectors: the outcome is u0 < p1, drawn only when it is
+    uncertain or a misread is possible; the bit is misread when the last
+    uniform drawn is below readout_error."""
+    kets = np.eye(2, dtype=complex) if basis == "Z" else HADAMARD  # rows |0>,|1> or |+>,|->
+    proj = [embed(np.outer(k, k.conj()), [qubit], state.n_qubits) for k in kets]
+    rho = np.outer(state.data, state.data.conj()) if state.is_vector else state.data
+    p1 = float(np.real(np.trace(proj[1] @ rho)))
+    drawn = 2 if readout_error > 0 else int(0 < p1 < 1)
+    outcome = int(uniforms[0] < p1) if drawn else int(p1 >= 1)
+    bit = outcome ^ int(drawn == 2 and uniforms[1] < readout_error)
+    p = p1 if outcome else 1.0 - p1
+    if state.is_vector:
+        post = proj[outcome] @ state.data / np.sqrt(p)
+    else:
+        post = proj[outcome] @ state.data @ proj[outcome] / p
+    return bit, outcome, p1, post, drawn
+
+
+@given(
+    n=st.integers(1, 3),
+    qubit_seed=st.integers(0, 2**32 - 1),
+    prep=st.sampled_from(["haar", "basis", "plus"]),
+    basis=st.sampled_from(["Z", "X"]),
+    matrix=st.booleans(),
+    uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+    readout_error=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_measure_matches_the_projector_oracle(n, qubit_seed, prep, basis, matrix, uniforms,
+                                              readout_error):
+    # a basis state is certain in Z, and |+>|+> (every amplitude exactly 0.5)
+    # in X: p1 is exactly 0.0 or 1.0, so with no readout error they draw nothing
+    rng = np.random.default_rng(qubit_seed)
+    n = 2 if prep == "plus" else n
+    qubit = int(rng.integers(n))
+    if prep == "haar":
+        state = haar_state(n, rng)
+    elif prep == "plus":
+        state = QuantumState(np.full(4, 0.5, dtype=complex), 2)
+    else:
+        vec = np.zeros(2**n, dtype=complex)
+        vec[int(rng.integers(2**n))] = 1.0
+        state = QuantumState(vec, n)
+    state = state.to_density() if matrix else state
+    bit, outcome, p1, post, drawn = measure_oracle(state, qubit, basis, uniforms, readout_error)
+    assume(abs(uniforms[0] - p1) > 1e-9)
+    calls = []
+
+    def draw(k):
+        calls.append(k)
+        return np.array(uniforms[:k])
+
+    got = measure(state, qubit, basis, draw, readout_error)
+    assert got[:2] == (bit, outcome) and all(type(v) is int for v in got[:2])
+    assert got[2] == pytest.approx(p1, abs=1e-12)
+    assert calls == ([drawn] if drawn else [])
+    assert np.max(np.abs(got[3].data - post)) < 1e-10
 
 
 def test_project_zero_branch_raises():
@@ -417,9 +479,9 @@ def test_state_validation_rejects_bad_inputs():
     with pytest.raises(StateError):
         QuantumState.from_vector([1.0, 1.0])  # unnormalized
     with pytest.raises(StateError):
-        QuantumState.from_matrix([[0.5, 0.5j], [0.5j, 0.5]])  # not Hermitian
+        from_matrix([[0.5, 0.5j], [0.5j, 0.5]])  # not Hermitian
     with pytest.raises(StateError):
-        QuantumState.from_matrix([[2.0, 0], [0, -1.0]])  # trace/positivity
+        from_matrix([[2.0, 0], [0, -1.0]])  # trace/positivity
 
 
 def test_reduced_density_of_bell():

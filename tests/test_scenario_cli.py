@@ -1250,3 +1250,43 @@ def test_cli_qec_with_errors():
     payload = json.loads(proc.stdout)
     assert 0.0 <= payload["logical_error_rate"] <= 1.0
     assert sum(payload["syndrome_histogram"].values()) == 30
+
+
+def test_cli_huge_j_on_with_noise_on_exits_2_before_any_event(tmp_path):
+    # t_hop = t_swap / 10 rounds to 0 s: each hop of the route would book no
+    # time and no idle noise
+    scenario = {"schema_version": 1, "seed": 1,
+                "material": {"preset": "inas", "J_on": 1e308, "noise": {"enabled": True}},
+                "array": {"width": 3, "height": 1},
+                "program": [{"op": "init", "pos": [0, 0]},
+                            {"op": "route", "src": [0, 0], "dst": [2, 0]}]}
+    path = tmp_path / "huge_j_on.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "schema"
+    assert error["message"].startswith("bad material parameters: a hop (0.0 s)")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("gate", [
+    {"kind": "X", "axis": [True, 0, 0]},
+    {"kind": "Rot", "axis": [0, 0, 1], "angle": "1.0"},
+    {"kind": "ExchangeEvolve", "targets": [[0, 0], [1, 0]], "theta": -1.0},
+], ids=["bool-axis-entry", "string-angle", "negative-theta"])
+def test_cli_gate_parameters_are_checked_before_any_event(tmp_path, gate):
+    scenario = copy.deepcopy(BELL)
+    scenario["program"].insert(2, {"op": "gate", "targets": [[0, 0]], **gate})
+    path = tmp_path / "bad_gate.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "schema"
+    assert error["message"].startswith("event 2 (gate): ")
+    assert not out_dir.exists()
