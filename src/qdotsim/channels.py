@@ -229,7 +229,8 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
 
     CNOT from c onto a, then the phase of c (X basis) and the amplitude of a
     (Z basis) are measured; the two classical bits steer an X and then a Z
-    on b. The payload at c is destroyed by the measurements."""
+    on b. The payload at c is destroyed by the measurements. The report's
+    `p1` holds the two Born marginals the draws were compared with."""
     rng = as_rng(rng_seed)
     qc, qa, qb = (array.qubit_index(p) for p in (c, a, b))
     if len({qc, qa, qb}) != 3:
@@ -243,8 +244,8 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
     payload_before = reduced_density(array.state, [qc])
     array.apply_gate_at("CNOT", [c, a])
     u = rng.random(2)  # two draws even where an outcome is certain
-    phase_bit, _, _, array.state = measure(array.state, qc, "X", lambda k: u[:k])
-    amp_bit, _, _, array.state = measure(array.state, qa, "Z", lambda k: u[1:1 + k])
+    phase_bit, _, p_phase, array.state = measure(array.state, qc, "X", lambda k: u[:k])
+    amp_bit, _, p_amp, array.state = measure(array.state, qa, "Z", lambda k: u[1:1 + k])
     array.advance(2.0 * (array.material.readout_transfer + array.material.readout_measure))
     if array.material.classical_latency > 0:
         # the two classical bits ride a wire to b's site before correcting
@@ -265,6 +266,7 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
         "phase_bit": phase_bit,
         "amplitude_bit": amp_bit,
         "payload_fidelity": min(1.0, fidelity),
+        "p1": [p_phase, p_amp],
     }
     return report, array
 

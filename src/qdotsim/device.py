@@ -324,22 +324,22 @@ class DotArray:
         self.advance(duration, pair=pair, energy=energy)
         return self
 
-    def readout(self, qubit_pos: Pos, readout_pos: Pos, rng_seed=None) -> tuple[int, int, float]:
+    def readout(self, qubit_pos: Pos, readout_pos: Pos, rng_seed=None) -> tuple[int, float]:
         """Spin-to-charge readout: project the qubit in Z. A ground-state
         (spin-up, |0>) electron tunnels to the readout dot and registers a
-        charge event; the excited spin stays put. Returns the reported bit,
-        the true outcome and the Born marginal p1 it was drawn from."""
+        charge event; the excited spin stays put. Returns the reported bit
+        and the Born marginal p1 it was drawn from."""
         self._pos_check(readout_pos)
         if self.roles.get(readout_pos) != "readout":
             raise StateError(f"dot {readout_pos} is not a readout dot")
         if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
         rng = self._rng if rng_seed is None else rng_seed
-        bit, outcome, p1, self.state = measure(self.state, self.qubit_index(qubit_pos), "Z",
-                                               lambda k: as_rng(rng).random(k),
-                                               self.material.readout_error)
+        bit, _, p1, self.state = measure(self.state, self.qubit_index(qubit_pos), "Z",
+                                         lambda k: as_rng(rng).random(k),
+                                         self.material.readout_error)
         self.advance(self.material.readout_transfer + self.material.readout_measure)
-        return bit, outcome, p1
+        return bit, p1
 
     def idle(self, t: float) -> "DotArray":
         """Let the array sit for t seconds; only noise and residual exchange act."""

@@ -196,13 +196,18 @@ def qec_cycle(
     the code distance; cancelling pairs such as X2 X2 are not flagged. Its
     pulse count is that of the compiled hardware cycle.
     """
+    return _reported_cycle(state, block, injected, rng_seed)[:2]
+
+
+def _reported_cycle(state, block, injected, rng_seed) -> tuple[QuantumState, dict, tuple]:
+    """qec_cycle's register and report, and the four syndrome p1 it drew against."""
     block = tuple(block)
     if len(block) != 5 or len(set(block)) != 5:
         raise StateError(f"a code block needs 5 distinct qubits, got {block}")
     for q in block[1:]:
         require_ground(state, q, f"syndrome qubit {q}")
     codes = _pauli_codes(injected)
-    state, syndrome, _, pulse_count = _cycle(state, block, codes, as_rng(rng_seed).random(4))
+    state, syndrome, p1s, pulse_count = _cycle(state, block, codes, as_rng(rng_seed).random(4))
     diagnosed = _error_tables()[0][syndrome]
     report = {
         "syndrome": list(syndrome),
@@ -212,7 +217,7 @@ def qec_cycle(
         "pulse_count": pulse_count,
         "possible_logical_error": sum(map(bool, codes)) >= 2,
     }
-    return state, report
+    return state, report, p1s
 
 
 @lru_cache(maxsize=1)

@@ -12,13 +12,14 @@ numbers are serialized with fixed 17-significant-digit formatting.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import math
 from collections import Counter
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,9 +116,11 @@ def build_material(spec) -> MaterialParams:
 # no op takes one dot twice, so an event's positions must be distinct.
 # Each shot calls run(array, event, at, rng), `at` mapping a field to its
 # position or list of positions. A dict returned by run holds the event's
-# report fields (a readout's also its true outcome and Born marginal p1, for
-# the shot loop); anything else (DotArray methods return the array) means none.
-# Library functions are looked up on their module at call time.
+# report fields; anything else (DotArray methods return the array) means none.
+# A random op's dict also lists its Born draws for the shot walk: `draws` holds
+# one (column, p1, readout_error) per measured bit, drawn by draw_readout from
+# the doubles of `rng` starting at that column. Library functions are looked up
+# on their module at call time.
 
 
 class _Op(NamedTuple):
@@ -174,16 +177,18 @@ def _epr(array: DotArray, event: dict, at: dict, rng) -> dict:
 def _teleport(array: DotArray, event: dict, at: dict, rng) -> dict:
     rep, _ = channels.teleport(array, at["payload"], at["a"], at["b"], rng)
     return {"measurements": [rep["phase_bit"], rep["amplitude_bit"]],
+            "draws": [(k, p1, 0.0) for k, p1 in enumerate(rep["p1"])],
             "fidelity_checks": {"payload_fidelity": rep["payload_fidelity"]}}
 
 
 def _qec_cycle(array: DotArray, event: dict, at: dict, rng) -> dict:
     block = [array.qubit_index(p) for p in (at["principal"], *at["syndromes"])]
     before = array.state
-    array.state, rep = qec.qec_cycle(before, block, event.get("inject", []), rng)
+    array.state, rep, p1s = qec._reported_cycle(before, block, event.get("inject", []), rng)
     array.advance(rep["pulse_count"] * array.material.t_pulse)
     return {
         "measurements": rep["syndrome"],
+        "draws": [(k, p1, 0.0) for k, p1 in enumerate(p1s)],
         "fidelity_checks": {
             "post_cycle_fidelity": state_fidelity(before, array.state),
             "possible_logical_error": rep["possible_logical_error"],
@@ -193,8 +198,8 @@ def _qec_cycle(array: DotArray, event: dict, at: dict, rng) -> dict:
 
 
 def _readout(array: DotArray, event: dict, at: dict, rng) -> dict:
-    bit, outcome, p1 = array.readout(at["qubit"], at["readout"], rng)
-    return {"measurements": [bit], "outcome": outcome, "p1": p1}
+    bit, p1 = array.readout(at["qubit"], at["readout"], rng)
+    return {"measurements": [bit], "draws": [(0, p1, array.material.readout_error)]}
 
 
 _OPS: dict[str, _Op] = {
@@ -378,8 +383,8 @@ def run_scenario(
 ) -> dict:
     """Validate and execute a scenario; returns the full run report."""
     material, roles, t2_overrides, steps = validate_scenario(scenario)
-    if shots < 1:
-        raise SchemaError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= 2**32:  # first_uniforms takes shot ids below 2**32
+        raise SchemaError(f"shots must be in [1, 2**32], got {shots}")
     if seed_override is not None and seed_override < 0:
         raise SchemaError(f"seed must be >= 0, got {seed_override}")
     seed = int(seed_override if seed_override is not None else scenario["seed"])
@@ -393,64 +398,74 @@ def run_scenario(
         except StateError as exc:
             raise SchemaError(f"analytics entry {i} ({request['kind']}): {exc}") from exc
 
-    # Shots differ only in their streams, so each repeats shot 0 up to the first
-    # event that builds its own or the array's stream, and starts there. If only
-    # readouts follow and the array never draws, their Born marginals depend only
-    # on the true outcomes read since then: `born` maps those outcomes to the next
-    # readout's p1 (None at the end), and _walk draws the later shots from it.
-    quiet = not material.noise.enabled or section.get("representation") == "matrix"
+    # Shots differ only in their streams. A group of shots shares an array that
+    # has never drawn; its lowest shot runs the next event with its own streams,
+    # on a twin while others still need the array as it was. Shots whose
+    # uniforms give the same true outcomes under the event's draws follow it,
+    # each with its own reported bits; the rest stay at the event, carrying
+    # their uniforms. If the array's stream drew, or the event's own did without
+    # reporting draws, every other shot stays. Groups run lowest shot first, so
+    # shot 0 writes the log and the lowest failing shot raises.
+    array = DotArray(section["width"], section["height"], material, roles=roles,
+                     representation=section.get("representation", "vector"),
+                     strict=strict_flag, seed=stream(seed, 0, 0xFFFF),
+                     t2_overrides=t2_overrides)
     event_log: list[dict] = []
-    prefix, replay, born = None, False, {}
-
-    def run_shot(shot: int) -> tuple[str, DotArray]:
-        """One shot's record and final array from the event loop; fills `born`."""
-        nonlocal prefix, replay
-        array_stream = stream(seed, shot, 0xFFFF)
-        array = DotArray(section["width"], section["height"], material, roles=roles,
-                         representation=section.get("representation", "vector"),
-                         strict=strict_flag, seed=array_stream, t2_overrides=t2_overrides)
-        start, bits, path = 0, [], ()
-        if prefix:
-            start, array.state, positions, array.clock, bits = prefix
-            array.qubit_positions, bits = list(positions), list(bits)
+    records = np.empty(shots, object)
+    # (lowest shot, next event, array, shots, their bits, their uniforms at that event);
+    # bits are one str all the shots share, or an object array of one str per shot
+    groups = [(0, 0, array, np.arange(shots), "", None)]
+    while groups:  # a group runs to the end; shots that part from it wait on the heap
+        rep, start, array, ids, bits, uniforms = heapq.heappop(groups)
         for index in range(start, len(steps)):
             spec, event, at = steps[index]
-            if prefix is None:
-                before = (index, array.state, list(array.qubit_positions), array.clock,
-                          list(bits))
-            rng = stream(seed, shot, index)
-            clock_before = array.clock
+            work = array
+            if len(ids) > 1:  # a twin: events replace the register, never write it
+                work = object.__new__(type(array))
+                work.__dict__.update(array.__dict__, qubit_positions=list(array.qubit_positions))
+            rng, clock_before = stream(seed, rep, index), work.clock
             try:
-                result = spec.run(array, event, at, rng)
+                result = spec.run(work, event, at, rng)
             except QdotsimError as exc:
                 raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
             result = result if isinstance(result, dict) else {}
-            if prefix is None and (rng.built or array_stream.built):
-                prefix = before
-                replay = quiet and all(later.run is _readout for later, _, _ in steps[index:])
-            if replay and index >= prefix[0]:
-                born[path] = result["p1"]
-                path += (result["outcome"],)
-            measurements = result.get("measurements")
-            bits.extend(measurements or ())
-            if shot == 0:
+            measurements, draws = result.get("measurements"), result.get("draws", ())
+            if rep == 0:
                 event_log.append({
                     "index": index, "event": event["op"], "clock_before": clock_before,
-                    "clock_after": array.clock, "measurements": measurements,
+                    "clock_after": work.clock, "measurements": measurements,
                     "fidelity_checks": result.get("fidelity_checks"),
                     **{extra: result[extra] for extra in ("path", "qec_report")
                        if extra in result}})
-        if prefix is None:
-            prefix, replay = (len(steps), array.state, array.qubit_positions,
-                              array.clock, bits), True
-        if replay:
-            born[path] = None
-        return "".join(str(b) for b in bits), array
-
-    record, array = run_shot(0)
-    shot_records = [record, *(
-        _walk(born, prefix, material.readout_error, seed, shots, run_shot) if replay
-        else (run_shot(shot)[0] for shot in range(1, shots)))]
+            new, rest = "".join(map(str, measurements or ())), None
+            if len(ids) > 1 and (work._rng.built or rng.built and "draws" not in result):
+                keep, rest = slice(1), slice(1, None)
+            elif len(ids) > 1 and any(0 < p1 < 1 or error > 0 for _, p1, error in draws):
+                width = max(column + 1 + (error > 0) for column, _, error in draws)
+                if uniforms is None or uniforms.shape[1] < width:
+                    uniforms = np.concatenate([
+                        first_uniforms(seed, ids[first:first + _SHOT_CHUNK], index, width)
+                        for first in range(0, len(ids), _SHOT_CHUNK)])
+                true, shown = np.empty((2, len(ids), len(draws)), bool)
+                for k, (column, p1, error) in enumerate(draws):
+                    true[:, k], shown[:, k] = draw_readout(
+                        p1, error, lambda n: uniforms[:, column:column + n])
+                keep = (true == true[0]).all(axis=1)
+                rest = None if keep.all() else ~keep
+                if any(error > 0 for _, _, error in draws):
+                    new = np.where(shown[keep], "1", "0").astype(object).sum(axis=1)
+            if rest is not None:  # a group's array holds its lowest shot's stream
+                others = ids[rest]
+                array._rng = stream(seed, int(others[0]), 0xFFFF)
+                heapq.heappush(groups, (int(others[0]), index, array, others,
+                                        bits if isinstance(bits, str) else bits[rest],
+                                        None if uniforms is None else uniforms[rest]))
+                ids, bits = ids[keep], bits if isinstance(bits, str) else bits[keep]
+            array, bits, uniforms = work, bits + new, None
+        records[ids] = bits
+        if rep == 0:  # shot 0's group is popped first and runs to the end
+            final = array
+    shot_records = records.tolist()
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario_digest": digest(json.dumps(scenario, sort_keys=True)),
@@ -461,42 +476,14 @@ def run_scenario(
         "events": event_log,
         "measurement_records": shot_records,
         "measurement_counts": dict(sorted(Counter(shot_records).items())),
-        "final_clock_s": array.clock,
-        "budgets": {"total_time_s": array.clock, "total_energy_j": array.energy,
+        "final_clock_s": final.clock,
+        "budgets": {"total_time_s": final.clock, "total_energy_j": final.energy,
                     "event_count": len(steps)},
         "analytics": analytics,
     }
 
 
-_SHOT_CHUNK = 4096  # shots per pass of _walk, so its arrays stay small at any count
-
-
-def _walk(born: dict, prefix: tuple, readout_error: float, seed: int, shots: int,
-          run_shot: Callable[[int], object]) -> Iterator[str]:
-    """Records of shots 1..shots-1 (`prefix` as in run_scenario): a chunk of
-    shots at a time walks `born`, grouped by path of true outcomes; a group
-    draws a readout's uniforms in one `first_uniforms` call. At a path not in
-    the table its lowest shot runs `run_shot` to fill it, then all go on; the
-    last readout's outcomes lead to no p1, so they need no table entry."""
-    start, head = prefix[0], "".join(str(b) for b in prefix[4])
-    depth = max(map(len, born))  # every full path ends at the last readout
-    for first in range(1, shots, _SHOT_CHUNK):
-        ids = np.arange(first, min(first + _SHOT_CHUNK, shots))
-        tails = np.zeros((len(ids), depth), np.uint8)
-        groups = [((), np.arange(len(ids)))] if depth else []
-        while groups:
-            path, rows = groups.pop()
-            outcome, tails[rows, len(path)] = draw_readout(
-                born[path], readout_error,
-                lambda k: first_uniforms(seed, ids[rows], start + len(path), k))
-            for value in (0, 1) if len(path) + 1 < depth else ():
-                later = rows[np.broadcast_to(outcome, rows.shape) == value]
-                if len(later):
-                    if path + (value,) not in born:
-                        run_shot(int(ids[later[0]]))
-                    groups.append((path + (value,), later))
-        text = (tails + ord("0")).tobytes().decode("ascii")
-        yield from (head + text[row * depth:(row + 1) * depth] for row in range(len(ids)))
+_SHOT_CHUNK = 4096  # shots per first_uniforms call, so its arrays stay small at any count
 
 
 def write_report(report: dict, out_dir: str | Path) -> tuple[Path, Path]:

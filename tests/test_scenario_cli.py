@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_shots_eagerly
-from qdotsim import cli
+from qdotsim import channels, cli
 from qdotsim import scenario as scenario_mod
 from qdotsim.channels import line_report
 from qdotsim.device import DotArray
-from qdotsim.errors import QdotsimError, SchemaError
+from qdotsim.errors import BlockadeError, ProtocolError, QdotsimError, SchemaError
 from qdotsim.pulses import drive_report
 from qdotsim.report import (canonical_json, digest, dumps_report, first_uniforms,
                             format_float, stream)
@@ -722,7 +722,7 @@ def test_qec_cycle_reports_are_pinned():
 
 
 # ---------------------------------------------------------------------------
-# shots that share the prefix drawing nothing
+# shots that share each event until a Born draw or the noise tells them apart
 # ---------------------------------------------------------------------------
 
 _WIDTH = 4  # qubits live on row 0, each column has a readout dot on row 1
@@ -822,7 +822,7 @@ def test_trailing_misread_readouts_match_the_eager_shot_loop(monkeypatch):
     monkeypatch.setattr(scenario_mod, "DotArray",
                         lambda *args, **kwargs: arrays.append(1) or DotArray(*args, **kwargs))
     got = run_scenario(copy.deepcopy(MATRIX_MISREAD), shots=300)
-    # only a shot on a path of true outcomes no earlier shot took builds an array
+    # the run builds one array; each path of true outcomes runs on a copy of it
     assert len(arrays) <= 2 ** 3
     monkeypatch.undo()
     want = run_shots_eagerly(copy.deepcopy(MATRIX_MISREAD), 300)
@@ -831,7 +831,7 @@ def test_trailing_misread_readouts_match_the_eager_shot_loop(monkeypatch):
 
 
 def test_batched_shots_across_chunks_match_the_eager_shot_loop(monkeypatch):
-    # chunks of 7 shots, so paths first taken in one chunk recur in later ones
+    # chunks of 7 shots, so one group's uniforms come from several kernel calls
     monkeypatch.setattr(scenario_mod, "_SHOT_CHUNK", 7)
     for scenario, shots in ((BELL, 60), (MATRIX_MISREAD, 90), (BELL_MISREAD, 30)):
         got = run_scenario(copy.deepcopy(scenario), shots=shots)
@@ -860,10 +860,9 @@ def test_a_certain_readout_draws_only_for_a_misread(monkeypatch, readout_error):
         assert built == []
         assert got["measurement_records"] == ["1"] * 50
     else:
-        # only shot 0 builds its readout stream: later shots take their
-        # uniforms from the batched kernel, and no readout follows this one,
-        # so none runs the per-shot loop; the Born draw is the first uniform,
-        # the misread the second
+        # only shot 0 builds its readout stream: the outcome is certain, so
+        # every shot follows it, each with a misread drawn by the batched
+        # kernel; the Born draw is the first uniform, the misread the second
         assert built == [[5, 0, 2]]
         misread = [default_rng([5, shot, 2]).random(2)[1] < 0.25 for shot in range(50)]
         assert got["measurement_records"] == [str(1 - m) for m in misread]
@@ -887,11 +886,88 @@ def test_a_stream_that_never_draws_builds_no_generator(monkeypatch):
     # bell draws only in its first readout: the second one's outcome is
     # certain and there is no readout error; noise is off, so no array stream
     records = run_scenario(copy.deepcopy(BELL), shots=5)["measurement_records"]
-    # shot 0 builds its stream; shot 4, the first whose outcome differs,
-    # runs the per-shot loop once to learn the second readout's p1 on the
-    # new path and builds its own; the batched kernel draws every record
+    # shot 0 runs the first readout with its own stream; the batched kernel
+    # draws that readout for every shot; shot 4, the first whose outcome
+    # differs, runs it again with its own stream for the shots that stay,
+    # which all follow it; nobody draws for the certain second readout
     assert records == ["00", "00", "00", "00", "11"]
     assert built == [[7, 0, 3], [7, 4, 3]]
+
+
+def _quiet(scenario: dict, **array) -> dict:
+    """The scenario with noise off and the array fields given replaced."""
+    return {**scenario, "material": {"preset": "inas"},
+            "array": {**scenario["array"], **array}}
+
+
+# noise off: routes before and after mid-program readouts, so that groups of
+# shots with different outcomes each run the later routes
+QUIET_ROUTES = {
+    "schema_version": 1, "seed": 23, "material": "inas",
+    "array": {"width": 4, "height": 3, "dots": [{"pos": [3, 0], "role": "readout"},
+                                                {"pos": [0, 2], "role": "readout"}]},
+    "program": [
+        {"op": "init", "pos": [0, 0]},
+        {"op": "init", "pos": [1, 0]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [1, 0]]},
+        {"op": "route", "src": [1, 0], "dst": [2, 2]},
+        {"op": "readout", "qubit": [0, 0], "readout": [0, 2]},
+        {"op": "route", "src": [0, 0], "dst": [3, 1]},
+        {"op": "gate", "kind": "H", "targets": [[3, 1]]},
+        {"op": "readout", "qubit": [2, 2], "readout": [3, 0]},
+        {"op": "route", "src": [2, 2], "dst": [1, 1]},
+        {"op": "readout", "qubit": [3, 1], "readout": [0, 2]},
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", [
+    _quiet(QEC_TWO_CYCLES),
+    _quiet(QEC_TWO_CYCLES, representation="matrix"),
+    QUIET_ROUTES,
+], ids=["qec-vector", "qec-matrix", "routes"])
+def test_quiet_qec_cycles_and_routes_match_the_eager_shot_loop(scenario):
+    got = run_scenario(copy.deepcopy(scenario), shots=40)
+    want = run_shots_eagerly(copy.deepcopy(scenario), 40)
+    assert len(got["measurement_counts"]) > 1
+    for key in ("measurement_records", "measurement_counts", "events"):
+        assert dumps_report(got[key]) == dumps_report(want[key]), key
+
+
+# shots that read 1 find a syndrome qubit excited (ProtocolError at the
+# cycle); shots that read 0 pass it and move onto an occupied dot
+# (BlockadeError at the move)
+TWO_FAILURES = {
+    "schema_version": 1, "seed": 0, "material": "inas",
+    "array": {"width": 5, "height": 2, "dots": [{"pos": [1, 1], "role": "readout"}]},
+    "program": [
+        *({"op": "init", "pos": [x, 0]} for x in range(5)),
+        {"op": "gate", "kind": "H", "targets": [[1, 0]]},
+        {"op": "readout", "qubit": [1, 0], "readout": [1, 1]},
+        {"op": "qec_cycle", "principal": [0, 0],
+         "syndromes": [[1, 0], [2, 0], [3, 0], [4, 0]]},
+        {"op": "move", "src": [0, 0], "dst": [1, 0]},
+    ],
+}
+
+
+@pytest.mark.parametrize("seed, error", [(0, BlockadeError), (2, ProtocolError)])
+def test_the_lowest_failing_shot_raises(seed, error):
+    scenario = {**TWO_FAILURES, "seed": seed}
+    assert _outcome(lambda: run_shots_eagerly(copy.deepcopy(scenario), 20)) is error
+    with pytest.raises(error):
+        run_scenario(copy.deepcopy(scenario), shots=20)
+
+
+def test_teleport_runs_once_per_branch_of_its_two_draws(monkeypatch):
+    calls = []
+    teleport = channels.teleport
+    monkeypatch.setattr(channels, "teleport",
+                        lambda *args: calls.append(args) or teleport(*args))
+    report = run_scenario(copy.deepcopy(TELEPORT), shots=2000)
+    assert len(report["measurement_counts"]) == 4
+    assert len(calls) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -1119,6 +1195,19 @@ def test_cli_subnormal_t2_with_noise_on_exits_2_before_any_event(tmp_path, where
     error = json.loads(proc.stderr)
     assert error["error"] == "schema"
     assert "1/T2 is not finite" in error["message"]
+    assert not out_dir.exists()
+
+
+def test_cli_refuses_more_shots_than_first_uniforms_takes(tmp_path):
+    # 2**32 + 1 shots: refused before any array or event, never run
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", "bell.scenario", "--shots", "4294967297",
+                   "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "schema"
+    assert "4294967297" in error["message"]
     assert not out_dir.exists()
 
 
