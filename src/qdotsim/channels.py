@@ -194,12 +194,9 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
 
 def run_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     """Tunnel the electron at src to dst along plan_tunnel_route's path, the
-    one this returns: the leading hops that leave the register as it is in
-    one batch (DotArray._quiet_hops), the rest one move_electron each."""
+    one this returns, booking one t_hop event per hop (DotArray._hop_along)."""
     path = plan_tunnel_route(array, src, dst)
-    k = array._quiet_hops(path)
-    for a, b in zip(path[k:], path[k + 1:]):
-        array.move_electron(a, b)
+    array._hop_along(path)
     return path
 
 
@@ -244,8 +241,8 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
     payload_before = reduced_density(array.state, [qc])
     array.apply_gate_at("CNOT", [c, a])
     u = rng.random(2)  # two draws even where an outcome is certain
-    phase_bit, _, p_phase, array.state = measure(array.state, qc, "X", lambda k: u[:k])
-    amp_bit, _, p_amp, array.state = measure(array.state, qa, "Z", lambda k: u[1:1 + k])
+    phase_bit, p_phase, array.state = measure(array.state, qc, "X", lambda k: u[:k])
+    amp_bit, p_amp, array.state = measure(array.state, qa, "Z", lambda k: u[1:1 + k])
     array.advance(2.0 * (array.material.readout_transfer + array.material.readout_measure))
     if array.material.classical_latency > 0:
         # the two classical bits ride a wire to b's site before correcting

@@ -13,9 +13,8 @@ gate's pulse area (Gate.area), contributes an idle window instead. During
 an exchange window the coupled pair is excluded from that window's idle
 noise. A readout is qstate.measure in Z with the material's readout_error.
 
-channels.run_tunnel_route books a planned route. While its hops cannot
-change psi (every qubit in |0>, no Z flip), _quiet_hops books them in one
-batch with one draw for all their windows.
+channels.run_tunnel_route books a planned route as runs of equal hop
+windows, one advance per run, which takes one idle_jumps_window call.
 
 Strict mode additionally applies the always-on residual exchange J_off to
 every adjacent occupied pair but the coupled one during each timed window.
@@ -26,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
 from .constants import HBAR_EV_S
 from .errors import AdjacencyError, BlockadeError, StateError
-from .noise import NoiseParams, idle_jumps_window, idle_window, jump_probabilities
+from .noise import NoiseParams, idle_jumps_window, idle_window
 from .pulses import drive_report, swap_duration
 from .qstate import Gate, QuantumState, apply_gate, as_rng, measure
 from .report import _Stream
@@ -184,44 +184,46 @@ class DotArray:
 
     # -- clock and noise --------------------------------------------------
 
-    def _noise_window(self, duration: float, pair: tuple[Pos, ...]) -> None:
-        params = self.material.noise
-        if not params.enabled or duration <= 0:
+    def _idle_windows(self, duration: float, pair: tuple[Pos, ...], windows: int) -> None:
+        """`windows` windows of advance's noise and residual exchange; vector
+        windows with no residual exchange between them take one call."""
+        noise = self.material.noise
+        idling = {q: self.t2_overrides.get(p) for q, p in enumerate(self.qubit_positions)
+                  if p not in pair} if noise.enabled else {}
+        coupled = [(self.qubit_positions.index(a), self.qubit_positions.index(b))
+                   for a, b in self.adjacent_occupied_pairs()
+                   if not (a in pair and b in pair)] if self.strict else []
+        if duration <= 0 or not windows or not (idling or coupled):
             return
-        idling = {q: self.t2_overrides.get(p)
-                  for q, p in enumerate(self.qubit_positions) if p not in pair}
-        if not self.state.is_vector:
-            self.state = idle_window(self.state, duration, params, idling)
+        if self.state.is_vector and not coupled:
+            self.state = idle_jumps_window(self.state, duration, noise, idling,
+                                           as_rng(self._rng), windows)
             return
-        if idling:
-            self.state = idle_jumps_window(self.state, duration, params, idling,
-                                           as_rng(self._rng))
-
-    def _residual_window(self, duration: float, pair: tuple[Pos, ...]) -> None:
-        if not self.strict or duration <= 0:
-            return
-        for a, b in self.adjacent_occupied_pairs():
-            if a in pair and b in pair:
-                continue
-            self.state = apply_gate(self.state, Gate(
-                "ExchangeEvolve",
-                (self.qubit_positions.index(a), self.qubit_positions.index(b)),
-                theta=self.material.J_off * duration / HBAR_EV_S,
-            ))
+        for _ in range(windows):
+            if idling:
+                self.state = (idle_jumps_window(self.state, duration, noise, idling,
+                                                as_rng(self._rng)) if self.state.is_vector
+                              else idle_window(self.state, duration, noise, idling))
+            for targets in coupled:
+                self.state = apply_gate(self.state, Gate(
+                    "ExchangeEvolve", targets, theta=self.material.J_off * duration / HBAR_EV_S))
 
     def advance(self, duration: float, *, pair: tuple[Pos, ...] = (),
-                energy: float = 0.0) -> None:
-        """Book one event of `duration` seconds: idle noise on every qubit
-        outside `pair` and, in strict mode, residual exchange on every
-        adjacent pair but `pair`; then add to the clock and the energy."""
+                energy: float = 0.0, windows: int = 1) -> None:
+        """Book `windows` events of `duration` seconds as that many calls
+        would, one by one: idle noise on every qubit outside `pair` and, in
+        strict mode, residual exchange on every adjacent pair but `pair`;
+        then add to the clock and the energy, or raise on overflow."""
         if duration < 0:
             raise StateError(f"negative event duration {duration}")
-        if not math.isfinite(self.clock + duration) or not math.isfinite(self.energy + energy):
+        clock, spent, booked = self.clock, self.energy, 0
+        while (booked < windows and math.isfinite(clock + duration)
+               and math.isfinite(spent + energy)):
+            clock, spent, booked = clock + duration, spent + energy, booked + 1
+        self._idle_windows(duration, pair, booked)
+        self.clock, self.energy = clock, spent
+        if booked < windows:
             raise StateError(f"{duration} s and {energy} J overflow the clock or the energy")
-        self._noise_window(duration, pair)
-        self._residual_window(duration, pair)
-        self.clock += duration
-        self.energy += energy
         self._check_invariants()
 
     def _check_invariants(self) -> None:
@@ -262,39 +264,15 @@ class DotArray:
         self.advance(self.material.t_hop)
         return self
 
-    def _quiet_hops(self, path: list[Pos]) -> int:
-        """Book the leading hops of `path` that leave psi bit for bit as it
-        is, at once and as move_electron would; returns how many. No hop is
-        checked: the path must be planned on the current occupancy
-        (channels.run_tunnel_route). On a noisy vector register outside
-        strict mode with +0.0 in every amplitude but psi[0] and no -0.0 (a
-        no-jump scaling or division by 1 can flip a zero's sign), every qubit
-        is in |0> and only a Z flip can change psi (see idle_jumps_window).
-        The batch ends before the first hop that changes the T2 map or whose
-        Z flip fires."""
-        t, noise = self.material.t_hop, self.material.noise
-        if not noise.enabled or self.strict or t <= 0 or not self.state.is_vector:
-            return 0
-        bits = np.ascontiguousarray(self.state.data, complex).view(np.uint64)  # -0.0 is 1 << 63
-        if bits[2:].any() or (bits[:2] == 1 << 63).any():
-            return 0
-        t2 = self.t2_overrides
-        m = next((i for i, p in enumerate(path[2:], 1) if t2.get(p) != t2.get(path[1])),
-                 len(path) - 1)
-        limits = []  # one per draw of a hop's window: p_Z for a Z draw, 0.0 for a damping draw
-        for pos in self.qubit_positions:  # the moving electron's windows see path[m]'s T2
-            p_z, gamma = jump_probabilities(t, noise, t2.get(path[m] if pos == path[0] else pos))
-            limits += [p_z] * (p_z > 0) + [0.0] * (gamma > 0)
-        rng = as_rng(self._rng)
-        saved, k = rng.bit_generator.state, m
-        flips = np.flatnonzero((rng.random(k * len(limits)).reshape(k, -1) < limits).any(axis=1))
-        if flips.size:
-            k, rng.bit_generator.state = int(flips[0]), saved
-            rng.random(k * len(limits))
-        self.qubit_positions[self.qubit_positions.index(path[0])] = path[k]
-        for _ in range(k):
-            self.clock += t
-        return k
+    def _hop_along(self, path: list[Pos]) -> None:
+        """Book the hops of a path planned on the current occupancy, unchecked,
+        as move_electron would: each run of hops that keeps the electron's T2
+        (each hop in strict mode) moves it to the run's end and takes one advance."""
+        q = self.qubit_positions.index(path[0])
+        for _, run in groupby(path[1:], None if self.strict else self.t2_overrides.get):
+            hops = list(run)
+            self.qubit_positions[q] = hops[-1]
+            self.advance(self.material.t_hop, windows=len(hops))
 
     def apply_gate_at(self, kind: str, positions: list[Pos], *,
                       axis=None, angle=None, theta=None) -> "DotArray":
@@ -335,9 +313,9 @@ class DotArray:
         if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
         rng = self._rng if rng_seed is None else rng_seed
-        bit, _, p1, self.state = measure(self.state, self.qubit_index(qubit_pos), "Z",
-                                         lambda k: as_rng(rng).random(k),
-                                         self.material.readout_error)
+        bit, p1, self.state = measure(self.state, self.qubit_index(qubit_pos), "Z",
+                                      lambda k: as_rng(rng).random(k),
+                                      self.material.readout_error)
         self.advance(self.material.readout_transfer + self.material.readout_measure)
         return bit, p1
 

@@ -17,7 +17,8 @@ one in-place + 0.0 pass, with the same bits (see _channel). The Kraus pairs
 (Nielsen & Chuang, section 8.3) are the reference. Vector states go through
 idle_jumps_window, a seeded Monte-Carlo wave-function unraveling (Dalibard,
 Castin & Molmer, PRL 68, 580 (1992)) whose ensemble average reproduces the
-exact channels.
+exact channels: the one trajectory engine, which books a run of equal
+windows (an event's, or a route's hops) in one call.
 """
 from __future__ import annotations
 
@@ -141,22 +142,25 @@ def jump_probabilities(
 
 def idle_jumps_window(
     state: QuantumState, t: float, params: NoiseParams,
-    T2_overrides: dict[int, float | None], rng: np.random.Generator,
+    T2_overrides: dict[int, float | None], rng: np.random.Generator, windows: int = 1,
 ) -> QuantumState:
-    """One stochastic step of t seconds on a vector state for every qubit
-    keyed in T2_overrides, in key order (None means params.T2): a possible Z
-    flip, then Kraus-sampled damping. Averaged over seeds this equals
-    idle_window exactly.
+    """`windows` consecutive stochastic steps of t seconds each on a vector
+    state for every qubit keyed in T2_overrides, in key order (None means
+    params.T2): a possible Z flip, then Kraus-sampled damping. Averaged over
+    seeds one window equals idle_window exactly.
 
     One copy of psi takes every step in place. Which uniforms a qubit draws
-    depends only on p_Z > 0 and gamma > 0, so the window takes them all in
-    one rng.random(k) call: the same values, in the same order, as k scalar
-    draws.
+    depends only on p_Z > 0 and gamma > 0, so the run takes them all in one
+    rng.random(windows * k) call: the same values, in the same order, as
+    windows * k scalar draws.
 
     No step turns a zero amplitude nonzero, so a qubit whose |1> slice is
-    exactly zero at the start never jumps. While psi holds no -0.0 (a Z flip
-    can write one) its no-jump scalings are bitwise no-ops too, and it pays
-    only for its draw; otherwise it runs them with p1 = 0.0."""
+    exactly zero when a window starts never jumps in it. While psi holds no
+    -0.0 (a Z flip can write one) its no-jump scalings are bitwise no-ops
+    too, and it pays only for its draw; otherwise it runs them with p1 = 0.0.
+    So while every qubit is in |0> and psi is clean, only a Z flip can change
+    psi: a run of several windows skips to the first window whose Z draw
+    fires, and returns the state itself, uncopied, when none does."""
     if not state.is_vector:
         raise StateError("trajectory jumps act on vector states")
     if not params.enabled or t == 0:
@@ -166,29 +170,43 @@ def idle_jumps_window(
         raise StateError(f"qubits {list(T2_overrides)} out of range for {n}-qubit register")
     odds = {T2: jump_probabilities(t, params, T2) for T2 in set(T2_overrides.values())}
     steps = [(q, *odds[T2]) for q, T2 in T2_overrides.items()]
-    draws = iter(rng.random(sum((p_z > 0) + (gamma > 0) for _, p_z, gamma in steps)))
-    psi = state.data.reshape([2] * n).copy()
-    excited = int(np.bitwise_or.reduce(np.flatnonzero(psi)))  # bit n-1-q: q's |1> slice != 0
-    clean = not (psi.reshape(-1).view(np.uint64) == 1 << 63).any()  # no -0.0 in psi
-    for q, p_z, gamma in steps:
-        if p_z > 0 and next(draws) < p_z:
-            one = psi.reshape(2**q, 2, -1)[:, 1]
-            np.negative(one, out=one)
-            clean = False
-        if gamma > 0:
-            ground = not excited >> (n - 1 - q) & 1
-            if ground and clean:
-                next(draws)
-                continue
-            other = tuple(i for i in range(n) if i != q)  # p1 rounds as qubit_probabilities does
-            p1 = 0.0 if ground else float((np.abs(psi) ** 2).sum(axis=other)[1])
-            pair = psi.reshape(2**q, 2, -1)  # view; pair[:, 1] is qubit q's |1> slice
-            p_jump = gamma * p1
-            if next(draws) < p_jump:
-                # Jump K1: the excited amplitude collapses onto |0>.
-                pair[:, 0] = pair[:, 1] / np.sqrt(p1)
-                pair[:, 1] = 0.0
-            else:
-                pair[:, 1] *= np.sqrt(1.0 - gamma)
-                psi /= np.sqrt(1.0 - p_jump)
+    count = sum((p_z > 0) + (gamma > 0) for _, p_z, gamma in steps)  # draws per window
+    uniforms = rng.random(windows * count)
+    psi, start = state.data.reshape([2] * n), 0
+    if windows > 1:  # one window steps for less than this test costs
+        bits = np.ascontiguousarray(state.data, complex).view(np.uint64)  # -0.0 is 1 << 63
+        if not bits[2:].any() and not (bits[:2] == 1 << 63).any():  # all in |0>, no -0.0
+            limits = [limit for _, p_z, gamma in steps  # p_Z for a Z draw, 0.0 for damping
+                      for limit in [p_z] * (p_z > 0) + [0.0] * (gamma > 0)]
+            hits = np.flatnonzero(uniforms.reshape(windows, -1) < np.array(limits))
+            if not hits.size:
+                return state
+            start = int(hits[0]) // count  # the window of the first Z flip
+    draws = iter(uniforms[start * count:])
+    psi = psi.copy()
+    for _ in range(start, windows):
+        excited = int(np.bitwise_or.reduce(np.flatnonzero(psi)))  # bit n-1-q: q's |1> slice != 0
+        clean = not (psi.reshape(-1).view(np.uint64) == 1 << 63).any()  # no -0.0 in psi
+        for q, p_z, gamma in steps:
+            if p_z > 0 and next(draws) < p_z:
+                one = psi.reshape(2**q, 2, -1)[:, 1]
+                np.negative(one, out=one)
+                clean = False
+            if gamma > 0:
+                ground = not excited >> (n - 1 - q) & 1
+                if ground and clean:
+                    next(draws)
+                    continue
+                other = tuple(i for i in range(n) if i != q)  # p1 rounds as qubit_probabilities
+                p1 = 0.0 if ground else float((np.abs(psi) ** 2).sum(axis=other)[1])
+                pair = psi.reshape(2**q, 2, -1)  # view; pair[:, 1] is qubit q's |1> slice
+                p_jump = gamma * p1
+                if next(draws) < p_jump:
+                    # Jump K1: the excited amplitude collapses onto |0>.
+                    pair[:, 0] = pair[:, 1] / np.sqrt(p1)
+                    pair[:, 1] = 0.0
+                else:
+                    pair[:, 1] *= np.sqrt(1.0 - gamma)
+                    psi /= np.sqrt(1.0 - p_jump)
     return QuantumState(psi.reshape(-1), n)
+

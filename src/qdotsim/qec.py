@@ -166,7 +166,7 @@ def _cycle(state: QuantumState, block, codes, uniforms) -> tuple[QuantumState, t
     state = _run_ops(state, block, inverse=True)
     syndrome, marginals, uniforms = [], [], np.asarray(uniforms, dtype=float)
     for k, sq in enumerate(block[1:]):
-        bit, _, p1, state = measure(state, sq, "Z", lambda n: uniforms[k:k + n])
+        bit, p1, state = measure(state, sq, "Z", lambda n: uniforms[k:k + n])
         syndrome.append(bit)
         marginals.append(p1)
     syndrome, marginals = tuple(syndrome), tuple(marginals)
@@ -324,7 +324,7 @@ def parity_measure(
     require_ground(state, ancilla, f"ancilla {ancilla}")
     for q in qubits:
         state = apply_gate(state, Gate("CNOT", (q, ancilla)))
-    bit, _, _, state = measure(state, ancilla, "Z", lambda k: as_rng(rng_seed).random(k))
+    bit, _, state = measure(state, ancilla, "Z", lambda k: as_rng(rng_seed).random(k))
     if bit:  # reset so the ancilla is reusable
         state = apply_gate(state, Gate("X", (ancilla,)))
     return bit, state

@@ -324,16 +324,16 @@ def draw_readout(p1: float, readout_error: float, draw) -> tuple:
 
 def measure(
     state: QuantumState, qubit: int, basis: str, draw, readout_error: float = 0.0
-) -> tuple[int, int, float, QuantumState]:
-    """Read one qubit in `basis`: (reported bit, true outcome, Born marginal
-    p1, register collapsed onto the outcome), drawn by draw_readout."""
+) -> tuple[int, float, QuantumState]:
+    """Read one qubit in `basis`: (reported bit, Born marginal p1, register
+    collapsed onto the true outcome), drawn by draw_readout."""
     if basis not in ("Z", "X"):
         raise StateError(f"unsupported basis {basis!r}")
     work = apply_gate(state, Gate("H", (qubit,))) if basis == "X" else state
     probs = qubit_probabilities(work, qubit)
     p1 = float(probs[1])
     outcome, bit = map(int, draw_readout(p1, readout_error, draw))
-    return bit, outcome, p1, _collapse(work, qubit, outcome, float(probs[outcome]), basis)
+    return bit, p1, _collapse(work, qubit, outcome, float(probs[outcome]), basis)
 
 
 def require_ground(state: QuantumState, qubit: int, name: str) -> None:

@@ -156,7 +156,7 @@ def qec_cycle_oracle(state: QuantumState, block, injected, rng) -> tuple[Quantum
     state = _run_ops(state, block, inverse=True)
     syndrome, uniforms = [], rng.random(4)
     for q, u in zip(block[1:], uniforms):
-        bit, _, _, state = measure(state, q, "Z", lambda k: np.full(k, u))
+        bit, _, state = measure(state, q, "Z", lambda k: np.full(k, u))
         syndrome.append(bit)
     correction = principal_correction(tuple(syndrome))
     if correction != "I":

@@ -284,11 +284,12 @@ T_HOP = MATERIAL.t_hop
 @given(data=st.data())
 @settings(max_examples=500, deadline=None)
 def test_run_tunnel_route_equals_one_move_per_hop(data):
-    # the path, psi's bytes, clock, energy, positions and generator state, or
-    # the same error: ground, signed-zero and excited registers, T2 down to
-    # one hop so that Z flips fire mid-route, T2 overrides on the path and
-    # off it, strict on and off, noise off, empty sources, bad destinations
-    # and readout walls with one gap that the breadth-first search detours round
+    # the path, the register's bytes, clock, energy, positions and generator
+    # state, or the same error: vector and matrix registers, ground,
+    # signed-zero and excited ones, T2 down to one hop so that Z flips fire
+    # mid-route, T2 overrides on the path and off it, strict on and off, noise
+    # off, empty sources, bad destinations and readout walls with one gap
+    # that the breadth-first search detours round
     width, height = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 8))
     cells = [(x, y) for y in range(height) for x in range(width)]
     qubits = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
@@ -311,6 +312,7 @@ def test_run_tunnel_route_equals_one_move_per_hop(data):
     material = replace(MATERIAL, noise=NoiseParams(T1=t1, T2=t2, enabled=data.draw(
         st.sampled_from([True, True, False]))))
     strict, seed = data.draw(st.booleans()), data.draw(st.integers(0, 2**32))
+    representation = data.draw(st.sampled_from(["vector", "matrix"]))
     register = data.draw(st.sampled_from(["ground", "signed zeros", "gates"]))
     gates = data.draw(st.lists(st.tuples(st.sampled_from(["X", "H", "Z", "S"]),
                                          st.sampled_from(qubits)), min_size=1, max_size=2)
@@ -323,15 +325,16 @@ def test_run_tunnel_route_equals_one_move_per_hop(data):
         # prepared without noise, so that short-T2 routes can start from clean zeros
         quiet = replace(material, noise=replace(material.noise, enabled=False))
         array = DotArray(width, height, quiet, strict=strict, seed=seed, roles=roles,
-                         t2_overrides=overrides)
+                         t2_overrides=overrides, representation=representation)
         for q in qubits:
             array.init_qubit(q)
         for kind, q in gates:
             array.apply_gate_at(kind, [q])
         array.material = material
-        parts = (array.state.data * phase).view(np.float64)  # real and imaginary parts
+        data = array.state.data * phase if representation == "vector" else array.state.data
+        parts = data.reshape(-1).view(np.float64)  # real and imaginary parts
         parts[[i for i in signed if parts[i] == 0]] = -0.0
-        array.state = QuantumState(parts.view(complex), len(qubits))
+        array.state = QuantumState(parts.view(complex).reshape(data.shape), len(qubits))
         return array
 
     def outcome(run) -> tuple:
@@ -347,40 +350,6 @@ def test_run_tunnel_route_equals_one_move_per_hop(data):
         lambda array, src, dst: hop_oracle(array, route_oracle(array, src, dst)))
 
 
-def test_quiet_hops_book_a_ground_route_up_to_its_first_z_flip():
-    material = replace(MATERIAL, noise=NoiseParams(enabled=True))
-    array = DotArray(21, 2, material, seed=3)
-    array.init_qubit((0, 0))
-    array.init_qubit((0, 1))
-    assert array._quiet_hops(plan_tunnel_route(array, (0, 0), (20, 0))) == 20
-    assert array.qubit_positions == [(20, 0), (0, 1)]
-    # the batch ends before the first hop that changes the T2 map
-    for overrides, booked in [({(2, 0): 1e-5}, 1), ({(1, 0): 1e-5}, 1),
-                              ({(1, 0): 1e-5, (2, 0): 1e-5}, 2), ({(0, 0): 1e-5}, 3)]:
-        line = DotArray(4, 1, material, t2_overrides=overrides).init_qubit((0, 0))
-        assert line._quiet_hops(plan_tunnel_route(line, (0, 0), (3, 0))) == booked
-        assert line.qubit_positions == [(booked, 0)]
-    # an excited register, strict mode or noise off books nothing
-    array.apply_gate_at("X", [(0, 1)])
-    assert array._quiet_hops(plan_tunnel_route(array, (20, 0), (10, 0))) == 0
-    for strict, noise in [(True, material), (False, MATERIAL)]:
-        pair = DotArray(2, 1, noise, strict=strict).init_qubit((0, 0))
-        assert pair._quiet_hops(plan_tunnel_route(pair, (0, 0), (1, 0))) == 0
-    # nor does a -0.0, even in psi[0]: a hop's division by 1 rewrites -1-0j as -1+0j
-    array = DotArray(21, 1, material).init_qubit((0, 0))
-    array.state = QuantumState(np.array([complex(-1.0, -0.0), 0j]), 1)
-    assert array._quiet_hops(plan_tunnel_route(array, (0, 0), (20, 0))) == 0
-    run_tunnel_route(array, (0, 0), (1, 0))
-    assert array.state.data.view(np.float64).tolist() == [-1.0, 0.0, 0.0, 0.0]
-    assert not np.signbit(array.state.data[0].imag)
-    # with T2 one hop long a Z flip soon fires: the batch stops before its hop
-    material = replace(MATERIAL, noise=NoiseParams(T1=1e-6, T2=T_HOP, enabled=True))
-    array = DotArray(21, 1, material, seed=4).init_qubit((0, 0))
-    booked = array._quiet_hops(plan_tunnel_route(array, (0, 0), (20, 0)))
-    assert 0 < booked < 20
-    assert array.qubit_positions == [(booked, 0)]
-
-
 def test_run_tunnel_route_moves_qubit():
     array = fresh_array(4, 1, occupied=[(0, 0)])
     array.apply_gate_at("H", [(0, 0)])
@@ -389,6 +358,12 @@ def test_run_tunnel_route_moves_qubit():
     assert path == [(0, 0), (1, 0), (2, 0), (3, 0)]
     assert (3, 0) in array.qubit_positions and (0, 0) not in array.qubit_positions
     assert state_fidelity(array.state, before) > 1 - 1e-12
+    # a noisy hop's no-jump division by 1 rewrites -1-0j as -1+0j, as move_electron's does
+    array = DotArray(21, 1, replace(MATERIAL, noise=NoiseParams(enabled=True))).init_qubit((0, 0))
+    array.state = QuantumState(np.array([complex(-1.0, -0.0), 0j]), 1)
+    run_tunnel_route(array, (0, 0), (20, 0))
+    assert array.state.data.view(np.float64).tolist() == [-1.0, 0.0, 0.0, 0.0]
+    assert not np.signbit(array.state.data[0].imag)
 
 
 # ---------------------------------------------------------------------------

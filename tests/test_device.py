@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import norm_error
 from qdotsim.constants import HBAR_EV_S
 from qdotsim.device import DotArray, inas_material, si_material
-from qdotsim.errors import AdjacencyError, BlockadeError, StateError
+from qdotsim.errors import AdjacencyError, BlockadeError, QdotsimError, StateError
 from qdotsim.noise import NoiseParams
-from qdotsim.qstate import Gate, QuantumState, state_fidelity
+from qdotsim.qstate import Gate, QuantumState, as_rng, state_fidelity
 
 
 def make_array(width=2, height=2, noise=None, **kwargs) -> DotArray:
@@ -439,6 +441,56 @@ def test_clock_and_energy_refuse_to_overflow():
     with pytest.raises(StateError, match="overflow the clock"):
         array.advance(0.0, energy=1e308)
     assert (array.clock, array.energy) == (1e308, 1e308)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+# strict residual exchange over 6e307 s has an infinite pulse area: both sides turn NaN
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_advance_of_k_windows_equals_k_advances(data):
+    # the register's bytes, clock, energy and generator state, or the same
+    # error after the same windows: vector and matrix registers, ground and
+    # excited ones, strict on and off, noise on and off, a coupled pair or
+    # none, T2 overrides, and a clock or an energy that overflows part way
+    cells = [(x, y) for y in range(2) for x in range(3)]
+    qubits = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
+    pairs = [(a, b) for a in qubits for b in qubits if DotArray.adjacent(a, b)]
+    pair = data.draw(st.sampled_from([()] + pairs))
+    t1 = 1e-6
+    noise = NoiseParams(T1=t1, T2=data.draw(st.floats(t1 / 40, 2 * t1)),
+                        enabled=data.draw(st.booleans()))
+    overrides = {c: data.draw(st.floats(t1 / 40, 2 * t1))
+                 for c in data.draw(st.lists(st.sampled_from(cells), max_size=3))}
+    gates = data.draw(st.lists(st.tuples(st.sampled_from(["X", "H", "S"]),
+                                         st.sampled_from(qubits)), max_size=2))
+    representation = data.draw(st.sampled_from(["vector", "matrix"]))
+    strict, seed = data.draw(st.booleans()), data.draw(st.integers(0, 2**32))
+    duration = data.draw(st.one_of(st.floats(0.0, 3 * t1), st.just(6e307)))
+    energy = data.draw(st.sampled_from([0.0, 1e-20, 6e307]))
+    windows = data.draw(st.integers(1, 6))
+
+    def outcome(run) -> tuple:
+        quiet = replace(inas_material(), noise=replace(noise, enabled=False))
+        array = DotArray(3, 2, quiet, representation=representation, strict=strict,
+                         seed=seed, t2_overrides=overrides)
+        for q in qubits:
+            array.init_qubit(q)
+        for kind, q in gates:
+            array.apply_gate_at(kind, [q])
+        array.material = replace(quiet, noise=noise)
+        try:
+            result = run(array)
+        except QdotsimError as exc:
+            result = type(exc), str(exc)
+        return (result, array.state.data.tobytes(), array.clock, array.energy,
+                as_rng(array._rng).bit_generator.state)
+
+    def one_by_one(array):
+        for _ in range(windows):
+            array.advance(duration, pair=pair, energy=energy)
+
+    assert outcome(lambda array: array.advance(duration, pair=pair, energy=energy,
+                                               windows=windows)) == outcome(one_by_one)
 
 
 def test_norm_preserved_through_noisy_events():

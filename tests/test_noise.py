@@ -322,17 +322,18 @@ def test_trajectory_damping_statistics():
 
 
 def _register(n: int, kind: str, rng) -> QuantumState:
-    """A Haar state, or a product of qubits each exactly |0>, exactly |1>, |+>
-    or Haar ("product"); "signed" also sets the sign bit of about half of
-    the product's zero components, so the register holds -0.0."""
+    """A Haar state, |0...0> ("ground"), or a product of qubits each exactly
+    |0>, exactly |1>, |+> or Haar ("product"); "signed" and "signed ground"
+    also set the sign bit of about half of the product's or |0...0>'s zero
+    components, so the register holds -0.0."""
     if kind == "haar":
         return haar_state(n, rng)
     vec = np.ones(1, dtype=complex)
     for _ in range(n):
         one = [np.array([1, 0j]), np.array([0j, 1]), np.array([1, 1 + 0j]) / math.sqrt(2),
-               haar_state(1, rng).data][rng.integers(4)]
+               haar_state(1, rng).data][0 if kind.endswith("ground") else rng.integers(4)]
         vec = np.kron(vec, one)
-    if kind == "signed":
+    if kind.startswith("signed"):
         bits = vec.view(np.uint64)
         zero = bits << np.uint64(1) == 0
         bits[zero & (rng.random(bits.size) < 0.5)] |= np.uint64(1 << 63)
@@ -342,17 +343,19 @@ def _register(n: int, kind: str, rng) -> QuantumState:
 @given(
     n=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["haar", "product", "signed"]),
+    kind=st.sampled_from(["haar", "product", "signed", "ground", "signed ground"]),
     dt=st.floats(0.0, 5 * T1),
+    windows=st.integers(1, 6),
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_idle_jumps_window_equals_the_per_qubit_oracle(n, seed, kind, dt, data):
+def test_idle_jumps_window_equals_the_per_qubit_oracle(n, seed, kind, dt, windows, data):
     # bit for bit, signs of zeros included, and the shared generator ends in
     # the same state: the same draws in the same order, whatever the keys,
-    # their order and their T2. Product states put qubits exactly in |0>, so
-    # the window meets qubits with a zero |1> slice; T2 down to T1/40 and dt
-    # up to 5*T1 make Z flips fire, and those write -0.0.
+    # their order, their T2 and the number of windows. Product states put
+    # qubits exactly in |0>, so a window meets qubits with a zero |1> slice,
+    # and a ground register is skipped up to its first Z flip; T2 down to
+    # T1/40 and dt up to 5*T1 make Z flips fire, and those write -0.0.
     params = NoiseParams(T1=T1, T2=T2, enabled=True)
     qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     overrides = {
@@ -362,11 +365,22 @@ def test_idle_jumps_window_equals_the_per_qubit_oracle(n, seed, kind, dt, data):
     psi = _register(n, kind, np.random.default_rng(seed))
     oracle_rng, window_rng = (np.random.default_rng([seed, 1]) for _ in range(2))
     expected = psi
-    for q, t2 in overrides.items():
-        expected = idle_jump_oracle(expected, q, dt, params, oracle_rng, T2_override=t2)
-    out = idle_jumps_window(psi, dt, params, overrides, window_rng)
+    for _ in range(windows):
+        for q, t2 in overrides.items():
+            expected = idle_jump_oracle(expected, q, dt, params, oracle_rng, T2_override=t2)
+    out = idle_jumps_window(psi, dt, params, overrides, window_rng, windows)
     assert np.array_equal(out.data.view(np.uint64), expected.data.view(np.uint64))
     assert window_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_a_ground_run_with_no_z_flip_returns_its_input_uncopied():
+    # T2 = 2*T1 leaves no pure dephasing: no Z draw, so nothing can fire
+    params = NoiseParams(T1=T1, T2=2 * T1, enabled=True)
+    ground, rng = QuantumState.zero(3), np.random.default_rng(5)
+    assert idle_jumps_window(ground, T1, params, {0: None, 2: None}, rng, 50) is ground
+    reference = np.random.default_rng(5)
+    reference.random(2 * 50)  # one damping draw per qubit and window
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_jump_step_requires_vector():

@@ -231,8 +231,8 @@ def test_exchange_pi_is_swap_up_to_phase():
 def test_measure_one_is_deterministic():
     s = apply_gate(QuantumState.zero(1), Gate("X", (0,)))
     for seed in range(5):
-        _, outcome, _, post = measure(s, 0, "Z", np.random.default_rng(seed).random)
-        assert outcome == 1
+        bit, _, post = measure(s, 0, "Z", np.random.default_rng(seed).random)
+        assert bit == 1
         assert np.allclose(post.data, [0, 1])
 
 
@@ -262,20 +262,20 @@ def test_measure_chi_square_born():
 def test_x_basis_measure_of_plus():
     plus = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
     for seed in range(5):
-        _, outcome, _, post = measure(plus, 0, "X", np.random.default_rng(seed).random)
-        assert outcome == 0
+        bit, _, post = measure(plus, 0, "X", np.random.default_rng(seed).random)
+        assert bit == 0
         assert state_fidelity(post, plus) > 1 - 1e-12
 
 
 def test_measure_projects_and_renormalizes(rng):
     s = haar_state(3, rng)
-    _, outcome, _, post = measure(s, 1, "Z", np.random.default_rng(7).random)
+    outcome, _, post = measure(s, 1, "Z", np.random.default_rng(7).random)
     assert norm_error(post) < 1e-12
     assert qubit_probabilities(post, 1)[outcome] > 1 - 1e-12
 
 
 def measure_oracle(state: QuantumState, qubit: int, basis: str, uniforms, readout_error):
-    """(bit, outcome, p1, post-state data, uniforms drawn) of a readout from
+    """(bit, p1, post-state data, uniforms drawn) of a readout from
     kron-embedded projectors: the outcome is u0 < p1, drawn only when it is
     uncertain or a misread is possible; the bit is misread when the last
     uniform drawn is below readout_error."""
@@ -291,7 +291,7 @@ def measure_oracle(state: QuantumState, qubit: int, basis: str, uniforms, readou
         post = proj[outcome] @ state.data / np.sqrt(p)
     else:
         post = proj[outcome] @ state.data @ proj[outcome] / p
-    return bit, outcome, p1, post, drawn
+    return bit, p1, post, drawn
 
 
 @given(
@@ -320,7 +320,7 @@ def test_measure_matches_the_projector_oracle(n, qubit_seed, prep, basis, matrix
         vec[int(rng.integers(2**n))] = 1.0
         state = QuantumState(vec, n)
     state = state.to_density() if matrix else state
-    bit, outcome, p1, post, drawn = measure_oracle(state, qubit, basis, uniforms, readout_error)
+    bit, p1, post, drawn = measure_oracle(state, qubit, basis, uniforms, readout_error)
     assume(abs(uniforms[0] - p1) > 1e-9)
     calls = []
 
@@ -329,10 +329,10 @@ def test_measure_matches_the_projector_oracle(n, qubit_seed, prep, basis, matrix
         return np.array(uniforms[:k])
 
     got = measure(state, qubit, basis, draw, readout_error)
-    assert got[:2] == (bit, outcome) and all(type(v) is int for v in got[:2])
-    assert got[2] == pytest.approx(p1, abs=1e-12)
+    assert got[0] == bit and type(got[0]) is int
+    assert got[1] == pytest.approx(p1, abs=1e-12)
     assert calls == ([drawn] if drawn else [])
-    assert np.max(np.abs(got[3].data - post)) < 1e-10
+    assert np.max(np.abs(got[2].data - post)) < 1e-10  # collapsed onto the true outcome
 
 
 def test_project_zero_branch_raises():

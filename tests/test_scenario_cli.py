@@ -1227,6 +1227,28 @@ def test_cli_clock_overflow_exits_4_naming_the_event(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("noise", [True, False], ids=["noise-on", "noise-off"])
+def test_cli_route_that_overflows_the_clock_exits_4(tmp_path, noise):
+    # a hop of ~1e306 s: the 172nd of 199 overflows the clock, noise on or off
+    scenario = {"schema_version": 1, "seed": 1,
+                "material": {"preset": "inas", "J_on": 2e-322, "J_off": 5e-324,
+                             "noise": {"enabled": noise, "T1": 1.0, "T2": 2.0}},
+                "array": {"width": 200, "height": 1},
+                "program": [{"op": "init", "pos": [0, 0]},
+                            {"op": "route", "src": [0, 0], "dst": [199, 0]}]}
+    path = tmp_path / "route_overflow.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "state"
+    assert error["message"] == ("event 1 (route): 1.0463355759036317e+306 s and 0.0 J "
+                                "overflow the clock or the energy")
+    assert not out_dir.exists()
+
+
 def test_cli_subnormal_material_rabi_period_fails_at_the_first_drive(tmp_path):
     # the period is positive but the drive it implies is not finite: the
     # material is rejected before any event runs, like every other bad one
