@@ -138,7 +138,8 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     +x,+y,-x,-y: the one a FIFO breadth-first search expanding in that order
     finds. If a monotone path exists, all shortest paths are monotone, and a
     depth-first walk in the src-dst rectangle, trying the steps toward dst
-    in rank order and backing out of dead ends, finds it; else the search runs."""
+    in rank order and backing out of dead ends, finds it; else the search
+    runs in a box around the rectangle that grows until it must hold the path."""
     array._pos_check(src)
     array._pos_check(dst)
     occupied = set(array.qubit_positions)
@@ -165,31 +166,45 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
             dead.add(path.pop())  # no monotone path to dst leaves this cell
     if path:
         return path
-    # Cells are ids into a grid padded by one blocked cell on each side, so a
-    # step never needs a bounds check; the steps keep the +x,+y,-x,-y order.
-    width, stride = array.width, array.width + 2
-    row = b"\0" + b"\1" * width + b"\0"
-    free = bytearray(b"\0" * stride + row * array.height + b"\0" * stride)
-    for x, y in blocked:
-        free[(y + 1) * stride + x + 1] = 0
-    start, goal = (src[1] + 1) * stride + src[0] + 1, (dst[1] + 1) * stride + dst[0] + 1
-    parent = [-1] * len(free)
-    parent[start] = start
-    queue = [start]
-    for cur in queue:  # the list grows while it is read: a FIFO queue
-        if parent[goal] >= 0:  # a discovered cell's parent never changes
-            break
-        for nxt in (cur + 1, cur + stride, cur - 1, cur - stride):
-            if free[nxt]:
-                free[nxt] = 0
-                parent[nxt] = cur
-                queue.append(nxt)
-    if parent[goal] < 0:
-        raise RoutingError(f"no empty path from {src} to {dst}")
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    return [(cell % stride - 1, cell // stride - 1) for cell in reversed(path)]
+    # A breadth-first search in a box around src and dst, its margin doubling
+    # until the path found has at most manhattan + 2*margin hops (every path that
+    # short stays in the box, so it is the grid's first shortest path too) or the
+    # box is the grid. Cells are ids into the box padded by one blocked cell on
+    # each side, so a step never needs a bounds check; the steps keep the
+    # +x,+y,-x,-y order.
+    manhattan, margin = abs(dst[0] - src[0]) + abs(dst[1] - src[1]), 1
+    while True:
+        x0, y0 = max(min(src[0], dst[0]) - margin, 0), max(min(src[1], dst[1]) - margin, 0)
+        x1 = min(max(src[0], dst[0]) + margin + 1, array.width)
+        y1 = min(max(src[1], dst[1]) + margin + 1, array.height)
+        whole, stride = x1 - x0 == array.width and y1 - y0 == array.height, x1 - x0 + 2
+        row = b"\0" + b"\1" * (x1 - x0) + b"\0"
+        free = bytearray(b"\0" * stride + row * (y1 - y0) + b"\0" * stride)
+        for x, y in blocked:
+            if x0 <= x < x1 and y0 <= y < y1:
+                free[(y - y0 + 1) * stride + x - x0 + 1] = 0
+        start, goal = ((y - y0 + 1) * stride + x - x0 + 1 for x, y in (src, dst))
+        parent = [-1] * len(free)
+        parent[start] = start
+        queue = [start]
+        for cur in queue:  # the list grows while it is read: a FIFO queue
+            if parent[goal] >= 0:  # a discovered cell's parent never changes
+                break
+            for nxt in (cur + 1, cur + stride, cur - 1, cur - stride):
+                if free[nxt]:
+                    free[nxt] = 0
+                    parent[nxt] = cur
+                    queue.append(nxt)
+        if parent[goal] >= 0:
+            path = [goal]
+            while path[-1] != start:
+                path.append(parent[path[-1]])
+            if len(path) - 1 <= manhattan + 2 * margin or whole:
+                return [(cell % stride - 1 + x0, cell // stride - 1 + y0)
+                        for cell in reversed(path)]
+        elif whole:
+            raise RoutingError(f"no empty path from {src} to {dst}")
+        margin *= 2
 
 
 def run_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:

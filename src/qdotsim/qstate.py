@@ -13,6 +13,7 @@ measure, by draw_readout's rule, is the one readout of a qubit.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -171,6 +172,8 @@ class Gate:
         if self.kind == "Rot":
             if self.axis is None or not _is_number(self.angle):
                 raise StateError("Rot needs an axis and a numeric angle")
+            if not abs(self.angle) <= sys.float_info.max:  # no inf, nan or int beyond a float
+                raise StateError("Rot angle must be finite")
             norm = float(np.linalg.norm(self.axis))
             if norm < 1e-12:
                 raise StateError("Rot axis must be nonzero")
@@ -179,6 +182,8 @@ class Gate:
             raise StateError("ExchangeEvolve needs a numeric theta")
         if self.kind == "ExchangeEvolve" and self.theta < 0:
             raise StateError(f"negative pulse area theta = {self.theta}")
+        if self.kind == "ExchangeEvolve" and not self.theta <= sys.float_info.max:
+            raise StateError("ExchangeEvolve pulse area theta must be finite")
 
     @property
     def n_targets(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -27,12 +28,12 @@ def format_float(x: float) -> str:
 
 def canonical_json(obj, indent: int = 0) -> str:
     """JSON with sorted keys and fixed float formatting; returns one string
-    ending in a newline when used at the top level via dumps_report."""
+    ending in a newline when used at the top level via dumps_report. Leaves
+    of an exact type take _LEAVES; subclasses and numpy scalars the chain."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -43,23 +44,31 @@ def canonical_json(obj, indent: int = 0) -> str:
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-        items = [f"{pad}  {encode_basestring_ascii(key)}: {canonical_json(obj[key], indent + 2)}"
-                 for key in sorted(obj)]
+        items = [f"{pad}  {encode_basestring_ascii(key)}: "
+                 f"{leaf(v) if (leaf := _LEAVES.get(type(v))) else canonical_json(v, indent + 2)}"
+                 for key, v in sorted(obj.items())]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))  # all str, all int or all flat int lists: one comprehension
-        flat = encode_basestring_ascii if kinds == {str} else str if kinds == {int} else None
-        if kinds == {list} and all(set(map(type, v)) == {int} for v in obj):
+        kinds = set(map(type, obj))
+        if kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            # nonempty int lists: one row template per length, one % over every int
             inner = f"\n{pad}    "
-            items = [f"{pad}  [{inner}{f',{inner}'.join(map(str, v))}\n{pad}  ]" for v in obj]
-        else:
-            items = [f"{pad}  {flat(v) if flat else canonical_json(v, indent + 2)}" for v in obj]
+            rows = {n: f"{pad}  [{inner}" + f",{inner}".join(["%d"] * n) + f"\n{pad}  ]"
+                    for n in set(map(len, obj))}
+            body = ",\n".join([rows[len(v)] for v in obj]) % tuple(chain.from_iterable(obj))
+            return f"[\n{body}\n{pad}]"
+        flat = encode_basestring_ascii if kinds == {str} else str if kinds == {int} else None
+        items = [f"{pad}  {flat(v) if flat else canonical_json(v, indent + 2)}" for v in obj]
         brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
     if not items:
         return brackets
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
+
+
+_LEAVES = {str: encode_basestring_ascii, float: format_float, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
 
 def dumps_report(obj) -> str:

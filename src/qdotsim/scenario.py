@@ -15,6 +15,7 @@ import dataclasses
 import heapq
 import json
 import math
+import sys
 from collections import Counter
 from functools import partial
 from importlib import resources
@@ -52,9 +53,10 @@ def load_scenario(path_or_name: str) -> dict:
     return scenario
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise SchemaError(msg.format(*args)) unless cond: texts are built only on failure."""
     if not cond:
-        raise SchemaError(msg)
+        raise SchemaError(msg.format(*args))
 
 
 def _is_int(value) -> bool:
@@ -66,17 +68,8 @@ def _all_finite(obj) -> bool:
     if isinstance(obj, dict):
         obj = list(obj.values())
     if isinstance(obj, (list, tuple)):
-        return all(_all_finite(v) for v in obj)
+        return all(map(_all_finite, obj))
     return not isinstance(obj, float) or math.isfinite(obj)
-
-
-def _pos(value, label: str) -> tuple[int, int]:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == 2
-        and all(_is_int(v) for v in value),
-        f"{label} must be an [x, y] pair of integers, got {value!r}",
-    )
-    return int(value[0]), int(value[1])
 
 
 def build_material(spec) -> MaterialParams:
@@ -84,19 +77,19 @@ def build_material(spec) -> MaterialParams:
     The CLI's --preset/--t2 resolve through here too."""
     if isinstance(spec, str):
         spec = {"preset": spec}
-    _require(isinstance(spec, dict), f"material must be a name or object, got {spec!r}")
+    _require(isinstance(spec, dict), "material must be a name or object, got {!r}", spec)
     spec = dict(spec)
     preset = spec.pop("preset", "inas")
     noise = spec.pop("noise", None)
     noise = {} if noise is None else noise
-    _require(preset in ("inas", "si"), f"unknown material preset {preset!r}")
+    _require(preset in ("inas", "si"), "unknown material preset {!r}", preset)
     _require(isinstance(noise, dict), "noise must be an object")
     _require(preset == "inas" or "T2" in noise,
              "the si preset requires an explicit T2 (noise.T2 or --t2)")
     _require(isinstance(noise.get("enabled", False), bool), "noise.enabled must be a boolean")
     valid = {f.name for f in dataclasses.fields(MaterialParams)} - {"noise"}
     unknown = set(spec) - valid
-    _require(not unknown, f"unknown material fields: {sorted(unknown)}")
+    _require(not unknown, "unknown material fields: {}", sorted(unknown))
     try:
         base = inas_material() if preset == "inas" else si_material(float(noise["T2"]))
         t2 = float(noise.get("T2", base.noise.T2))
@@ -110,10 +103,11 @@ def build_material(spec) -> MaterialParams:
 
 # -- the event ops ------------------------------------------------------------
 #
-# One _Op entry per op. Validation runs its check (which must make sure each
-# `lists` field is a list of the right length), requires each `numbers` field
-# to be a nonnegative number, and parses the position fields once per run;
-# no op takes one dot twice, so an event's positions must be distinct.
+# One _Op entry per op. Validation runs its check on the event and its index
+# (which must make sure each `lists` field is a list of the right length),
+# requires each `numbers` field to be a finite nonnegative number, and parses
+# the position fields once per run; no op takes one dot twice, so an event's
+# positions must be distinct.
 # Each shot calls run(array, event, at, rng), `at` mapping a field to its
 # position or list of positions. A dict returned by run holds the event's
 # report fields; anything else (DotArray methods return the array) means none.
@@ -128,34 +122,35 @@ class _Op(NamedTuple):
     points: tuple[str, ...] = ()
     lists: tuple[str, ...] = ()
     numbers: tuple[str, ...] = ()
-    check: Callable[[dict, str], None] = lambda event, label: None
+    check: Callable[[dict, int], None] = lambda event, i: None
 
 
-def _check_gate(event: dict, label: str) -> None:
+def _check_gate(event: dict, i: int) -> None:
     kind = event.get("kind")
-    _require(kind in Gate.ONE_QUBIT + Gate.TWO_QUBIT, f"{label}: unknown gate kind {kind!r}")
+    _require(kind in Gate.ONE_QUBIT + Gate.TWO_QUBIT, "event {} (gate): unknown gate kind {!r}",
+             i, kind)
     targets = event.get("targets")
     want = 1 if kind in Gate.ONE_QUBIT else 2
     _require(isinstance(targets, list) and len(targets) == want,
-             f"{label}: {kind} takes {want} target(s)")
+             "event {} (gate): {} takes {} target(s)", i, kind, want)
     try:  # Gate checks the axis, angle and theta
         Gate(kind, tuple(range(want)), axis=event.get("axis"), angle=event.get("angle"),
              theta=event.get("theta"))
     except StateError as exc:
-        raise SchemaError(f"{label}: {exc}") from exc
+        raise SchemaError(f"event {i} (gate): {exc}") from exc
 
 
-def _check_qec(event: dict, label: str) -> None:
+def _check_qec(event: dict, i: int) -> None:
     syndromes = event.get("syndromes")
     _require(isinstance(syndromes, list) and len(syndromes) == 4,
-             f"{label}: syndromes must list 4 positions")
+             "event {} (qec_cycle): syndromes must list 4 positions", i)
     inject = event.get("inject", [])
-    _require(isinstance(inject, list), f"{label}: inject must be a list")
+    _require(isinstance(inject, list), "event {} (qec_cycle): inject must be a list", i)
     for err in inject:
         _require(
             isinstance(err, list) and len(err) == 2 and err[0] in ("X", "Y", "Z")
             and _is_int(err[1]) and 0 <= err[1] < 5,
-            f"{label}: inject entries are [pauli, block_position 0..4]",
+            "event {} (qec_cycle): inject entries are [pauli, block_position 0..4]", i,
         )
 
 
@@ -294,7 +289,7 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
     Returns what it parsed: the material, the dot roles, the T2 overrides
     and one (op spec, event, positions) step per program event."""
     _require(scenario.get("schema_version") == SCHEMA_VERSION,
-             f"schema_version must be {SCHEMA_VERSION}")
+             "schema_version must be {}", SCHEMA_VERSION)
     _require(_is_int(scenario.get("seed")) and scenario["seed"] >= 0,
              "seed is mandatory and must be a non-negative integer (no wall-clock entropy)")
     _require(_all_finite(scenario), "scenario holds a non-finite number (inf or nan)")
@@ -307,10 +302,15 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
              and width >= 1 and height >= 1,
              "array.width and array.height must be positive integers")
 
-    def pos_in_grid(value, label):
-        p = _pos(value, label)
-        _require(0 <= p[0] < width and 0 <= p[1] < height,
-                 f"{label} {p} outside the {width}x{height} array")
+    def pos_in_grid(value, label: str, *args) -> tuple[int, int]:
+        """value as an (x, y) on the grid; label.format(*args) names it in a message."""
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and _is_int(value[0]) and _is_int(value[1])):
+            raise SchemaError(f"{label.format(*args)} must be an [x, y] pair of integers, "
+                              f"got {value!r}")
+        p = int(value[0]), int(value[1])
+        if not (0 <= p[0] < width and 0 <= p[1] < height):
+            raise SchemaError(f"{label.format(*args)} {p} outside the {width}x{height} array")
         return p
 
     dots = array.get("dots", [])
@@ -319,12 +319,12 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
     for dot in dots:
         _require(isinstance(dot, dict), "array.dots entries must be objects")
         pos = pos_in_grid(dot.get("pos"), "dot.pos")
-        _require(pos not in roles, f"dot {pos} is listed twice")
+        _require(pos not in roles, "dot {} is listed twice", pos)
         roles[pos] = dot.get("role", "empty")
-        _require(roles[pos] in ROLES, f"unknown dot role {roles[pos]!r}")
+        _require(roles[pos] in ROLES, "unknown dot role {!r}", roles[pos])
         t2 = dot.get("t2_override")
         _require(t2 is None or (_is_number(t2) and t2 > 0),
-                 f"dot {pos}: t2_override must be a positive number")
+                 "dot {}: t2_override must be a positive number", pos)
         if t2 is not None:
             t2_overrides[pos] = float(t2)
             try:
@@ -333,45 +333,47 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
             except StateError as exc:
                 raise SchemaError(f"dot {pos}: t2_override: {exc}") from exc
     rep = array.get("representation", "vector")
-    _require(rep in REPRESENTATIONS, f"unknown representation {rep!r}")
+    _require(rep in REPRESENTATIONS, "unknown representation {!r}", rep)
 
     program = scenario.get("program", [])
     _require(isinstance(program, list), "program must be a list of events")
     steps = []
     for i, event in enumerate(program):
-        _require(isinstance(event, dict), f"event {i} must be an object")
+        _require(isinstance(event, dict), "event {} must be an object", i)
         op = event.get("op")
-        _require(isinstance(op, str) and op in _OPS, f"event {i}: unknown op {op!r}")
-        spec, label = _OPS[op], f"event {i} ({op})"
-        spec.check(event, label)
+        _require(isinstance(op, str) and op in _OPS, "event {}: unknown op {!r}", i, op)
+        spec = _OPS[op]
+        spec.check(event, i)
         _require(op != "route" or (width + 2) * (height + 2) <= channels.ROUTE_CELL_CAP,
-                 f"{label}: a {width}x{height} array exceeds the {channels.ROUTE_CELL_CAP} "
-                 "padded cells (width+2)*(height+2) route planning may use")
+                 "event {} ({}): a {}x{} array exceeds the {} padded cells (width+2)*(height+2)"
+                 " route planning may use", i, op, width, height, channels.ROUTE_CELL_CAP)
         for key in spec.numbers:
             value = event.get(key)
             _require(_is_number(value) and value >= 0,
-                     f"{label}: {key} must be a nonnegative number")
-        at = {key: pos_in_grid(event.get(key), f"{label} {key}") for key in spec.points}
+                     "event {} ({}): {} must be a nonnegative number", i, op, key)
+            _require(value <= sys.float_info.max, "event {} ({}): {} must be finite", i, op, key)
+        at = {key: pos_in_grid(event.get(key), "event {} ({}) {}", i, op, key)
+              for key in spec.points}
         for key in spec.lists:
-            at[key] = [pos_in_grid(p, f"{label} {key}") for p in event[key]]
+            at[key] = [pos_in_grid(p, "event {} ({}) {}", i, op, key) for p in event[key]]
         named = [at[key] for key in spec.points] + [p for key in spec.lists for p in at[key]]
         _require(len(set(named)) == len(named),
-                 f"{label}: positions must be distinct, got {named}")
+                 "event {} ({}): positions must be distinct, got {}", i, op, named)
         steps.append((spec, event, at))
 
     analytics = scenario.get("analytics", [])
     _require(isinstance(analytics, list), "analytics must be a list")
     for i, request in enumerate(analytics):
-        _require(isinstance(request, dict), f"analytics entry {i} must be an object")
+        _require(isinstance(request, dict), "analytics entry {} must be an object", i)
         kind = request.get("kind")
         _require(isinstance(kind, str) and kind in _ANALYTICS,
-                 f"analytics entry {i}: unknown kind {kind!r}")
+                 "analytics entry {}: unknown kind {!r}", i, kind)
         for key, value in request.items():
             if key == "thresholds":
                 ok = isinstance(value, list) and all(_is_number(v) for v in value)
             else:
                 ok = key == "kind" or (_is_int if key in _COUNTS else _is_number)(value)
-            _require(ok, f"analytics entry {i} ({kind}): bad {key} {value!r}")
+            _require(ok, "analytics entry {} ({}): bad {} {!r}", i, kind, key, value)
     return material, roles, t2_overrides, steps
 
 
@@ -472,7 +474,8 @@ def run_scenario(
         "seed": seed,
         "shots": shots,
         "strict": strict_flag,
-        "material": dataclasses.asdict(material),
+        # a frozen dataclass instance holds just its fields
+        "material": {**vars(material), "noise": {**vars(material.noise)}},
         "events": event_log,
         "measurement_records": shot_records,
         "measurement_counts": dict(sorted(Counter(shot_records).items())),

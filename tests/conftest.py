@@ -6,6 +6,7 @@ implementation is checked against a second, unrelated path.
 """
 import math
 from collections import deque
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -355,6 +356,49 @@ def run_shots_eagerly(scenario: dict, shots: int) -> dict:
     counts = {r: records.count(r) for r in sorted(set(records))}
     return {"measurement_records": records, "measurement_counts": counts,
             "events": events}
+
+
+def canonical_json_oracle(obj, indent: int = 0) -> str:
+    """report.canonical_json as it was before leaves were dispatched on their
+    exact type and int-list lists formatted in one pass: one isinstance
+    chain, and a per-item type check and join for lists of int lists. The
+    bytes and the errors report.canonical_json must reproduce."""
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError(f"non-finite value {x} cannot enter a report")
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+        items = [f"{pad}  {encode_basestring_ascii(key)}: "
+                 f"{canonical_json_oracle(obj[key], indent + 2)}" for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        flat = encode_basestring_ascii if kinds == {str} else str if kinds == {int} else None
+        if kinds == {list} and all(set(map(type, v)) == {int} for v in obj):
+            inner = f"\n{pad}    "
+            items = [f"{pad}  [{inner}{f',{inner}'.join(map(str, v))}\n{pad}  ]" for v in obj]
+        else:
+            items = [f"{pad}  {flat(v) if flat else canonical_json_oracle(v, indent + 2)}"
+                     for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_state, hop_oracle, kron_chain, route_oracle
+from qdotsim import channels
 from qdotsim.channels import (
     BELL_PHI_PLUS,
     channel_fidelity,
@@ -276,6 +277,64 @@ def test_route_branches_take_the_lexicographically_first_shortest_path(
     array.qubit_positions = occupied
     assert plan_tunnel_route(array, occupied[0], dst) == path
     assert route_oracle(array, occupied[0], dst) == path
+
+
+
+@pytest.fixture
+def search_boxes(monkeypatch):
+    """The padded cell count of each box the breadth-first search allocates."""
+    sizes = []
+
+    def spy(cells):
+        sizes.append(len(cells))
+        return bytearray(cells)
+
+    monkeypatch.setattr(channels, "bytearray", spy, raising=False)
+    return sizes
+
+
+def walled_array(width, height, src, readouts):
+    array = DotArray(width, height, MATERIAL, roles={c: "readout" for c in readouts})
+    array.qubit_positions = [src]  # the planner reads only the occupancy record
+    return array
+
+
+def test_route_box_margin_doubles_until_the_detour_fits(search_boxes):
+    # a wall on x = 7 open only at y = 0 puts the shortest path 4 rows off the
+    # src-dst row: the boxes of margin 1 and 2 hold no path, margin 4 does
+    src, dst = (2, 4), (12, 4)
+    array = walled_array(20, 9, src, [(7, y) for y in range(1, 9)])
+    path = plan_tunnel_route(array, src, dst)
+    assert path == route_oracle(array, src, dst)
+    assert len(path) - 1 == 10 + 8
+    # padded (w + 2) * (h + 2) cells: x 1..13, y 3..5; x 0..14, y 2..6; x 0..16, y 0..8
+    assert search_boxes == [15 * 5, 17 * 7, 19 * 11]
+
+
+def test_route_box_rejects_a_long_path_inside_a_margin_1_box(search_boxes):
+    # walls on x = 6, 8 and 10 leave the margin-1 box (rows 4..6) a serpentine
+    # of 6 extra hops; the shortest path runs along row 7 or 3 with 4 extra
+    # hops, so the margin-1 path is refused and the margin-2 box finds it
+    src, dst = (4, 5), (12, 5)
+    walls = [(6, 5), (6, 6), (8, 4), (8, 5), (10, 5), (10, 6)]
+    array = walled_array(16, 12, src, walls)
+    path = plan_tunnel_route(array, src, dst)
+    assert path == route_oracle(array, src, dst)
+    assert len(path) - 1 == 8 + 4
+    assert not {(x, y) for x, y in path} <= {(x, y) for x in range(3, 14) for y in range(4, 7)}
+    assert search_boxes == [13 * 5, 15 * 7]  # x 3..13, y 4..6; x 2..14, y 3..7, padded
+
+
+def test_route_box_grows_to_the_grid_before_an_unreachable_destination(search_boxes):
+    # (30, 30) is ringed by readout dots: no box holds a path, and the error
+    # comes from the search over the whole 48x48 grid
+    src, dst = (10, 10), (30, 30)
+    array = walled_array(48, 48, src, [(29, 30), (31, 30), (30, 29), (30, 31)])
+    assert planned(plan_tunnel_route, array, src, dst) == planned(route_oracle, array, src, dst)
+    with pytest.raises(RoutingError, match=r"^no empty path from \(10, 10\) to \(30, 30\)$"):
+        plan_tunnel_route(array, src, dst)
+    # per call, margins 1, 2, 4, 8 and 16 (x and y 0..46), then 32: the padded grid
+    assert search_boxes == [n * n for n in (25, 27, 31, 39, 49, 50)] * 2
 
 
 T_HOP = MATERIAL.t_hop

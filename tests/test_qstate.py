@@ -94,6 +94,13 @@ def test_gate_validation():
         Gate("Nope", (0,))
     with pytest.raises(StateError):
         Gate("Rot", (0,), axis=(0.0, 0.0, 0.0), angle=1.0)
+    for value in (math.inf, -math.inf, math.nan, 10**400):  # the last is beyond a float
+        with pytest.raises(StateError, match="^Rot angle must be finite$"):
+            Gate("Rot", (0,), axis=(0.0, 1.0, 0.0), angle=value)
+    for value in (math.inf, math.nan, 10**400):
+        with pytest.raises(StateError, match="^ExchangeEvolve pulse area theta must be finite$"):
+            Gate("ExchangeEvolve", (0, 1), theta=value)
+    assert Gate("ExchangeEvolve", (0, 1), theta=1.7976931348623157e308).area > 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_shots_eagerly
+from conftest import canonical_json_oracle, run_shots_eagerly
 from qdotsim import channels, cli
 from qdotsim import scenario as scenario_mod
 from qdotsim.channels import line_report
@@ -77,6 +77,47 @@ def test_canonical_json_round_trips_through_json():
 def test_canonical_json_renders_lists_of_str_and_int_as_json_does(payload):
     # lists of only str, only int or only flat int lists take the one-comprehension path
     assert canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+class _Str(str):
+    pass
+
+
+_INT_LISTS = st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=4)
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]),
+    st.text(), st.text().map(_Str), st.sampled_from(["\u00e9t\u00e9", "\U0001f600", "\x00\"\\"]),
+    st.just([]), st.just(()), st.just({}),
+    _INT_LISTS, st.lists(_INT_LISTS, max_size=4),
+    st.lists(st.lists(st.integers(), max_size=4), max_size=4),
+    st.sampled_from([1 + 2j, b"bytes", frozenset(), np.bool_(True)]),
+)
+_REPORT_KEYS = st.one_of(st.text(), st.text().map(_Str), st.integers(), st.none(),
+                         st.just(("a",)))
+
+
+def _serialized(function, tree):
+    try:
+        return function(tree)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.recursive(
+    _REPORT_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4),
+                            st.dictionaries(_REPORT_KEYS, inner, max_size=3)),
+    max_leaves=25))
+@example([[1, 2], [3], [True, 4]])
+@example({"path": [[0, 0], [1, 0], [1, 1]], "x": [-0.0, 5e-324], "e": []})
+@example([[[]], {}, ((),), [{}]])
+@settings(max_examples=400, deadline=None)
+def test_canonical_json_equals_the_isinstance_oracle(tree):
+    assert _serialized(canonical_json, tree) == _serialized(canonical_json_oracle, tree)
 
 
 def test_stream_splitting_is_stable_and_independent():
@@ -173,6 +214,13 @@ def test_invalid_json_is_schema_error(tmp_path):
             {"op": "gate", "kind": "ExchangeEvolve", "targets": [[0, 0], [1, 0]],
              "theta": -1.0}
         ),
+        # ints beyond a float, which would overflow where the event runs
+        lambda s: s["program"].append({"op": "idle", "t": 10**400}),
+        lambda s: s["program"].append(
+            {"op": "coupling_window", "a": [0, 0], "b": [1, 0], "theta": 10**400}),
+        lambda s: s["program"].append(
+            {"op": "gate", "kind": "Rot", "targets": [[0, 0]], "axis": [0, 0, 1],
+             "angle": -10**400}),
     ],
 )
 def test_validation_rejects_bad_scenarios(mutate):
@@ -180,6 +228,62 @@ def test_validation_rejects_bad_scenarios(mutate):
     mutate(scenario)
     with pytest.raises(SchemaError):
         validate_scenario(scenario)
+
+
+def _append(event):
+    return lambda s: s["program"].append(event)
+
+
+# exact texts, recorded before validation built its messages only on failure
+@pytest.mark.parametrize("mutate, text", [
+    (lambda s: s["array"]["dots"].append({"pos": "a1"}),
+     "dot.pos must be an [x, y] pair of integers, got 'a1'"),
+    (lambda s: s["array"]["dots"].append({"pos": [True, 0]}),
+     "dot.pos must be an [x, y] pair of integers, got [True, 0]"),
+    (lambda s: s["array"]["dots"].append({"pos": [2, 0]}), "dot.pos (2, 0) outside the 2x2 array"),
+    (lambda s: s["array"]["dots"].append({"pos": [0, -1]}),
+     "dot.pos (0, -1) outside the 2x2 array"),
+    (lambda s: s["array"]["dots"].append({"pos": [0, 1], "role": "qubit"}),
+     "dot (0, 1) is listed twice"),
+    (_append({"op": "init", "pos": [9, 9]}), "event 5 (init) pos (9, 9) outside the 2x2 array"),
+    (_append({"op": "move", "src": [0, 0], "dst": [0.5, 1]}),
+     "event 5 (move) dst must be an [x, y] pair of integers, got [0.5, 1]"),
+    (_append({"op": "route", "src": [0, 0]}),
+     "event 5 (route) dst must be an [x, y] pair of integers, got None"),
+    (_append({"op": "gate", "kind": "CNOT", "targets": [[0, 0], [0, 7]]}),
+     "event 5 (gate) targets (0, 7) outside the 2x2 array"),
+    (_append({"op": "gate", "kind": "X", "targets": [(0, 0, 0)]}),
+     "event 5 (gate) targets must be an [x, y] pair of integers, got (0, 0, 0)"),
+    (_append({"op": "qec_cycle", "principal": [0, 0],
+              "syndromes": [[1, 0], [0, 1], [1, 1], [3, 1]]}),
+     "event 5 (qec_cycle) syndromes (3, 1) outside the 2x2 array"),
+    (_append({"op": "teleport", "payload": [0, 0], "a": [1, 0], "b": [0, 0]}),
+     "event 5 (teleport): positions must be distinct, got [(0, 0), (1, 0), (0, 0)]"),
+    (_append({"op": "fly", "pos": [0, 0]}), "event 5: unknown op 'fly'"),
+    (_append({"op": 7}), "event 5: unknown op 7"),
+    (_append(["op", "init"]), "event 5 must be an object"),
+    (_append({"op": "idle", "t": -1e-9}), "event 5 (idle): t must be a nonnegative number"),
+    (_append({"op": "coupling_window", "a": [0, 0], "b": [1, 0], "theta": True}),
+     "event 5 (coupling_window): theta must be a nonnegative number"),
+    (_append({"op": "gate", "kind": "Q", "targets": [[0, 0]]}),
+     "event 5 (gate): unknown gate kind 'Q'"),
+    (_append({"op": "gate", "kind": "CNOT", "targets": [[0, 0]]}),
+     "event 5 (gate): CNOT takes 2 target(s)"),
+    (_append({"op": "gate", "kind": "Rot", "targets": [[0, 0]], "axis": [0, 0, 0], "angle": 1}),
+     "event 5 (gate): axis must be a nonzero [x, y, z] list, got [0, 0, 0]"),
+    (_append({"op": "qec_cycle", "principal": [0, 0], "syndromes": [[1, 0]]}),
+     "event 5 (qec_cycle): syndromes must list 4 positions"),
+    (lambda s: (s["array"].update(width=10**19),
+                s["program"].append({"op": "route", "src": [0, 0], "dst": [1, 1]})),
+     "event 5 (route): a 10000000000000000000x2 array exceeds the 4194304 padded cells "
+     "(width+2)*(height+2) route planning may use"),
+])
+def test_schema_error_texts_are_pinned(mutate, text):
+    scenario = copy.deepcopy(BELL)
+    mutate(scenario)
+    with pytest.raises(SchemaError) as info:
+        validate_scenario(scenario)
+    assert str(info.value) == text
 
 
 def test_material_overrides():
@@ -548,6 +652,43 @@ def test_vector_jump_reports_are_pinned():
         "90c8625e81ad3b29b218f602898b3b4b589af96846764d7839156b7a209bb12b")
     assert digest(dumps_report(run_scenario(GROUND_ROUTES, shots=5))) == (
         "5d2ba2dd25e1b443ecc9630f1a372147146bbed8aa45c671482467a3f7d5ee36")
+
+
+# grid_transport's shape on its 48x48 grid: eight qubits, five routes and the
+# teleport tail; qubit (20, 10) blocks the first route's row and the teleport
+# row the last route's rectangle, so both take the breadth-first detour
+GRID_DETOURS = {
+    "schema_version": 1,
+    "seed": 2024,
+    "material": {"preset": "inas", "noise": {"enabled": True}},
+    "array": {"width": 48, "height": 48, "representation": "vector",
+              "dots": [{"pos": [30, 21], "role": "readout"}]},
+    "program": [
+        *({"op": "init", "pos": list(p)} for p in (
+            (5, 10), (20, 10), (40, 30), (2, 45), (45, 2), (10, 40), (33, 5), (25, 25))),
+        {"op": "route", "src": [5, 10], "dst": [40, 10]},
+        {"op": "route", "src": [40, 30], "dst": [3, 44]},
+        {"op": "route", "src": [45, 2], "dst": [28, 20]},
+        {"op": "route", "src": [2, 45], "dst": [29, 20]},
+        {"op": "route", "src": [10, 40], "dst": [30, 20]},
+        {"op": "gate", "kind": "Rot", "targets": [[28, 20]], "axis": [0.3, -0.7, 1.0],
+         "angle": 1.1},
+        {"op": "epr", "a": [29, 20], "b": [30, 20]},
+        {"op": "teleport", "payload": [28, 20], "a": [29, 20], "b": [30, 20]},
+        {"op": "readout", "qubit": [30, 20], "readout": [30, 21]},
+    ],
+}
+
+
+def test_grid_report_with_route_detours_is_pinned():
+    # sha256 of the canonical report bytes, recorded before int-list paths were
+    # formatted in one pass and the detour search was bounded by a box
+    report = run_scenario(GRID_DETOURS)
+    hops = [len(e["path"]) - 1 - sum(abs(a - b) for a, b in zip(e["path"][0], e["path"][-1]))
+            for e in report["events"] if e["event"] == "route"]
+    assert hops == [2, 0, 0, 0, 2]  # hops beyond the Manhattan distance
+    assert digest(dumps_report(report)) == (
+        "3f87e598dc5447135043291718fa103651fdfaa4a6a9f862e61b56d9e69bb520")
 
 
 def test_energy_budget_is_drive_power_times_single_qubit_gate_time():
@@ -1246,6 +1387,28 @@ def test_cli_route_that_overflows_the_clock_exits_4(tmp_path, noise):
     assert error["error"] == "state"
     assert error["message"] == ("event 1 (route): 1.0463355759036317e+306 s and 0.0 J "
                                 "overflow the clock or the energy")
+    assert not out_dir.exists()
+
+
+def test_cli_strict_exchange_over_a_huge_idle_exits_4(tmp_path):
+    # J_off * 1e302 s / hbar overflows to an inf pulse area: the residual
+    # exchange is refused instead of turning the register into NaN
+    scenario = {"schema_version": 1, "seed": 1, "strict": True,
+                "array": {"width": 3, "height": 1,
+                          "dots": [{"pos": [2, 0], "role": "readout"}]},
+                "program": [{"op": "init", "pos": [0, 0]}, {"op": "init", "pos": [1, 0]},
+                            {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+                            {"op": "idle", "t": 1e302},
+                            {"op": "readout", "qubit": [1, 0], "readout": [2, 0]}]}
+    path = tmp_path / "strict_huge_idle.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "state"
+    assert error["message"] == "event 3 (idle): ExchangeEvolve pulse area theta must be finite"
     assert not out_dir.exists()
 
 
