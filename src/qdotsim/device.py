@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -92,6 +93,7 @@ class MaterialParams:
         return self.t_swap / 10.0
 
 
+@lru_cache(maxsize=64)  # presets are frozen, so one instance per argument is shared
 def inas_material(noise: NoiseParams | None = None) -> MaterialParams:
     """InAs composite-well preset: large |g|, 5 ueV on-state exchange."""
     return MaterialParams(
@@ -106,6 +108,7 @@ def inas_material(noise: NoiseParams | None = None) -> MaterialParams:
     )
 
 
+@lru_cache(maxsize=64)
 def si_material(T2: float) -> MaterialParams:
     """Si MOS preset. T2 must be supplied: no trustworthy default exists,
     only the expectation that it is very long. Structural parameters reuse

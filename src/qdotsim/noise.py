@@ -7,23 +7,24 @@ gamma = 1 - exp(-t/T1). Because damping already dephases at rate 1/(2*T1),
 the combined idle channel uses the pure-dephasing rate
 1/T2' = 1/T2 - 1/(2*T1), which is nonnegative exactly when T2 <= 2*T1.
 
-On density matrices the device applies each event's idle window in one
-exact pass (idle_window) of in-place block arithmetic over every idling
-qubit, each with its own T2 (a dot's t2_override); the pair coupled by an
-exchange window is left out. One-qubit channels on different qubits commute,
-so one pass is exact. A qubit whose |1> rows and columns are exactly +0 when
-the window starts (spin-up, not yet driven) trades its block arithmetic for
-one in-place + 0.0 pass, with the same bits (see _channel). The Kraus pairs
-(Nielsen & Chuang, section 8.3) are the reference. Vector states go through
-idle_jumps_window, a seeded Monte-Carlo wave-function unraveling (Dalibard,
-Castin & Molmer, PRL 68, 580 (1992)) whose ensemble average reproduces the
-exact channels: the one trajectory engine, which books a run of equal
-windows (an event's, or a route's hops) in one call.
+On density matrices the device applies each event's idle window in one exact
+pass (idle_window) over every idling qubit, each with its own T2 (a dot's
+t2_override), on contiguous copies of its four |r><c| blocks; the pair
+coupled by an exchange window is left out. One-qubit channels on different
+qubits commute, so one pass is exact. A qubit whose |1> rows and columns are
+exactly +0 when the window starts (spin-up, not yet driven) trades its block
+arithmetic for one in-place + 0.0 pass, with the same bits (see _channel).
+The Kraus pairs (Nielsen & Chuang, section 8.3) are the reference. Vector
+states go through idle_jumps_window, a seeded Monte-Carlo wave-function
+unraveling (Dalibard, Castin & Molmer, PRL 68, 580 (1992)) whose ensemble
+average reproduces the exact channels: the one trajectory engine, which
+books a run of equal windows (an event's, or a route's hops) in one call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import StateError
 from .qstate import QuantumState
 
 _REL_TOL = 1e-12
+_flat_index = lru_cache(maxsize=None)(np.arange)  # one index array per register size
 
 
 @dataclass(frozen=True)
@@ -67,14 +69,17 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
     """Exact decay over t seconds of a copy of a density matrix. Each step
     (qubit, dephasing_rate, damping_rate) moves gamma = 1 - exp(-t*damping_rate)
     of the qubit's |1><1| block into its |0><0| block and scales its
-    coherences by exp(-t*dephasing_rate) * sqrt(1 - gamma).
+    coherences by exp(-t*dephasing_rate) * sqrt(1 - gamma). It updates the
+    four blocks as the rows of one contiguous (4, -1) copy, then writes them
+    back: the float operations of strided block updates, so the same bits.
 
     A qubit is ground if its |1> rows and columns are +0 (all bits zero) at
-    the start. Other steps compute an entry only from entries with the same
-    bit for it, and +0 times a real factor, or plus +0, is +0, so they stay
-    +0. Its own step then just adds gamma * (+0) to its |0><0| block, turning
-    -0.0 into +0.0: one in-place + 0.0 pass, shared by consecutive ground
-    steps, gives the same bits."""
+    the start: the row and column bits of the OR of the flat indices of the
+    nonzero components name the excited qubits. Other steps compute an
+    entry only from entries with the same bit for it, and +0 times a real
+    factor, or plus +0, is +0, so they stay +0. Its own step then just adds
+    gamma * (+0) to its |0><0| block, turning -0.0 into +0.0: one in-place
+    + 0.0 pass, shared by consecutive ground steps, gives the same bits."""
     if t < 0:
         raise StateError(f"negative duration t = {t}")
     if t == 0:
@@ -86,9 +91,10 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
     if not all(0 <= q < n for q, _, _ in steps):
         raise StateError(f"qubits {[q for q, _, _ in steps]} out of range for {n}-qubit register")
     rho = state.data.copy()
-    parts = rho.view(np.float64)  # real and imaginary parts
-    marks = (parts.view(np.uint64) != 0).view(np.uint16)  # an entry is nonzero, -0.0 included
-    excited = int(np.bitwise_or.reduce(np.flatnonzero(marks.any(axis=0) | marks.any(axis=1))))
+    parts = rho.view(np.float64)  # real and imaginary parts, (N, 2N)
+    bits = parts.view(np.uint64).reshape(-1)  # a component is nonzero, -0.0 included
+    flat = int(np.bitwise_or.reduce(_flat_index(bits.size), where=bits != 0, initial=0))
+    excited = ((flat >> 1) | (flat >> (n + 1))) & (len(rho) - 1)  # column | row bits
     zeroed = False  # a ground step's pass has run and no block update since
     for qubit, dephasing_rate, damping_rate in steps:
         if not excited >> (n - 1 - qubit) & 1:  # ground: its |1> rows and columns are +0
@@ -100,11 +106,12 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
         gamma = 1.0 - math.exp(-t * damping_rate)
         coherence = math.exp(-t * dephasing_rate) * math.sqrt(1.0 - gamma)
         hi, lo = 2**qubit, 2 ** (n - qubit - 1)
-        blocks = rho.reshape(hi, 2, lo, hi, 2, lo)
-        blocks[:, 0, :, :, 1, :] *= coherence
-        blocks[:, 1, :, :, 0, :] *= coherence
-        blocks[:, 0, :, :, 0, :] += gamma * blocks[:, 1, :, :, 1, :]
-        blocks[:, 1, :, :, 1, :] *= 1.0 - gamma
+        view = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
+        blocks = view.reshape(4, -1)  # |0><0|, |0><1|, |1><0|, |1><1|, contiguous
+        blocks[1:3] *= coherence
+        blocks[0] += gamma * blocks[3]
+        blocks[3] *= 1.0 - gamma
+        view[...] = blocks.reshape(view.shape)
     return QuantumState(rho, n)
 
 

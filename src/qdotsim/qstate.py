@@ -128,8 +128,9 @@ class QuantumState:
             new = np.zeros(2 * self.data.size, dtype=complex)
             new[0::2] = self.data
             return QuantumState(new, self.n_qubits + 1)
-        zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        return QuantumState(np.kron(self.data, zero), self.n_qubits + 1)
+        zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # kron's products, no set-up
+        grown = np.multiply(self.data[:, None, :, None], zero[None, :, None, :])
+        return QuantumState(grown.reshape(2 * self.dim, -1), self.n_qubits + 1)
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,8 @@ class Gate:
                 isinstance(self.axis, (list, tuple)) and len(self.axis) == 3
                 and all(map(_is_number, self.axis)) and any(self.axis)):
             raise StateError(f"axis must be a nonzero [x, y, z] list, got {self.axis!r}")
+        if self.axis is not None and not all(abs(a) <= sys.float_info.max for a in self.axis):
+            raise StateError("axis entries must be finite")
         if self.kind == "Rot":
             if self.axis is None or not _is_number(self.angle):
                 raise StateError("Rot needs an axis and a numeric angle")

@@ -46,7 +46,7 @@ def load_scenario(path_or_name: str) -> dict:
         text = bundled.read_text()
     try:
         scenario = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int beyond Python's digit limit
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(scenario, dict):
         raise SchemaError("scenario must be a JSON object")
@@ -95,6 +95,8 @@ def build_material(spec) -> MaterialParams:
         t2 = float(noise.get("T2", base.noise.T2))
         noise_params = NoiseParams(T1=float(noise.get("T1", 2.0 * t2)), T2=t2,
                                    enabled=noise.get("enabled", False))
+        if not spec and noise_params == base.noise:  # the shared preset itself
+            return base
         return dataclasses.replace(base, noise=noise_params,
                                    **{k: float(v) for k, v in spec.items()})
     except (QdotsimError, TypeError, ValueError) as exc:

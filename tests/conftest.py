@@ -264,6 +264,13 @@ def channel_oracle(state: QuantumState, t: float, steps) -> QuantumState:
     return QuantumState(rho, n)
 
 
+def append_zero_oracle(state: QuantumState) -> QuantumState:
+    """rho (x) |0><0| by np.kron: QuantumState.append_zero_qubit must match it
+    bit for bit on density matrices, signs of zeros included."""
+    zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    return QuantumState(np.kron(state.data, zero), state.n_qubits + 1)
+
+
 def idle_trajectory(state: QuantumState, durations, params, seed) -> QuantumState:
     """One stochastic unraveling of consecutive idle windows on a vector
     state: each window steps every qubit in order through idle_jump_oracle,

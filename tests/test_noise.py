@@ -25,7 +25,7 @@ from qdotsim.noise import (
     jump_probabilities,
     pure_dephasing_time,
 )
-from qdotsim.qstate import Gate, QuantumState, apply_gate
+from qdotsim.qstate import MATRIX_QUBIT_CAP, Gate, QuantumState, apply_gate
 
 T2 = 100e-6
 T1 = 200e-6
@@ -204,7 +204,7 @@ def _ground_matrix(n: int, ground, rng, sprinkle: float, anywhere: bool) -> np.n
 
 
 @given(
-    n=st.integers(1, 6),
+    n=st.integers(1, MATRIX_QUBIT_CAP),
     seed=st.integers(0, 2**32 - 1),
     t=st.one_of(st.floats(1e-12, 3 * T1), st.sampled_from([40 * T1, 1e3 * T1, 1e6 * T1])),
     sprinkle=st.sampled_from([0.0, 0.02, 0.3]),
@@ -213,9 +213,10 @@ def _ground_matrix(n: int, ground, rng, sprinkle: float, anywhere: bool) -> np.n
 )
 @settings(max_examples=400, deadline=None)
 def test_channel_equals_the_block_oracle(n, seed, t, sprinkle, anywhere, data):
-    # bit for bit, signs of zeros included: ground qubits (exactly +0 |1> rows
-    # and columns) meet -0.0 and subnormals elsewhere, dephasing rates of 0,
-    # and t >> T1, where 1 - gamma rounds to 0 and the products underflow
+    # bit for bit, signs of zeros included, for every qubit position of every
+    # register up to the matrix cap: ground qubits (exactly +0 |1> rows and
+    # columns) meet -0.0 and subnormals elsewhere, dephasing rates of 0, and
+    # t >> T1, where 1 - gamma rounds to 0 and the products underflow
     rng = np.random.default_rng(seed)
     ground = data.draw(st.sets(st.integers(0, n - 1)))
     qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))

@@ -7,12 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, sqrtm
 
-from conftest import (PAULIS, embed, from_matrix, haar_state, kron_chain, norm_error,
-                      phase_aligned_maxdiff)
+from conftest import (PAULIS, append_zero_oracle, embed, from_matrix, haar_state, kron_chain,
+                      norm_error, phase_aligned_maxdiff)
 from qdotsim.errors import StateError
 from qdotsim.qstate import (
     CNOT_MATRIX,
     HADAMARD,
+    MATRIX_QUBIT_CAP,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -101,6 +102,11 @@ def test_gate_validation():
         with pytest.raises(StateError, match="^ExchangeEvolve pulse area theta must be finite$"):
             Gate("ExchangeEvolve", (0, 1), theta=value)
     assert Gate("ExchangeEvolve", (0, 1), theta=1.7976931348623157e308).area > 0
+    for value in (math.inf, -math.inf, math.nan, 10**400, -10**400):
+        with pytest.raises(StateError, match="^axis entries must be finite$"):
+            Gate("Rot", (0,), axis=(0.0, value, 1.0), angle=1.0)
+        with pytest.raises(StateError, match="^axis entries must be finite$"):
+            Gate("X", (0,), axis=(value, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +167,27 @@ def test_matrix_apply_gate_against_kron_oracle(n, kind, seed):
     u = embed(gate.matrix(), gate.targets, n)
     out = apply_gate(rho, gate)
     assert np.max(np.abs(out.data - u @ rho.data @ u.conj().T)) < 1e-12
+
+
+@given(n=st.integers(0, MATRIX_QUBIT_CAP - 1), seed=st.integers(0, 2**32 - 1),
+       sprinkle=st.sampled_from([0.0, 0.05, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_matrix_append_zero_qubit_equals_the_kron_oracle(n, seed, sprinkle):
+    # bit for bit: -0.0 and subnormals of either sign, sprinkled into the
+    # real and imaginary parts, give the products kron gives, signed zeros
+    # and subnormal products included
+    rng = np.random.default_rng(seed)
+    rho = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    bits = rho.view(np.uint64)
+    pick = rng.random(bits.shape) < sprinkle
+    subnormal = rng.integers(1, 1 << 52, size=bits.shape, dtype=np.uint64)
+    sign = np.where(rng.random(bits.shape) < 0.5, np.uint64(1 << 63), np.uint64(0))
+    bits[pick] = (np.where(rng.random(bits.shape) < 0.5, 0, subnormal) | sign)[pick]
+    state = QuantumState(rho, n)
+    grown = state.append_zero_qubit()
+    assert grown.n_qubits == n + 1
+    assert grown.data.tobytes() == append_zero_oracle(state).data.tobytes()
+    assert grown.data.flags.c_contiguous
 
 
 def test_target_out_of_range():

@@ -1,5 +1,6 @@
 """Scenario files, the deterministic runner, and the CLI surface."""
 import copy
+import dataclasses
 import json
 import math
 import subprocess
@@ -15,7 +16,7 @@ from conftest import canonical_json_oracle, run_shots_eagerly
 from qdotsim import channels, cli
 from qdotsim import scenario as scenario_mod
 from qdotsim.channels import line_report
-from qdotsim.device import DotArray
+from qdotsim.device import DotArray, NoiseParams, inas_material, si_material
 from qdotsim.errors import BlockadeError, ProtocolError, QdotsimError, SchemaError
 from qdotsim.pulses import drive_report
 from qdotsim.report import (canonical_json, digest, dumps_report, first_uniforms,
@@ -221,6 +222,9 @@ def test_invalid_json_is_schema_error(tmp_path):
         lambda s: s["program"].append(
             {"op": "gate", "kind": "Rot", "targets": [[0, 0]], "axis": [0, 0, 1],
              "angle": -10**400}),
+        lambda s: s["program"].append(
+            {"op": "gate", "kind": "Rot", "targets": [[0, 0]], "axis": [10**400, 0, 1],
+             "angle": 1.0}),
     ],
 )
 def test_validation_rejects_bad_scenarios(mutate):
@@ -293,6 +297,24 @@ def test_material_overrides():
         build_material({"preset": "si"})  # si needs an explicit T2
     si = build_material({"preset": "si", "noise": {"T2": 1.0}})
     assert si.g_factor == 2.0
+
+
+def test_material_presets_are_built_once():
+    # a preset without overrides, and with the noise it already has, is one
+    # shared (frozen) instance; anything else is a fresh one
+    inas = build_material("inas")
+    assert inas == inas_material()
+    assert build_material({"preset": "inas"}) is inas
+    assert build_material({"noise": {"T2": 100e-6, "T1": 200e-6, "enabled": False}}) is inas
+    noisy = build_material({"preset": "inas", "noise": {"enabled": True}})
+    assert noisy is not inas
+    assert noisy == dataclasses.replace(inas, noise=NoiseParams(enabled=True))
+    assert build_material({"preset": "inas", "J_on": 5e-6}) is not inas
+    assert build_material({"preset": "inas", "J_on": 5e-6}) == inas
+    si = build_material({"preset": "si", "noise": {"T2": 1e-3}})
+    assert si is build_material({"preset": "si", "noise": {"T2": 0.001}})
+    assert si == si_material(1e-3)
+    assert build_material({"preset": "si", "noise": {"T2": 2e-3}}) == si_material(2e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +516,40 @@ MATRIX_GROUND = {
         {"op": "readout", "qubit": [0, 1], "readout": [2, 1]},
     ],
 }
+# a noisy eight-qubit matrix run, the matrix cap: the register grows one qubit
+# at a time, dots (1, 0) and (2, 1) carry their own T2, and the later idle
+# windows step every qubit position 0..7 while excited, beside ground ones
+MATRIX_EIGHT = {
+    "schema_version": 1,
+    "seed": 23,
+    "material": {"preset": "inas", "noise": {"enabled": True, "T1": 2e-6, "T2": 1.5e-6}},
+    "array": {"width": 4, "height": 3, "representation": "matrix",
+              "dots": [*({"pos": [x, 2], "role": "readout"} for x in range(4)),
+                       {"pos": [1, 0], "t2_override": 4e-7},
+                       {"pos": [2, 1], "t2_override": 9e-7}]},
+    "program": [
+        {"op": "init", "pos": [0, 0]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        *({"op": "init", "pos": [x, 0]} for x in (1, 2, 3)),
+        {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [1, 0]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[2, 0], [3, 0]]},
+        {"op": "gate", "kind": "X", "targets": [[2, 0]]},
+        *({"op": "init", "pos": [x, 1]} for x in range(4)),
+        {"op": "gate", "kind": "Rot", "targets": [[2, 1]], "axis": [0.4, -1, 0.2], "angle": 2.3},
+        {"op": "gate", "kind": "S", "targets": [[1, 0]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[1, 0], [1, 1]]},
+        {"op": "coupling_window", "a": [2, 1], "b": [3, 1], "theta": 1.7},
+        {"op": "idle", "t": 3e-7},
+        {"op": "gate", "kind": "Y", "targets": [[0, 1]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[2, 0], [3, 0]]},
+        {"op": "gate", "kind": "T", "targets": [[2, 0]]},
+        {"op": "idle", "t": 1.2e-6},
+        {"op": "readout", "qubit": [0, 0], "readout": [0, 2]},
+        {"op": "readout", "qubit": [1, 1], "readout": [1, 2]},
+        {"op": "readout", "qubit": [2, 1], "readout": [2, 2]},
+        {"op": "readout", "qubit": [3, 0], "readout": [3, 2]},
+    ],
+}
 BELL_MISREAD = {**BELL, "seed": 2**32 + 5, "material": {"preset": "inas", "readout_error": 0.1}}
 
 
@@ -526,6 +582,10 @@ def test_run_reports_are_pinned():
     # qubits whose |1> rows and columns are exactly +0
     assert digest(dumps_report(run_scenario(MATRIX_GROUND, shots=50))) == (
         "740f81be8f646145d3f725ea4bd64b65892c78907d8813dd84dc83c224fec36e")
+    # recorded before each excited qubit's idle step gathered its four blocks
+    # into one contiguous array and a fresh qubit was tensored on without kron
+    assert digest(dumps_report(run_scenario(MATRIX_EIGHT, shots=30))) == (
+        "d849dc0c4b82971cec87b8cbde0725a527d4ec47717360fd73540addbf3d2e27")
 
 
 
@@ -1172,6 +1232,20 @@ def test_cli_malformed_scenario_exits_2_no_outputs(tmp_path):
     out_dir = tmp_path / "results"
     proc = run_cli("simulate", "--scenario", str(bad), "--out", str(out_dir))
     assert proc.returncode == 2
+    assert not out_dir.exists()
+
+
+def test_cli_integer_beyond_the_digit_limit_exits_2(tmp_path):
+    # json.loads refuses an int of more than 4,300 digits with a ValueError
+    # that is not a JSONDecodeError: still a malformed scenario, not a crash
+    path = tmp_path / "huge_seed.scenario"
+    path.write_text(json.dumps({**BELL, "seed": "SEED"}).replace('"SEED"', "9" * 5000))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "schema"
+    assert "scenario is not valid JSON" in json.loads(proc.stderr)["message"]
     assert not out_dir.exists()
 
 
