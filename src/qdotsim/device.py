@@ -216,17 +216,19 @@ class DotArray:
         """Book `windows` events of `duration` seconds as that many calls
         would, one by one: idle noise on every qubit outside `pair` and, in
         strict mode, residual exchange on every adjacent pair but `pair`;
-        then add to the clock and the energy, or raise on overflow."""
+        then add to the clock and the energy, or raise on overflow or a sub-ulp duration."""
         if duration < 0:
             raise StateError(f"negative event duration {duration}")
         clock, spent, booked = self.clock, self.energy, 0
         while (booked < windows and math.isfinite(clock + duration)
-               and math.isfinite(spent + energy)):
+               and math.isfinite(spent + energy) and (clock + duration > clock or not duration)):
             clock, spent, booked = clock + duration, spent + energy, booked + 1
         self._idle_windows(duration, pair, booked)
         self.clock, self.energy = clock, spent
         if booked < windows:
-            raise StateError(f"{duration} s and {energy} J overflow the clock or the energy")
+            raise StateError(f"{duration} s is below one ulp of the clock at {clock} s"
+                             if duration and clock + duration == clock else
+                             f"{duration} s and {energy} J overflow the clock or the energy")
         self._check_invariants()
 
     def _check_invariants(self) -> None:

@@ -18,7 +18,8 @@ The Kraus pairs (Nielsen & Chuang, section 8.3) are the reference. Vector
 states go through idle_jumps_window, a seeded Monte-Carlo wave-function
 unraveling (Dalibard, Castin & Molmer, PRL 68, 580 (1992)) whose ensemble
 average reproduces the exact channels: the one trajectory engine, which
-books a run of equal windows (an event's, or a route's hops) in one call.
+books a run of equal windows (an event's, or a route's hops) in one call
+from a cached window plan; on a quiet register the run is one draw and one compare.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import StateError
-from .qstate import QuantumState
+from .qstate import QuantumState, vector_marginal
 
 _REL_TOL = 1e-12
 _flat_index = lru_cache(maxsize=None)(np.arange)  # one index array per register size
@@ -147,6 +148,18 @@ def jump_probabilities(
     return p_z, gamma
 
 
+@lru_cache(maxsize=64)  # a plan is ~2 kB; events repeat a few (t, T2 map) pairs
+def _window_plan(t: float, params: NoiseParams, overrides: tuple) -> tuple:
+    """(steps, draws, limits) of a window over a T2 map's (qubit, T2) items, in
+    key order: (q, p_Z, gamma) per qubit, the uniforms per window, and their
+    read-only Z-flip limits (p_Z for a Z draw, 0.0 for a damping draw)."""
+    steps = tuple((q, *jump_probabilities(t, params, T2)) for q, T2 in overrides)
+    limits = np.array([limit for _, p_z, gamma in steps
+                       for limit in [p_z] * (p_z > 0) + [0.0] * (gamma > 0)])
+    limits.setflags(write=False)
+    return steps, limits.size, limits
+
+
 def idle_jumps_window(
     state: QuantumState, t: float, params: NoiseParams,
     T2_overrides: dict[int, float | None], rng: np.random.Generator, windows: int = 1,
@@ -156,18 +169,19 @@ def idle_jumps_window(
     params.T2): a possible Z flip, then Kraus-sampled damping. Averaged over
     seeds one window equals idle_window exactly.
 
-    One copy of psi takes every step in place. Which uniforms a qubit draws
-    depends only on p_Z > 0 and gamma > 0, so the run takes them all in one
+    _window_plan caches the steps; which uniforms a qubit draws depends only
+    on p_Z > 0 and gamma > 0, so the run takes them all in one
     rng.random(windows * k) call: the same values, in the same order, as
-    windows * k scalar draws.
+    windows * k scalar draws. One copy of psi takes every step in place.
 
     No step turns a zero amplitude nonzero, so a qubit whose |1> slice is
     exactly zero when a window starts never jumps in it. While psi holds no
     -0.0 (a Z flip can write one) its no-jump scalings are bitwise no-ops
     too, and it pays only for its draw; otherwise it runs them with p1 = 0.0.
-    So while every qubit is in |0> and psi is clean, only a Z flip can change
-    psi: a run of several windows skips to the first window whose Z draw
-    fires, and returns the state itself, uncopied, when none does."""
+    So on a quiet register (all in |0>, no -0.0) only a Z flip can change
+    psi: a run of any length compares its uniforms with the plan's Z limits,
+    skips to the first window whose Z draw fires, and returns the state
+    itself, uncopied, when none does."""
     if not state.is_vector:
         raise StateError("trajectory jumps act on vector states")
     if not params.enabled or t == 0:
@@ -175,25 +189,18 @@ def idle_jumps_window(
     n = state.n_qubits
     if not all(0 <= q < n for q in T2_overrides):
         raise StateError(f"qubits {list(T2_overrides)} out of range for {n}-qubit register")
-    odds = {T2: jump_probabilities(t, params, T2) for T2 in set(T2_overrides.values())}
-    steps = [(q, *odds[T2]) for q, T2 in T2_overrides.items()]
-    count = sum((p_z > 0) + (gamma > 0) for _, p_z, gamma in steps)  # draws per window
-    uniforms = rng.random(windows * count)
-    psi, start = state.data.reshape([2] * n), 0
-    if windows > 1:  # one window steps for less than this test costs
-        bits = np.ascontiguousarray(state.data, complex).view(np.uint64)  # -0.0 is 1 << 63
-        if not bits[2:].any() and not (bits[:2] == 1 << 63).any():  # all in |0>, no -0.0
-            limits = [limit for _, p_z, gamma in steps  # p_Z for a Z draw, 0.0 for damping
-                      for limit in [p_z] * (p_z > 0) + [0.0] * (gamma > 0)]
-            hits = np.flatnonzero(uniforms.reshape(windows, -1) < np.array(limits))
-            if not hits.size:
-                return state
-            start = int(hits[0]) // count  # the window of the first Z flip
-    draws = iter(uniforms[start * count:])
-    psi = psi.copy()
+    steps, count, limits = _window_plan(t, params, tuple(T2_overrides.items()))
+    uniforms, start = rng.random(windows * count), 0
+    bits = np.ascontiguousarray(state.data, complex).view(np.uint64)  # -0.0 is 1 << 63
+    if not np.count_nonzero(bits[2:]) and 1 << 63 not in bits[:2].tolist():  # quiet register
+        flips = uniforms.reshape(windows, -1) < limits
+        if not np.count_nonzero(flips):
+            return state
+        start = int(flips.argmax()) // count  # the window of the first Z flip
+    draws, psi = iter(uniforms[start * count:]), state.data.copy()
     for _ in range(start, windows):
         excited = int(np.bitwise_or.reduce(np.flatnonzero(psi)))  # bit n-1-q: q's |1> slice != 0
-        clean = not (psi.reshape(-1).view(np.uint64) == 1 << 63).any()  # no -0.0 in psi
+        clean = not (psi.view(np.uint64) == 1 << 63).any()  # no -0.0 in psi
         for q, p_z, gamma in steps:
             if p_z > 0 and next(draws) < p_z:
                 one = psi.reshape(2**q, 2, -1)[:, 1]
@@ -204,8 +211,7 @@ def idle_jumps_window(
                 if ground and clean:
                     next(draws)
                     continue
-                other = tuple(i for i in range(n) if i != q)  # p1 rounds as qubit_probabilities
-                p1 = 0.0 if ground else float((np.abs(psi) ** 2).sum(axis=other)[1])
+                p1 = 0.0 if ground else float(vector_marginal(psi, q)[1])
                 pair = psi.reshape(2**q, 2, -1)  # view; pair[:, 1] is qubit q's |1> slice
                 p_jump = gamma * p1
                 if next(draws) < p_jump:
@@ -215,5 +221,4 @@ def idle_jumps_window(
                 else:
                     pair[:, 1] *= np.sqrt(1.0 - gamma)
                     psi /= np.sqrt(1.0 - p_jump)
-    return QuantumState(psi.reshape(-1), n)
-
+    return QuantumState(psi, n)

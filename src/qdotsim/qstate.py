@@ -177,10 +177,15 @@ class Gate:
                 raise StateError("Rot needs an axis and a numeric angle")
             if not abs(self.angle) <= sys.float_info.max:  # no inf, nan or int beyond a float
                 raise StateError("Rot angle must be finite")
-            norm = float(np.linalg.norm(self.axis))
+            axis = [float(a) for a in self.axis]
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(axis))
+            if norm == np.inf:  # rescale by the largest |entry|; a finite norm keeps its bits
+                axis = (np.array(axis) / max(map(abs, axis))).tolist()
+                norm = float(np.linalg.norm(axis))
             if norm < 1e-12:
                 raise StateError("Rot axis must be nonzero")
-            object.__setattr__(self, "axis", tuple(float(a) / norm for a in self.axis))
+            object.__setattr__(self, "axis", tuple(a / norm for a in axis))
         if self.kind == "ExchangeEvolve" and not _is_number(self.theta):
             raise StateError("ExchangeEvolve needs a numeric theta")
         if self.kind == "ExchangeEvolve" and self.theta < 0:
@@ -273,9 +278,12 @@ def qubit_probabilities(state: QuantumState, qubit: int) -> np.ndarray:
     if not state.is_vector:
         return np.real(np.diag(reduced_density(state, [qubit])))
     _check_targets(state, [qubit])
-    n = state.n_qubits
-    psi = np.abs(state.data.reshape([2] * n)) ** 2
-    return psi.sum(axis=tuple(i for i in range(n) if i != qubit))
+    return vector_marginal(state.data, qubit)
+
+
+def vector_marginal(psi: np.ndarray, qubit: int) -> np.ndarray:
+    """Born (p0, p1) of one qubit of amplitudes psi, summed on the (2**qubit, 2, rest) view."""
+    return (np.abs(psi.reshape(2**qubit, 2, -1)) ** 2).sum(axis=(0, 2))
 
 
 def project(

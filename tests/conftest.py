@@ -30,7 +30,6 @@ from qdotsim.qstate import (
     QuantumState,
     apply_gate,
     measure,
-    qubit_probabilities,
     state_fidelity,
 )
 
@@ -207,6 +206,14 @@ def memory_experiment_oracle(cycles: int, p: float, rng, pulses_per_cycle: int =
             "pulse_counts": pulse_counts}
 
 
+def multi_axis_marginal(psi: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    """(p0, p1) of one qubit: |psi|^2 on the [2]*n tensor, summed over every
+    other axis in one call. The reference for qstate.vector_marginal, which
+    sums on the coalesced (2**qubit, 2, rest) view instead."""
+    probs = np.abs(psi.reshape([2] * n)) ** 2
+    return probs.sum(axis=tuple(i for i in range(n) if i != qubit))
+
+
 def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,
                      T2_override=None) -> QuantumState:
     """One qubit's stochastic idle step, a fresh state per operation: a Z
@@ -228,7 +235,7 @@ def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,
         psi[tuple(sel1)] = -psi[tuple(sel1)]
         state = QuantumState(psi.reshape(-1), n)
     if gamma > 0:
-        p1 = float(qubit_probabilities(state, qubit)[1])
+        p1 = float(multi_axis_marginal(state.data, n, qubit)[1])
         p_jump = gamma * p1
         psi = state.data.reshape([2] * n).copy()
         if rng.random() < p_jump:

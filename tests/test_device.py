@@ -443,6 +443,18 @@ def test_clock_and_energy_refuse_to_overflow():
     assert (array.clock, array.energy) == (1e308, 1e308)
 
 
+def test_a_positive_duration_below_one_ulp_of_the_clock_is_refused():
+    array = make_array()
+    array.idle(1.0)
+    with pytest.raises(StateError, match="below one ulp of the clock"):
+        array.idle(1e-17)  # 1.0 + 1e-17 rounds to 1.0: the event would book nothing
+    with pytest.raises(StateError, match="below one ulp of the clock"):
+        array.advance(1e-17, windows=3)
+    array.advance(0.0, energy=1e-20)  # an instantaneous event still books its energy
+    array.idle(2e-16)
+    assert (array.clock, array.energy) == (1.0 + 2e-16, 1e-20)
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 # strict residual exchange over 6e307 s has an infinite pulse area: both sides turn NaN

@@ -20,6 +20,7 @@ from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
     _channel,
+    _window_plan,
     idle_jumps_window,
     idle_window,
     jump_probabilities,
@@ -375,13 +376,41 @@ def test_idle_jumps_window_equals_the_per_qubit_oracle(n, seed, kind, dt, window
 
 
 def test_a_ground_run_with_no_z_flip_returns_its_input_uncopied():
-    # T2 = 2*T1 leaves no pure dephasing: no Z draw, so nothing can fire
+    # T2 = 2*T1 leaves no pure dephasing: no Z draw, so nothing can fire,
+    # in a single window as in a run
     params = NoiseParams(T1=T1, T2=2 * T1, enabled=True)
-    ground, rng = QuantumState.zero(3), np.random.default_rng(5)
-    assert idle_jumps_window(ground, T1, params, {0: None, 2: None}, rng, 50) is ground
-    reference = np.random.default_rng(5)
-    reference.random(2 * 50)  # one damping draw per qubit and window
-    assert rng.bit_generator.state == reference.bit_generator.state
+    for windows in (1, 50):
+        ground, rng = QuantumState.zero(3), np.random.default_rng(5)
+        assert idle_jumps_window(ground, T1, params, {0: None, 2: None}, rng, windows) is ground
+        reference = np.random.default_rng(5)
+        reference.random(2 * windows)  # one damping draw per qubit and window
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_each_t2_map_and_key_order_gets_its_own_window_plan():
+    # one duration and one params, maps that differ in T2 values and in key
+    # order: a plan cached for one map must never serve another, so each
+    # call equals the oracle stepping that map's qubits in its key order
+    params = NoiseParams(T1=T1, T2=T2, enabled=True)
+    psi = haar_state(3, np.random.default_rng(8))
+    for overrides in ({0: None, 1: T1 / 30, 2: 2 * T1}, {2: 2 * T1, 0: None, 1: T1 / 30},
+                      {2: None, 0: T1 / 30, 1: 2 * T1}):
+        oracle_rng, window_rng = (np.random.default_rng(12) for _ in range(2))
+        expected = psi
+        for q, t2 in overrides.items():
+            expected = idle_jump_oracle(expected, q, T1, params, oracle_rng, T2_override=t2)
+        out = idle_jumps_window(psi, T1, params, overrides, window_rng)
+        assert np.array_equal(out.data.view(np.uint64), expected.data.view(np.uint64))
+        assert window_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_window_plans_are_read_only_and_their_cache_is_bounded():
+    steps, draws, limits = _window_plan(T1, NoiseParams(T1=T1, T2=T2, enabled=True),
+                                        ((1, None), (0, 2 * T1)))
+    assert [q for q, _, _ in steps] == [1, 0]
+    assert draws == limits.size == 3  # Z and damping for qubit 1, damping only for qubit 0
+    assert limits[2] == 0.0 and not limits.flags.writeable
+    assert _window_plan.cache_info().maxsize is not None
 
 
 def test_jump_step_requires_vector():

@@ -1,5 +1,6 @@
 """Register simulation: gates, exchange evolution, measurement, fidelity."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, sqrtm
 
 from conftest import (PAULIS, append_zero_oracle, embed, from_matrix, haar_state, kron_chain,
-                      norm_error, phase_aligned_maxdiff)
+                      multi_axis_marginal, norm_error, phase_aligned_maxdiff)
 from qdotsim.errors import StateError
 from qdotsim.qstate import (
     CNOT_MATRIX,
@@ -30,6 +31,7 @@ from qdotsim.qstate import (
     qubit_probabilities,
     reduced_density,
     state_fidelity,
+    vector_marginal,
 )
 
 SQ2 = 1 / math.sqrt(2)
@@ -77,6 +79,24 @@ def test_two_qubit_unitarity(kind):
 def test_rot_unitarity(ax, ay, az, angle):
     u = Gate("Rot", (0,), axis=(ax, ay, az), angle=angle).matrix()
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+
+
+def test_rot_about_an_axis_whose_norm_overflows_is_rescaled_not_zeroed():
+    # |[1e200, 0, 1]| overflows a float: the axis is divided by its largest
+    # entry first, so the gate turns about x instead of collapsing to cos(angle/2) * I
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        huge = apply_gate(QuantumState.zero(1), Gate("Rot", (0,), axis=[1e200, 0, 1], angle=3.0))
+    about_x = apply_gate(QuantumState.zero(1), Gate("Rot", (0,), axis=[1, 0, 0], angle=3.0))
+    assert np.max(np.abs(huge.data - about_x.data)) < 1e-15
+
+
+@given(axis=st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3)
+       .filter(lambda axis: np.linalg.norm(axis) >= 1e-12))
+@settings(max_examples=200, deadline=None)
+def test_an_axis_with_a_finite_norm_keeps_its_bits(axis):
+    norm = float(np.linalg.norm(axis))
+    assert Gate("Rot", (0,), axis=axis, angle=1.0).axis == tuple(a / norm for a in axis)
 
 
 @given(theta=st.floats(-20, 20))
@@ -523,3 +543,18 @@ def test_reduced_density_of_bell():
     s = apply_gate(s, Gate("CNOT", (0, 1)))
     rho = reduced_density(s, [0])
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
+
+
+@given(n=st.integers(1, 12), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_vector_marginal_equals_the_multi_axis_sum_bit_for_bit(n, data):
+    # amplitude magnitudes spread over ~155 decades, so the summation order
+    # shows in the rounding, and exact zeros with either sign bit
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n)) * 10.0 ** rng.uniform(-150, 5, 2**n)
+    psi[rng.random(2**n) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    bits = psi.view(np.uint64)
+    bits[(bits << np.uint64(1) == 0) & (rng.random(bits.size) < 0.5)] |= np.uint64(1 << 63)
+    qubit = data.draw(st.integers(0, n - 1))
+    assert np.array_equal(vector_marginal(psi, qubit).view(np.uint64),
+                          multi_axis_marginal(psi, n, qubit).view(np.uint64))

@@ -1464,6 +1464,27 @@ def test_cli_route_that_overflows_the_clock_exits_4(tmp_path, noise):
     assert not out_dir.exists()
 
 
+def test_cli_route_of_sub_ulp_hops_exits_4_naming_the_event(tmp_path):
+    # t_hop ~2e-306 s after an init that left the clock at 2e-11 s: each hop
+    # would leave the clock unchanged and book no time and no noise
+    scenario = {"schema_version": 1, "seed": 1,
+                "material": {"preset": "inas", "J_on": 1e290, "noise": {"enabled": True}},
+                "array": {"width": 3, "height": 1},
+                "program": [{"op": "init", "pos": [0, 0]},
+                            {"op": "route", "src": [0, 0], "dst": [2, 0]}]}
+    path = tmp_path / "sub_ulp.scenario"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "results"
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "state"
+    assert error["message"] == ("event 1 (route): 2.0678338483020017e-306 s is below one ulp "
+                                "of the clock at 2e-11 s")
+    assert not out_dir.exists()
+
+
 def test_cli_strict_exchange_over_a_huge_idle_exits_4(tmp_path):
     # J_off * 1e302 s / hbar overflows to an inf pulse area: the residual
     # exchange is refused instead of turning the register into NaN
