@@ -26,16 +26,7 @@ import numpy as np
 
 from .device import DotArray, MaterialParams, Pos
 from .errors import AdjacencyError, ProtocolError, RoutingError, StateError
-from .qstate import (
-    Gate,
-    QuantumState,
-    apply_gate,
-    as_rng,
-    measure,
-    project,
-    reduced_density,
-    require_ground,
-)
+from .qstate import as_rng, measure, reduced_density, require_ground
 
 BELL_PHI_PLUS = np.zeros(4, dtype=complex)
 BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
@@ -281,44 +272,6 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
         "p1": [p_phase, p_amp],
     }
     return report, array
-
-
-def teleport_branches(payload: QuantumState) -> list[dict]:
-    """Exhaustive check of all four classical branches for one payload.
-
-    Builds the three-qubit register (payload, EPR half A, EPR half B),
-    projects each measurement branch instead of sampling, applies the
-    conditional corrections, and reports fidelity with the payload."""
-    if not payload.is_vector or payload.n_qubits != 1:
-        raise StateError("payload must be a single-qubit vector state")
-    psi = np.zeros(8, dtype=complex)
-    # payload on qubit 0, |00> on (1, 2)
-    psi[0] = payload.data[0]
-    psi[4] = payload.data[1]
-    reg = QuantumState(psi, 3)
-    reg = apply_gate(reg, Gate("H", (1,)))
-    reg = apply_gate(reg, Gate("CNOT", (1, 2)))
-    reg = apply_gate(reg, Gate("CNOT", (0, 1)))
-    branches = []
-    for phase_bit in (0, 1):
-        for amp_bit in (0, 1):
-            p1, st = project(reg, 0, phase_bit, "X")
-            p2, st = project(st, 1, amp_bit, "Z")
-            if amp_bit:
-                st = apply_gate(st, Gate("X", (2,)))
-            if phase_bit:
-                st = apply_gate(st, Gate("Z", (2,)))
-            rho_b = reduced_density(st, [2])
-            fid = float(np.real(payload.data.conj() @ rho_b @ payload.data))
-            branches.append(
-                {
-                    "phase_bit": phase_bit,
-                    "amplitude_bit": amp_bit,
-                    "probability": p1 * p2,
-                    "fidelity": fid,
-                }
-            )
-    return branches
 
 
 def purify_fidelity(F: float) -> tuple[float, float]:

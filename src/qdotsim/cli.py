@@ -9,10 +9,12 @@ state errors, 64 unknown subcommand.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,6 @@ from .errors import (
     SchemaError,
     StateError,
 )
-from .qstate import QuantumState
 from .report import dumps_report
 
 EXIT_OK = 0
@@ -118,20 +119,16 @@ def _run_scenario(args) -> tuple[dict, dict]:
 
 
 def cmd_teleport(args) -> int:
+    """Run --scenario; enumerate the bundled teleport.scenario's branches, whatever it names."""
     _, report = _run_scenario(args)
-    payload_state = QuantumState.from_vector(
-        np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-    )
-    branch_check = channels.teleport_branches(payload_state)
-    payload = {
-        "run": report,
-        "branch_verification": {
-            "payload": "(|0> + i|1>)/sqrt(2)",
-            "branches": branch_check,
-            "min_fidelity": min(b["fidelity"] for b in branch_check),
-        },
-    }
-    _emit(payload, args.out)
+    teleport = resources.files("qdotsim") / "scenarios" / "teleport.scenario"
+    branch_check = [{"phase_bit": int(leaf["bits"][0]), "amplitude_bit": int(leaf["bits"][1]),
+                     "probability": leaf["probability"],
+                     "fidelity": leaf["fidelity_checks"][-1]["payload_fidelity"]}  # the teleport
+                    for leaf in scenario_mod.outcome_tree(json.loads(teleport.read_text()))]
+    _emit({"run": report, "branch_verification": {
+        "payload": "(|0> + i|1>)/sqrt(2)", "branches": branch_check,
+        "min_fidelity": min(b["fidelity"] for b in branch_check)}}, args.out)
     return EXIT_OK
 
 

@@ -286,24 +286,8 @@ def vector_marginal(psi: np.ndarray, qubit: int) -> np.ndarray:
     return (np.abs(psi.reshape(2**qubit, 2, -1)) ** 2).sum(axis=(0, 2))
 
 
-def project(
-    state: QuantumState, qubit: int, outcome: int, basis: str = "Z"
-) -> tuple[float, QuantumState]:
-    """Project one qubit onto a basis outcome; returns (probability, state).
-
-    Raises if the branch has (numerically) zero weight.
-    """
-    if basis not in ("Z", "X"):
-        raise StateError(f"unsupported basis {basis!r}")
-    if outcome not in (0, 1):
-        raise StateError(f"outcome must be 0 or 1, got {outcome}")
-    work = apply_gate(state, Gate("H", (qubit,))) if basis == "X" else state
-    p = float(qubit_probabilities(work, qubit)[outcome])
-    return p, _collapse(work, qubit, outcome, p, basis)
-
-
 def _collapse(work: QuantumState, qubit: int, outcome: int, p: float, basis: str) -> QuantumState:
-    """project() after `work` is rotated into `basis` and its Born weight p is known."""
+    """`work`, rotated into `basis`, projected onto `outcome` of Born weight p >= 1e-12."""
     if p < 1e-12:
         raise StateError(f"branch ({basis}, {outcome}) has probability {p}")
     n = work.n_qubits

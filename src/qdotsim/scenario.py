@@ -8,6 +8,12 @@ executes; a malformed file produces no output at all.
 Replaying the same scenario with the same seed yields byte-identical
 reports: all randomness comes from per-(shot, event) split streams and all
 numbers are serialized with fixed 17-significant-digit formatting.
+
+outcome_tree walks every branch of a run instead of sampling one: a stand-in
+stream forces each Born draw an op reports (a misread is one more) below and
+then above its threshold p, weighting the branches by p and 1 - p. A run whose
+noise draws (vector noise; matrix noise is exact and draws nothing) is
+refused, as is one of more than TREE_LEAF_CAP leaves.
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ from .device import (REPRESENTATIONS, ROLES, DotArray, MaterialParams, NoisePara
                      inas_material, si_material)
 from .errors import QdotsimError, SchemaError, StateError
 from .qstate import Gate, _is_number, draw_readout, state_fidelity
-from .report import digest, dumps_report, first_uniforms, stream
+from .report import _Stream, digest, dumps_report, first_uniforms, stream
 
 SCHEMA_VERSION = 1
 
@@ -113,10 +119,10 @@ def build_material(spec) -> MaterialParams:
 # Each shot calls run(array, event, at, rng), `at` mapping a field to its
 # position or list of positions. A dict returned by run holds the event's
 # report fields; anything else (DotArray methods return the array) means none.
-# A random op's dict also lists its Born draws for the shot walk: `draws` holds
-# one (column, p1, readout_error) per measured bit, drawn by draw_readout from
-# the doubles of `rng` starting at that column. Library functions are looked up
-# on their module at call time.
+# A random op's dict also lists its Born draws for the shot walk and outcome_tree:
+# `draws` holds one (column, p1, readout_error) per measured bit, in the order drawn
+# by draw_readout from the doubles of `rng` starting at that column; no other draw
+# of `rng` is compared. Library functions are looked up on their module at call time.
 
 
 class _Op(NamedTuple):
@@ -220,9 +226,9 @@ _OPS: dict[str, _Op] = {
 
 # -- the analytics kinds ------------------------------------------------------
 #
-# Each kind maps to one function (request, material) -> report fields. Every
-# request field except `kind` is a number; `thresholds` is a list of them and
-# the _COUNTS fields are integers.
+# Each kind maps to the request fields it reads and one function (request,
+# material) -> report fields. A request holds no other field but `kind`; each
+# is a number, `thresholds` a list of them and the _COUNTS fields integers.
 
 
 def resources_report(material: MaterialParams, rabi_period: float,
@@ -261,27 +267,25 @@ def _max_distance(request: dict, material: MaterialParams) -> dict:
     }
 
 
-_ANALYTICS: dict[str, Callable[[dict, MaterialParams], dict]] = {
-    "resources": lambda request, material: resources_report(
+_ANALYTICS: dict[str, tuple[tuple[str, ...], Callable[[dict, MaterialParams], dict]]] = {
+    "resources": (("rabi_period", "load_ohms", "dE_in"), lambda request, material: resources_report(
         material, float(request.get("rabi_period", material.rabi_period)),
-        float(request.get("load_ohms", 50.0)), float(request.get("dE_in", 0.1e-3))),
-    "lambda": _lambda,
-    "swap_channel": partial(_line, "swap"),
-    "tunnel_channel": partial(_line, "tunnel"),
-    "max_distance": _max_distance,
-    "teleport_bandwidth": lambda request, material: {"report": channels.teleport_bandwidth(
-        float(request.get("distance_m", 0.01)),
-        material,
-        request.get("rounds", 0),
-        float(request.get("fidelity_threshold", 1e-4)),
-    )},
-    "pulse_budget": lambda request, material: {"report": qec.pulse_budget(
-        material, request.get("pulses_per_cycle", 500))},
-    "zeeman_ratio": lambda request, material: {
+        float(request.get("load_ohms", 50.0)), float(request.get("dE_in", 0.1e-3)))),
+    "lambda": (("t_op", "T2"), _lambda),
+    "swap_channel": (("length_qubits", "t_hop", "lambda"), partial(_line, "swap")),
+    "tunnel_channel": (("length_qubits", "t_hop", "lambda"), partial(_line, "tunnel")),
+    "max_distance": (("lambda", "thresholds"), _max_distance),
+    "teleport_bandwidth": (("distance_m", "rounds", "fidelity_threshold"),
+                           lambda request, material: {"report": channels.teleport_bandwidth(
+        float(request.get("distance_m", 0.01)), material, request.get("rounds", 0),
+        float(request.get("fidelity_threshold", 1e-4)))}),
+    "pulse_budget": (("pulses_per_cycle",), lambda request, material: {"report": qec.pulse_budget(
+        material, request.get("pulses_per_cycle", 500))}),
+    "zeeman_ratio": (("g_small", "g_large"), lambda request, material: {
         "field_ratio": pulses.equal_splitting_field_ratio(
             float(request.get("g_small", 0.44)), float(request.get("g_large", 15.0))),
         "note": "exact equal-splitting field ratio; commonly rounded to '30x'",
-    },
+    }),
 }
 _COUNTS = ("length_qubits", "rounds", "pulses_per_cycle")
 
@@ -371,6 +375,8 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
         _require(isinstance(kind, str) and kind in _ANALYTICS,
                  "analytics entry {}: unknown kind {!r}", i, kind)
         for key, value in request.items():
+            _require(key == "kind" or key in _ANALYTICS[kind][0],
+                     "analytics entry {} ({}): unknown field {!r}", i, kind, key)
             if key == "thresholds":
                 ok = isinstance(value, list) and all(_is_number(v) for v in value)
             else:
@@ -393,12 +399,11 @@ def run_scenario(
         raise SchemaError(f"seed must be >= 0, got {seed_override}")
     seed = int(seed_override if seed_override is not None else scenario["seed"])
     strict_flag = bool(scenario.get("strict", False) if strict is None else strict)
-    section = scenario["array"]
     analytics = []
     for i, request in enumerate(scenario.get("analytics", [])):
         try:
             analytics.append({"kind": request["kind"],
-                              **_ANALYTICS[request["kind"]](request, material)})
+                              **_ANALYTICS[request["kind"]][1](request, material)})
         except StateError as exc:
             raise SchemaError(f"analytics entry {i} ({request['kind']}): {exc}") from exc
 
@@ -410,10 +415,7 @@ def run_scenario(
     # their uniforms. If the array's stream drew, or the event's own did without
     # reporting draws, every other shot stays. Groups run lowest shot first, so
     # shot 0 writes the log and the lowest failing shot raises.
-    array = DotArray(section["width"], section["height"], material, roles=roles,
-                     representation=section.get("representation", "vector"),
-                     strict=strict_flag, seed=stream(seed, 0, 0xFFFF),
-                     t2_overrides=t2_overrides)
+    array = _new_array(scenario, material, roles, t2_overrides, strict_flag, seed)
     event_log: list[dict] = []
     records = np.empty(shots, object)
     # (lowest shot, next event, array, shots, their bits, their uniforms at that event);
@@ -423,16 +425,9 @@ def run_scenario(
         rep, start, array, ids, bits, uniforms = heapq.heappop(groups)
         for index in range(start, len(steps)):
             spec, event, at = steps[index]
-            work = array
-            if len(ids) > 1:  # a twin: events replace the register, never write it
-                work = object.__new__(type(array))
-                work.__dict__.update(array.__dict__, qubit_positions=list(array.qubit_positions))
+            work = _twin(array) if len(ids) > 1 else array
             rng, clock_before = stream(seed, rep, index), work.clock
-            try:
-                result = spec.run(work, event, at, rng)
-            except QdotsimError as exc:
-                raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
-            result = result if isinstance(result, dict) else {}
+            result = _run_event(index, spec, event, at, work, rng)
             measurements, draws = result.get("measurements"), result.get("draws", ())
             if rep == 0:
                 event_log.append({
@@ -489,6 +484,78 @@ def run_scenario(
 
 
 _SHOT_CHUNK = 4096  # shots per first_uniforms call, so its arrays stay small at any count
+TREE_LEAF_CAP = 2**12  # leaves outcome_tree enumerates before it refuses a run
+
+
+def _new_array(scenario: dict, material, roles, t2_overrides, strict: bool, seed: int) -> DotArray:
+    """The fresh array a run starts from, its noise drawn from stream (seed, 0, 0xFFFF)."""
+    section = scenario["array"]
+    return DotArray(section["width"], section["height"], material, roles=roles,
+                    representation=section.get("representation", "vector"), strict=strict,
+                    seed=stream(seed, 0, 0xFFFF), t2_overrides=t2_overrides)
+
+
+def _twin(array: DotArray) -> DotArray:
+    """A copy to run events on: they replace the register, never write it."""
+    work = object.__new__(type(array))
+    work.__dict__.update(array.__dict__, qubit_positions=list(array.qubit_positions))
+    return work
+
+
+def _run_event(index: int, spec: _Op, event: dict, at: dict, work: DotArray, rng) -> dict:
+    """Run one program step on `work`: its report fields, or a QdotsimError naming the event."""
+    try:
+        result = spec.run(work, event, at, rng)
+    except QdotsimError as exc:
+        raise type(exc)(f"event {index} ({event['op']}): {exc}") from exc
+    return result if isinstance(result, dict) else {}
+
+
+class _Forced(_Stream):
+    """outcome_tree's stand-in for an event's stream: its key maps a column to
+    its forced double; any other is 0.5, the likelier outcome of a Born draw."""
+
+    def generator(self) -> "_Forced":
+        self._rng = self._rng or 0  # built: the count of doubles drawn
+        return self
+
+    def random(self, k: int) -> np.ndarray:
+        self._rng = (self._rng or 0) + k
+        return np.array([self._key.get(c, 0.5) for c in range(self._rng - k, self._rng)])
+
+
+def outcome_tree(scenario: dict) -> list[dict]:
+    """Every branch of a run's Born draws, walked through the same ops as
+    run_scenario: one {"bits", "probability", "fidelity_checks"} per leaf,
+    depth first and outcome 0 first, the checks listing each event's or None."""
+    material, roles, t2_overrides, steps = validate_scenario(scenario)
+    array = _new_array(scenario, material, roles, t2_overrides,
+                       scenario.get("strict", False), scenario["seed"])
+    leaves, stack = [], [(0, 1.0, array, "", [], {})]
+    while stack:
+        index, weight, array, bits, checks, forced = stack.pop()
+        if index == len(steps):
+            leaves.append({"bits": bits, "probability": weight, "fidelity_checks": checks})
+            continue
+        (spec, event, at), work, rng = steps[index], _twin(array), _Forced(forced)
+        result = _run_event(index, spec, event, at, work, rng)
+        _require(not (work._rng.built or rng.built and "draws" not in result),
+                 "event {} ({}): draws besides its reported Born draws (vector noise), "
+                 "so its outcomes cannot be enumerated", index, event["op"])
+        undecided = [(c, p) for column, p1, error in result.get("draws", ())
+                     for c, p in ((column, p1), (column + 1, error))  # a misread: one more draw
+                     if c not in forced and 0 < p < 1]
+        if not undecided:
+            bits += "".join(map(str, result.get("measurements") or ()))
+            checks = checks + [result.get("fidelity_checks")]
+            stack.append((index + 1, weight, work, bits, checks, {}))
+            continue
+        column, p = undecided[0]  # 0.0 is below p, the largest double below 1 is not
+        stack += [(index, weight * w, array, bits, checks, {**forced, column: u})
+                  for u, w in ((0.0, p), (1 - 2**-53, 1 - p)) if w > 1e-12]  # _collapse's floor
+        _require(len(leaves) + len(stack) <= TREE_LEAF_CAP,  # each entry ends in a leaf
+                 "event {} ({}): over {} outcome branches", index, event["op"], TREE_LEAF_CAP)
+    return leaves
 
 
 def write_report(report: dict, out_dir: str | Path) -> tuple[Path, Path]:

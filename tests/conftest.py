@@ -372,6 +372,44 @@ def run_shots_eagerly(scenario: dict, shots: int) -> dict:
             "events": events}
 
 
+def rot_matrix(axis, angle: float) -> np.ndarray:
+    """Rot(axis, angle) = cos(angle/2) I - i sin(angle/2) n.sigma, built from
+    the Pauli matrices here, not from qstate.Gate."""
+    n = np.asarray(axis, float) / np.linalg.norm(axis)
+    return math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * sum(
+        c * PAULIS[k] for c, k in zip(n, "XYZ"))
+
+
+def teleport_scenario(axis, angle: float) -> dict:
+    """The bundled teleport.scenario with its payload prepared by one Rot gate."""
+    scenario = scenario_mod.load_scenario("teleport.scenario")
+    scenario["program"] = [event for event in scenario["program"] if event["op"] != "gate"]
+    scenario["program"].insert(3, {"op": "gate", "kind": "Rot", "targets": [[0, 0]],
+                                   "axis": [float(a) for a in axis], "angle": float(angle)})
+    return scenario
+
+
+def teleport_branches_oracle(payload: np.ndarray) -> dict:
+    """{(phase_bit, amplitude_bit): (probability, fidelity)} of teleporting a
+    one-qubit payload on (payload, EPR half a, EPR half b), with kron-built
+    operators and a projector per branch in place of draws: CNOT payload -> a,
+    the payload read in X and a in Z, then X^amplitude and Z^phase on b."""
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    psi = embed(cnot, (0, 1), 3) @ np.kron(payload, np.array([1, 0, 0, 1]) / math.sqrt(2))
+    branches = {}
+    for phase_bit in (0, 1):
+        for amp_bit in (0, 1):
+            ket = H[:, phase_bit]  # |+> or |->
+            fix = (Z if phase_bit else I2) @ (X if amp_bit else I2)  # X first, then Z
+            branch = kron_chain(np.outer(ket, ket.conj()), np.diag([1 - amp_bit, amp_bit]),
+                                fix) @ psi
+            p = float(np.vdot(branch, branch).real)
+            b = branch.reshape(4, 2)  # rows (payload, a), columns b
+            rho_b = b.T @ b.conj() / p
+            branches[phase_bit, amp_bit] = p, float(np.real(payload.conj() @ rho_b @ payload))
+    return branches
+
+
 def canonical_json_oracle(obj, indent: int = 0) -> str:
     """report.canonical_json as it was before leaves were dispatched on their
     exact type and int-list lists formatted in one pass: one isinstance

@@ -14,14 +14,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import haar_state, idle_trajectory, norm_error, phase_aligned_maxdiff
+from conftest import (haar_state, idle_trajectory, norm_error, phase_aligned_maxdiff,
+                      teleport_scenario)
 from qdotsim.channels import (
     channel_lambda,
     line_report,
     max_channel_distance,
     purify_fidelity,
     teleport_bandwidth,
-    teleport_branches,
 )
 from qdotsim.device import inas_material
 from qdotsim.noise import NoiseParams, idle_window
@@ -40,7 +40,7 @@ from qdotsim.qstate import (
 )
 from qdotsim.qstate import SWAP_MATRIX
 from qdotsim.report import dumps_report
-from qdotsim.scenario import load_scenario, run_scenario
+from qdotsim.scenario import load_scenario, outcome_tree, run_scenario
 from test_channels import oracle_shortest_empty_path, purify_oracle, fresh_array
 from test_qstate import _random_gate
 
@@ -140,16 +140,18 @@ def test_criterion_04_tunneling_channel():
 
 
 def test_criterion_05_teleportation():
-    with criterion(5, "teleportation exact on all 4 branches and 100 Haar payloads"):
+    with criterion(5, "teleportation exact on all 4 branches and 100 random payloads"):
         with budget(10.0):
             rng = np.random.default_rng(505)
             worst = 1.0
-            for index in range(100):
-                payload = haar_state(1, rng)
-                branches = teleport_branches(payload)
-                assert len(branches) == 4
-                worst = min(worst, min(b["fidelity"] for b in branches))
-            assert worst >= 1 - 1e-9
+            for index in range(100):  # a payload Rot(axis, angle)|0>, every branch enumerated
+                leaves = outcome_tree(teleport_scenario(rng.normal(size=3),
+                                                        rng.uniform(-2 * np.pi, 2 * np.pi)))
+                assert [leaf["bits"] for leaf in leaves] == ["00", "01", "10", "11"]
+                assert all(abs(leaf["probability"] - 0.25) <= 1e-10 for leaf in leaves)
+                worst = min(worst, *(leaf["fidelity_checks"][-1]["payload_fidelity"]
+                                     for leaf in leaves))
+            assert worst > 1 - 1e-9
 
 
 def test_criterion_06_purification():

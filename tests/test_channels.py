@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_state, hop_oracle, kron_chain, route_oracle
+from conftest import (haar_state, hop_oracle, kron_chain, rot_matrix, route_oracle,
+                      teleport_branches_oracle, teleport_scenario)
 from qdotsim import channels
 from qdotsim.channels import (
     BELL_PHI_PLUS,
@@ -22,11 +23,11 @@ from qdotsim.channels import (
     run_tunnel_route,
     teleport,
     teleport_bandwidth,
-    teleport_branches,
 )
 from qdotsim.device import DotArray, inas_material
 from qdotsim.errors import ProtocolError, QdotsimError, RoutingError, StateError
 from qdotsim.noise import NoiseParams
+from qdotsim.scenario import outcome_tree
 from qdotsim.qstate import (QuantumState, as_rng, qubit_probabilities, reduced_density,
                             state_fidelity)
 
@@ -501,15 +502,20 @@ def test_teleport_plus_i_payload_seeded_runs():
 
 
 def test_teleport_exhaustive_branches_random_payloads(rng):
+    # every branch of the teleport op, enumerated by the scenario engine, against
+    # the kron-built oracle of the protocol
     for _ in range(100):
-        payload = haar_state(1, rng)
-        branches = teleport_branches(payload)
-        assert len(branches) == 4
-        total_p = sum(b["probability"] for b in branches)
-        assert total_p == pytest.approx(1.0, abs=1e-10)
-        for b in branches:
-            assert b["probability"] == pytest.approx(0.25, abs=1e-10)
-            assert b["fidelity"] > 1 - 1e-9
+        axis, angle = rng.normal(size=3), rng.uniform(-2 * np.pi, 2 * np.pi)
+        leaves = outcome_tree(teleport_scenario(axis, angle))
+        oracle = teleport_branches_oracle(rot_matrix(axis, angle)[:, 0])
+        assert sorted(leaf["bits"] for leaf in leaves) == ["00", "01", "10", "11"]
+        assert sum(leaf["probability"] for leaf in leaves) == pytest.approx(1.0, abs=1e-10)
+        for leaf in leaves:
+            p, fidelity = oracle[int(leaf["bits"][0]), int(leaf["bits"][1])]
+            assert leaf["probability"] == pytest.approx(0.25, abs=1e-10)
+            assert leaf["probability"] == pytest.approx(p, abs=1e-10)
+            assert leaf["fidelity_checks"][-1]["payload_fidelity"] > 1 - 1e-9
+            assert fidelity > 1 - 1e-9
 
 
 def test_teleport_destroys_payload():

@@ -27,7 +27,6 @@ from qdotsim.qstate import (
     apply_gate,
     exchange_unitary,
     measure,
-    project,
     qubit_probabilities,
     reduced_density,
     state_fidelity,
@@ -389,10 +388,13 @@ def test_measure_matches_the_projector_oracle(n, qubit_seed, prep, basis, matrix
     assert np.max(np.abs(got[2].data - post)) < 1e-10  # collapsed onto the true outcome
 
 
-def test_project_zero_branch_raises():
-    s = QuantumState.zero(1)
-    with pytest.raises(StateError):
-        project(s, 0, 1, "Z")
+def test_measure_zero_branch_raises():
+    # a draw below a p1 under 1e-12 picks a branch of no weight: _collapse refuses it
+    for p1 in (1e-13, 1e-30):
+        s = QuantumState.from_vector([math.sqrt(1 - p1), math.sqrt(p1)])
+        for state in (s, s.to_density()):
+            with pytest.raises(StateError, match="probability"):
+                measure(state, 0, "Z", lambda k: np.zeros(k))
 
 
 # ---------------------------------------------------------------------------

@@ -1373,6 +1373,32 @@ def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("request_", [{"kind": "max_distance", "threshold": 1e-9},
+                                      {"kind": "swap_channel", "length_qubit": 3}],
+                         ids=["max-distance-threshold", "swap-channel-length-qubit"])
+def test_cli_analytics_field_the_kind_does_not_read_exits_2(tmp_path, request_):
+    # each was ignored before: the report quoted the default thresholds or 10 qubits
+    scenario = copy.deepcopy(BELL)
+    scenario["analytics"] = [{"kind": "resources"}, request_]
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(scenario))
+    proc = run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "results"))
+    assert proc.returncode == 2
+    field = next(key for key in request_ if key != "kind")
+    assert json.loads(proc.stderr)["message"] == (
+        f"analytics entry 1 ({request_['kind']}): unknown field {field!r}")
+    assert not (tmp_path / "results").exists()
+
+
+def test_every_analytics_field_a_kind_reads_validates():
+    for kind, (fields, _) in scenario_mod._ANALYTICS.items():
+        request = {key: [1e-4] if key == "thresholds" else 1 if key in scenario_mod._COUNTS
+                   else 0.5 for key in fields}
+        scenario = copy.deepcopy(BELL)
+        scenario["analytics"] = [{"kind": kind, **request}]
+        validate_scenario(scenario)
+
+
 def test_cli_subnormal_material_t2_in_resources_names_the_entry(tmp_path):
     scenario = copy.deepcopy(BELL)
     scenario["material"] = {"preset": "inas", "noise": {"T2": 5e-324}}
@@ -1602,6 +1628,17 @@ def test_cli_teleport_reports_branches():
     branches = payload["branch_verification"]["branches"]
     assert len(branches) == 4
     assert payload["branch_verification"]["min_fidelity"] > 1 - 1e-9
+    # the bundled teleport.scenario's branches, enumerated by the scenario engine
+    assert [(b["phase_bit"], b["amplitude_bit"]) for b in branches] == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(abs(b["probability"] - 0.25) <= 1e-12 for b in branches)
+    assert abs(sum(b["probability"] for b in branches) - 1) <= 1e-12
+    leaves = scenario_mod.outcome_tree(TELEPORT)
+    assert [b["fidelity"] for b in branches] == [
+        leaf["fidelity_checks"][-1]["payload_fidelity"] for leaf in leaves]
+    # whatever --scenario names
+    other = json.loads(run_cli("teleport", "--scenario", "bell.scenario").stdout)
+    assert other["branch_verification"] == payload["branch_verification"]
 
 
 def test_cli_qec_noiseless():
