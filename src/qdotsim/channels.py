@@ -21,6 +21,7 @@ measurements, keep on agreement).
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -129,8 +130,10 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     +x,+y,-x,-y: the one a FIFO breadth-first search expanding in that order
     finds. If a monotone path exists, all shortest paths are monotone, and a
     depth-first walk in the src-dst rectangle, trying the steps toward dst
-    in rank order and backing out of dead ends, finds it; else the search
-    runs in a box around the rectangle that grows until it must hold the path."""
+    in rank order and backing out of dead ends, finds it; when nothing blocks
+    it, that walk is the L along the first-ranked step, then the other, so the
+    L is tried first. Else the search runs in a box around the rectangle that
+    grows until it must hold the path."""
     array._pos_check(src)
     array._pos_check(dst)
     occupied = set(array.qubit_positions)
@@ -143,7 +146,15 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
         raise RoutingError(f"destination dot {dst} cannot host an electron")
     sx, sy = (dst[0] > src[0]) - (dst[0] < src[0]), (dst[1] > src[1]) - (dst[1] < src[1])
     toward = [step for step in ((1, 0), (0, 1), (-1, 0), (0, -1)) if step in ((sx, 0), (0, sy))]
-    path, dead = [src], set()
+    # The walk's L: toward[0] to dst's row or column, then toward[1]. Up to the
+    # L's first blocked cell the walk takes no other step, so it starts there.
+    xs, ys = range(src[0], dst[0], sx or 1), range(src[1], dst[1], sy or 1)  # empty if level
+    path = ([*zip(xs, repeat(src[1])), *zip(repeat(dst[0]), ys), dst] if toward[0][0]
+            else [*zip(repeat(src[0]), ys), *zip(xs, repeat(dst[1])), dst])
+    hits = blocked.intersection(path[1:])
+    if not hits:
+        return path
+    path, dead = path[:min(map(path.index, hits))], set()
     while path and path[-1] != dst:
         x, y = path[-1]
         for dx, dy in toward:

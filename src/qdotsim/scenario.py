@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
-import math
 import sys
 from collections import Counter
 from functools import partial
@@ -67,15 +66,6 @@ def _require(cond: bool, msg: str, *args) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _all_finite(obj) -> bool:
-    """No float anywhere in a parsed JSON value is inf or nan."""
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, (list, tuple)):
-        return all(map(_all_finite, obj))
-    return not isinstance(obj, float) or math.isfinite(obj)
 
 
 def build_material(spec) -> MaterialParams:
@@ -290,15 +280,23 @@ _ANALYTICS: dict[str, tuple[tuple[str, ...], Callable[[dict, MaterialParams], di
 _COUNTS = ("length_qubits", "rounds", "pulses_per_cycle")
 
 
-def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]:
+def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list, str]:
     """Full static validation; raises SchemaError before any execution.
-    Returns what it parsed: the material, the dot roles, the T2 overrides
-    and one (op spec, event, positions) step per program event."""
+    Returns what it parsed: the material, the dot roles, the T2 overrides,
+    one (op spec, event, positions) step per program event, and the
+    scenario's canonical JSON text, which the report digests."""
     _require(scenario.get("schema_version") == SCHEMA_VERSION,
              "schema_version must be {}", SCHEMA_VERSION)
     _require(_is_int(scenario.get("seed")) and scenario["seed"] >= 0,
              "seed is mandatory and must be a non-negative integer (no wall-clock entropy)")
-    _require(_all_finite(scenario), "scenario holds a non-finite number (inf or nan)")
+    try:
+        text = json.dumps(scenario, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        try:  # the text that allows inf and nan tells them from what JSON cannot hold
+            json.dumps(scenario, sort_keys=True)
+        except (TypeError, ValueError) as inner:
+            raise SchemaError(f"scenario is not JSON data: {inner}") from inner
+        raise SchemaError("scenario holds a non-finite number (inf or nan)") from exc
     _require(isinstance(scenario.get("strict", False), bool), "strict must be true or false")
     material = build_material(scenario.get("material", "inas"))
     array = scenario.get("array")
@@ -382,7 +380,7 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list]
             else:
                 ok = key == "kind" or (_is_int if key in _COUNTS else _is_number)(value)
             _require(ok, "analytics entry {} ({}): bad {} {!r}", i, kind, key, value)
-    return material, roles, t2_overrides, steps
+    return material, roles, t2_overrides, steps, text
 
 
 def run_scenario(
@@ -392,7 +390,7 @@ def run_scenario(
     strict: bool | None = None,
 ) -> dict:
     """Validate and execute a scenario; returns the full run report."""
-    material, roles, t2_overrides, steps = validate_scenario(scenario)
+    material, roles, t2_overrides, steps, text = validate_scenario(scenario)
     if not 1 <= shots <= 2**32:  # first_uniforms takes shot ids below 2**32
         raise SchemaError(f"shots must be in [1, 2**32], got {shots}")
     if seed_override is not None and seed_override < 0:
@@ -467,7 +465,7 @@ def run_scenario(
     shot_records = records.tolist()
     return {
         "schema_version": SCHEMA_VERSION,
-        "scenario_digest": digest(json.dumps(scenario, sort_keys=True)),
+        "scenario_digest": digest(text),
         "seed": seed,
         "shots": shots,
         "strict": strict_flag,
@@ -528,7 +526,7 @@ def outcome_tree(scenario: dict) -> list[dict]:
     """Every branch of a run's Born draws, walked through the same ops as
     run_scenario: one {"bits", "probability", "fidelity_checks"} per leaf,
     depth first and outcome 0 first, the checks listing each event's or None."""
-    material, roles, t2_overrides, steps = validate_scenario(scenario)
+    material, roles, t2_overrides, steps, _ = validate_scenario(scenario)
     array = _new_array(scenario, material, roles, t2_overrides,
                        scenario.get("strict", False), scenario["seed"])
     leaves, stack = [], [(0, 1.0, array, "", [], {})]

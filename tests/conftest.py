@@ -339,7 +339,7 @@ def run_shots_eagerly(scenario: dict, shots: int) -> dict:
     np.random.default_rng([seed, shot, i]) for event i and [seed, shot,
     0xFFFF] for the array. Returns the run_scenario report fields
     measurement_records, measurement_counts and events (shot 0's log)."""
-    material, roles, t2_overrides, steps = scenario_mod.validate_scenario(scenario)
+    material, roles, t2_overrides, steps, _ = scenario_mod.validate_scenario(scenario)
     seed = scenario["seed"]
     section = scenario["array"]
     records, events = [], []

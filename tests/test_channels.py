@@ -271,6 +271,14 @@ def test_route_equals_the_oracle_on_large_sparse_grids(width, height, data):
      [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0)]),
     # a -x/+y route: +y ranks before -x
     ([(3, 0)], [], (0, 2), [(3, 0), (3, 1), (3, 2), (2, 2), (1, 2), (0, 2)]),
+    # the +x-then-+y L blocked at its first cell: the walk turns +y at once
+    ([(0, 0)], [(1, 0)], (3, 2), [(0, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]),
+    # the L blocked at its corner by a qubit: the walk turns one cell early
+    ([(0, 0), (3, 0)], [], (3, 2), [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]),
+    # the L blocked next to dst: the corner is a dead end, the walk backs out
+    ([(0, 0)], [(3, 1)], (3, 2), [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 2)]),
+    # a straight route blocked: no monotone path, the breadth-first detour
+    ([(0, 1)], [(2, 1)], (3, 1), [(0, 1), (1, 1), (1, 2), (2, 2), (3, 2), (3, 1)]),
 ])
 def test_route_branches_take_the_lexicographically_first_shortest_path(
         occupied, readouts, dst, path):

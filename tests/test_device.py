@@ -463,7 +463,9 @@ def test_advance_of_k_windows_equals_k_advances(data):
     # the register's bytes, clock, energy and generator state, or the same
     # error after the same windows: vector and matrix registers, ground and
     # excited ones, strict on and off, noise on and off, a coupled pair or
-    # none, T2 overrides, and a clock or an energy that overflows part way
+    # none, T2 overrides, and a clock or an energy that overflows part way;
+    # runs of up to 64 windows, one clock starting 5 ulps below 2**33, where a
+    # 2**-20 s window is absorbed from the sixth on
     cells = [(x, y) for y in range(2) for x in range(3)]
     qubits = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
     pairs = [(a, b) for a in qubits for b in qubits if DotArray.adjacent(a, b)]
@@ -477,9 +479,10 @@ def test_advance_of_k_windows_equals_k_advances(data):
                                          st.sampled_from(qubits)), max_size=2))
     representation = data.draw(st.sampled_from(["vector", "matrix"]))
     strict, seed = data.draw(st.booleans()), data.draw(st.integers(0, 2**32))
-    duration = data.draw(st.one_of(st.floats(0.0, 3 * t1), st.just(6e307)))
+    duration = data.draw(st.one_of(st.floats(0.0, 3 * t1), st.just(6e307), st.just(2.0**-20)))
     energy = data.draw(st.sampled_from([0.0, 1e-20, 6e307]))
-    windows = data.draw(st.integers(1, 6))
+    windows = data.draw(st.integers(1, 64))
+    start = data.draw(st.sampled_from([None, 2.0**33 - 5 * 2.0**-20]))
 
     def outcome(run) -> tuple:
         quiet = replace(inas_material(), noise=replace(noise, enabled=False))
@@ -490,6 +493,7 @@ def test_advance_of_k_windows_equals_k_advances(data):
         for kind, q in gates:
             array.apply_gate_at(kind, [q])
         array.material = replace(quiet, noise=noise)
+        array.clock = array.clock if start is None else start
         try:
             result = run(array)
         except QdotsimError as exc:

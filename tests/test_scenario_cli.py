@@ -591,7 +591,7 @@ def test_run_reports_are_pinned():
 
 def _final_array(scenario):
     """Shot 0 of a scenario run step by step, returning its array."""
-    material, roles, t2_overrides, steps = validate_scenario(scenario)
+    material, roles, t2_overrides, steps, _ = validate_scenario(scenario)
     section = scenario["array"]
     array = DotArray(section["width"], section["height"], material, roles=roles,
                      representation=section["representation"], strict=scenario["strict"],
@@ -1294,6 +1294,27 @@ def test_cli_rejects_non_finite_and_bool_inputs(tmp_path, mutate):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda s: s.update(note={1, 2}), id="set"),
+    pytest.param(lambda s: s.update(seed=10**5000), id="seed-past-the-digit-limit",
+                 marks=pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                                          reason="this Python prints ints of any length")),
+])
+def test_a_scenario_json_cannot_hold_is_refused_before_any_event(monkeypatch, mutate):
+    # both used to run every event and then raise from the report's digest
+    scenario = copy.deepcopy(BELL)
+    mutate(scenario)
+    with pytest.raises(SchemaError, match="^scenario is not JSON data: "):
+        validate_scenario(scenario)
+
+    def no_event(*args):
+        raise AssertionError("an event ran")
+
+    monkeypatch.setattr(scenario_mod, "_run_event", no_event)
+    with pytest.raises(SchemaError, match="^scenario is not JSON data"):
+        run_scenario(scenario)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -1639,6 +1660,17 @@ def test_cli_teleport_reports_branches():
     # whatever --scenario names
     other = json.loads(run_cli("teleport", "--scenario", "bell.scenario").stdout)
     assert other["branch_verification"] == payload["branch_verification"]
+
+
+def test_cli_teleport_strict_exits_3_at_the_epr_ground_check():
+    # the residual exchange J_off between (0, 0) and (1, 0) acts through the
+    # payload's H and S windows (a pulse area of ~0.57) and moves amplitude
+    # onto the EPR qubit before make_epr checks that it is in |0>
+    proc = run_cli("teleport", "--strict")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "physics", "message": "event 5 (epr): qubit at (1, 0) is not in |0>"}
 
 
 def test_cli_qec_noiseless():
