@@ -4,8 +4,9 @@ Reports must be byte-identical across runs and platforms for a fixed
 scenario and seed, so floats are printed with a fixed 17-significant-digit
 format (which round-trips IEEE doubles exactly) and dictionary keys are
 sorted. RNG streams are split per event index so that inserting an event
-does not perturb the randomness of later events; each builds its generator
-on first use; `first_uniforms` gives many streams' first draws at once.
+does not perturb the randomness of later events. A lazy `stream` builds its
+generator on first use; `first_uniforms` gives many streams' first draws at
+once, bit for bit, so a multi-shot group's lowest shot reads its batch row.
 """
 from __future__ import annotations
 
@@ -98,9 +99,10 @@ class _Stream:
         return self._rng
 
     def __getattr__(self, name):
-        if name.startswith("_"):  # e.g. copy's probes, and slots not yet set
-            raise AttributeError(name)
-        return getattr(self.generator(), name)
+        rng = self if name.startswith("_") else self.generator()  # e.g. copy's probes, unset slots
+        if rng is self:  # a stand-in that is its own generator has only its own methods
+            raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
+        return getattr(rng, name)
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -111,34 +113,45 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 _M32, _U32, _U64 = 0xFFFFFFFF, np.uint32, np.uint64
 _PCG_HI, _PCG_LO = _U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645)  # LCG multiplier
+_S16, _S32, _LOW32, _MX, _MY = _U32(16), _U64(32), _U64(_M32), _U32(0xCA01F9DD), _U32(0x4973F715)
+_LO_0, _LO_1 = _PCG_LO & _LOW32, _PCG_LO >> _S32  # the multiplier's low half in 32-bit limbs
 
 
 @lru_cache(maxsize=None)
-def _hash_consts(init: int, mult: int, n: int) -> tuple[int, ...]:
-    """SeedSequence's running hash multiplier before each of n calls and after the last."""
-    return tuple(init * pow(mult, i, 1 << 32) & _M32 for i in range(n + 1))
+def _mix_consts(words: int) -> list[np.ndarray]:
+    """Read-only typed (xor, multiplier) columns of SeedSequence's hash for first_uniforms on
+    `words` words: the pool's four calls, each round's four (its source row takes a spare one,
+    its result dropped), each later word's four; last, generate_state's eight as (2, 4, 1)."""
+    def columns(init: int, mult: int, calls) -> np.ndarray:
+        consts = [init * pow(mult, i, 1 << 32) & _M32 for i in range(max(calls) + 2)]
+        pairs = np.array([[consts[i + j] for i in calls] for j in (0, 1)], _U32)[:, :, None]
+        pairs.flags.writeable = False
+        return pairs
+    rounds = ([4 + 3 * src + min(d - (d > src), 2) for d in range(4)] for src in range(4))
+    later = (range(4 * row, 4 * row + 4) for row in range(4, words))
+    return [*(columns(0x43B0D7E5, 0x931E8875, calls) for calls in (range(4), *rounds, *later)),
+            columns(0x8B51F9DD, 0x58F38DED, range(8)).reshape(2, 2, 4, 1)]
 
 
-def _hashmix(value, consts):
-    """SeedSequence's hashmix per row of a consts column (see _hash_consts)."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> _U32(16))
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix of value per row of the (xor, mult) columns."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> _S16)
 
 
 def _mix(x, y):
-    value = _U32(0xCA01F9DD) * x - _U32(0x4973F715) * y
-    return value ^ (value >> _U32(16))
+    value = _MX * x - _MY * y
+    return value ^ (value >> _S16)
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo):
     """state * multiplier + inc mod 2**128 on (hi, lo) uint64 halves."""
-    half, low = _U64(32), _U64(_M32)
-    a0, a1, b0, b1 = lo & low, lo >> half, _PCG_LO & low, _PCG_LO >> half
-    m1 = a1 * b0 + ((a0 * b0) >> half)
-    m2 = a0 * b1 + (m1 & low)
-    hi = hi * _PCG_LO + lo * _PCG_HI + a1 * b1 + (m1 >> half) + (m2 >> half)
-    lo = lo * _PCG_LO
-    return hi + inc_hi + (lo + inc_lo < lo), lo + inc_lo
+    a0, a1 = lo & _LOW32, lo >> _S32
+    m1 = a1 * _LO_0 + ((a0 * _LO_0) >> _S32)
+    m2 = a0 * _LO_1 + (m1 & _LOW32)
+    hi = hi * _PCG_LO + lo * _PCG_HI + a1 * _LO_1 + (m1 >> _S32) + (m2 >> _S32)
+    lo = lo * _PCG_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
 
 
 def first_uniforms(seed: int, shots: np.ndarray, index: int, k: int) -> np.ndarray:
@@ -158,18 +171,17 @@ def first_uniforms(seed: int, shots: np.ndarray, index: int, k: int) -> np.ndarr
     entropy = np.zeros((max(4, words), len(shots)), _U32)
     entropy[:words] = np.array([*seed_words, 0, *index_words], _U32)[:, None]
     entropy[len(seed_words)] = shots
-    # hash four words into a pool, mix each into the others, then mix in the rest
-    consts = np.array(_hash_consts(0x43B0D7E5, 0x931E8875, 4 * max(4, words)), _U32)[:, None]
-    pool = _hashmix(entropy[:4], consts[:5])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src:8 + 3 * src]))
-    for row in range(4, words):
-        pool = _mix(pool, _hashmix(entropy[row], consts[4 * row:4 * row + 5]))
+    # hash four words into a pool; each round mixes one row into the other three
+    # (all four are mixed, then the source row is put back); then mix in the rest
+    first, *rounds, state_consts = _mix_consts(max(4, words))
+    pool = _hashmix(entropy[:4], *first)
+    for src, consts in enumerate(rounds[:4]):
+        pool, pool[src] = _mix(pool, _hashmix(pool[src], *consts)), pool[src]
+    for row, consts in zip(entropy[4:], rounds[4:]):
+        pool = _mix(pool, _hashmix(row, *consts))
     # generate_state(4, uint64); PCG64 seeding steps from 0, adds init, steps
-    consts = np.array(_hash_consts(0x8B51F9DD, 0x58F38DED, 8), _U32)[:, None]
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], consts).astype(_U64)
-    init_hi, init_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << _U64(32))
+    state = _hashmix(pool, *state_consts).reshape(8, -1).astype(_U64)
+    init_hi, init_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << _S32)
     inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
     inc_lo = (seq_lo << _U64(1)) | _U64(1)
     hi, lo = _pcg_step(inc_hi + init_hi + (inc_lo + init_lo < inc_lo), inc_lo + init_lo,

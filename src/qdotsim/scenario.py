@@ -405,14 +405,18 @@ def run_scenario(
         except StateError as exc:
             raise SchemaError(f"analytics entry {i} ({request['kind']}): {exc}") from exc
 
-    # Shots differ only in their streams. A group of shots shares an array that
-    # has never drawn; its lowest shot runs the next event with its own streams,
-    # on a twin while others still need the array as it was. Shots whose
-    # uniforms give the same true outcomes under the event's draws follow it,
-    # each with its own reported bits; the rest stay at the event, carrying
-    # their uniforms. If the array's stream drew, or the event's own did without
-    # reporting draws, every other shot stays. Groups run lowest shot first, so
-    # shot 0 writes the log and the lowest failing shot raises.
+    def batch(ids, index, rows, width):  # the first uniforms at an event, one row per shot
+        return rows if rows is not None and rows.shape[1] >= width else np.concatenate([
+            first_uniforms(seed, ids[first:first + _SHOT_CHUNK], index, width)
+            for first in range(0, len(ids), _SHOT_CHUNK)])
+
+    # Shots differ only in their streams. A group of shots shares an array that has never
+    # drawn; its lowest shot runs each event on a twin while others still need the array as
+    # it was, reading its row of the uniforms `batch` gives the group (a group of one keeps
+    # its lazy stream). Shots whose rows give the same true outcomes under the event's draws
+    # follow it with their own reported bits; the rest stay at the event with their rows, as
+    # does every other shot if the array's stream drew or the event's own did without
+    # reporting draws. Groups run lowest shot first: shot 0 logs, the lowest failing one raises.
     array = _new_array(scenario, material, roles, t2_overrides, strict_flag, seed)
     event_log: list[dict] = []
     records = np.empty(shots, object)
@@ -423,8 +427,9 @@ def run_scenario(
         rep, start, array, ids, bits, uniforms = heapq.heappop(groups)
         for index in range(start, len(steps)):
             spec, event, at = steps[index]
-            work = _twin(array) if len(ids) > 1 else array
-            rng, clock_before = stream(seed, rep, index), work.clock
+            work, clock_before = _twin(array) if len(ids) > 1 else array, array.clock
+            rng = (_Forced(partial(batch, ids, index, uniforms))
+                   if len(ids) > 1 or uniforms is not None else stream(seed, rep, index))
             result = _run_event(index, spec, event, at, work, rng)
             measurements, draws = result.get("measurements"), result.get("draws", ())
             if rep == 0:
@@ -438,15 +443,10 @@ def run_scenario(
             if len(ids) > 1 and (work._rng.built or rng.built and "draws" not in result):
                 keep, rest = slice(1), slice(1, None)
             elif len(ids) > 1 and any(0 < p1 < 1 or error > 0 for _, p1, error in draws):
-                width = max(column + 1 + (error > 0) for column, _, error in draws)
-                if uniforms is None or uniforms.shape[1] < width:
-                    uniforms = np.concatenate([
-                        first_uniforms(seed, ids[first:first + _SHOT_CHUNK], index, width)
-                        for first in range(0, len(ids), _SHOT_CHUNK)])
                 true, shown = np.empty((2, len(ids), len(draws)), bool)
-                for k, (column, p1, error) in enumerate(draws):
+                for k, (column, p1, error) in enumerate(draws):  # the lowest shot drew these
                     true[:, k], shown[:, k] = draw_readout(
-                        p1, error, lambda n: uniforms[:, column:column + n])
+                        p1, error, lambda n: rng.block[:, column:column + n])
                 keep = (true == true[0]).all(axis=1)
                 rest = None if keep.all() else ~keep
                 if any(error > 0 for _, _, error in draws):
@@ -456,7 +456,7 @@ def run_scenario(
                 array._rng = stream(seed, int(others[0]), 0xFFFF)
                 heapq.heappush(groups, (int(others[0]), index, array, others,
                                         bits if isinstance(bits, str) else bits[rest],
-                                        None if uniforms is None else uniforms[rest]))
+                                        rng.block[rest] if rng.built else None))
                 ids, bits = ids[keep], bits if isinstance(bits, str) else bits[keep]
             array, bits, uniforms = work, bits + new, None
         records[ids] = bits
@@ -510,16 +510,18 @@ def _run_event(index: int, spec: _Op, event: dict, at: dict, work: DotArray, rng
 
 
 class _Forced(_Stream):
-    """outcome_tree's stand-in for an event's stream: its key maps a column to
-    its forced double; any other is 0.5, the likelier outcome of a Born draw."""
+    """A stand-in for an event's stream: `random(k)`, its only method, reads row 0 of `block`,
+    which its key builds for the width drawn so far (the walk's one row per shot of the group;
+    outcome_tree's forced doubles, any other 0.5, a Born draw's likelier outcome)."""
 
     def generator(self) -> "_Forced":
-        self._rng = self._rng or 0  # built: the count of doubles drawn
         return self
 
     def random(self, k: int) -> np.ndarray:
-        self._rng = (self._rng or 0) + k
-        return np.array([self._key.get(c, 0.5) for c in range(self._rng - k, self._rng)])
+        start, self._rng = self._rng or 0, (self._rng or 0) + k
+        if not start or self.block.shape[1] < self._rng:
+            self.block = self._key(self._rng)
+        return self.block[0, start:self._rng]
 
 
 def outcome_tree(scenario: dict) -> list[dict]:
@@ -535,7 +537,8 @@ def outcome_tree(scenario: dict) -> list[dict]:
         if index == len(steps):
             leaves.append({"bits": bits, "probability": weight, "fidelity_checks": checks})
             continue
-        (spec, event, at), work, rng = steps[index], _twin(array), _Forced(forced)
+        (spec, event, at), work = steps[index], _twin(array)
+        rng = _Forced(lambda w, forced=forced: np.array([[forced.get(c, 0.5) for c in range(w)]]))
         result = _run_event(index, spec, event, at, work, rng)
         _require(not (work._rng.built or rng.built and "draws" not in result),
                  "event {} ({}): draws besides its reported Born draws (vector noise), "

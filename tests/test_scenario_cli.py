@@ -1031,14 +1031,31 @@ def test_trailing_misread_readouts_match_the_eager_shot_loop(monkeypatch):
         assert dumps_report(got[key]) == dumps_report(want[key]), key
 
 
+def _count_kernel_calls(monkeypatch) -> list:
+    """Record (seed, shots, index, k) of each first_uniforms call the walk makes."""
+    calls, kernel = [], scenario_mod.first_uniforms
+    monkeypatch.setattr(scenario_mod, "first_uniforms", lambda seed, shots, index, k: calls.append(
+        (seed, list(shots), index, k)) or kernel(seed, shots, index, k))
+    return calls
+
+
 def test_batched_shots_across_chunks_match_the_eager_shot_loop(monkeypatch):
-    # chunks of 7 shots, so one group's uniforms come from several kernel calls
+    # chunks of 7 shots, so one group's uniforms come from several kernel calls;
+    # teleport reads two columns of one batch and splits four ways, and the QEC
+    # cycles draw four syndromes each; groups that split off re-read their rows
     monkeypatch.setattr(scenario_mod, "_SHOT_CHUNK", 7)
-    for scenario, shots in ((BELL, 60), (MATRIX_MISREAD, 90), (BELL_MISREAD, 30)):
+    calls = _count_kernel_calls(monkeypatch)
+    for scenario, shots in ((BELL, 60), (MATRIX_MISREAD, 90), (BELL_MISREAD, 30),
+                            (TELEPORT, 40), (_quiet(QEC_TWO_CYCLES), 30)):
+        calls.clear()
         got = run_scenario(copy.deepcopy(scenario), shots=shots)
         want = run_shots_eagerly(copy.deepcopy(scenario), shots)
         for key in ("measurement_records", "measurement_counts", "events"):
             assert dumps_report(got[key]) == dumps_report(want[key]), key
+        if scenario is TELEPORT:  # only the group of all shots pays: six chunks of 7 or fewer
+            assert len(set(got["measurement_records"])) == 4
+            assert [(len(shots), index, k) for _, shots, index, k in calls] == [
+                (7, 6, 2)] * 5 + [(5, 6, 2)]
 
 
 @pytest.mark.parametrize("readout_error", [0.0, 0.25])
@@ -1051,20 +1068,21 @@ def test_a_certain_readout_draws_only_for_a_misread(monkeypatch, readout_error):
                     {"op": "gate", "kind": "X", "targets": [[0, 0]]},
                     {"op": "readout", "qubit": [0, 0], "readout": [0, 1]}],
     }
-    built = []
+    built, calls = [], _count_kernel_calls(monkeypatch)
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed=None: built.append(seed) or default_rng(seed))
     got = run_scenario(copy.deepcopy(scenario), shots=50)
     monkeypatch.undo()
+    assert built == []  # shot 0 reads its row of the group's batch
     if readout_error == 0:
-        assert built == []
+        assert calls == []
         assert got["measurement_records"] == ["1"] * 50
     else:
-        # only shot 0 builds its readout stream: the outcome is certain, so
-        # every shot follows it, each with a misread drawn by the batched
-        # kernel; the Born draw is the first uniform, the misread the second
-        assert built == [[5, 0, 2]]
+        # the outcome is certain, so every shot follows shot 0, each with a
+        # misread drawn by one kernel call for the group, shot 0's row included;
+        # the Born draw is the first uniform, the misread the second
+        assert calls == [(5, list(range(50)), 2, 2)]
         misread = [default_rng([5, shot, 2]).random(2)[1] < 0.25 for shot in range(50)]
         assert got["measurement_records"] == [str(1 - m) for m in misread]
         assert "0" in got["measurement_records"]
@@ -1084,15 +1102,31 @@ def test_a_stream_that_never_draws_builds_no_generator(monkeypatch):
     assert unused.random() == twin.random()
     assert built == [[7, 0, 3], [7, 0, 3]]
     built.clear()
+    calls = _count_kernel_calls(monkeypatch)
     # bell draws only in its first readout: the second one's outcome is
     # certain and there is no readout error; noise is off, so no array stream
     records = run_scenario(copy.deepcopy(BELL), shots=5)["measurement_records"]
-    # shot 0 runs the first readout with its own stream; the batched kernel
-    # draws that readout for every shot; shot 4, the first whose outcome
-    # differs, runs it again with its own stream for the shots that stay,
-    # which all follow it; nobody draws for the certain second readout
+    # shot 0's first draw of the first readout runs the batched kernel once for
+    # every shot, and shot 0 reads its row; shot 4, the first whose outcome
+    # differs, stays with its row and runs the readout again reading it; nobody
+    # draws for the certain second readout, and no generator is built
     assert records == ["00", "00", "00", "00", "11"]
-    assert built == [[7, 0, 3], [7, 4, 3]]
+    assert built == []
+    assert calls == [(7, [0, 1, 2, 3, 4], 3, 1)]
+
+
+def test_a_stand_in_stream_draws_only_random():
+    widths = []  # the key builds the block on the first draw and on a draw past it
+    rng = scenario_mod._Forced(lambda width: widths.append(width) or np.full((1, width), 0.25))
+    for name in ("integers", "standard_normal", "bit_generator"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(rng, name)
+    assert not rng.built
+    assert rng.random(2).tolist() == [0.25, 0.25]
+    assert rng.built and rng.random(1).tolist() == [0.25]
+    assert widths == [2, 3]
+    with pytest.raises(AttributeError, match="integers"):  # drawn from or not
+        rng.integers(3)
 
 
 def _quiet(scenario: dict, **array) -> dict:
