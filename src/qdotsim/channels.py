@@ -34,6 +34,9 @@ BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
 ROUTE_CELL_CAP = 2**22  # padded cells (width+2)*(height+2) plan_tunnel_route may allocate
 
 FIDELITY_THRESHOLD_DEFAULT = 1e-4
+# teleport_bandwidth's purification yield prod(p_i) / 2**rounds is 0.0 from round 1,075 on
+# (2**-1075 rounds to 0.0), so a cap above that loses no nonzero rate
+PURIFICATION_ROUNDS_CAP = 4096
 
 
 def channel_lambda(t_op: float, T2: float) -> float:
@@ -324,8 +327,9 @@ def teleport_bandwidth(
     """
     if distance_m <= 0:
         raise StateError(f"distance must be positive, got {distance_m}")
-    if purification_rounds < 0:
-        raise StateError(f"negative purification rounds {purification_rounds}")
+    if not 0 <= purification_rounds <= PURIFICATION_ROUNDS_CAP:
+        raise StateError(f"purification rounds must be in [0, {PURIFICATION_ROUNDS_CAP}], "
+                         f"got {purification_rounds}")
     t_hop = material.t_hop
     T2 = material.noise.T2
     lam = channel_lambda(t_hop, T2)

@@ -12,14 +12,13 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import channels, pulses, qec, scenario as scenario_mod
+from . import pulses, qec, scenario as scenario_mod
 from .device import MaterialParams
 from .errors import (
     AdjacencyError,
@@ -49,13 +48,23 @@ def _material(args) -> MaterialParams:
     return scenario_mod.build_material(spec)
 
 
-@contextmanager
-def _option_errors():
-    """Closed-form commands: a StateError there can only come from an option."""
-    try:
-        yield
-    except StateError as exc:
-        raise SchemaError(f"bad option value: {exc}") from exc
+def _flag(dest: str) -> str:
+    """The option that sets args.<dest>; a closed-form option's dest is its analytics field."""
+    return {"fidelity_threshold": "--threshold", "rounds": "--purification-rounds"}.get(
+        dest, "--" + dest.replace("_", "-"))
+
+
+_COMMON = ("command", "preset", "t2", "out", "kind")  # the options that are no field
+_CHANNELS = {"swap": "swap_channel", "tunnel": "tunnel_channel", "teleport": "teleport_bandwidth"}
+
+
+def _analytics(args, kind: str, label: str) -> dict:
+    """The options given to a closed-form command, run as one analytics request of `kind`:
+    an option the kind does not read is an unknown field, named by its flag."""
+    request = {"kind": kind, **{dest: value for dest, value in vars(args).items()
+                                if value is not None and dest not in _COMMON}}
+    scenario_mod.check_analytics(request, label, _flag)
+    return scenario_mod.run_analytics(request, _material(args), label, _flag)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -68,46 +77,19 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_resources(args) -> int:
-    material = _material(args)
-    with _option_errors():
-        payload = scenario_mod.resources_report(material, args.rabi_period, args.load_ohms)
-    payload["preset"] = args.preset
-    payload["zeeman"] = {
+    _emit({**_analytics(args, "resources", "resources"), "preset": args.preset, "zeeman": {
         "field_ratio_gaas_over_inas_bulk": pulses.equal_splitting_field_ratio(
-            pulses.GAAS_G_FACTOR, pulses.INAS_BULK_G_FACTOR
-        ),
+            pulses.GAAS_G_FACTOR, pulses.INAS_BULK_G_FACTOR),
         "note": "exact equal-splitting ratio; commonly rounded to '30x'",
-    }
-    _emit(payload, args.out)
+    }}, args.out)
     return EXIT_OK
 
 
 def cmd_channel(args) -> int:
-    if args.kind == "teleport":
-        foreign = {"--t-hop": args.t_hop, "--lambda": args.lam}
-        if args.distance_m is not None and args.length_qubits is not None:
-            raise SchemaError("--kind teleport takes --distance-m or --length-qubits, not both")
-    else:
-        foreign = {"--distance-m": args.distance_m,
-                   "--purification-rounds": args.purification_rounds}
-    for option, value in foreign.items():
-        if value is not None:
-            raise SchemaError(f"--kind {args.kind} takes no {option}")
-    length = 10 if args.length_qubits is None else args.length_qubits
-    material = _material(args)
-    with _option_errors():
-        if args.kind == "teleport":
-            distance = (args.distance_m if args.distance_m is not None
-                        else length * material.dot_pitch)
-            report = channels.teleport_bandwidth(
-                distance, material, args.purification_rounds or 0, args.threshold
-            )
-        else:
-            report = channels.line_report(
-                args.kind, material, length, t_hop=args.t_hop,
-                lam=args.lam, fidelity_threshold=args.threshold,
-            )
-    _emit({"kind": args.kind, "report": report}, args.out)
+    if args.distance_m is None and args.length_qubits is None:
+        args.length_qubits = 10  # every kind's default line, teleport's too
+    report = _analytics(args, _CHANNELS[args.kind], f"--kind {args.kind}")
+    _emit({"kind": args.kind, **report}, args.out)
     return EXIT_OK
 
 
@@ -134,9 +116,9 @@ def cmd_teleport(args) -> int:
 
 def cmd_qec(args) -> int:
     material = _material(args)
-    if not (0.0 <= args.p <= 1.0 and args.cycles >= 0 and args.pulses_per_cycle >= 1
+    if not (0.0 <= args.p <= 1.0 and args.cycles >= 0 and 1 <= args.pulses_per_cycle < 2**63
             and args.seed >= 0):
-        raise SchemaError("need 0 <= --p <= 1, --cycles >= 0, --pulses-per-cycle >= 1 "
+        raise SchemaError("need 0 <= --p <= 1, --cycles >= 0, 1 <= --pulses-per-cycle < 2**63 "
                           "and --seed >= 0")
     run = qec.memory_experiment(args.cycles, args.p,
                                 np.random.default_rng([args.seed, 0x5EC]),
@@ -189,20 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resources", help="Rabi drive and exchange figures")
     common(p, material=True)
-    p.add_argument("--rabi-period", type=float, default=100e-9, dest="rabi_period")
-    p.add_argument("--load-ohms", type=float, default=50.0, dest="load_ohms")
+    p.add_argument("--rabi-period", type=float, help="default: the material's, 100 ns")
+    p.add_argument("--load-ohms", type=float, help="default 50")
 
     p = sub.add_parser("channel", help="transport channel figures")
     common(p, material=True)
-    p.add_argument("--kind", choices=("swap", "tunnel", "teleport"), default="swap")
+    p.add_argument("--kind", choices=tuple(_CHANNELS), default="swap")
     p.add_argument("--length-qubits", type=int, default=None, dest="length_qubits",
                    help="line length (default 10); teleport takes it or --distance-m")
     p.add_argument("--distance-m", type=float, default=None, dest="distance_m")
     p.add_argument("--t-hop", type=float, default=None, dest="t_hop")
-    p.add_argument("--lambda", type=float, default=None, dest="lam")
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--purification-rounds", type=int, default=None,
-                   dest="purification_rounds", help="teleport only (default 0)")
+    p.add_argument("--lambda", type=float, default=None, dest="lambda")
+    p.add_argument("--threshold", type=float, default=None, dest="fidelity_threshold",
+                   help="fidelity threshold of the reach (default 1e-4)")
+    p.add_argument("--purification-rounds", type=int, default=None, dest="rounds",
+                   help="teleport only (default 0, at most 4096)")
 
     p = sub.add_parser("teleport", help="run the teleportation protocol")
     common(p, seeded=True)
@@ -253,7 +236,7 @@ def main(argv=None) -> int:
     try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise SchemaError(f"--{name.replace('_', '-')} must be a finite number")
+                raise SchemaError(f"{_flag(name)} must be a finite number")
         return _HANDLERS[args.command](args)
     except SchemaError as exc:
         sys.stderr.write(dumps_report({"error": "schema", "message": str(exc)}))

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .device import DotArray, MaterialParams, Pos
-from .errors import AdjacencyError, StateError
+from .device import MaterialParams
+from .errors import StateError
 from .qstate import (
     _PAULI_BY_NAME,
     Gate,
@@ -283,51 +283,6 @@ def memory_experiment(
         pulse_counts.append(pulse_count)
     return {"failures": failures, "syndrome_histogram": histogram,
             "pulse_counts": pulse_counts}
-
-
-def make_cat(array: DotArray, positions: list[Pos]) -> DotArray:
-    """Spread (|0...0> + |1...1>)/sqrt(2) over a chain of adjacent dots:
-    Hadamard on the head, then a CNOT chain."""
-    if len(positions) < 2:
-        raise StateError("a cat state needs at least two qubits")
-    for a, b in zip(positions, positions[1:]):
-        if not array.adjacent(a, b):
-            raise AdjacencyError(f"cat chain breaks between {a} and {b}")
-    if array.strict:
-        for pos in positions:
-            require_ground(array.state, array.qubit_index(pos), f"cat input at {pos}")
-    array.apply_gate_at("H", [positions[0]])
-    for a, b in zip(positions, positions[1:]):
-        array.apply_gate_at("CNOT", [a, b])
-    return array
-
-
-def un_make_cat(array: DotArray, positions: list[Pos]) -> DotArray:
-    """Exact adjoint of make_cat: reverse the CNOT chain, then Hadamard."""
-    if len(positions) < 2:
-        raise StateError("a cat state needs at least two qubits")
-    for a, b in reversed(list(zip(positions, positions[1:]))):
-        array.apply_gate_at("CNOT", [a, b])
-    array.apply_gate_at("H", [positions[0]])
-    return array
-
-
-def parity_measure(
-    state: QuantumState, qubits: list[int], ancilla: int, rng_seed=0
-) -> tuple[int, QuantumState]:
-    """Joint Z-parity via CNOT fan-in onto a fresh |0> ancilla.
-
-    Parity eigenstates pass through untouched (up to the ancilla); anything
-    else is projected onto the measured parity sector."""
-    if ancilla in qubits:
-        raise StateError("ancilla cannot be one of the measured qubits")
-    require_ground(state, ancilla, f"ancilla {ancilla}")
-    for q in qubits:
-        state = apply_gate(state, Gate("CNOT", (q, ancilla)))
-    bit, _, state = measure(state, ancilla, "Z", lambda k: as_rng(rng_seed).random(k))
-    if bit:  # reset so the ancilla is reusable
-        state = apply_gate(state, Gate("X", (ancilla,)))
-    return bit, state
 
 
 def pulse_budget(material: MaterialParams, pulses_per_cycle: int = 500) -> dict:

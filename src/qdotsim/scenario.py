@@ -217,19 +217,20 @@ _OPS: dict[str, _Op] = {
 # -- the analytics kinds ------------------------------------------------------
 #
 # Each kind maps to the request fields it reads and one function (request,
-# material) -> report fields. A request holds no other field but `kind`; each
-# is a number, `thresholds` a list of them and the _COUNTS fields integers.
+# material) -> report fields; `qdotsim resources` and `qdotsim channel` run
+# their options as requests too. check_analytics refuses any other field but
+# `kind`; each is a number no larger than a float holds, `thresholds` a list of
+# them and the _COUNTS fields integers.
 
 
-def resources_report(material: MaterialParams, rabi_period: float,
-                     load_ohms: float = 50.0, dE_in: float = 0.1e-3) -> dict:
-    """Drive, exchange and minimum-drive figures of a material: the
-    `resources` analytics kind and the `qdotsim resources` command."""
+def _resources(request: dict, material: MaterialParams) -> dict:
+    """Drive, exchange and minimum-drive figures of a material."""
     return {
-        "drive": pulses.drive_report(material.g_factor, rabi_period,
-                                     material.gate_distance, load_ohms),
+        "drive": pulses.drive_report(
+            material.g_factor, float(request.get("rabi_period", material.rabi_period)),
+            material.gate_distance, float(request.get("load_ohms", 50.0))),
         "exchange": pulses.exchange_estimate(material.J_on, material.U_charging,
-                                             dE_in),
+                                             float(request.get("dE_in", 0.1e-3))),
         "min_rabi_field_tesla": pulses.min_rabi_field(material.g_factor, material.noise.T2),
     }
 
@@ -242,8 +243,9 @@ def _lambda(request: dict, material: MaterialParams) -> dict:
 
 def _line(kind: str, request: dict, material: MaterialParams) -> dict:
     return {"report": channels.line_report(
-        kind, material, request.get("length_qubits", 10),
-        t_hop=request.get("t_hop"), lam=request.get("lambda"),
+        kind, material, request.get("length_qubits", 10), t_hop=request.get("t_hop"),
+        lam=request.get("lambda"),
+        fidelity_threshold=request.get("fidelity_threshold", channels.FIDELITY_THRESHOLD_DEFAULT),
     )}
 
 
@@ -252,23 +254,29 @@ def _max_distance(request: dict, material: MaterialParams) -> dict:
     return {
         "lambda": lam,
         "distances": {str(thr): channels.max_channel_distance(lam, float(thr))
-                      for thr in request.get("thresholds", [1e-4, 1e-5])},
+                      for thr in request.get("thresholds",
+                                             [channels.FIDELITY_THRESHOLD_DEFAULT, 1e-5])},
         "note": channels.MAX_DISTANCE_NOTE,
     }
 
 
+def _teleport_bandwidth(request: dict, material: MaterialParams) -> dict:
+    length = request.get("length_qubits")  # run_analytics refuses it next to distance_m
+    distance = request.get("distance_m", 0.01) if length is None else length * material.dot_pitch
+    return {"report": channels.teleport_bandwidth(
+        float(distance), material, request.get("rounds", 0),
+        request.get("fidelity_threshold", channels.FIDELITY_THRESHOLD_DEFAULT))}
+
+
+_LINE = ("length_qubits", "t_hop", "lambda", "fidelity_threshold")
 _ANALYTICS: dict[str, tuple[tuple[str, ...], Callable[[dict, MaterialParams], dict]]] = {
-    "resources": (("rabi_period", "load_ohms", "dE_in"), lambda request, material: resources_report(
-        material, float(request.get("rabi_period", material.rabi_period)),
-        float(request.get("load_ohms", 50.0)), float(request.get("dE_in", 0.1e-3)))),
+    "resources": (("rabi_period", "load_ohms", "dE_in"), _resources),
     "lambda": (("t_op", "T2"), _lambda),
-    "swap_channel": (("length_qubits", "t_hop", "lambda"), partial(_line, "swap")),
-    "tunnel_channel": (("length_qubits", "t_hop", "lambda"), partial(_line, "tunnel")),
+    "swap_channel": (_LINE, partial(_line, "swap")),
+    "tunnel_channel": (_LINE, partial(_line, "tunnel")),
     "max_distance": (("lambda", "thresholds"), _max_distance),
-    "teleport_bandwidth": (("distance_m", "rounds", "fidelity_threshold"),
-                           lambda request, material: {"report": channels.teleport_bandwidth(
-        float(request.get("distance_m", 0.01)), material, request.get("rounds", 0),
-        float(request.get("fidelity_threshold", 1e-4)))}),
+    "teleport_bandwidth": (("distance_m", "length_qubits", "rounds", "fidelity_threshold"),
+                           _teleport_bandwidth),
     "pulse_budget": (("pulses_per_cycle",), lambda request, material: {"report": qec.pulse_budget(
         material, request.get("pulses_per_cycle", 500))}),
     "zeeman_ratio": (("g_small", "g_large"), lambda request, material: {
@@ -278,6 +286,30 @@ _ANALYTICS: dict[str, tuple[tuple[str, ...], Callable[[dict, MaterialParams], di
     }),
 }
 _COUNTS = ("length_qubits", "rounds", "pulses_per_cycle")
+
+
+def check_analytics(request: dict, label: str, name: Callable[[str], str] = str) -> None:
+    """Refuse a field the request's kind does not read, or a bad value of one;
+    `label` names the request in the message and name(field) the field."""
+    fields = _ANALYTICS[request["kind"]][0]
+    for key, value in request.items():
+        values = value if key == "thresholds" else [value]
+        _require(key == "kind" or key in fields, "{}: unknown field {!r}", label, name(key))
+        _require(key == "kind" or isinstance(values, list) and all(
+            (_is_int if key in _COUNTS else _is_number)(v) and abs(v) <= sys.float_info.max
+            for v in values), "{}: bad {} {!r}", label, name(key), value)
+
+
+def run_analytics(request: dict, material: MaterialParams, label: str,
+                  name: Callable[[str], str] = str) -> dict:
+    """The report fields of a checked request. A StateError becomes a SchemaError
+    under `label`, as does a teleport_bandwidth over both a distance and a length."""
+    _require(not {"distance_m", "length_qubits"} <= request.keys(),
+             "{} takes {} or {}, not both", label, name("distance_m"), name("length_qubits"))
+    try:
+        return _ANALYTICS[request["kind"]][1](request, material)
+    except StateError as exc:
+        raise SchemaError(f"{label}: {exc}") from exc
 
 
 def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list, str]:
@@ -372,14 +404,7 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list,
         kind = request.get("kind")
         _require(isinstance(kind, str) and kind in _ANALYTICS,
                  "analytics entry {}: unknown kind {!r}", i, kind)
-        for key, value in request.items():
-            _require(key == "kind" or key in _ANALYTICS[kind][0],
-                     "analytics entry {} ({}): unknown field {!r}", i, kind, key)
-            if key == "thresholds":
-                ok = isinstance(value, list) and all(_is_number(v) for v in value)
-            else:
-                ok = key == "kind" or (_is_int if key in _COUNTS else _is_number)(value)
-            _require(ok, "analytics entry {} ({}): bad {} {!r}", i, kind, key, value)
+        check_analytics(request, f"analytics entry {i} ({kind})")
     return material, roles, t2_overrides, steps, text
 
 
@@ -397,13 +422,9 @@ def run_scenario(
         raise SchemaError(f"seed must be >= 0, got {seed_override}")
     seed = int(seed_override if seed_override is not None else scenario["seed"])
     strict_flag = bool(scenario.get("strict", False) if strict is None else strict)
-    analytics = []
-    for i, request in enumerate(scenario.get("analytics", [])):
-        try:
-            analytics.append({"kind": request["kind"],
-                              **_ANALYTICS[request["kind"]][1](request, material)})
-        except StateError as exc:
-            raise SchemaError(f"analytics entry {i} ({request['kind']}): {exc}") from exc
+    analytics = [{"kind": request["kind"], **run_analytics(
+        request, material, f"analytics entry {i} ({request['kind']})")}
+        for i, request in enumerate(scenario.get("analytics", []))]
 
     def batch(ids, index, rows, width):  # the first uniforms at an event, one row per shot
         return rows if rows is not None and rows.shape[1] >= width else np.concatenate([

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (haar_state, hop_oracle, kron_chain, rot_matrix, route_oracle,
-                      teleport_branches_oracle, teleport_scenario)
+from conftest import (from_matrix, haar_state, hop_oracle, kron_chain, rot_matrix,
+                      route_oracle, teleport_branches_oracle, teleport_scenario)
 from qdotsim import channels
 from qdotsim.channels import (
     BELL_PHI_PLUS,
@@ -434,6 +434,21 @@ def test_run_tunnel_route_moves_qubit():
     assert not np.signbit(array.state.data[0].imag)
 
 
+@pytest.mark.parametrize("hops", [1, 20])
+def test_a_routed_plus_state_keeps_the_line_reports_coherence(hops):
+    # line_report's "fidelity" exp(-lambda d) is the factor a tunnel route of d hops puts
+    # on a routed qubit's coherence; the state fidelity with |+> is (1 + that) / 2
+    material = replace(MATERIAL, noise=NoiseParams(T2=10e-9, enabled=True))
+    array = DotArray(hops + 1, 1, material, representation="matrix").init_qubit((0, 0))
+    array.state = from_matrix(np.full((2, 2), 0.5))
+    run_tunnel_route(array, (0, 0), (hops, 0))
+    coherence = line_report("tunnel", material, hops)["fidelity"]
+    assert coherence < 1 - 1e-3
+    assert array.state.data[0, 1] == pytest.approx(coherence / 2, rel=1e-13)
+    plus = QuantumState.from_vector(np.array([1.0, 1.0]) / math.sqrt(2))
+    assert state_fidelity(array.state, plus) == pytest.approx((1 + coherence) / 2, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # EPR creation
 # ---------------------------------------------------------------------------
@@ -712,6 +727,15 @@ def test_teleport_bandwidth_halves_per_round_at_high_fidelity():
         ratio = cur["true_bandwidth_bits_per_s"] / prev
         assert ratio == pytest.approx(0.5, rel=1e-3)
         prev = cur["true_bandwidth_bits_per_s"]
+
+
+def test_teleport_bandwidth_caps_the_rounds_where_no_rate_is_left():
+    # from round 1,075 on the yield prod(p) / 2**rounds is 0.0, so the cap loses no rate
+    for rounds in (1075, channels.PURIFICATION_ROUNDS_CAP):
+        report = teleport_bandwidth(1e-6, MATERIAL, purification_rounds=rounds)
+        assert report["purification_yield"] == report["true_bandwidth_bits_per_s"] == 0.0
+    with pytest.raises(StateError, match=r"purification rounds must be in \[0, 4096\]"):
+        teleport_bandwidth(1e-6, MATERIAL, purification_rounds=channels.PURIFICATION_ROUNDS_CAP + 1)
 
 
 def test_teleport_bandwidth_one_cm_within_factor_three():

@@ -1,4 +1,4 @@
-"""Five-qubit code: encoding, syndromes, correction cycles, cat states."""
+"""Five-qubit code: encoding, syndromes, correction cycles, pulse budget."""
 import itertools
 import math
 import re
@@ -23,17 +23,14 @@ from conftest import (
 )
 from qdotsim.channels import make_epr
 from qdotsim.device import DotArray, inas_material
-from qdotsim.errors import AdjacencyError, ProtocolError, StateError
+from qdotsim.errors import ProtocolError, StateError
 from qdotsim.qec import (
     STABILIZER_GENERATORS,
     cycle_pulse_count,
     encode_pulse_count,
-    make_cat,
     memory_experiment,
-    parity_measure,
     pulse_budget,
     qec_cycle,
-    un_make_cat,
 )
 from qdotsim.qec import (
     _ENCODE_OPS,
@@ -48,7 +45,6 @@ from qdotsim.qstate import (
     QuantumState,
     apply_gate,
     qubit_probabilities,
-    reduced_density,
     state_fidelity,
 )
 
@@ -418,95 +414,8 @@ def test_improbable_syndrome_draw_fails_like_the_state_vector_cycle(near_one):
 
 
 # ---------------------------------------------------------------------------
-# cat states and parity
+# ground-state preconditions
 # ---------------------------------------------------------------------------
-
-def chain_array(n: int) -> DotArray:
-    array = DotArray(n, 1, MATERIAL)
-    for x in range(n):
-        array.init_qubit((x, 0))
-    return array
-
-
-def test_cat_two_is_bell():
-    array = chain_array(2)
-    make_cat(array, [(0, 0), (1, 0)])
-    expected = np.zeros(4, dtype=complex)
-    expected[0] = expected[3] = 1 / math.sqrt(2)
-    assert state_fidelity(array.state, QuantumState.from_vector(expected)) > 1 - 1e-12
-
-
-def test_cat_four_state():
-    array = chain_array(4)
-    make_cat(array, [(x, 0) for x in range(4)])
-    expected = np.zeros(16, dtype=complex)
-    expected[0] = expected[15] = 1 / math.sqrt(2)
-    assert state_fidelity(array.state, QuantumState.from_vector(expected)) > 1 - 1e-12
-
-
-def test_uncreate_restores_ground():
-    array = chain_array(4)
-    positions = [(x, 0) for x in range(4)]
-    make_cat(array, positions)
-    un_make_cat(array, positions)
-    assert state_fidelity(array.state, QuantumState.zero(4)) > 1 - 1e-12
-
-
-def test_cat_chain_must_be_adjacent():
-    array = DotArray(3, 3, MATERIAL)
-    array.init_qubit((0, 0))
-    array.init_qubit((2, 2))
-    with pytest.raises(AdjacencyError):
-        make_cat(array, [(0, 0), (2, 2)])
-
-
-def test_cat_strict_requires_ground():
-    array = DotArray(2, 1, MATERIAL, strict=True)
-    array.init_qubit((0, 0))
-    array.init_qubit((1, 0))
-    array.apply_gate_at("X", [(0, 0)])
-    with pytest.raises(ProtocolError):
-        make_cat(array, [(0, 0), (1, 0)])
-
-
-def test_parity_even_state_unchanged():
-    # |0011> plus ancilla: parity 0, data untouched
-    psi = np.zeros(32, dtype=complex)
-    psi[0b00110] = 1.0  # qubits 0..3 = 0011, ancilla(4) = 0
-    state = QuantumState(psi, 5)
-    bit, out = parity_measure(state, [0, 1, 2, 3], 4, rng_seed=0)
-    assert bit == 0
-    assert np.max(np.abs(out.data - psi)) < 1e-12
-
-
-def test_parity_odd_state_unchanged():
-    psi = np.zeros(32, dtype=complex)
-    psi[0b00010] = 1.0  # 0001, ancilla 0
-    state = QuantumState(psi, 5)
-    bit, out = parity_measure(state, [0, 1, 2, 3], 4, rng_seed=0)
-    assert bit == 1
-    probs = np.abs(out.data) ** 2
-    assert probs[0b00010] > 1 - 1e-12  # ancilla reset to |0>
-
-
-def test_parity_preserves_bell_entanglement():
-    bell3 = np.zeros(8, dtype=complex)
-    bell3[0b000] = bell3[0b110] = 1 / math.sqrt(2)  # (|00>+|11>) x |0>
-    state = QuantumState(bell3, 3)
-    bit, out = parity_measure(state, [0, 1], 2, rng_seed=0)
-    assert bit == 0
-    rho = reduced_density(out, [0, 1])
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / math.sqrt(2)
-    assert float(np.real(bell.conj() @ rho @ bell)) > 1 - 1e-10
-
-
-def test_parity_requires_fresh_ancilla():
-    psi = np.zeros(8, dtype=complex)
-    psi[0b001] = 1.0  # ancilla (qubit 2) already |1>
-    with pytest.raises(ProtocolError):
-        parity_measure(QuantumState(psi, 3), [0, 1], 2)
-
 
 def _tilted(state: QuantumState, qubit: int, p1: float) -> QuantumState:
     """The register with `qubit` turned about y until its p1 is `p1`."""
@@ -516,25 +425,19 @@ def _tilted(state: QuantumState, qubit: int, p1: float) -> QuantumState:
 
 def _ground_site(site: str, p1: float) -> None:
     """Run one |0> precondition on a register whose checked qubit has p1:
-    (1, 0) for make_epr and make_cat, syndrome qubit 3, ancilla 2."""
-    if site in ("make_epr", "make_cat"):
+    (1, 0) for make_epr, syndrome qubit 3 for qec_cycle."""
+    if site == "make_epr":
         array = DotArray(2, 1, MATERIAL, strict=True)
         array.init_qubit((0, 0))
         array.init_qubit((1, 0))
         array.state = _tilted(array.state, 1, p1)
-        if site == "make_epr":
-            make_epr(array, (0, 0), (1, 0))
-        else:
-            make_cat(array, [(0, 0), (1, 0)])
-    elif site == "qec_cycle":
-        qec_cycle(_tilted(QuantumState.zero(5), 3, p1), range(5))
+        make_epr(array, (0, 0), (1, 0))
     else:
-        parity_measure(_tilted(QuantumState.zero(3), 2, p1), [0, 1], 2)
+        qec_cycle(_tilted(QuantumState.zero(5), 3, p1), range(5))
 
 
 @pytest.mark.parametrize("site,name", [
-    ("make_epr", "qubit at (1, 0)"), ("make_cat", "cat input at (1, 0)"),
-    ("qec_cycle", "syndrome qubit 3"), ("parity_measure", "ancilla 2")])
+    ("make_epr", "qubit at (1, 0)"), ("qec_cycle", "syndrome qubit 3")])
 def test_every_ground_precondition_draws_the_line_at_p1_1e_9(site, name):
     with pytest.raises(ProtocolError, match=re.escape(f"{name} is not in |0>")):
         _ground_site(site, 2e-9)

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -428,6 +429,30 @@ def test_channel_and_analytics_bytes_are_pinned(capsys):
             "4a069046bf7e583e5ba7bd3957ebb313de114d1c6e6fe5a7818df8f7c1ad68fb",
         ("qec", "--cycles", "200", "--p", "0.05", "--seed", "5"):
             "cf94884b0aeca3a1f8b4818390709253ce5956dca56f06407ef7d345824b1a5a",
+        # these recorded before `resources` and `channel` ran as analytics requests
+        ("channel", "--kind", "swap"):
+            "a10b22b166602e43b8de373757b5c19f61cfd0bfd0081b3765e897ccf28da7fd",
+        ("channel", "--kind", "tunnel"):
+            "ae4b84e9b9512dc8c7f32a0c98b4b9fa797f7646abaa189e7b1a0a832a76f7b0",
+        ("channel", "--kind", "swap", "--length-qubits", "10", "--t-hop", "1e-10"):
+            "5d7f12af70aae4ecb705874dacdf129243da56508d9c51f845621b90374fc81e",
+        ("channel", "--kind", "tunnel", "--length-qubits", "7", "--lambda", "1e-5",
+         "--threshold", "1e-5"):
+            "12ae35c2561c65a4f225a5161e9631c8827c74c3fe9c9d4427635c62c30b15e2",
+        ("channel", "--kind", "teleport"):
+            "813c73c3c6b3ad65e332a4b5a9b5fa4f289a72f5e17fe532c726f142860e996f",
+        ("channel", "--kind", "teleport", "--distance-m", "0.01"):
+            "7e4047c04cfb2a31f0c4899f580ec40f66b22a45b51ccfa4b5de333efeb1166d",
+        ("channel", "--kind", "teleport", "--length-qubits", "300",
+         "--purification-rounds", "2", "--threshold", "1e-5"):
+            "a8e0dc65d71bf32716e4d4303b740536b2a634fa495e2eabafbf614b9a078eb0",
+        ("channel", "--kind", "teleport", "--preset", "si", "--t2", "1e-3",
+         "--distance-m", "0.5"):
+            "4fe41e92ad10b68f935f8b93c6040867250e37ffd48625bd9b428a5fc5a45b36",
+        ("channel", "--kind", "teleport", "--purification-rounds", "2000"):
+            "564af86d131df83efe1468dc02a33deefcb6c291d5bf27f8c7f78aa736d62d77",
+        ("resources", "--rabi-period", "2e-7", "--load-ohms", "25"):
+            "f3dd802c3ea41799fbebf4c39a9a09fa670558c7a01f8a49c8831f692237e230",
     }
     for argv, pin in commands.items():
         assert cli.main(list(argv)) == 0
@@ -1370,6 +1395,11 @@ def test_a_scenario_json_cannot_hold_is_refused_before_any_event(monkeypatch, mu
         ("qec", "--seed", "-1"),
         ("simulate", "--scenario", "bell.scenario", "--seed", "-1"),
         ("teleport", "--seed", "-5"),
+        ("channel", "--kind", "swap", "--length-qubits", str(10**400)),
+        ("channel", "--kind", "teleport", "--length-qubits", str(10**400)),
+        ("channel", "--kind", "teleport", "--purification-rounds", "100000000000"),
+        ("channel", "--kind", "teleport", "--purification-rounds", "4097"),
+        ("qec", "--pulses-per-cycle", str(10**25)),
     ],
     ids=["resources-t2-nan", "qec-t2-nan", "t2-inf", "t2-negative", "p-above-1",
          "p-negative", "cycles-negative", "rabi-period-power-underflow",
@@ -1377,7 +1407,9 @@ def test_a_scenario_json_cannot_hold_is_refused_before_any_event(monkeypatch, mu
          "tunnel-distance-overflow", "teleport-reach-overflow",
          "resources-t2-subnormal", "teleport-t2-subnormal",
          "rabi-period-subnormal", "qec-negative-seed", "simulate-negative-seed",
-         "teleport-negative-seed"],
+         "teleport-negative-seed", "swap-length-beyond-a-float",
+         "teleport-length-beyond-a-float", "teleport-rounds-1e11", "teleport-rounds-4097",
+         "qec-pulses-per-cycle-beyond-int64"],
 )
 def test_cli_rejects_bad_numbers(args):
     proc = run_cli(*args)
@@ -1411,9 +1443,16 @@ def test_cli_channel_rejects_zero_instead_of_defaulting(args):
         {"kind": "max_distance", "lambda": 1e-320},
         {"kind": "lambda", "T2": 5e-324},
         {"kind": "resources", "rabi_period": 5e-324},
+        {"kind": "swap_channel", "length_qubits": 10**400},
+        {"kind": "swap_channel", "t_hop": 10**400},
+        {"kind": "max_distance", "thresholds": [1e-4, 10**400]},
+        {"kind": "pulse_budget", "pulses_per_cycle": 10**400},
+        {"kind": "teleport_bandwidth", "rounds": 4097},
     ],
     ids=["swap-lambda-0", "pulses-per-cycle-0", "resources-power-overflow",
-         "max-distance-overflow", "lambda-t2-subnormal", "resources-rabi-period-subnormal"],
+         "max-distance-overflow", "lambda-t2-subnormal", "resources-rabi-period-subnormal",
+         "length-beyond-a-float", "t-hop-beyond-a-float", "threshold-beyond-a-float",
+         "pulses-per-cycle-beyond-a-float", "rounds-above-the-cap"],
 )
 def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
     scenario = copy.deepcopy(BELL)
@@ -1423,6 +1462,7 @@ def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
     out_dir = tmp_path / "results"
     proc = run_cli("simulate", "--scenario", str(path), "--out", str(out_dir))
     assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
     message = json.loads(proc.stderr)["message"]
     assert message.startswith(f"analytics entry 0 ({request_['kind']}): ")
     assert not out_dir.exists()
@@ -1443,6 +1483,53 @@ def test_cli_analytics_field_the_kind_does_not_read_exits_2(tmp_path, request_):
     assert json.loads(proc.stderr)["message"] == (
         f"analytics entry 1 ({request_['kind']}): unknown field {field!r}")
     assert not (tmp_path / "results").exists()
+
+
+def test_teleport_bandwidth_takes_a_length_or_a_distance():
+    scenario = copy.deepcopy(BELL)
+    pitch = scenario_mod.build_material(BELL["material"]).dot_pitch
+    scenario["analytics"] = [{"kind": "teleport_bandwidth", "length_qubits": 300},
+                             {"kind": "teleport_bandwidth", "distance_m": 300 * pitch}]
+    by_length, by_distance = run_scenario(scenario)["analytics"]
+    assert by_length == by_distance
+    assert by_length["report"]["length_qubits"] == 300
+    scenario["analytics"] = [{"kind": "teleport_bandwidth", "distance_m": 0.01,
+                              "length_qubits": 10}]
+    with pytest.raises(SchemaError, match=re.escape(
+            "analytics entry 0 (teleport_bandwidth) takes distance_m or length_qubits, "
+            "not both")):
+        run_scenario(scenario)
+
+
+@pytest.mark.parametrize("argv, request_", [
+    (("channel", "--kind", "tunnel", "--length-qubits", "7", "--lambda", "1e-5",
+      "--threshold", "1e-5"),
+     {"kind": "tunnel_channel", "length_qubits": 7, "lambda": 1e-5,
+      "fidelity_threshold": 1e-5}),
+    (("channel", "--kind", "teleport", "--length-qubits", "300", "--purification-rounds", "2",
+      "--threshold", "1e-5"),
+     {"kind": "teleport_bandwidth", "length_qubits": 300, "rounds": 2,
+      "fidelity_threshold": 1e-5}),
+    (("resources", "--rabi-period", "2e-7", "--load-ohms", "25"),
+     {"kind": "resources", "rabi_period": 2e-7, "load_ohms": 25}),
+], ids=["tunnel", "teleport", "resources"])
+def test_closed_form_commands_print_their_analytics_request(argv, request_, capsys):
+    # the CLI options are the kind's analytics fields, under one implementation
+    assert cli.main(list(argv)) == 0
+    printed = json.loads(capsys.readouterr().out)
+    scenario = copy.deepcopy(BELL)
+    scenario["analytics"] = [request_]
+    (entry,) = json.loads(dumps_report(run_scenario(scenario)["analytics"]))
+    for key, value in entry.items():
+        if key != "kind":
+            assert printed[key] == value
+
+
+def test_cli_names_the_flag_of_a_non_finite_option():
+    for flag in ("--lambda", "--threshold"):  # their dests are the fields they set
+        proc = run_cli("channel", "--kind", "swap", flag, "nan")
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["message"] == f"{flag} must be a finite number"
 
 
 def test_every_analytics_field_a_kind_reads_validates():
