@@ -266,7 +266,7 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict,
     array.advance(2.0 * (array.material.readout_transfer + array.material.readout_measure))
     if array.material.classical_latency > 0:
         # the two classical bits ride a wire to b's site before correcting
-        array.idle(array.material.classical_latency)
+        array.advance(array.material.classical_latency)
     if amp_bit:
         array.apply_gate_at("X", [b])
     if phase_bit:

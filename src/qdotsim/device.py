@@ -323,10 +323,3 @@ class DotArray:
                                       self.material.readout_error)
         self.advance(self.material.readout_transfer + self.material.readout_measure)
         return bit, p1
-
-    def idle(self, t: float) -> "DotArray":
-        """Let the array sit for t seconds; only noise and residual exchange act."""
-        if t < 0:
-            raise StateError(f"negative idle time {t}")
-        self.advance(t)
-        return self

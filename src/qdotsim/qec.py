@@ -153,12 +153,11 @@ def _pauli_codes(injected) -> tuple[int, ...]:
     return tuple(codes)
 
 
-def _cycle(state: QuantumState, block, codes, uniforms) -> tuple[QuantumState, tuple, tuple, int]:
+def _cycle(state: QuantumState, block, codes, uniforms) -> tuple[QuantumState, tuple, tuple]:
     """Encode the block, apply the net Pauli `codes`, decode, measure the
     four syndrome qubits, correct the principal and reset the syndromes.
     Measurement k reads uniforms[k] with qstate.measure. Returns the
-    register, the syndrome, the four p1 it compared with and the compiled
-    pulse count."""
+    register, the syndrome and the four p1 it compared with."""
     state = _run_ops(state, block)
     for q, bits in zip(block, codes):
         if bits:
@@ -176,7 +175,7 @@ def _cycle(state: QuantumState, block, codes, uniforms) -> tuple[QuantumState, t
     for sq, bit in zip(block[1:], syndrome):
         if bit:
             state = apply_gate(state, Gate("X", (sq,)))
-    return state, syndrome, marginals, cycle_pulse_count(int(correction != "I"), sum(syndrome))
+    return state, syndrome, marginals
 
 
 def qec_cycle(
@@ -184,8 +183,9 @@ def qec_cycle(
     block,
     injected=(),
     rng_seed=0,
-) -> tuple[QuantumState, dict]:
-    """One correction cycle on an unencoded register; returns it unencoded.
+) -> tuple[QuantumState, dict, tuple]:
+    """One correction cycle on an unencoded register; returns it unencoded,
+    with the report and the four syndrome p1 its draws were compared with.
 
     `block` lists five distinct qubits, the principal first; the four
     syndrome qubits must be in |0>. Encode the block, inject the product of
@@ -196,25 +196,21 @@ def qec_cycle(
     the code distance; cancelling pairs such as X2 X2 are not flagged. Its
     pulse count is that of the compiled hardware cycle.
     """
-    return _reported_cycle(state, block, injected, rng_seed)[:2]
-
-
-def _reported_cycle(state, block, injected, rng_seed) -> tuple[QuantumState, dict, tuple]:
-    """qec_cycle's register and report, and the four syndrome p1 it drew against."""
     block = tuple(block)
     if len(block) != 5 or len(set(block)) != 5:
         raise StateError(f"a code block needs 5 distinct qubits, got {block}")
     for q in block[1:]:
         require_ground(state, q, f"syndrome qubit {q}")
     codes = _pauli_codes(injected)
-    state, syndrome, p1s, pulse_count = _cycle(state, block, codes, as_rng(rng_seed).random(4))
+    state, syndrome, p1s = _cycle(state, block, codes, as_rng(rng_seed).random(4))
     diagnosed = _error_tables()[0][syndrome]
+    correction = principal_correction(syndrome)
     report = {
         "syndrome": list(syndrome),
         "diagnosed_error": {"pauli": diagnosed[0], "block_position": diagnosed[1]},
-        "principal_correction": principal_correction(syndrome),
+        "principal_correction": correction,
         "injected_errors": [list(e) for e in injected],
-        "pulse_count": pulse_count,
+        "pulse_count": cycle_pulse_count(correction != "I", sum(syndrome)),
         "possible_logical_error": sum(map(bool, codes)) >= 2,
     }
     return state, report, p1s
@@ -229,17 +225,17 @@ def _memory_reference() -> QuantumState:
     return QuantumState(psi, 5)
 
 
-def _memory_round(codes, uniforms) -> tuple[tuple, str, bool, int]:
+def _memory_round(codes, uniforms) -> tuple[tuple, str, bool]:
     """One memory round with net Pauli `codes`, measured against `uniforms`:
-    (the four p1 compared with, syndrome string, failed, pulse count)."""
+    (the four p1 compared with, syndrome string, failed)."""
     reference = _memory_reference()
-    state, syndrome, marginals, pulse_count = _cycle(reference, _BLOCK, codes, uniforms)
+    state, syndrome, marginals = _cycle(reference, _BLOCK, codes, uniforms)
     failed = state_fidelity(state, reference) < 1.0 - 1e-6
-    return marginals, "".join(map(str, syndrome)), failed, pulse_count
+    return marginals, "".join(map(str, syndrome)), failed
 
 
 @lru_cache(maxsize=4**5)
-def _pauli_class(codes) -> tuple[tuple, str, bool, int]:
+def _pauli_class(codes) -> tuple[tuple, str, bool]:
     """The round of one net Pauli class along its likely measurement branch
     (every draw 0.5), built once with the state-vector cycle."""
     return _memory_round(codes, (0.5, 0.5, 0.5, 0.5))
@@ -251,8 +247,8 @@ def memory_experiment(
     """Independent memory rounds on (|0> + e^{i pi/4}|1>)/sqrt(2): one
     correction cycle with Binomial(pulses_per_cycle, p) random single-qubit
     Paulis injected. A round fails when the decoded fidelity drops below
-    1 - 1e-6. Returns the failure count, the syndrome histogram and each
-    round's compiled pulse count.
+    1 - 1e-6. Returns the failure count and the syndrome histogram; a
+    round's compiled pulse count follows from its syndrome alone.
 
     A round depends only on its net Pauli class (4**5 of them, phases
     dropped) and on its four measurement draws, so each class is simulated
@@ -262,27 +258,25 @@ def memory_experiment(
     side, possible only where p1 sits within rounding of 0 or 1, runs the
     state-vector cycle on the same four draws. The draws are those of one
     cycle at a time: Binomial, then two integers per error (Pauli, block
-    position), then four uniforms."""
+    position), then four uniforms. Each error is XORed into the class as it
+    is drawn, so memory stays constant in cycles and errors."""
     histogram: dict[str, int] = {}
     failures = 0
-    pulse_counts = []
     for _ in range(cycles):
-        n_errors = int(rng.binomial(pulses_per_cycle, p))
-        injected = [
-            (("X", "Y", "Z")[int(rng.integers(3))], int(rng.integers(5)))
-            for _ in range(n_errors)
-        ]
-        codes = _pauli_codes(injected)
+        codes = [0] * 5
+        for _ in range(int(rng.binomial(pulses_per_cycle, p))):
+            # X, Y, Z as x + 2z codes, drawn before the position (`a[i] ^= v` reads i first)
+            pauli = (1, 3, 2)[int(rng.integers(3))]
+            codes[int(rng.integers(5))] ^= pauli
+        codes = tuple(codes)
         uniforms = rng.random(4).tolist()
-        marginals, key, failed, pulse_count = _pauli_class(codes)
+        marginals, key, failed = _pauli_class(codes)
         # u < p1 reads 1: qstate.draw_readout's rule with no misread, inline in this hot loop
         if any((u < p1) != (bit == "1") for u, p1, bit in zip(uniforms, marginals, key)):
-            _, key, failed, pulse_count = _memory_round(codes, uniforms)
+            _, key, failed = _memory_round(codes, uniforms)
         failures += failed
         histogram[key] = histogram.get(key, 0) + 1
-        pulse_counts.append(pulse_count)
-    return {"failures": failures, "syndrome_histogram": histogram,
-            "pulse_counts": pulse_counts}
+    return {"failures": failures, "syndrome_histogram": histogram}
 
 
 def pulse_budget(material: MaterialParams, pulses_per_cycle: int = 500) -> dict:

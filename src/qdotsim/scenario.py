@@ -32,7 +32,7 @@ import numpy as np
 from . import channels, pulses, qec
 from .device import (REPRESENTATIONS, ROLES, DotArray, MaterialParams, NoiseParams,
                      inas_material, si_material)
-from .errors import QdotsimError, SchemaError, StateError
+from .errors import ProtocolError, QdotsimError, SchemaError, StateError
 from .qstate import Gate, _is_number, draw_readout, state_fidelity
 from .report import _Stream, digest, dumps_report, first_uniforms, stream
 
@@ -177,7 +177,7 @@ def _teleport(array: DotArray, event: dict, at: dict, rng) -> dict:
 def _qec_cycle(array: DotArray, event: dict, at: dict, rng) -> dict:
     block = [array.qubit_index(p) for p in (at["principal"], *at["syndromes"])]
     before = array.state
-    array.state, rep, p1s = qec._reported_cycle(before, block, event.get("inject", []), rng)
+    array.state, rep, p1s = qec.qec_cycle(before, block, event.get("inject", []), rng)
     array.advance(rep["pulse_count"] * array.material.t_pulse)
     return {
         "measurements": rep["syndrome"],
@@ -209,7 +209,7 @@ _OPS: dict[str, _Op] = {
     "teleport": _Op(_teleport, ("payload", "a", "b")),
     "qec_cycle": _Op(_qec_cycle, ("principal",), ("syndromes",), check=_check_qec),
     "readout": _Op(_readout, ("qubit", "readout")),
-    "idle": _Op(lambda array, event, at, rng: array.idle(float(event["t"])),
+    "idle": _Op(lambda array, event, at, rng: array.advance(float(event["t"])),
                 numbers=("t",)),
 }
 
@@ -302,13 +302,13 @@ def check_analytics(request: dict, label: str, name: Callable[[str], str] = str)
 
 def run_analytics(request: dict, material: MaterialParams, label: str,
                   name: Callable[[str], str] = str) -> dict:
-    """The report fields of a checked request. A StateError becomes a SchemaError
-    under `label`, as does a teleport_bandwidth over both a distance and a length."""
+    """The report fields of a checked request. A StateError or ProtocolError becomes a
+    SchemaError under `label`, as does a teleport_bandwidth over both a distance and a length."""
     _require(not {"distance_m", "length_qubits"} <= request.keys(),
              "{} takes {} or {}, not both", label, name("distance_m"), name("length_qubits"))
     try:
         return _ANALYTICS[request["kind"]][1](request, material)
-    except StateError as exc:
+    except (StateError, ProtocolError) as exc:
         raise SchemaError(f"{label}: {exc}") from exc
 
 

@@ -177,12 +177,14 @@ def qec_cycle_oracle(state: QuantumState, block, injected, rng) -> tuple[Quantum
     }
 
 
-def memory_experiment_oracle(cycles: int, p: float, rng, pulses_per_cycle: int = 500) -> dict:
+def memory_experiment_oracle(cycles: int, p: float, rng,
+                             pulses_per_cycle: int = 500) -> tuple[dict, list[int]]:
     """The memory experiment with one state-vector qec_cycle per round: draw
     Binomial(pulses_per_cycle, p) errors, a (Pauli, block position) pair of
     integers for each, run the cycle on (|0> + e^{i pi/4}|1>)/sqrt(2) and
     count a failure below fidelity 1 - 1e-6. qec.memory_experiment must
-    return the same dict and leave rng in the same state."""
+    return the same dict and leave rng in the same state. Also returns each
+    round's compiled pulse count, which the dict leaves out."""
     amp = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2.0)
     base = np.zeros(32, dtype=complex)
     base[0], base[16] = amp[0], amp[1]
@@ -196,14 +198,13 @@ def memory_experiment_oracle(cycles: int, p: float, rng, pulses_per_cycle: int =
             (("X", "Y", "Z")[int(rng.integers(3))], int(rng.integers(5)))
             for _ in range(n_errors)
         ]
-        state, rep = qec_cycle(reference, (0, 1, 2, 3, 4), injected, rng)
+        state, rep, _ = qec_cycle(reference, (0, 1, 2, 3, 4), injected, rng)
         if state_fidelity(state, reference) < 1.0 - 1e-6:
             failures += 1
         key = "".join(str(b) for b in rep["syndrome"])
         histogram[key] = histogram.get(key, 0) + 1
         pulse_counts.append(rep["pulse_count"])
-    return {"failures": failures, "syndrome_histogram": histogram,
-            "pulse_counts": pulse_counts}
+    return {"failures": failures, "syndrome_histogram": histogram}, pulse_counts
 
 
 def multi_axis_marginal(psi: np.ndarray, n: int, qubit: int) -> np.ndarray:

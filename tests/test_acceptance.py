@@ -188,13 +188,13 @@ def test_criterion_08_qec_corrects_all_single_errors():
             block = (0, 1, 2, 3, 4)
             for pauli in "XYZ":
                 for qubit in range(5):
-                    state, rep = qec_cycle(QuantumState(base.copy(), 5), block,
-                                           [(pauli, qubit)], rng_seed=8)
+                    state, rep, _ = qec_cycle(QuantumState(base.copy(), 5), block,
+                                              [(pauli, qubit)], rng_seed=8)
                     fid = state_fidelity(state, reference)
                     assert fid >= 1 - 1e-9, f"{pauli}{qubit} unrecovered: {fid}"
             # at least one weight-2 error escapes correction
-            state, rep = qec_cycle(QuantumState(base.copy(), 5), block,
-                                   [("X", 0), ("X", 1)], rng_seed=8)
+            state, rep, _ = qec_cycle(QuantumState(base.copy(), 5), block,
+                                      [("X", 0), ("X", 1)], rng_seed=8)
             assert rep["possible_logical_error"]
             assert state_fidelity(state, reference) < 1 - 1e-3
 

@@ -150,7 +150,7 @@ def test_register_size_must_match_the_qubit_map():
     array.init_qubit((1, 0))
     array.state = QuantumState.zero(3)
     with pytest.raises(StateError):
-        array.idle(0.0)
+        array.advance(0.0)
 
 
 def test_electron_number_conserved_by_moves():
@@ -230,7 +230,7 @@ def test_residual_applied_in_strict_mode():
     array.init_qubit((1, 0))
     array.apply_gate_at("X", [(1, 0)])  # |01>, sensitive to exchange
     before = QuantumState(array.state.data.copy(), 2)
-    array.idle(1e-6)  # theta ~ 7.6 rad
+    array.advance(1e-6)  # theta ~ 7.6 rad
     assert state_fidelity(array.state, before) < 1 - 1e-3
 
 
@@ -242,7 +242,7 @@ def _strict_pair_idled(idle_t):
     array.init_qubit((1, 0))
     array.apply_gate_at("X", [(1, 0)])
     before = array.state.data.copy()
-    array.idle(idle_t)
+    array.advance(idle_t)
     return before, array
 
 
@@ -319,7 +319,7 @@ def test_residual_not_applied_when_lenient():
     array.init_qubit((1, 0))
     array.apply_gate_at("X", [(1, 0)])
     before = QuantumState(array.state.data.copy(), 2)
-    array.idle(1e-6)
+    array.advance(1e-6)
     assert state_fidelity(array.state, before) > 1 - 1e-12
 
 
@@ -408,7 +408,7 @@ def test_clock_is_exact_sum_of_event_durations():
         (lambda: array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi / 2),
          math.pi / 2 * HBAR_EV_S / mat.J_on),
         (lambda: array.move_electron((1, 0), (1, 1)), mat.t_hop),
-        (lambda: array.idle(3.5e-8), 3.5e-8),
+        (lambda: array.advance(3.5e-8), 3.5e-8),
         (lambda: array.readout((0, 0), (0, 1), 1),
          mat.readout_transfer + mat.readout_measure),
     ]
@@ -426,7 +426,7 @@ def test_clock_monotone():
     clocks = [array.clock]
     for run in (lambda: array.init_qubit((0, 0)),
                 lambda: array.apply_gate_at("H", [(0, 0)]),
-                lambda: array.idle(1e-9)):
+                lambda: array.advance(1e-9)):
         run()
         clocks.append(array.clock)
     assert clocks == sorted(clocks)
@@ -434,9 +434,9 @@ def test_clock_monotone():
 
 def test_clock_and_energy_refuse_to_overflow():
     array = make_array()
-    array.idle(1e308)
+    array.advance(1e308)
     with pytest.raises(StateError, match="overflow the clock"):
-        array.idle(1e308)
+        array.advance(1e308)
     array.advance(0.0, energy=1e308)
     with pytest.raises(StateError, match="overflow the clock"):
         array.advance(0.0, energy=1e308)
@@ -445,13 +445,13 @@ def test_clock_and_energy_refuse_to_overflow():
 
 def test_a_positive_duration_below_one_ulp_of_the_clock_is_refused():
     array = make_array()
-    array.idle(1.0)
+    array.advance(1.0)
     with pytest.raises(StateError, match="below one ulp of the clock"):
-        array.idle(1e-17)  # 1.0 + 1e-17 rounds to 1.0: the event would book nothing
+        array.advance(1e-17)  # 1.0 + 1e-17 rounds to 1.0: the event would book nothing
     with pytest.raises(StateError, match="below one ulp of the clock"):
         array.advance(1e-17, windows=3)
     array.advance(0.0, energy=1e-20)  # an instantaneous event still books its energy
-    array.idle(2e-16)
+    array.advance(2e-16)
     assert (array.clock, array.energy) == (1.0 + 2e-16, 1e-20)
 
 
@@ -516,7 +516,7 @@ def test_norm_preserved_through_noisy_events():
     array.init_qubit((1, 0))
     array.apply_gate_at("H", [(0, 0)])
     array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi)
-    array.idle(1e-5)
+    array.advance(1e-5)
     assert norm_error(array.state) < 1e-10
 
 
@@ -529,8 +529,8 @@ def test_per_dot_t2_override_shortens_coherence():
         array.init_qubit((0, 0))
         array.apply_gate_at("H", [(0, 0)])
     ref = QuantumState(slow.state.data.copy(), 1)
-    slow.idle(1e-6)
-    fast.idle(1e-6)
+    slow.advance(1e-6)
+    fast.advance(1e-6)
     assert state_fidelity(fast.state, ref) < state_fidelity(slow.state, ref)
 
 

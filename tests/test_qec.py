@@ -2,6 +2,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qdotsim.qec import (
     cycle_pulse_count,
     encode_pulse_count,
     memory_experiment,
+    principal_correction,
     pulse_budget,
     qec_cycle,
 )
@@ -255,7 +257,7 @@ def test_syndrome_table_against_bruteforce_decode(rng):
 # ---------------------------------------------------------------------------
 
 def test_cycle_without_error_is_identity():
-    out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [], rng_seed=1)
+    out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [], rng_seed=1)
     assert report["syndrome"] == [0, 0, 0, 0]
     assert report["principal_correction"] == "I"
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
@@ -265,8 +267,8 @@ def test_cycle_without_error_is_identity():
     "pauli,qubit", [(p, q) for p in "XYZ" for q in range(5)]
 )
 def test_cycle_corrects_every_single_error(pauli, qubit):
-    out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [(pauli, qubit)],
-                            rng_seed=2)
+    out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [(pauli, qubit)],
+                               rng_seed=2)
     assert report["diagnosed_error"] == {"pauli": pauli, "block_position": qubit}
     assert not report["possible_logical_error"]
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
@@ -274,8 +276,8 @@ def test_cycle_corrects_every_single_error(pauli, qubit):
 
 def test_cycle_handles_y_then_x_as_net_z():
     # Y then X on the same qubit is Z up to phase, still weight one
-    out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK,
-                            [("Y", 3), ("X", 3)], rng_seed=3)
+    out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK,
+                               [("Y", 3), ("X", 3)], rng_seed=3)
     assert report["diagnosed_error"] == {"pauli": "Z", "block_position": 3}
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 
@@ -283,7 +285,7 @@ def test_cycle_handles_y_then_x_as_net_z():
 @pytest.mark.parametrize("injected", [[("X", 2), ("X", 2)], [("Y", 3), ("X", 3)]])
 def test_cancelling_injections_are_not_flagged(injected):
     # X2 X2 is the identity and Y3 X3 is Z3 up to phase: weight < 2, correctable
-    out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, injected, rng_seed=7)
+    out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, injected, rng_seed=7)
     assert not report["possible_logical_error"]
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 
@@ -296,8 +298,8 @@ def test_some_weight_two_error_is_uncorrectable():
     ):
         if q1 == q2:
             continue
-        out, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK,
-                                [(p1, q1), (p2, q2)], rng_seed=4)
+        out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK,
+                                   [(p1, q1), (p2, q2)], rng_seed=4)
         assert report["possible_logical_error"]
         worst = min(worst, state_fidelity(out, five_qubit_state(TEST_PAYLOAD)))
         if worst < 0.5:
@@ -306,7 +308,7 @@ def test_some_weight_two_error_is_uncorrectable():
 
 
 def test_cycle_reports_pulse_count():
-    _, report = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [("X", 1)], rng_seed=5)
+    _, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [("X", 1)], rng_seed=5)
     assert report["pulse_count"] == cycle_pulse_count(
         n_corrections=1 if report["principal_correction"] != "I" else 0,
         n_resets=sum(report["syndrome"]),
@@ -319,7 +321,7 @@ def test_cycle_with_extra_ancilla_untouched(rng):
     amp = haar_state(1, rng).data
     psi6 = np.kron(five_qubit_state(TEST_PAYLOAD).data, amp)
     state = QuantumState(psi6, 6)
-    state, _ = qec_cycle(state, BLOCK, [("Y", 2)], rng_seed=6)
+    state, _, _ = qec_cycle(state, BLOCK, [("Y", 2)], rng_seed=6)
     expected = QuantumState(np.kron(five_qubit_state(TEST_PAYLOAD).data, amp), 6)
     assert state_fidelity(state, expected) > 1 - 1e-10
 
@@ -344,7 +346,7 @@ def test_cycle_matches_the_multi_pass_oracle(n, matrix, seed, n_errors):
     injected = [("XYZ"[int(rng.integers(3))], int(rng.integers(5)))
                 for _ in range(n_errors)]
     one_pass, multi_pass = np.random.default_rng(seed), np.random.default_rng(seed)
-    out, report = qec_cycle(start, block, injected, one_pass)
+    out, report, _ = qec_cycle(start, block, injected, one_pass)
     expected, expected_report = qec_cycle_oracle(start, block, injected, multi_pass)
     assert report == expected_report
     assert states_close(out, expected, 1e-12)
@@ -361,10 +363,30 @@ def test_cycle_matches_the_multi_pass_oracle(n, matrix, seed, n_errors):
 def test_memory_experiment_matches_the_per_cycle_oracle(seed, p, pulses_per_cycle, cycles):
     # up to ~100 Paulis per round, so classes of every weight are looked up
     table, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert memory_experiment(cycles, p, table, pulses_per_cycle) == (
-        memory_experiment_oracle(cycles, p, oracle, pulses_per_cycle))
+    run = memory_experiment(cycles, p, table, pulses_per_cycle)
+    expected, pulse_counts = memory_experiment_oracle(cycles, p, oracle, pulses_per_cycle)
+    assert run == expected
     assert table.bit_generator.state == oracle.bit_generator.state
     assert _pauli_class.cache_info().currsize <= 4**5
+    # qdotsim qec derives its compiled pulse range from the histogram's syndromes
+    compiled = [cycle_pulse_count(principal_correction(tuple(map(int, key))) != "I",
+                                  key.count("1")) for key in run["syndrome_histogram"]]
+    assert min(compiled, default=0) == min(pulse_counts, default=0)
+    assert max(compiled, default=0) == max(pulse_counts, default=0)
+
+
+@pytest.mark.parametrize("cycles,p,pulses_per_cycle", [(1, 1.0, 20_000), (20_000, 0.0, 500)],
+                         ids=["many-errors", "many-cycles"])
+def test_memory_experiment_memory_is_constant(cycles, p, pulses_per_cycle):
+    # no per-cycle or per-error list: the run peaks below 64 kB however long it is
+    memory_experiment(cycles, p, np.random.default_rng(3), pulses_per_cycle)  # fills the caches
+    tracemalloc.start()
+    try:
+        memory_experiment(cycles, p, np.random.default_rng(3), pulses_per_cycle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 class _Draws(np.random.Generator):

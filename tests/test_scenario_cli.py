@@ -1400,6 +1400,8 @@ def test_a_scenario_json_cannot_hold_is_refused_before_any_event(monkeypatch, mu
         ("channel", "--kind", "teleport", "--purification-rounds", "100000000000"),
         ("channel", "--kind", "teleport", "--purification-rounds", "4097"),
         ("qec", "--pulses-per-cycle", str(10**25)),
+        ("qec", "--cycles", str(2**32 + 1)),
+        ("channel", "--kind", "teleport", "--distance-m", "1e10", "--purification-rounds", "2"),
     ],
     ids=["resources-t2-nan", "qec-t2-nan", "t2-inf", "t2-negative", "p-above-1",
          "p-negative", "cycles-negative", "rabi-period-power-underflow",
@@ -1409,7 +1411,8 @@ def test_a_scenario_json_cannot_hold_is_refused_before_any_event(monkeypatch, mu
          "rabi-period-subnormal", "qec-negative-seed", "simulate-negative-seed",
          "teleport-negative-seed", "swap-length-beyond-a-float",
          "teleport-length-beyond-a-float", "teleport-rounds-1e11", "teleport-rounds-4097",
-         "qec-pulses-per-cycle-beyond-int64"],
+         "qec-pulses-per-cycle-beyond-int64", "qec-cycles-beyond-2-32",
+         "teleport-purification-below-threshold"],
 )
 def test_cli_rejects_bad_numbers(args):
     proc = run_cli(*args)
@@ -1448,11 +1451,13 @@ def test_cli_channel_rejects_zero_instead_of_defaulting(args):
         {"kind": "max_distance", "thresholds": [1e-4, 10**400]},
         {"kind": "pulse_budget", "pulses_per_cycle": 10**400},
         {"kind": "teleport_bandwidth", "rounds": 4097},
+        {"kind": "teleport_bandwidth", "distance_m": 1e10, "rounds": 2},
     ],
     ids=["swap-lambda-0", "pulses-per-cycle-0", "resources-power-overflow",
          "max-distance-overflow", "lambda-t2-subnormal", "resources-rabi-period-subnormal",
          "length-beyond-a-float", "t-hop-beyond-a-float", "threshold-beyond-a-float",
-         "pulses-per-cycle-beyond-a-float", "rounds-above-the-cap"],
+         "pulses-per-cycle-beyond-a-float", "rounds-above-the-cap",
+         "purification-below-threshold"],
 )
 def test_cli_bad_analytics_value_names_the_entry(tmp_path, request_):
     scenario = copy.deepcopy(BELL)
@@ -1783,11 +1788,19 @@ def test_cli_teleport_reports_branches():
     assert other["branch_verification"] == payload["branch_verification"]
 
 
-def test_cli_teleport_strict_exits_3_at_the_epr_ground_check():
+def test_cli_teleport_takes_no_strict_flag():
+    # strictness comes from the scenario's field or from simulate --strict
+    proc = run_cli("teleport", "--strict")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments: --strict" in proc.stderr
+
+
+def test_cli_simulate_strict_teleport_exits_3_at_the_epr_ground_check():
     # the residual exchange J_off between (0, 0) and (1, 0) acts through the
     # payload's H and S windows (a pulse area of ~0.57) and moves amplitude
     # onto the EPR qubit before make_epr checks that it is in |0>
-    proc = run_cli("teleport", "--strict")
+    proc = run_cli("simulate", "--scenario", "teleport.scenario", "--strict")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr) == {
