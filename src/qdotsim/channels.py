@@ -131,11 +131,11 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     """Shortest path from an occupied source to an empty destination through
     empty dots only, the lexicographically first with steps ranked
     +x,+y,-x,-y: the one a FIFO breadth-first search expanding in that order
-    finds. If a monotone path exists, all shortest paths are monotone, and a
-    depth-first walk in the src-dst rectangle, trying the steps toward dst
-    in rank order and backing out of dead ends, finds it; when nothing blocks
-    it, that walk is the L along the first-ranked step, then the other, so the
-    L is tried first. Else the search runs in a box around the rectangle that
+    finds. If a monotone path exists, all shortest paths are monotone, and the
+    walk from src that always takes the first-ranked step toward dst from
+    which dst stays reachable finds it; when nothing blocks it, that walk is
+    the L along the first-ranked step, then the other, so the L is tried
+    first. Else the search runs in a box around the src-dst rectangle that
     grows until it must hold the path."""
     array._pos_check(src)
     array._pos_check(dst)
@@ -149,27 +149,32 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
         raise RoutingError(f"destination dot {dst} cannot host an electron")
     sx, sy = (dst[0] > src[0]) - (dst[0] < src[0]), (dst[1] > src[1]) - (dst[1] < src[1])
     toward = [step for step in ((1, 0), (0, 1), (-1, 0), (0, -1)) if step in ((sx, 0), (0, sy))]
-    # The walk's L: toward[0] to dst's row or column, then toward[1]. Up to the
-    # L's first blocked cell the walk takes no other step, so it starts there.
     xs, ys = range(src[0], dst[0], sx or 1), range(src[1], dst[1], sy or 1)  # empty if level
     path = ([*zip(xs, repeat(src[1])), *zip(repeat(dst[0]), ys), dst] if toward[0][0]
             else [*zip(repeat(src[0]), ys), *zip(xs, repeat(dst[1])), dst])
-    hits = blocked.intersection(path[1:])
-    if not hits:
+    if blocked.isdisjoint(path[1:]):
         return path
-    path, dead = path[:min(map(path.index, hits))], set()
-    while path and path[-1] != dst:
-        x, y = path[-1]
-        for dx, dy in toward:
-            nxt = (x + dx, y + dy)
-            # a step toward dst leaves the rectangle only past dst's row or column
-            if (nxt not in blocked and nxt not in dead
-                    and (nxt[0] - dst[0]) * sx <= 0 and (nxt[1] - dst[1]) * sy <= 0):
-                path.append(nxt)
-                break
-        else:
-            dead.add(path.pop())  # no monotone path to dst leaves this cell
-    if path:
+    # Row k of the src-dst rectangle, k rows back from dst's, as a mask: bit b is the
+    # cell b columns back from dst's column. A row reaches dst from its seed, its free
+    # cells that step into the next row's set (reach[0] seeds dst), and the runs above.
+    dx, dy = abs(dst[0] - src[0]), abs(dst[1] - src[1])
+    rows = [(2 << dx) - 1] * (dy + 1)
+    for x, y in blocked - {src}:
+        b, k = abs(dst[0] - x), abs(dst[1] - y)
+        if (dst[0] - x) * sx == b <= dx and (dst[1] - y) * sy == k <= dy:
+            rows[k] &= ~(1 << b)
+    reach = [1]
+    for free in rows:
+        seed = free & reach[-1]
+        reach.append(((free + seed) ^ free ^ seed) & free | seed)
+    if reach[-1] >> dx & 1:
+        moves, b, k, path = [(abs(i), abs(j)) for i, j in toward], dx, dy, [src]
+        while b or k:  # the first-ranked step whose cell is in its row's set
+            for i, j in moves:
+                if b >= i and reach[k - j + 1] >> (b - i) & 1:
+                    break
+            b, k = b - i, k - j
+            path.append((dst[0] - b * sx, dst[1] - k * sy))
         return path
     # A breadth-first search in a box around src and dst, its margin doubling
     # until the path found has at most manhattan + 2*margin hops (every path that
@@ -177,7 +182,7 @@ def plan_tunnel_route(array: DotArray, src: Pos, dst: Pos) -> list[Pos]:
     # box is the grid. Cells are ids into the box padded by one blocked cell on
     # each side, so a step never needs a bounds check; the steps keep the
     # +x,+y,-x,-y order.
-    manhattan, margin = abs(dst[0] - src[0]) + abs(dst[1] - src[1]), 1
+    manhattan, margin = dx + dy, 1
     while True:
         x0, y0 = max(min(src[0], dst[0]) - margin, 0), max(min(src[1], dst[1]) - margin, 0)
         x1 = min(max(src[0], dst[0]) + margin + 1, array.width)

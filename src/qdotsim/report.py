@@ -28,52 +28,67 @@ def format_float(x: float) -> str:
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """JSON with sorted keys and fixed float formatting; returns one string
-    ending in a newline when used at the top level via dumps_report. Leaves
-    of an exact type take _LEAVES; subclasses and numpy scalars the chain."""
-    leaf = _LEAVES.get(type(obj))
-    if leaf is not None:
-        return leaf(obj)
-    pad = " " * indent
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, dict):
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-        items = [f"{pad}  {encode_basestring_ascii(key)}: "
-                 f"{leaf(v) if (leaf := _LEAVES.get(type(v))) else canonical_json(v, indent + 2)}"
-                 for key, v in sorted(obj.items())]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            # nonempty int lists: one row template per length, one % over every int
-            inner = f"\n{pad}    "
-            rows = {n: f"{pad}  [{inner}" + f",{inner}".join(["%d"] * n) + f"\n{pad}  ]"
-                    for n in set(map(len, obj))}
-            body = ",\n".join([rows[len(v)] for v in obj]) % tuple(chain.from_iterable(obj))
-            return f"[\n{body}\n{pad}]"
-        flat = encode_basestring_ascii if kinds == {str} else str if kinds == {int} else None
-        items = [f"{pad}  {flat(v) if flat else canonical_json(v, indent + 2)}" for v in obj]
-        brackets = "[]"
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
+    """JSON with sorted keys, a two-space indent and fixed float formatting."""
+    parts = []
+    _write(obj, " " * indent, parts.append)
+    return "".join(parts)
+
+
+def dumps_report(obj) -> str:
+    return canonical_json(obj) + "\n"
 
 
 _LEAVES = {str: encode_basestring_ascii, float: format_float, int: int.__repr__,
            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
 
-def dumps_report(obj) -> str:
-    return canonical_json(obj) + "\n"
+def _write(obj, pad: str, emit) -> None:
+    """Append obj's canonical JSON, indented by pad, to one buffer through emit. Leaves
+    of exact type render inline; subclasses and numpy scalars take the isinstance chain."""
+    kind = type(obj)
+    if kind is not dict and kind is not list:  # an exact container is none of the leaves
+        if kind in _LEAVES:
+            return emit(_LEAVES[kind](obj))
+        if isinstance(obj, (int, np.integer)):
+            return emit(str(int(obj)))
+        if isinstance(obj, (float, np.floating)):
+            return emit(format_float(float(obj)))
+        if isinstance(obj, str):
+            return emit(encode_basestring_ascii(obj))
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        for key in obj:  # before sorting, so a key of the wrong type is the error raised
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+        sep = "{\n"
+        for key in sorted(obj):  # then one lookup per value: faster than sorting items
+            kind, key = type(v := obj[key]), encode_basestring_ascii(key)
+            if kind is float and math.isfinite(v):
+                emit(f"{sep}{inner}{key}: {v:.17g}")
+            elif kind in _LEAVES:  # format_float refuses a non-finite float
+                emit(f"{sep}{inner}{key}: {_LEAVES[kind](v)}")
+            else:
+                emit(f"{sep}{inner}{key}: ")
+                _write(v, inner, emit)
+            sep = ",\n"
+        return emit(f"\n{pad}}}" if obj else "{}")
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+    kinds = set(map(type, obj))
+    if kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+        # nonempty int lists: one row template per length, one % over every int
+        nl = f"\n{inner}  "
+        rows = {n: f"{inner}[{nl}" + f",{nl}".join(["%d"] * n) + f"\n{inner}]"
+                for n in set(map(len, obj))}
+        body = ",\n".join([rows[len(v)] for v in obj]) % tuple(chain.from_iterable(obj))
+        return emit(f"[\n{body}\n{pad}]")
+    flat = encode_basestring_ascii if kinds == {str} else int.__repr__ if kinds == {int} else None
+    if flat is not None:
+        return emit(f"[\n{inner}" + f",\n{inner}".join(map(flat, obj)) + f"\n{pad}]")
+    for i, v in enumerate(obj):
+        emit(f",\n{inner}" if i else f"[\n{inner}")
+        _write(v, inner, emit)
+    emit(f"\n{pad}]" if obj else "[]")
 
 
 def digest(text: str) -> str:

@@ -40,17 +40,16 @@ SCHEMA_VERSION = 1
 
 
 def load_scenario(path_or_name: str) -> dict:
-    """Read a scenario from disk, falling back to the bundled ones."""
+    """Read a UTF-8 scenario from disk, falling back to the bundled ones."""
     path = Path(path_or_name)
-    if path.exists():
-        text = path.read_text()
-    else:
-        bundled = resources.files("qdotsim").joinpath("scenarios", path_or_name)
-        if not bundled.is_file():
+    if not path.exists():
+        path = resources.files("qdotsim").joinpath("scenarios", path_or_name)
+        if not path.is_file():
             raise SchemaError(f"scenario not found: {path_or_name}")
-        text = bundled.read_text()
     try:
-        scenario = json.loads(text)
+        scenario = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or bytes that are not UTF-8
+        raise SchemaError(f"cannot read scenario {path_or_name}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an int beyond Python's digit limit
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(scenario, dict):
@@ -330,6 +329,7 @@ def validate_scenario(scenario: dict) -> tuple[MaterialParams, dict, dict, list,
             raise SchemaError(f"scenario is not JSON data: {inner}") from inner
         raise SchemaError("scenario holds a non-finite number (inf or nan)") from exc
     _require(isinstance(scenario.get("strict", False), bool), "strict must be true or false")
+    _require(isinstance(scenario.get("output", ""), str), "output must be a directory name")
     material = build_material(scenario.get("material", "inas"))
     array = scenario.get("array")
     _require(isinstance(array, dict), "array section is mandatory")

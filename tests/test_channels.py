@@ -262,6 +262,26 @@ def test_route_equals_the_oracle_on_large_sparse_grids(width, height, data):
     assert planned(plan_tunnel_route, array, src, dst) == planned(route_oracle, array, src, dst)
 
 
+@given(width=st.integers(1, 16), height=st.integers(1, 16), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_route_equals_the_oracle_behind_dense_readout_walls(width, height, data):
+    # readout walls across rows and columns with few gaps, plus scattered readout
+    # dots: blocked Ls, dead ends in the rectangle and detours around it
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    roles = {c: "readout" for c in data.draw(st.lists(cell, max_size=width * height // 4))}
+    for _ in range(data.draw(st.integers(0, 4))):
+        vertical, at = data.draw(st.booleans()), data.draw(st.integers(0, 15))
+        gaps = data.draw(st.sets(st.integers(0, 15), max_size=3))
+        roles.update({(at, i) if vertical else (i, at): "readout"
+                      for i in range(16) if i not in gaps})
+    roles = {(x, y): role for (x, y), role in roles.items() if x < width and y < height}
+    array = DotArray(width, height, MATERIAL, roles=roles)
+    occupied = data.draw(st.lists(cell, min_size=1, max_size=12, unique=True))
+    array.qubit_positions = occupied  # the planner reads only the occupancy record
+    src, dst = data.draw(st.sampled_from(occupied)), data.draw(cell)
+    assert planned(plan_tunnel_route, array, src, dst) == planned(route_oracle, array, src, dst)
+
+
 @pytest.mark.parametrize("occupied, readouts, dst, path", [
     # monotone: the +x walk dead-ends at (2, 0) and backs out to (1, 0)
     ([(0, 0), (3, 0), (2, 1)], [], (3, 2),
@@ -279,6 +299,13 @@ def test_route_equals_the_oracle_on_large_sparse_grids(width, height, data):
     ([(0, 0)], [(3, 1)], (3, 2), [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 2)]),
     # a straight route blocked: no monotone path, the breadth-first detour
     ([(0, 1)], [(2, 1)], (3, 1), [(0, 1), (1, 1), (1, 2), (2, 2), (3, 2), (3, 1)]),
+    # the L blocked below (3, 0) and (2, 0): a depth-first walk backs out of both,
+    # the row masks never enter them
+    ([(0, 0)], [(2, 1), (3, 1)], (3, 2), [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (3, 2)]),
+    # a blocked L with no monotone path: the detour leaves the rectangle by +x
+    ([(0, 0)], [(1, 1), (0, 2)], (1, 2), [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2)]),
+    # a straight +y route blocked mid-line: a one-column rectangle, then the detour
+    ([(1, 0)], [(1, 1)], (1, 2), [(1, 0), (2, 0), (2, 1), (2, 2), (1, 2)]),
 ])
 def test_route_branches_take_the_lexicographically_first_shortest_path(
         occupied, readouts, dst, path):

@@ -117,6 +117,12 @@ def _serialized(function, tree):
 @example([[1, 2], [3], [True, 4]])
 @example({"path": [[0, 0], [1, 0], [1, 1]], "x": [-0.0, 5e-324], "e": []})
 @example([[[]], {}, ((),), [{}]])
+@example({"analytics": [], "events": [
+    {"index": 8, "event": "route", "clock_before": 0, "clock_after": 1.8142670786416028e-09,
+     "measurements": None, "fidelity_checks": None, "path": [[15, 15], [16, 15], [16, 16]]},
+    {"index": 9, "event": "epr", "measurements": [0], "strict": False,
+     "fidelity_checks": {"bell_fidelity": 0.99999999999999967, "note": "x"}}]})
+@example({"b": 1, 2: "a", "c": [1]})  # the key error, not the sort's
 @settings(max_examples=400, deadline=None)
 def test_canonical_json_equals_the_isinstance_oracle(tree):
     assert _serialized(canonical_json, tree) == _serialized(canonical_json_oracle, tree)
@@ -226,6 +232,7 @@ def test_invalid_json_is_schema_error(tmp_path):
         lambda s: s["program"].append(
             {"op": "gate", "kind": "Rot", "targets": [[0, 0]], "axis": [10**400, 0, 1],
              "angle": 1.0}),
+        lambda s: s.update(output=5),
     ],
 )
 def test_validation_rejects_bad_scenarios(mutate):
@@ -1306,6 +1313,27 @@ def test_cli_integer_beyond_the_digit_limit_exits_2(tmp_path):
     assert json.loads(proc.stderr)["error"] == "schema"
     assert "scenario is not valid JSON" in json.loads(proc.stderr)["message"]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "teleport"])
+@pytest.mark.parametrize("bad", ["directory", "not utf-8", "output 5"])
+def test_cli_unreadable_scenario_or_non_string_output_exits_2(tmp_path, monkeypatch, capsys,
+                                                               command, bad):
+    # read_text raised on a directory and on bytes that are not UTF-8, and an
+    # "output" of 5 reached Path(5) only after simulate had run every event
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.scenario"
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "not utf-8":
+        path.write_bytes(json.dumps({**BELL, "note": "\xff"}, ensure_ascii=False).encode("latin-1"))
+    else:
+        path.write_text(json.dumps({**BELL, "output": 5}))
+    assert cli.main([command, "--scenario", str(path)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "schema"
+    assert str(path) in error["message"] if bad != "output 5" else error["message"].startswith("output")
+    assert list(tmp_path.iterdir()) == [path]  # no report directory
 
 
 def test_cli_physics_violation_exits_3(tmp_path):
