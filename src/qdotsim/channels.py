@@ -27,7 +27,7 @@ import numpy as np
 
 from .device import DotArray, MaterialParams, Pos
 from .errors import AdjacencyError, ProtocolError, RoutingError, StateError
-from .qstate import as_rng, measure, reduced_density, require_ground
+from .qstate import measure, reduced_density, require_ground
 
 BELL_PHI_PLUS = np.zeros(4, dtype=complex)
 BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
@@ -246,14 +246,14 @@ def epr_pair_fidelity(array: DotArray, a: Pos, b: Pos) -> float:
     return float(np.real(BELL_PHI_PLUS.conj() @ rho @ BELL_PHI_PLUS))
 
 
-def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng_seed=0) -> tuple[dict, DotArray]:
+def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng) -> tuple[dict, DotArray]:
     """Teleport the payload at c onto b using the EPR pair (a, b).
 
     CNOT from c onto a, then the phase of c (X basis) and the amplitude of a
     (Z basis) are measured; the two classical bits steer an X and then a Z
-    on b. The payload at c is destroyed by the measurements. The report's
-    `p1` holds the two Born marginals the draws were compared with."""
-    rng = as_rng(rng_seed)
+    on b. The payload at c is destroyed by the measurements, whose two
+    uniforms come from `rng.random(2)`. The report's `p1` holds the two Born
+    marginals the draws were compared with."""
     qc, qa, qb = (array.qubit_index(p) for p in (c, a, b))
     if len({qc, qa, qb}) != 3:
         raise StateError("payload and pair must be three distinct qubits")

@@ -34,8 +34,7 @@ from .constants import HBAR_EV_S
 from .errors import AdjacencyError, BlockadeError, StateError
 from .noise import NoiseParams, idle_jumps_window, idle_window
 from .pulses import drive_report, swap_duration
-from .qstate import Gate, QuantumState, apply_gate, as_rng, measure
-from .report import _Stream
+from .qstate import Gate, QuantumState, apply_gate, measure
 
 Pos = tuple[int, int]
 
@@ -157,7 +156,8 @@ class DotArray:
         self.qubit_positions: list[Pos] = []
         self.clock = 0.0
         self.energy = 0.0
-        self._rng = seed if isinstance(seed, _Stream) else as_rng(seed)
+        # the one place a seed becomes a generator; anything with random(k) is one already
+        self._rng = seed if hasattr(seed, "random") else np.random.default_rng(seed)
 
     # -- geometry ---------------------------------------------------------
 
@@ -200,12 +200,12 @@ class DotArray:
             return
         if self.state.is_vector and not coupled:
             self.state = idle_jumps_window(self.state, duration, noise, idling,
-                                           as_rng(self._rng), windows)
+                                           self._rng, windows)
             return
         for _ in range(windows):
             if idling:
                 self.state = (idle_jumps_window(self.state, duration, noise, idling,
-                                                as_rng(self._rng)) if self.state.is_vector
+                                                self._rng) if self.state.is_vector
                               else idle_window(self.state, duration, noise, idling))
             for targets in coupled:
                 self.state = apply_gate(self.state, Gate(
@@ -307,19 +307,17 @@ class DotArray:
         self.advance(duration, pair=pair, energy=energy)
         return self
 
-    def readout(self, qubit_pos: Pos, readout_pos: Pos, rng_seed=None) -> tuple[int, float]:
+    def readout(self, qubit_pos: Pos, readout_pos: Pos, rng) -> tuple[int, float]:
         """Spin-to-charge readout: project the qubit in Z. A ground-state
         (spin-up, |0>) electron tunnels to the readout dot and registers a
         charge event; the excited spin stays put. Returns the reported bit
-        and the Born marginal p1 it was drawn from."""
+        and the Born marginal p1 it was drawn from by `rng.random`."""
         self._pos_check(readout_pos)
         if self.roles.get(readout_pos) != "readout":
             raise StateError(f"dot {readout_pos} is not a readout dot")
         if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
-        rng = self._rng if rng_seed is None else rng_seed
         bit, p1, self.state = measure(self.state, self.qubit_index(qubit_pos), "Z",
-                                      lambda k: as_rng(rng).random(k),
-                                      self.material.readout_error)
+                                      rng.random, self.material.readout_error)
         self.advance(self.material.readout_transfer + self.material.readout_measure)
         return bit, p1

@@ -20,13 +20,6 @@ GAAS_G_FACTOR = 0.44
 INAS_BULK_G_FACTOR = 15.0
 
 
-def zeeman_splitting(g: float, B: float) -> float:
-    """|g| mu_B B in eV."""
-    if B < 0:
-        raise StateError(f"negative field B = {B}")
-    return abs(g) * MU_B_EV_T * B
-
-
 def equal_splitting_field_ratio(g_small: float, g_large: float) -> float:
     """Field ratio B(g_small)/B(g_large) that equalizes the Zeeman splitting."""
     if g_small == 0 or g_large == 0:

@@ -27,7 +27,6 @@ from .qstate import (
     _apply_unitary,
     _apply_unitary_vec,
     apply_gate,
-    as_rng,
     measure,
     qubit_probabilities,
     reduced_density,
@@ -178,14 +177,9 @@ def _cycle(state: QuantumState, block, codes, uniforms) -> tuple[QuantumState, t
     return state, syndrome, marginals
 
 
-def qec_cycle(
-    state: QuantumState,
-    block,
-    injected=(),
-    rng_seed=0,
-) -> tuple[QuantumState, dict, tuple]:
+def qec_cycle(state: QuantumState, block, injected, rng) -> tuple[QuantumState, dict, tuple]:
     """One correction cycle on an unencoded register; returns it unencoded,
-    with the report and the four syndrome p1 its draws were compared with.
+    with the report and the four syndrome p1 that `rng.random(4)` was compared with.
 
     `block` lists five distinct qubits, the principal first; the four
     syndrome qubits must be in |0>. Encode the block, inject the product of
@@ -202,7 +196,7 @@ def qec_cycle(
     for q in block[1:]:
         require_ground(state, q, f"syndrome qubit {q}")
     codes = _pauli_codes(injected)
-    state, syndrome, p1s = _cycle(state, block, codes, as_rng(rng_seed).random(4))
+    state, syndrome, p1s = _cycle(state, block, codes, rng.random(4))
     diagnosed = _error_tables()[0][syndrome]
     correction = principal_correction(syndrome)
     report = {

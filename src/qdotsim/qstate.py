@@ -6,7 +6,7 @@ States are either normalized amplitude vectors (pure) or density matrices
 
 Operations never mutate their input; they return fresh states. Global phase
 is unphysical, so equality and fidelity are phase-insensitive. Randomness
-always enters through an explicit seed or generator, never a global RNG.
+always comes from a draw function the caller hands in, never a global RNG.
 
 Gate is the one table of gate kinds (arity, parameter checks, pulse area);
 measure, by draw_readout's rule, is the one readout of a qubit.
@@ -21,12 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ProtocolError, StateError
-from .report import _Stream
 
 VECTOR_QUBIT_CAP = 12
 MATRIX_QUBIT_CAP = 8
-
-NORM_TOL = 1e-10
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -65,15 +62,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def as_rng(seed_or_rng) -> np.random.Generator:
-    """Accept an int seed, a Generator, a report.stream, or a seed sequence list."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    if isinstance(seed_or_rng, _Stream):
-        return seed_or_rng.generator()
-    return np.random.default_rng(seed_or_rng)
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """Register of n qubits, stored as a vector (pure) or matrix (mixed)."""
@@ -97,19 +85,6 @@ class QuantumState:
         vec = np.zeros(2**n_qubits, dtype=complex)
         vec[0] = 1.0
         return QuantumState(vec, n_qubits)
-
-    @staticmethod
-    def from_vector(vec) -> "QuantumState":
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        n = int(round(np.log2(vec.size)))
-        if 2**n != vec.size:
-            raise StateError(f"vector length {vec.size} is not a power of two")
-        if n > VECTOR_QUBIT_CAP:
-            raise StateError(f"{n} qubits exceeds vector cap {VECTOR_QUBIT_CAP}")
-        norm = float(np.sum(np.abs(vec) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise StateError(f"vector norm^2 = {norm}, not 1 within {NORM_TOL}")
-        return QuantumState(vec.copy(), n)
 
     def to_density(self) -> "QuantumState":
         """Promote a pure state to its density matrix |psi><psi|."""

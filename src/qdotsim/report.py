@@ -96,8 +96,8 @@ def digest(text: str) -> str:
 
 
 class _Stream:
-    """`np.random.default_rng(key)`, built on first use; every public
-    attribute but `built` and `generator` is the generator's."""
+    """`np.random.default_rng(key)`, built on first use: `random(k)` draws
+    its next k doubles."""
 
     __slots__ = ("_key", "_rng")
 
@@ -113,16 +113,13 @@ class _Stream:
             self._rng = np.random.default_rng(self._key)
         return self._rng
 
-    def __getattr__(self, name):
-        rng = self if name.startswith("_") else self.generator()  # e.g. copy's probes, unset slots
-        if rng is self:  # a stand-in that is its own generator has only its own methods
-            raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
-        return getattr(rng, name)
+    def random(self, k: int) -> np.ndarray:
+        return self.generator().random(k)
 
 
-def stream(seed: int, *path: int) -> np.random.Generator:
-    """Independent, reproducible generator for (seed, index, ...), built
-    lazily: the same bits as `default_rng([seed, *path])`."""
+def stream(seed: int, *path: int) -> _Stream:
+    """Independent, reproducible stream for (seed, index, ...), its generator
+    built lazily: the same bits as `default_rng([seed, *path])`."""
     return _Stream([int(seed), *[int(p) for p in path]])
 
 

@@ -535,9 +535,6 @@ class _Forced(_Stream):
     which its key builds for the width drawn so far (the walk's one row per shot of the group;
     outcome_tree's forced doubles, any other 0.5, a Born draw's likelier outcome)."""
 
-    def generator(self) -> "_Forced":
-        return self
-
     def random(self, k: int) -> np.ndarray:
         start, self._rng = self._rng or 0, (self._rng or 0) + k
         if not start or self.block.shape[1] < self._rng:

@@ -24,7 +24,6 @@ from qdotsim.qec import (
 )
 from qdotsim.qstate import (
     MATRIX_QUBIT_CAP,
-    NORM_TOL,
     PAULI_Z,
     Gate,
     QuantumState,
@@ -38,6 +37,8 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+NORM_TOL = 1e-10  # from_matrix's tolerance on Hermiticity, trace and eigenvalues
 
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
@@ -70,7 +71,7 @@ def embed(op: np.ndarray, targets, n: int) -> np.ndarray:
 def haar_state(n: int, rng) -> QuantumState:
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     vec /= np.linalg.norm(vec)
-    return QuantumState.from_vector(vec)
+    return QuantumState(vec, n)
 
 
 def phase_aligned_maxdiff(a: np.ndarray, b: np.ndarray) -> float:

@@ -189,12 +189,12 @@ def test_criterion_08_qec_corrects_all_single_errors():
             for pauli in "XYZ":
                 for qubit in range(5):
                     state, rep, _ = qec_cycle(QuantumState(base.copy(), 5), block,
-                                              [(pauli, qubit)], rng_seed=8)
+                                              [(pauli, qubit)], np.random.default_rng(8))
                     fid = state_fidelity(state, reference)
                     assert fid >= 1 - 1e-9, f"{pauli}{qubit} unrecovered: {fid}"
             # at least one weight-2 error escapes correction
             state, rep, _ = qec_cycle(QuantumState(base.copy(), 5), block,
-                                      [("X", 0), ("X", 1)], rng_seed=8)
+                                      [("X", 0), ("X", 1)], np.random.default_rng(8))
             assert rep["possible_logical_error"]
             assert state_fidelity(state, reference) < 1 - 1e-3
 

@@ -28,7 +28,7 @@ from qdotsim.device import DotArray, inas_material
 from qdotsim.errors import ProtocolError, QdotsimError, RoutingError, StateError
 from qdotsim.noise import NoiseParams
 from qdotsim.scenario import outcome_tree
-from qdotsim.qstate import (QuantumState, as_rng, qubit_probabilities, reduced_density,
+from qdotsim.qstate import (QuantumState, qubit_probabilities, reduced_density,
                             state_fidelity)
 
 MATERIAL = inas_material()
@@ -439,7 +439,7 @@ def test_run_tunnel_route_equals_one_move_per_hop(data):
         except QdotsimError as exc:
             result = type(exc), str(exc)
         return (result, array.state.data.tobytes(), array.clock, array.energy,
-                array.qubit_positions, as_rng(array._rng).bit_generator.state)
+                array.qubit_positions, array._rng.bit_generator.state)
 
     assert outcome(run_tunnel_route) == outcome(
         lambda array, src, dst: hop_oracle(array, route_oracle(array, src, dst)))
@@ -472,7 +472,7 @@ def test_a_routed_plus_state_keeps_the_line_reports_coherence(hops):
     coherence = line_report("tunnel", material, hops)["fidelity"]
     assert coherence < 1 - 1e-3
     assert array.state.data[0, 1] == pytest.approx(coherence / 2, rel=1e-13)
-    plus = QuantumState.from_vector(np.array([1.0, 1.0]) / math.sqrt(2))
+    plus = QuantumState(np.array([1.0, 1.0], complex) / math.sqrt(2), 1)
     assert state_fidelity(array.state, plus) == pytest.approx((1 + coherence) / 2, rel=1e-13)
 
 
@@ -483,7 +483,7 @@ def test_a_routed_plus_state_keeps_the_line_reports_coherence(hops):
 def test_make_epr_bell_state():
     array = fresh_array(2, 1, occupied=[(0, 0), (1, 0)])
     make_epr(array, (0, 0), (1, 0))
-    target = QuantumState.from_vector(BELL_PHI_PLUS)
+    target = QuantumState(BELL_PHI_PLUS, 2)
     assert state_fidelity(array.state, target) > 1 - 1e-12
 
 
@@ -503,7 +503,7 @@ def test_make_epr_with_dephasing_bound():
     t0 = array.clock
     make_epr(array, (0, 0), (1, 0))
     t_gates = array.clock - t0
-    target = QuantumState.from_vector(BELL_PHI_PLUS)
+    target = QuantumState(BELL_PHI_PLUS, 2)
     fidelity = state_fidelity(array.state, target)
     assert fidelity >= 1 - t_gates / noise.T2
     assert fidelity < 1.0
@@ -531,7 +531,7 @@ def teleport_setup(payload_gates=()) -> DotArray:
 def test_teleport_zero_payload_all_seeds():
     for seed in range(24):
         array = teleport_setup()
-        report, _ = teleport(array, (0, 0), (1, 0), (2, 0), seed)
+        report, _ = teleport(array, (0, 0), (1, 0), (2, 0), np.random.default_rng(seed))
         rho_b = reduced_density(array.state, [array.qubit_index((2, 0))])
         assert rho_b[0, 0].real > 1 - 1e-10
         assert report["payload_fidelity"] > 1 - 1e-10
@@ -543,7 +543,7 @@ def test_teleport_plus_i_payload_seeded_runs():
     branches_seen = set()
     for seed in range(1000):
         array = teleport_setup(payload_gates=("H", "S"))
-        report, _ = teleport(array, (0, 0), (1, 0), (2, 0), seed)
+        report, _ = teleport(array, (0, 0), (1, 0), (2, 0), np.random.default_rng(seed))
         rho_b = reduced_density(array.state, [array.qubit_index((2, 0))])
         fid = float(np.real(expected.conj() @ rho_b @ expected))
         assert fid > 1 - 1e-10
@@ -570,7 +570,7 @@ def test_teleport_exhaustive_branches_random_payloads(rng):
 
 def test_teleport_destroys_payload():
     array = teleport_setup(payload_gates=("H",))
-    teleport(array, (0, 0), (1, 0), (2, 0), 5)
+    teleport(array, (0, 0), (1, 0), (2, 0), np.random.default_rng(5))
     rho_c = reduced_density(array.state, [array.qubit_index((0, 0))])
     # after the X-basis measurement the payload qubit is in |+> or |->,
     # carrying no amplitude information
@@ -598,13 +598,13 @@ def test_teleport_draws_exactly_two_doubles(with_pair):
 def test_teleport_strict_requires_epr_pair():
     array = fresh_array(3, 1, occupied=[(0, 0), (1, 0), (2, 0)], strict=True)
     with pytest.raises(ProtocolError):
-        teleport(array, (0, 0), (1, 0), (2, 0), 0)
+        teleport(array, (0, 0), (1, 0), (2, 0), np.random.default_rng(0))
 
 
 def test_teleport_needs_distinct_qubits():
     array = teleport_setup()
     with pytest.raises(StateError):
-        teleport(array, (0, 0), (1, 0), (1, 0), 0)
+        teleport(array, (0, 0), (1, 0), (1, 0), np.random.default_rng(0))
 
 
 def test_teleport_classical_latency_adds_idle_window():
@@ -618,7 +618,7 @@ def test_teleport_classical_latency_adds_idle_window():
             array.init_qubit((x, 0))
         make_epr(array, (1, 0), (2, 0))
         t0 = array.clock
-        teleport(array, (0, 0), (1, 0), (2, 0), 0)
+        teleport(array, (0, 0), (1, 0), (2, 0), np.random.default_rng(0))
         elapsed.append(array.clock - t0)
     assert elapsed[1] - elapsed[0] == pytest.approx(1e-5, rel=1e-9)
     assert elapsed[1] > 1e-5

@@ -13,7 +13,7 @@ from qdotsim.constants import HBAR_EV_S
 from qdotsim.device import DotArray, inas_material, si_material
 from qdotsim.errors import AdjacencyError, BlockadeError, QdotsimError, StateError
 from qdotsim.noise import NoiseParams
-from qdotsim.qstate import Gate, QuantumState, as_rng, state_fidelity
+from qdotsim.qstate import Gate, QuantumState, state_fidelity
 
 
 def make_array(width=2, height=2, noise=None, **kwargs) -> DotArray:
@@ -173,7 +173,7 @@ def test_coupling_window_pi_swaps():
     array.init_qubit((1, 0))
     array.apply_gate_at("X", [(1, 0)])  # |01>
     array.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi)
-    target = QuantumState.from_vector([0, 0, 1, 0])
+    target = QuantumState(np.array([0, 0, 1, 0], complex), 2)
     assert state_fidelity(array.state, target) > 1 - 1e-10
 
 
@@ -287,7 +287,7 @@ def test_strict_residual_spares_the_coupled_pair():
     ideal.init_qubit((0, 0))
     ideal.init_qubit((1, 0))
     for a in (array, ideal):
-        a.state = QuantumState.from_vector([0, 1, 0, 0])
+        a.state = QuantumState(np.array([0, 1, 0, 0], complex), 2)
         a.apply_gate_at("ExchangeEvolve", [(0, 0), (1, 0)], theta=math.pi)
     assert state_fidelity(array.state, ideal.state) > 1 - 1e-12
 
@@ -334,7 +334,7 @@ def readout_array():
 def test_readout_ground_state_registers_charge():
     array = readout_array()
     array.init_qubit((0, 0))
-    bit = array.readout((0, 0), (0, 1), 3)[0]
+    bit = array.readout((0, 0), (0, 1), np.random.default_rng(3))[0]
     assert bit == 0
 
 
@@ -342,7 +342,7 @@ def test_readout_excited_state_no_charge():
     array = readout_array()
     array.init_qubit((0, 0))
     array.apply_gate_at("X", [(0, 0)])
-    bit = array.readout((0, 0), (0, 1), 3)[0]
+    bit = array.readout((0, 0), (0, 1), np.random.default_rng(3))[0]
     assert bit == 1
 
 
@@ -366,7 +366,7 @@ def test_readout_timing():
     array = readout_array()
     array.init_qubit((0, 0))
     clock_before = array.clock
-    array.readout((0, 0), (0, 1), 0)
+    array.readout((0, 0), (0, 1), np.random.default_rng(0))
     assert array.clock - clock_before == pytest.approx(
         array.material.readout_transfer + array.material.readout_measure
     )
@@ -376,11 +376,11 @@ def test_readout_requires_readout_role_and_vacancy():
     array = make_array()
     array.init_qubit((0, 0))
     with pytest.raises(StateError):
-        array.readout((0, 0), (1, 1), 0)  # not a readout dot
+        array.readout((0, 0), (1, 1), np.random.default_rng(0))  # not a readout dot
     array2 = readout_array()
     array2.init_qubit((0, 0))
     with pytest.raises(StateError):
-        array2.readout((1, 0), (0, 1), 0)  # no qubit there
+        array2.readout((1, 0), (0, 1), np.random.default_rng(0))  # no qubit there
 
 
 def test_readout_error_probability():
@@ -389,7 +389,7 @@ def test_readout_error_probability():
     material = material.__class__(**{**material.__dict__, "readout_error": 1.0})
     array = DotArray(2, 2, material, roles={(0, 1): "readout"})
     array.init_qubit((0, 0))
-    bit = array.readout((0, 0), (0, 1), 0)[0]
+    bit = array.readout((0, 0), (0, 1), np.random.default_rng(0))[0]
     assert bit == 1  # certain misread flips the ground outcome
 
 
@@ -409,7 +409,7 @@ def test_clock_is_exact_sum_of_event_durations():
          math.pi / 2 * HBAR_EV_S / mat.J_on),
         (lambda: array.move_electron((1, 0), (1, 1)), mat.t_hop),
         (lambda: array.advance(3.5e-8), 3.5e-8),
-        (lambda: array.readout((0, 0), (0, 1), 1),
+        (lambda: array.readout((0, 0), (0, 1), np.random.default_rng(1)),
          mat.readout_transfer + mat.readout_measure),
     ]
     total, clocks = 0.0, []
@@ -499,7 +499,7 @@ def test_advance_of_k_windows_equals_k_advances(data):
         except QdotsimError as exc:
             result = type(exc), str(exc)
         return (result, array.state.data.tobytes(), array.clock, array.energy,
-                as_rng(array._rng).bit_generator.state)
+                array._rng.bit_generator.state)
 
     def one_by_one(array):
         for _ in range(windows):

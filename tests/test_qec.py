@@ -75,7 +75,7 @@ def test_encode_zero_matches_stabilizer_projector_oracle():
         projector = projector @ (np.eye(32) + pauli_string(gen)) / 2
     vec = projector @ np.eye(32, dtype=complex)[:, 0]
     vec /= np.linalg.norm(vec)
-    oracle_state = QuantumState.from_vector(vec)
+    oracle_state = QuantumState(vec, 5)
 
     encoded = _run_ops(QuantumState.zero(5), BLOCK)
     assert state_fidelity(encoded, oracle_state) > 1 - 1e-12
@@ -200,12 +200,12 @@ def test_compiled_encoder_against_kron_oracle(n, matrix, seed):
 def test_encode_requires_ground_syndromes():
     bad = apply_gate(five_qubit_state(TEST_PAYLOAD), Gate("X", (2,)))
     with pytest.raises(ProtocolError):
-        qec_cycle(bad, BLOCK)
+        qec_cycle(bad, BLOCK, [], np.random.default_rng(0))
 
 
 def test_logical_qubit_validation():
     with pytest.raises(StateError):
-        qec_cycle(five_qubit_state(TEST_PAYLOAD), (0, 0, 1, 2, 3))
+        qec_cycle(five_qubit_state(TEST_PAYLOAD), (0, 0, 1, 2, 3), [], np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,8 @@ def test_syndrome_table_against_bruteforce_decode(rng):
 # ---------------------------------------------------------------------------
 
 def test_cycle_without_error_is_identity():
-    out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [], rng_seed=1)
+    out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [],
+                               np.random.default_rng(1))
     assert report["syndrome"] == [0, 0, 0, 0]
     assert report["principal_correction"] == "I"
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
@@ -268,7 +269,7 @@ def test_cycle_without_error_is_identity():
 )
 def test_cycle_corrects_every_single_error(pauli, qubit):
     out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [(pauli, qubit)],
-                               rng_seed=2)
+                               np.random.default_rng(2))
     assert report["diagnosed_error"] == {"pauli": pauli, "block_position": qubit}
     assert not report["possible_logical_error"]
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
@@ -277,7 +278,7 @@ def test_cycle_corrects_every_single_error(pauli, qubit):
 def test_cycle_handles_y_then_x_as_net_z():
     # Y then X on the same qubit is Z up to phase, still weight one
     out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK,
-                               [("Y", 3), ("X", 3)], rng_seed=3)
+                               [("Y", 3), ("X", 3)], np.random.default_rng(3))
     assert report["diagnosed_error"] == {"pauli": "Z", "block_position": 3}
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 
@@ -285,7 +286,8 @@ def test_cycle_handles_y_then_x_as_net_z():
 @pytest.mark.parametrize("injected", [[("X", 2), ("X", 2)], [("Y", 3), ("X", 3)]])
 def test_cancelling_injections_are_not_flagged(injected):
     # X2 X2 is the identity and Y3 X3 is Z3 up to phase: weight < 2, correctable
-    out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, injected, rng_seed=7)
+    out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, injected,
+                               np.random.default_rng(7))
     assert not report["possible_logical_error"]
     assert state_fidelity(out, five_qubit_state(TEST_PAYLOAD)) > 1 - 1e-10
 
@@ -299,7 +301,7 @@ def test_some_weight_two_error_is_uncorrectable():
         if q1 == q2:
             continue
         out, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK,
-                                   [(p1, q1), (p2, q2)], rng_seed=4)
+                                   [(p1, q1), (p2, q2)], np.random.default_rng(4))
         assert report["possible_logical_error"]
         worst = min(worst, state_fidelity(out, five_qubit_state(TEST_PAYLOAD)))
         if worst < 0.5:
@@ -308,7 +310,8 @@ def test_some_weight_two_error_is_uncorrectable():
 
 
 def test_cycle_reports_pulse_count():
-    _, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [("X", 1)], rng_seed=5)
+    _, report, _ = qec_cycle(five_qubit_state(TEST_PAYLOAD), BLOCK, [("X", 1)],
+                             np.random.default_rng(5))
     assert report["pulse_count"] == cycle_pulse_count(
         n_corrections=1 if report["principal_correction"] != "I" else 0,
         n_resets=sum(report["syndrome"]),
@@ -321,7 +324,7 @@ def test_cycle_with_extra_ancilla_untouched(rng):
     amp = haar_state(1, rng).data
     psi6 = np.kron(five_qubit_state(TEST_PAYLOAD).data, amp)
     state = QuantumState(psi6, 6)
-    state, _, _ = qec_cycle(state, BLOCK, [("Y", 2)], rng_seed=6)
+    state, _, _ = qec_cycle(state, BLOCK, [("Y", 2)], np.random.default_rng(6))
     expected = QuantumState(np.kron(five_qubit_state(TEST_PAYLOAD).data, amp), 6)
     assert state_fidelity(state, expected) > 1 - 1e-10
 
@@ -455,7 +458,7 @@ def _ground_site(site: str, p1: float) -> None:
         array.state = _tilted(array.state, 1, p1)
         make_epr(array, (0, 0), (1, 0))
     else:
-        qec_cycle(_tilted(QuantumState.zero(5), 3, p1), range(5))
+        qec_cycle(_tilted(QuantumState.zero(5), 3, p1), range(5), [], np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("site,name", [

@@ -1131,8 +1131,10 @@ def test_a_stream_that_never_draws_builds_no_generator(monkeypatch):
     unused = stream(7, 0, 3)
     twin = copy.deepcopy(unused)
     assert built == []
-    assert unused.random() == twin.random()
+    assert unused.random(3).tolist() == twin.random(3).tolist()
     assert built == [[7, 0, 3], [7, 0, 3]]
+    with pytest.raises(AttributeError, match="integers"):  # random(k) is all a stream offers
+        unused.integers(3)
     built.clear()
     calls = _count_kernel_calls(monkeypatch)
     # bell draws only in its first readout: the second one's outcome is
@@ -1290,6 +1292,42 @@ def test_cli_channel_rejects_options_of_another_kind(args, option, tmp_path):
 def test_cli_unknown_subcommand_exits_64():
     proc = run_cli("frobnicate")
     assert proc.returncode == 64
+
+
+def test_bare_qdotsim_prints_usage_and_exits_64(capsys):
+    assert cli.main([]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: qdotsim")
+
+
+@pytest.mark.parametrize("argv", [
+    ["resources", "--preset", "si", "--t2", "1e-3"],
+    ["channel", "--kind", "teleport", "--length-qubits", "300", "--purification-rounds", "2"],
+    ["qec", "--cycles", "200", "--p", "1e-3", "--seed", "3"],
+    ["teleport", "--shots", "20"],
+], ids=["resources", "channel", "qec", "teleport"])
+def test_out_dir_report_is_the_stdout_bytes(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("}\n")
+    assert (tmp_path / "o" / "report.json").read_bytes() == out.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("readout_error", 1.5, "readout_error must be in [0, 1], got 1.5"),
+    ("dot_pitch", 0, "dot_pitch and delta_E_orb must be positive"),
+    ("classical_latency", -1, "classical_latency cannot be negative"),
+])
+def test_simulate_refuses_material_overrides_the_material_rejects(field, value, message,
+                                                                   tmp_path, capsys):
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps({**BELL, "material": {"preset": "inas", field: value}}))
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": "schema",
+                               "message": f"bad material parameters: {message}"}
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 def test_cli_malformed_scenario_exits_2_no_outputs(tmp_path):
