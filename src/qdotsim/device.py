@@ -130,7 +130,8 @@ class DotArray:
         roles: dict[Pos, str] | None = None,
         representation: str = "vector",
         strict: bool = False,
-        seed=0,
+        *,
+        seed,
         t2_overrides: dict[Pos, float] | None = None,
     ):
         if width < 1 or height < 1:

@@ -13,7 +13,9 @@ t2_override), on contiguous copies of its four |r><c| blocks; the pair
 coupled by an exchange window is left out. One-qubit channels on different
 qubits commute, so one pass is exact. A qubit whose |1> rows and columns are
 exactly +0 when the window starts (spin-up, not yet driven) trades its block
-arithmetic for one in-place + 0.0 pass, with the same bits (see _channel).
+arithmetic for one in-place + 0.0 pass, with the same bits; and every step
+runs only on the block of rho whose rows and columns leave each such qubit
+in |0>, since the rest is +0 and stays +0 (see _channel).
 The Kraus pairs (Nielsen & Chuang, section 8.3) are the reference. Vector
 states go through idle_jumps_window, a seeded Monte-Carlo wave-function
 unraveling (Dalibard, Castin & Molmer, PRL 68, 580 (1992)) whose ensemble
@@ -66,6 +68,15 @@ def pure_dephasing_time(T1: float, T2: float) -> float:
     return 1.0 / rate
 
 
+@lru_cache(maxsize=64)  # at most ~2.2 MB of cells at the 8-qubit cap, ~0.1 MB at 6
+def _block_cells(size: int, excited: int) -> np.ndarray:
+    """Flat indices, as a (2**k, 2**k) array, of the cells of a size x size
+    matrix whose row and column have every bit outside `excited` at 0."""
+    index = _flat_index(size)
+    rows = index[(index & excited) == index]  # every ground bit 0, ascending
+    return rows[:, None] * size + rows
+
+
 def _channel(state: QuantumState, t: float, steps) -> QuantumState:
     """Exact decay over t seconds of a copy of a density matrix. Each step
     (qubit, dephasing_rate, damping_rate) moves gamma = 1 - exp(-t*damping_rate)
@@ -76,11 +87,19 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
 
     A qubit is ground if its |1> rows and columns are +0 (all bits zero) at
     the start: the row and column bits of the OR of the flat indices of the
-    nonzero components name the excited qubits. Other steps compute an
+    nonzero components name the k excited qubits. Other steps compute an
     entry only from entries with the same bit for it, and +0 times a real
     factor, or plus +0, is +0, so they stay +0. Its own step then just adds
     gamma * (+0) to its |0><0| block, turning -0.0 into +0.0: one in-place
-    + 0.0 pass, shared by consecutive ground steps, gives the same bits."""
+    + 0.0 pass, shared by consecutive ground steps, gives the same bits.
+
+    So every entry outside the 2**k x 2**k block whose rows and columns
+    have every ground bit 0 is +0 before and after, and a step's partner
+    entries differ only in an excited bit, inside the block. When k < n the
+    steps run on a gathered copy of that block, each excited qubit
+    renumbered by its place among the excited ones, and the block is
+    scattered into zeros: the same operations on the same operands as on
+    all of rho. At k == 0 the block is rho[0, 0] alone."""
     if t < 0:
         raise StateError(f"negative duration t = {t}")
     if t == 0:
@@ -91,29 +110,44 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
     n = state.n_qubits
     if not all(0 <= q < n for q, _, _ in steps):
         raise StateError(f"qubits {[q for q, _, _ in steps]} out of range for {n}-qubit register")
-    rho = state.data.copy()
-    parts = rho.view(np.float64)  # real and imaginary parts, (N, 2N)
-    bits = parts.view(np.uint64).reshape(-1)  # a component is nonzero, -0.0 included
+    rho = np.ascontiguousarray(state.data)
+    bits = rho.view(np.uint64).reshape(-1)  # a component is nonzero, -0.0 included
     flat = int(np.bitwise_or.reduce(_flat_index(bits.size), where=bits != 0, initial=0))
     excited = ((flat >> 1) | (flat >> (n + 1))) & (len(rho) - 1)  # column | row bits
+    k = excited.bit_count()
+    if k == 0:  # every step is ground: the block is rho[0, 0]
+        out = np.zeros(rho.shape, rho.dtype)
+        out[0, 0] = rho[0, 0] + 0.0 if steps else rho[0, 0]
+        return QuantumState(out, n)
+    if k < n:
+        cells = _block_cells(len(rho), excited)
+        block = rho.take(cells)
+    else:
+        block = rho.copy()
     zeroed = False  # a ground step's pass has run and no block update since
     for qubit, dephasing_rate, damping_rate in steps:
         if not excited >> (n - 1 - qubit) & 1:  # ground: its |1> rows and columns are +0
             if not zeroed:
+                parts = block.view(np.float64)  # real and imaginary parts
                 np.add(parts, 0.0, out=parts)
                 zeroed = True
             continue
         zeroed = False
         gamma = 1.0 - math.exp(-t * damping_rate)
         coherence = math.exp(-t * dephasing_rate) * math.sqrt(1.0 - gamma)
-        hi, lo = 2**qubit, 2 ** (n - qubit - 1)
-        view = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
+        q = qubit if k == n else (excited >> (n - qubit)).bit_count()  # place among excited
+        hi, lo = 2**q, 2 ** (k - q - 1)
+        view = block.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
         blocks = view.reshape(4, -1)  # |0><0|, |0><1|, |1><0|, |1><1|, contiguous
         blocks[1:3] *= coherence
         blocks[0] += gamma * blocks[3]
         blocks[3] *= 1.0 - gamma
         view[...] = blocks.reshape(view.shape)
-    return QuantumState(rho, n)
+    if k == n:
+        return QuantumState(block, n)
+    out = np.zeros(rho.shape, rho.dtype)
+    out.put(cells, block)
+    return QuantumState(out, n)
 
 
 def idle_window(

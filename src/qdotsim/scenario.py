@@ -106,8 +106,11 @@ def build_material(spec) -> MaterialParams:
 # the position fields once per run; no op takes one dot twice, so an event's
 # positions must be distinct.
 # Each shot calls run(array, event, at, rng), `at` mapping a field to its
-# position or list of positions. A dict returned by run holds the event's
-# report fields; anything else (DotArray methods return the array) means none.
+# position or list of positions. `rng` is a report._Stream: the event's lazy
+# stream, or the shot walk's and outcome_tree's _Forced stand-in, so
+# `rng.random(k)` is the only method an op may call. A dict returned by run
+# holds the event's report fields; anything else (DotArray methods return the
+# array) means none.
 # A random op's dict also lists its Born draws for the shot walk and outcome_tree:
 # `draws` holds one (column, p1, readout_error) per measured bit, in the order drawn
 # by draw_readout from the doubles of `rng` starting at that column; no other draw
@@ -115,7 +118,7 @@ def build_material(spec) -> MaterialParams:
 
 
 class _Op(NamedTuple):
-    run: Callable[[DotArray, dict, dict, np.random.Generator], object]
+    run: Callable[[DotArray, dict, dict, _Stream], object]
     points: tuple[str, ...] = ()
     lists: tuple[str, ...] = ()
     numbers: tuple[str, ...] = ()

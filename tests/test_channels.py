@@ -34,8 +34,9 @@ from qdotsim.qstate import (QuantumState, qubit_probabilities, reduced_density,
 MATERIAL = inas_material()
 
 
-def fresh_array(width: int, height: int, occupied=(), roles=None, **kwargs) -> DotArray:
-    array = DotArray(width, height, MATERIAL, roles=roles or {}, **kwargs)
+def fresh_array(width: int, height: int, occupied=(), roles=None, material=MATERIAL,
+                seed=0, **kwargs) -> DotArray:
+    array = DotArray(width, height, material, roles=roles or {}, seed=seed, **kwargs)
     for pos in occupied:
         array.init_qubit(pos)
     return array
@@ -220,7 +221,7 @@ def test_route_equals_the_oracle_on_random_grids(width, height, data):
                                max_size=len(cells)))
     occupied = [c for c, k in zip(cells, kinds) if k < 3]
     roles = {c: "readout" for c, k in zip(cells, kinds) if k == 3}
-    array = DotArray(width, height, MATERIAL, roles=roles)
+    array = fresh_array(width, height, roles=roles)
     # the planner reads only the occupancy record, so set it directly rather
     # than load more qubits than a register holds
     array.qubit_positions = occupied
@@ -255,7 +256,7 @@ def test_route_equals_the_oracle_on_large_sparse_grids(width, height, data):
     if data.draw(st.booleans()):
         x, gap = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
         roles.update({(x, y): "readout" for y in range(height) if y != gap})
-    array = DotArray(width, height, MATERIAL, roles=roles)
+    array = fresh_array(width, height, roles=roles)
     array.qubit_positions = occupied  # the planner reads only the occupancy record
     src = data.draw(st.sampled_from(occupied))
     dst = data.draw(cell)
@@ -275,7 +276,7 @@ def test_route_equals_the_oracle_behind_dense_readout_walls(width, height, data)
         roles.update({(at, i) if vertical else (i, at): "readout"
                       for i in range(16) if i not in gaps})
     roles = {(x, y): role for (x, y), role in roles.items() if x < width and y < height}
-    array = DotArray(width, height, MATERIAL, roles=roles)
+    array = fresh_array(width, height, roles=roles)
     occupied = data.draw(st.lists(cell, min_size=1, max_size=12, unique=True))
     array.qubit_positions = occupied  # the planner reads only the occupancy record
     src, dst = data.draw(st.sampled_from(occupied)), data.draw(cell)
@@ -309,7 +310,7 @@ def test_route_equals_the_oracle_behind_dense_readout_walls(width, height, data)
 ])
 def test_route_branches_take_the_lexicographically_first_shortest_path(
         occupied, readouts, dst, path):
-    array = DotArray(4, 3, MATERIAL, roles={c: "readout" for c in readouts})
+    array = fresh_array(4, 3, roles={c: "readout" for c in readouts})
     array.qubit_positions = occupied
     assert plan_tunnel_route(array, occupied[0], dst) == path
     assert route_oracle(array, occupied[0], dst) == path
@@ -330,7 +331,7 @@ def search_boxes(monkeypatch):
 
 
 def walled_array(width, height, src, readouts):
-    array = DotArray(width, height, MATERIAL, roles={c: "readout" for c in readouts})
+    array = fresh_array(width, height, roles={c: "readout" for c in readouts})
     array.qubit_positions = [src]  # the planner reads only the occupancy record
     return array
 
@@ -396,7 +397,7 @@ def test_run_tunnel_route_equals_one_move_per_hop(data):
     roles = {c: "readout" for c in readouts}
     src = data.draw(st.sampled_from(qubits + empty[:1]))
     dst = data.draw(st.sampled_from(empty + [(-1, 0)]))
-    probe = DotArray(width, height, MATERIAL, roles=roles)
+    probe = fresh_array(width, height, roles=roles)
     probe.qubit_positions = qubits  # the planner reads only the occupancy record
     path = planned(route_oracle, probe, src, dst)
     on_path = path[1:] if isinstance(path, list) else []
@@ -454,7 +455,7 @@ def test_run_tunnel_route_moves_qubit():
     assert (3, 0) in array.qubit_positions and (0, 0) not in array.qubit_positions
     assert state_fidelity(array.state, before) > 1 - 1e-12
     # a noisy hop's no-jump division by 1 rewrites -1-0j as -1+0j, as move_electron's does
-    array = DotArray(21, 1, replace(MATERIAL, noise=NoiseParams(enabled=True))).init_qubit((0, 0))
+    array = fresh_array(21, 1, [(0, 0)], material=replace(MATERIAL, noise=NoiseParams(enabled=True)))
     array.state = QuantumState(np.array([complex(-1.0, -0.0), 0j]), 1)
     run_tunnel_route(array, (0, 0), (20, 0))
     assert array.state.data.view(np.float64).tolist() == [-1.0, 0.0, 0.0, 0.0]
@@ -466,7 +467,7 @@ def test_a_routed_plus_state_keeps_the_line_reports_coherence(hops):
     # line_report's "fidelity" exp(-lambda d) is the factor a tunnel route of d hops puts
     # on a routed qubit's coherence; the state fidelity with |+> is (1 + that) / 2
     material = replace(MATERIAL, noise=NoiseParams(T2=10e-9, enabled=True))
-    array = DotArray(hops + 1, 1, material, representation="matrix").init_qubit((0, 0))
+    array = fresh_array(hops + 1, 1, [(0, 0)], material=material, representation="matrix")
     array.state = from_matrix(np.full((2, 2), 0.5))
     run_tunnel_route(array, (0, 0), (hops, 0))
     coherence = line_report("tunnel", material, hops)["fidelity"]
@@ -497,9 +498,8 @@ def test_make_epr_clock_accounting():
 
 def test_make_epr_with_dephasing_bound():
     noise = NoiseParams(T1=1e3, T2=100e-6, enabled=True)
-    array = DotArray(2, 1, inas_material(noise), representation="matrix")
-    array.init_qubit((0, 0))
-    array.init_qubit((1, 0))
+    array = fresh_array(2, 1, [(0, 0), (1, 0)], material=inas_material(noise),
+                        representation="matrix")
     t0 = array.clock
     make_epr(array, (0, 0), (1, 0))
     t_gates = array.clock - t0
@@ -613,9 +613,7 @@ def test_teleport_classical_latency_adds_idle_window():
         material = inas_material().__class__(
             **{**inas_material().__dict__, "classical_latency": latency}
         )
-        array = DotArray(3, 1, material)
-        for x in range(3):
-            array.init_qubit((x, 0))
+        array = fresh_array(3, 1, [(x, 0) for x in range(3)], material=material)
         make_epr(array, (1, 0), (2, 0))
         t0 = array.clock
         teleport(array, (0, 0), (1, 0), (2, 0), np.random.default_rng(0))

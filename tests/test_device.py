@@ -16,9 +16,9 @@ from qdotsim.noise import NoiseParams
 from qdotsim.qstate import Gate, QuantumState, state_fidelity
 
 
-def make_array(width=2, height=2, noise=None, **kwargs) -> DotArray:
+def make_array(width=2, height=2, noise=None, seed=0, **kwargs) -> DotArray:
     material = inas_material(noise)
-    return DotArray(width, height, material, **kwargs)
+    return DotArray(width, height, material, seed=seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def test_readout_error_probability():
     noise = NoiseParams(enabled=False)
     material = inas_material(noise)
     material = material.__class__(**{**material.__dict__, "readout_error": 1.0})
-    array = DotArray(2, 2, material, roles={(0, 1): "readout"})
+    array = DotArray(2, 2, material, roles={(0, 1): "readout"}, seed=0)
     array.init_qubit((0, 0))
     bit = array.readout((0, 0), (0, 1), np.random.default_rng(0))[0]
     assert bit == 1  # certain misread flips the ground outcome
@@ -603,7 +603,7 @@ def test_booked_gate_durations_equal_the_closed_forms_bitwise(kind):
     targets = [(0, 0), (1, 0)] if kind in Gate.TWO_QUBIT else [(0, 0)]
     for material in materials:
         for kwargs in params:
-            array = DotArray(2, 1, material)
+            array = DotArray(2, 1, material, seed=0)
             array.init_qubit((0, 0))
             array.init_qubit((1, 0))
             array.clock = 0.0  # so the clock reads the one duration exactly

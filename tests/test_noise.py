@@ -241,6 +241,67 @@ def test_channel_ground_step_rewrites_negative_zeros():
     assert not np.signbit(out[0, 0].imag)
 
 
+def _hermitian(n: int, ground, seed: int) -> np.ndarray:
+    """A random Hermitian matrix whose rows and columns in the |1> block of
+    every qubit in `ground` are exactly +0, with a -0.0 imaginary part on
+    rho[0, 0]."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a + a.conj().T
+    ones = (np.arange(dim) & sum(1 << (n - 1 - q) for q in ground)) != 0
+    rho[ones, :] = 0.0
+    rho[:, ones] = 0.0
+    rho[0, 0] = complex(rho[0, 0].real, -0.0)
+    return rho
+
+
+def _assert_channel_matches_oracle(rho: np.ndarray, n: int, steps) -> np.ndarray:
+    before = rho.tobytes()
+    out = _channel(QuantumState(rho, n), 1e-6, steps).data
+    assert out.tobytes() == channel_oracle(QuantumState(rho, n), 1e-6, steps).data.tobytes()
+    assert out.flags.c_contiguous
+    assert rho.tobytes() == before
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, MATRIX_QUBIT_CAP + 1))
+def test_channel_with_every_qubit_ground(n):
+    # only rho[0, 0] can be nonzero: the ground steps' + 0.0 pass turns its
+    # -0.0 imaginary part into +0.0, and no step leaves it as it is
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = complex(1.0, -0.0)
+    out = _assert_channel_matches_oracle(rho, n, [(q, 1 / T2, 1 / T1) for q in range(n)])
+    assert not np.signbit(out[0, 0].imag)
+    assert np.signbit(_assert_channel_matches_oracle(rho, n, [])[0, 0].imag)
+
+
+@pytest.mark.parametrize("n", [1, 3, MATRIX_QUBIT_CAP])
+def test_channel_with_every_qubit_excited(n):
+    rho = _hermitian(n, (), seed=n)
+    _assert_channel_matches_oracle(rho, n, [(q, 3 / T1, 1 / T1) for q in reversed(range(n))])
+
+
+@pytest.mark.parametrize("n", [5, MATRIX_QUBIT_CAP])
+def test_channel_on_the_first_and_last_qubit_between_ground_steps(n):
+    # qubits 0 and n-1 excited, the rest ground; ground steps run before,
+    # between and after the two excited ones
+    ground = list(range(1, n - 1))
+    rho = _hermitian(n, ground, seed=n)
+    order = ground[:1] + [0] + ground[1:-1] + [n - 1] + ground[-1:]
+    _assert_channel_matches_oracle(rho, n, [(q, 1 / T2, 1 / T1) for q in order])
+
+
+def test_channel_reads_a_transposed_view():
+    # rho.T of a Hermitian rho is its conjugate, a density matrix stored in
+    # Fortran order: the result is a fresh C-ordered matrix
+    n = 4
+    rho = _hermitian(n, (1, 3), seed=7)
+    view = rho.T
+    assert not view.flags.c_contiguous
+    _assert_channel_matches_oracle(view, n, [(q, 1 / T2, 1 / T1) for q in range(n)])
+
+
 def test_idle_window_rejects_a_qubit_outside_the_register():
     params = NoiseParams(enabled=True)
     for qubit in (-1, 2):

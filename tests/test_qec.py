@@ -452,7 +452,7 @@ def _ground_site(site: str, p1: float) -> None:
     """Run one |0> precondition on a register whose checked qubit has p1:
     (1, 0) for make_epr, syndrome qubit 3 for qec_cycle."""
     if site == "make_epr":
-        array = DotArray(2, 1, MATERIAL, strict=True)
+        array = DotArray(2, 1, MATERIAL, strict=True, seed=0)
         array.init_qubit((0, 0))
         array.init_qubit((1, 0))
         array.state = _tilted(array.state, 1, p1)
