@@ -40,12 +40,11 @@ EXIT_USAGE = 64
 _PHYSICS_ERRORS = (BlockadeError, AdjacencyError, RoutingError, ProtocolError)
 
 
-def _material(args) -> MaterialParams:
+@lru_cache(maxsize=64)  # MaterialParams is frozen, so one per (preset, t2) is shared
+def _material(preset: str, t2: float | None) -> MaterialParams:
     """--preset and --t2 resolve like a scenario's material field."""
-    spec = {"preset": args.preset}
-    if args.t2 is not None:
-        spec["noise"] = {"T2": args.t2}
-    return scenario_mod.build_material(spec)
+    return scenario_mod.build_material(
+        {"preset": preset} if t2 is None else {"preset": preset, "noise": {"T2": t2}})
 
 
 def _flag(dest: str) -> str:
@@ -54,7 +53,7 @@ def _flag(dest: str) -> str:
         dest, "--" + dest.replace("_", "-"))
 
 
-_COMMON = ("command", "preset", "t2", "out", "kind")  # the options that are no field
+_COMMON = ("command", "handler", "preset", "t2", "out", "kind")  # the entries that are no field
 _CHANNELS = {"swap": "swap_channel", "tunnel": "tunnel_channel", "teleport": "teleport_bandwidth"}
 
 
@@ -64,7 +63,7 @@ def _analytics(args, kind: str, label: str) -> dict:
     request = {"kind": kind, **{dest: value for dest, value in vars(args).items()
                                 if value is not None and dest not in _COMMON}}
     scenario_mod.check_analytics(request, label, _flag)
-    return scenario_mod.run_analytics(request, _material(args), label, _flag)
+    return scenario_mod.run_analytics(request, _material(args.preset, args.t2), label, _flag)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -115,7 +114,7 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_qec(args) -> int:
-    material = _material(args)
+    material = _material(args.preset, args.t2)
     if not (0.0 <= args.p <= 1.0 and 0 <= args.cycles <= 2**32
             and 1 <= args.pulses_per_cycle < 2**63 and args.seed >= 0):
         raise SchemaError("need 0 <= --p <= 1, 0 <= --cycles <= 2**32, "
@@ -123,9 +122,8 @@ def cmd_qec(args) -> int:
     run = qec.memory_experiment(args.cycles, args.p,
                                 np.random.default_rng([args.seed, 0x5EC]),
                                 args.pulses_per_cycle)
-    # a round's compiled pulse count depends on its syndrome alone
-    compiled = [qec.cycle_pulse_count(qec.principal_correction(tuple(map(int, key))) != "I",
-                                      key.count("1")) for key in run["syndrome_histogram"]]
+    counts = qec.syndrome_pulse_counts()
+    compiled = [counts[key] for key in run["syndrome_histogram"]]
     payload = {
         "cycles": args.cycles,
         "per_pulse_error_probability": args.p,
@@ -154,14 +152,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)  # built once: parsing leaves the parsers unchanged
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="qdotsim",
         description="Quantum-dot array computer simulator",
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, material=False, seeded=False):
+    def common(p, handler, material=False, seeded=False):
+        p.set_defaults(handler=handler)
         if material:  # scenario runs take their material from the scenario
             p.add_argument("--preset", choices=("inas", "si"), default="inas")
             p.add_argument("--t2", type=float, default=None,
@@ -172,12 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="directory for report.json")
 
     p = sub.add_parser("resources", help="Rabi drive and exchange figures")
-    common(p, material=True)
+    common(p, cmd_resources, material=True)
     p.add_argument("--rabi-period", type=float, help="default: the material's, 100 ns")
     p.add_argument("--load-ohms", type=float, help="default 50")
 
     p = sub.add_parser("channel", help="transport channel figures")
-    common(p, material=True)
+    common(p, cmd_channel, material=True)
     p.add_argument("--kind", choices=tuple(_CHANNELS), default="swap")
     p.add_argument("--length-qubits", type=int, default=None, dest="length_qubits",
                    help="line length (default 10); teleport takes it or --distance-m")
@@ -190,12 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="teleport only (default 0, at most 4096)")
 
     p = sub.add_parser("teleport", help="run the teleportation protocol")
-    common(p, seeded=True)
+    common(p, cmd_teleport, seeded=True)
     p.add_argument("--scenario", default="teleport.scenario")
     p.add_argument("--shots", type=int, default=1)
 
     p = sub.add_parser("qec", help="run five-qubit correction cycles")
-    common(p, material=True, seeded=True)
+    common(p, cmd_qec, material=True, seeded=True)
     p.set_defaults(seed=0)
     p.add_argument("--cycles", type=int, default=100)
     p.add_argument("--p", type=float, default=0.0,
@@ -204,41 +204,36 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="pulses_per_cycle")
 
     p = sub.add_parser("simulate", help="run a scenario file")
-    common(p, seeded=True)
+    common(p, cmd_simulate, seeded=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--strict", action="store_true")
 
-    return parser
-
-
-_parser = lru_cache(maxsize=1)(build_parser)  # built once; parse_args leaves it unchanged
-
-_HANDLERS = {
-    "resources": cmd_resources,
-    "channel": cmd_channel,
-    "teleport": cmd_teleport,
-    "qec": cmd_qec,
-    "simulate": cmd_simulate,
-}
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
-    if argv and argv[0] not in _HANDLERS and not argv[0].startswith("-"):
+    parser, commands = build_parser()
+    if argv and argv[0] in commands:  # parse_args's work, minus its second dispatch
+        args, extras = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    elif argv and not argv[0].startswith("-"):
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"qdotsim: unknown subcommand {argv[0]!r}\n")
         return EXIT_USAGE
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    else:  # help, usage and options before any subcommand
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
     try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise SchemaError(f"{_flag(name)} must be a finite number")
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except SchemaError as exc:
         sys.stderr.write(dumps_report({"error": "schema", "message": str(exc)}))
         return EXIT_SCHEMA

@@ -79,12 +79,10 @@ def _run_ops(state: QuantumState, qubits, inverse: bool = False) -> QuantumState
     return _apply_unitary(state, u.conj().T if inverse else u, qubits)
 
 
+@lru_cache(maxsize=1)
 def encode_pulse_count() -> int:
     """Pulses in the compiled encoder: 5 single-qubit, 4 CNOT, 5 CZ."""
-    n = 0
-    for kind, _ in _ENCODE_OPS:
-        n += PULSE_COST.get(kind, PULSE_COST["1q"])
-    return n
+    return sum(PULSE_COST.get(kind, PULSE_COST["1q"]) for kind, _ in _ENCODE_OPS)
 
 
 @lru_cache(maxsize=1)
@@ -141,6 +139,13 @@ def cycle_pulse_count(n_corrections: int, n_resets: int) -> int:
         + n_corrections * PULSE_COST["1q"]
         + n_resets * PULSE_COST["reset"]
     )
+
+
+@lru_cache(maxsize=1)
+def syndrome_pulse_counts() -> dict[str, int]:
+    """A memory round's compiled pulse count by its syndrome string, e.g. "0110"."""
+    return {"".join(map(str, syndrome)): cycle_pulse_count(correction != "I", sum(syndrome))
+            for syndrome, correction in _error_tables()[1].items()}
 
 
 def _pauli_codes(injected) -> tuple[int, ...]:

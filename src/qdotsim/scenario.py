@@ -37,6 +37,7 @@ from .qstate import Gate, _is_number, draw_readout, state_fidelity
 from .report import _Stream, digest, dumps_report, first_uniforms, stream
 
 SCHEMA_VERSION = 1
+_MATERIAL_FIELDS = frozenset(f.name for f in dataclasses.fields(MaterialParams)) - {"noise"}
 
 
 def load_scenario(path_or_name: str) -> dict:
@@ -82,8 +83,7 @@ def build_material(spec) -> MaterialParams:
     _require(preset == "inas" or "T2" in noise,
              "the si preset requires an explicit T2 (noise.T2 or --t2)")
     _require(isinstance(noise.get("enabled", False), bool), "noise.enabled must be a boolean")
-    valid = {f.name for f in dataclasses.fields(MaterialParams)} - {"noise"}
-    unknown = set(spec) - valid
+    unknown = set(spec) - _MATERIAL_FIELDS
     _require(not unknown, "unknown material fields: {}", sorted(unknown))
     try:
         base = inas_material() if preset == "inas" else si_material(float(noise["T2"]))

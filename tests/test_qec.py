@@ -33,6 +33,7 @@ from qdotsim.qec import (
     principal_correction,
     pulse_budget,
     qec_cycle,
+    syndrome_pulse_counts,
 )
 from qdotsim.qec import (
     _ENCODE_OPS,
@@ -371,9 +372,13 @@ def test_memory_experiment_matches_the_per_cycle_oracle(seed, p, pulses_per_cycl
     assert run == expected
     assert table.bit_generator.state == oracle.bit_generator.state
     assert _pauli_class.cache_info().currsize <= 4**5
-    # qdotsim qec derives its compiled pulse range from the histogram's syndromes
-    compiled = [cycle_pulse_count(principal_correction(tuple(map(int, key))) != "I",
-                                  key.count("1")) for key in run["syndrome_histogram"]]
+    # qdotsim qec reads its compiled pulse range off the histogram's syndromes in
+    # the table built once, which holds the count of each of the 16 syndromes
+    counts = syndrome_pulse_counts()
+    assert counts == {key: cycle_pulse_count(principal_correction(tuple(map(int, key))) != "I",
+                                             key.count("1"))
+                      for key in map("{:04b}".format, range(16))}
+    compiled = [counts[key] for key in run["syndrome_histogram"]]
     assert min(compiled, default=0) == min(pulse_counts, default=0)
     assert max(compiled, default=0) == max(pulse_counts, default=0)
 
@@ -489,5 +494,5 @@ def test_pulse_budget_single_cycle():
 
 
 def test_compiled_pulse_count_reported_next_to_budget():
-    assert encode_pulse_count() == 58
+    assert encode_pulse_count() == encode_pulse_count() == 58  # built once, read again
     assert cycle_pulse_count(1, 2) == 2 * 58 + 4 + 1 + 2

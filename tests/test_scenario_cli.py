@@ -1289,15 +1289,52 @@ def test_cli_channel_rejects_options_of_another_kind(args, option, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_unknown_subcommand_exits_64():
-    proc = run_cli("frobnicate")
-    assert proc.returncode == 64
+# Exit code, the one stream written and the first 16 hex digits of the sha256
+# of its bytes, recorded with Python 3.11's argparse at 80 columns before a
+# known subcommand was parsed by its own parser alone. Leftover arguments are
+# reported under the top-level usage; a missing value, help and a missing
+# required option by the subcommand's parser.
+_USAGE_PINS = [
+    ("resources -h", 0, "out", "6a0b245ca7170cff"),
+    ("resources --bogus", 2, "err", "9e7af96220fc8014"),
+    ("resources --rabi-period", 2, "err", "7c6478bd98bc14f4"),
+    ("resources -- --x", 2, "err", "56eb3c5634bd88d8"),
+    ("channel -h", 0, "out", "ecc36aa12e5ecd3c"),
+    ("channel --bogus", 2, "err", "9e7af96220fc8014"),
+    ("channel --kind", 2, "err", "b155ea9e0240df07"),
+    ("channel -- --x", 2, "err", "56eb3c5634bd88d8"),
+    ("teleport -h", 0, "out", "4a2e1c52c92a2689"),
+    ("teleport --bogus", 2, "err", "9e7af96220fc8014"),
+    ("teleport --shots", 2, "err", "b43c071963a4f2e1"),
+    ("teleport -- --x", 2, "err", "56eb3c5634bd88d8"),
+    ("qec -h", 0, "out", "ae1b5787b0c155e0"),
+    ("qec --bogus", 2, "err", "9e7af96220fc8014"),
+    ("qec --cycles", 2, "err", "d43382de88b4a867"),
+    ("qec -- --x", 2, "err", "56eb3c5634bd88d8"),
+    ("simulate -h", 0, "out", "da413184a0bb21d0"),
+    ("simulate --bogus", 2, "err", "37acfd79e5f818ff"),
+    ("simulate --scenario", 2, "err", "9e733f3ca01cfb89"),
+    ("simulate -- --x", 2, "err", "37acfd79e5f818ff"),
+    ("", 64, "err", "ddf277b5a97d5713"),
+    ("-h", 0, "out", "09d113c3ff4823ca"),
+    ("--bogus", 2, "err", "9e7af96220fc8014"),
+    ("frobnicate", 64, "err", "1e066b60b07cfa37"),
+]
 
 
-def test_bare_qdotsim_prints_usage_and_exits_64(capsys):
-    assert cli.main([]) == 64
+@pytest.mark.parametrize("argv, code, stream, pin", _USAGE_PINS,
+                         ids=[argv.replace(" ", "_") or "bare" for argv, *_ in _USAGE_PINS])
+def test_cli_usage_paths_are_pinned(argv, code, stream, pin, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        exit_code = cli.main(argv.split())
+    except SystemExit as exc:  # argparse's help and errors
+        exit_code = exc.code
+    assert exit_code == code
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("usage: qdotsim")
+    written, empty = (out, err) if stream == "out" else (err, out)
+    assert empty == "" and "Traceback" not in written
+    assert digest(written)[:16] == pin
 
 
 @pytest.mark.parametrize("argv", [
@@ -1888,6 +1925,37 @@ def test_cli_qec_with_errors():
     payload = json.loads(proc.stdout)
     assert 0.0 <= payload["logical_error_rate"] <= 1.0
     assert sum(payload["syndrome_histogram"].values()) == 30
+
+
+def test_cli_qec_stdout_bytes_are_pinned(capsys):
+    # the first 16 hex digits of the sha256 of each stdout, recorded before a
+    # known subcommand was parsed by its own parser alone and the compiled
+    # counts were read from a table built once
+    argvs = [[]]
+    argvs += [["--cycles", "10", "--p", "1e-3", "--seed", str(s)] for s in range(50)]
+    argvs += [["--cycles", "50", "--p", "0.02", "--seed", str(s)] for s in range(10)]
+    argvs += [["--cycles", "0"], ["--p", "1", "--cycles", "3"], ["--pulses-per-cycle", "1"],
+              ["--preset", "si", "--t2", "1e-3"], ["--t2", "5e-5"]]
+    pins = """
+    8be6552f091194c7 acb9c59f66d11e59 c27e6121cde7e809 7372d0b83bafbd61 d83fac2bf999a935
+    2c907d400d84cae5 791b9c9e62f53702 89d51969d0d794ad 3d0f242ac00491d0 b41c2f0310ed9022
+    df97e0ef33031053 b7f703b46754b657 d08a62cb6ecac35c 67f017079f3be837 03a7eaa357d43a16
+    eb831c43452d3f44 cd908ee53c0f6fc8 a7e579155ee22e77 592ebff4c56995ad 4b53100403ac5953
+    3a22ac07d180f075 5a8894777e02b625 67300d55cf451249 d84304a8df849512 03a7a4b19fbb69f5
+    e388705d49415e85 4b3aac0654214354 61a888ed4ff9751a a131559318cde0fe 576759ed8a083d89
+    55e32b54d7ccb915 e196f6a91f30a1eb 89a52a694216d61f e3f50382a3aaa3a0 4c7f6b3860c34626
+    aa87b0d632fef8e2 63193408be51b5a2 247828ea240d5b7c 6a9ece9f987f5301 6fc30bd567c27ae9
+    9673525370110297 e2bbfd735d9ca272 c8d12939ed1c2f16 44c63fa15e70d42c 871ddf26bd357223
+    d2109dc2007b7d57 7d017670ebe4da72 d3b7b0f0017c8741 43d2cb0c3eff89d1 66dac7c1b44184b7
+    932a26786585e11f 2ce9793733240f51 336a5296d10bb3d3 c5b016593ea0f89c 4242d34b77e8a320
+    2e9c1c4932b462f8 18961a3daef66709 90e8cc81464e17cb f12b24e4f7aeeb5f 070a5d241d0aff59
+    962f50f6ee86b5c7 e6c5d2e3ac7bdb1d 1a5bae29f71bd2ba 3b5d8e6f350a73ab a45121f1c7225924
+    04ef6cd995599b17
+    """.split()
+    for argv, pin in zip(argvs, pins, strict=True):
+        assert cli.main(["qec", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and digest(out)[:16] == pin, argv
 
 
 def test_cli_huge_j_on_with_noise_on_exits_2_before_any_event(tmp_path):
