@@ -215,12 +215,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
+    ended = argv[:1] == ["--"]  # no top-level options: what follows is the subcommand
+    if ended:
+        argv = argv[1:]
     if argv and argv[0] in commands:  # parse_args's work, minus its second dispatch
         args, extras = commands[argv[0]].parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    elif argv and not argv[0].startswith("-"):
+    elif argv and (ended or not argv[0].startswith("-")):
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"qdotsim: unknown subcommand {argv[0]!r}\n")
         return EXIT_USAGE

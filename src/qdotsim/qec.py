@@ -14,6 +14,7 @@ reported next to the conventional 500-pulse cycle budget.
 """
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -224,20 +225,43 @@ def _memory_reference() -> QuantumState:
     return QuantumState(psi, 5)
 
 
-def _memory_round(codes, uniforms) -> tuple[tuple, str, bool]:
-    """One memory round with net Pauli `codes`, measured against `uniforms`:
-    (the four p1 compared with, syndrome string, failed)."""
-    reference = _memory_reference()
-    state, syndrome, marginals = _cycle(reference, _BLOCK, codes, uniforms)
-    failed = state_fidelity(state, reference) < 1.0 - 1e-6
-    return marginals, "".join(map(str, syndrome)), failed
-
-
 @lru_cache(maxsize=4**5)
-def _pauli_class(codes) -> tuple[tuple, str, bool]:
-    """The round of one net Pauli class along its likely measurement branch
-    (every draw 0.5), built once with the state-vector cycle."""
-    return _memory_round(codes, (0.5, 0.5, 0.5, 0.5))
+def _pauli_class(codes) -> tuple[str, bool]:
+    """(syndrome string, failed) of a memory round with net Pauli `codes`, built
+    once with the state-vector cycle; a class's syndrome is certain, so every draw is 0.5."""
+    state, syndrome, _ = _cycle(_memory_reference(), _BLOCK, codes, (0.5, 0.5, 0.5, 0.5))
+    return "".join(map(str, syndrome)), state_fidelity(state, _memory_reference()) < 1.0 - 1e-6
+
+
+@lru_cache(maxsize=1)
+def _classes_by_weight() -> tuple[tuple[tuple, np.ndarray], ...]:
+    """The 4**5 net Pauli classes grouped by weight 0..5 in product order,
+    each group with its uniform multinomial probabilities."""
+    groups: list[list] = [[] for _ in range(6)]
+    for codes in itertools.product(range(4), repeat=5):
+        groups[5 - codes.count(0)].append(codes)
+    return tuple((tuple(group), np.full(len(group), 1.0 / len(group))) for group in groups)
+
+
+@lru_cache(maxsize=64)
+def weight_distribution(pulses: int, p: float) -> np.ndarray:
+    """P(net Pauli weight w), w = 0..5, after `pulses` pulses that each apply one
+    of the 15 single-qubit Paulis with chance p: e0 ((1 - p)I + pT)^pulses, where
+    a Pauli moves weight v to v + 1 with chance (5 - v)/5, to v - 1 with v/15 and
+    keeps it with 2v/15. Squared with renormalized rows, so it stays stochastic."""
+    v = np.arange(6)
+    step = (np.diag(1.0 - p + p * 2 * v / 15) + np.diag(p * (5 - v[:-1]) / 5, 1)
+            + np.diag(p * v[1:] / 15, -1))
+    row = np.eye(6)[0]
+    while pulses:
+        if pulses & 1:
+            row = row @ step
+            row /= row.sum()
+        step = step @ step
+        step /= step.sum(axis=1, keepdims=True)
+        pulses >>= 1
+    row.flags.writeable = False
+    return row
 
 
 def memory_experiment(
@@ -249,32 +273,21 @@ def memory_experiment(
     1 - 1e-6. Returns the failure count and the syndrome histogram; a
     round's compiled pulse count follows from its syndrome alone.
 
-    A round depends only on its net Pauli class (4**5 of them, phases
-    dropped) and on its four measurement draws, so each class is simulated
-    once, lazily, and kept with the p1 marginals its syndrome was measured
-    against. A round reuses its class when each draw u falls on the same side
-    of its p1 (u < p1 reads 1, as in qstate.measure); a draw on the other
-    side, possible only where p1 sits within rounding of 0 or 1, runs the
-    state-vector cycle on the same four draws. The draws are those of one
-    cycle at a time: Binomial, then two integers per error (Pauli, block
-    position), then four uniforms. Each error is XORed into the class as it
-    is drawn, so memory stays constant in cycles and errors."""
+    Rounds are independent and depend only on their net Pauli class (4**5,
+    phases dropped), so the run draws class counts: one rng.multinomial over
+    the six weights, then one over the equally likely classes of each weight
+    w >= 1 with a nonzero count, in weight order. A class that occurs is
+    simulated once per process; time is constant in cycles and errors."""
     histogram: dict[str, int] = {}
     failures = 0
-    for _ in range(cycles):
-        codes = [0] * 5
-        for _ in range(int(rng.binomial(pulses_per_cycle, p))):
-            # X, Y, Z as x + 2z codes, drawn before the position (`a[i] ^= v` reads i first)
-            pauli = (1, 3, 2)[int(rng.integers(3))]
-            codes[int(rng.integers(5))] ^= pauli
-        codes = tuple(codes)
-        uniforms = rng.random(4).tolist()
-        marginals, key, failed = _pauli_class(codes)
-        # u < p1 reads 1: qstate.draw_readout's rule with no misread, inline in this hot loop
-        if any((u < p1) != (bit == "1") for u, p1, bit in zip(uniforms, marginals, key)):
-            _, key, failed = _memory_round(codes, uniforms)
-        failures += failed
-        histogram[key] = histogram.get(key, 0) + 1
+    by_weight = rng.multinomial(cycles, weight_distribution(pulses_per_cycle, p)).tolist()
+    for w, ((group, uniform), n_w) in enumerate(zip(_classes_by_weight(), by_weight)):
+        counts = rng.multinomial(n_w, uniform).tolist() if w and n_w else [n_w]
+        for codes, n in zip(group, counts):
+            if n:
+                key, failed = _pauli_class(codes)
+                histogram[key] = histogram.get(key, 0) + n
+                failures += n * failed
     return {"failures": failures, "syndrome_histogram": histogram}
 
 

@@ -183,8 +183,8 @@ def memory_experiment_oracle(cycles: int, p: float, rng,
     """The memory experiment with one state-vector qec_cycle per round: draw
     Binomial(pulses_per_cycle, p) errors, a (Pauli, block position) pair of
     integers for each, run the cycle on (|0> + e^{i pi/4}|1>)/sqrt(2) and
-    count a failure below fidelity 1 - 1e-6. qec.memory_experiment must
-    return the same dict and leave rng in the same state. Also returns each
+    count a failure below fidelity 1 - 1e-6. qec.memory_experiment, which
+    draws class counts, must match it in distribution. Also returns each
     round's compiled pulse count, which the dict leaves out."""
     amp = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2.0)
     base = np.zeros(32, dtype=complex)

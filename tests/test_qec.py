@@ -3,11 +3,13 @@ import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from conftest import (
     H,
@@ -34,10 +36,12 @@ from qdotsim.qec import (
     pulse_budget,
     qec_cycle,
     syndrome_pulse_counts,
+    weight_distribution,
 )
 from qdotsim.qec import (
     _ENCODE_OPS,
     _PAULI_NAMES,
+    _classes_by_weight,
     _error_tables,
     _memory_reference,
     _pauli_class,
@@ -361,16 +365,69 @@ def test_cycle_matches_the_multi_pass_oracle(n, matrix, seed, n_errors):
 # the memory experiment and its Pauli-class table
 # ---------------------------------------------------------------------------
 
-@given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 0.2),
-       pulses_per_cycle=st.integers(1, 500), cycles=st.integers(0, 20))
-@settings(max_examples=40, deadline=None)
-def test_memory_experiment_matches_the_per_cycle_oracle(seed, p, pulses_per_cycle, cycles):
-    # up to ~100 Paulis per round, so classes of every weight are looked up
-    table, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    run = memory_experiment(cycles, p, table, pulses_per_cycle)
-    expected, pulse_counts = memory_experiment_oracle(cycles, p, oracle, pulses_per_cycle)
-    assert run == expected
-    assert table.bit_generator.state == oracle.bit_generator.state
+def _weights_by_convolution(pulses: int, p: Fraction) -> list[Fraction]:
+    """P(net Pauli weight) after `pulses` pulses, in exact fractions: the
+    distribution on all 4**5 classes (two bits per block position) is
+    XOR-convolved with one pulse's, 1 - p on I and p/15 on each single Pauli."""
+    singles = [code << 2 * pos for pos in range(5) for code in (1, 2, 3)]
+    dist = {0: Fraction(1)}
+    for _ in range(pulses):
+        step: dict[int, Fraction] = {}
+        for g, x in dist.items():
+            step[g] = step.get(g, 0) + (1 - p) * x
+            for e in singles:
+                step[g ^ e] = step.get(g ^ e, 0) + p / 15 * x
+        dist = step
+    weights = [Fraction(0)] * 6
+    for g, x in dist.items():
+        weights[sum(1 for pos in range(5) if g >> 2 * pos & 3)] += x
+    return weights
+
+
+@pytest.mark.parametrize("pulses,p", [
+    (0, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 1)), (3, Fraction(2, 7)),
+    (5, Fraction(1, 1000)), (6, Fraction(1, 2)), (6, Fraction(0))])
+def test_weight_distribution_matches_the_exact_convolution(pulses, p):
+    exact = _weights_by_convolution(pulses, p)
+    row = weight_distribution(pulses, float(p))
+    for w in range(6):
+        assert math.isclose(row[w], float(exact[w]), rel_tol=1e-12, abs_tol=0.0), (w, row)
+
+
+@given(pulses=st.integers(1, 2**63 - 1), p=st.floats(0.0, 1.0))
+@example(pulses=2**63 - 1, p=5e-324)
+@example(pulses=2**63 - 1, p=1.0)
+@example(pulses=2**63 - 1, p=1e-3)
+@example(pulses=1, p=5e-324)
+@settings(max_examples=200, deadline=None)
+def test_weight_distribution_stays_a_probability_row(pulses, p):
+    row = weight_distribution(pulses, p)
+    assert row.shape == (6,) and np.all(row >= 0.0)
+    assert abs(row.sum() - 1.0) <= 1e-12
+    assert sum(np.random.default_rng(0).multinomial(2**32, row).tolist()) == 2**32
+
+
+@pytest.mark.parametrize("p,pulses_per_cycle,seed", [
+    (1e-3, 500, 11), (0.05, 20, 12), (0.2, 25, 13), (1.0, 3, 14)])
+def test_memory_experiment_matches_the_state_vector_oracle_in_distribution(
+        p, pulses_per_cycle, seed):
+    # one state-vector cycle per round against drawn class counts: the two
+    # syndrome histograms pass a chi-square homogeneity test and the failure
+    # counts agree within 5 sigma
+    cycles, oracle_cycles = 200_000, 2_000
+    run = memory_experiment(cycles, p, np.random.default_rng(seed), pulses_per_cycle)
+    expected, pulse_counts = memory_experiment_oracle(
+        oracle_cycles, p, np.random.default_rng(seed), pulses_per_cycle)
+    assert sum(run["syndrome_histogram"].values()) == cycles
+    assert isinstance(run["failures"], int)
+    assert all(type(n) is int for n in run["syndrome_histogram"].values())
+    keys = sorted(set(run["syndrome_histogram"]) | set(expected["syndrome_histogram"]))
+    table = [[hist.get(key, 0) for key in keys]
+             for hist in (run["syndrome_histogram"], expected["syndrome_histogram"])]
+    assert chi2_contingency(table).pvalue > 1e-3
+    pooled = (run["failures"] + expected["failures"]) / (cycles + oracle_cycles)
+    sigma = math.sqrt(pooled * (1 - pooled) * (1 / cycles + 1 / oracle_cycles))
+    assert abs(run["failures"] / cycles - expected["failures"] / oracle_cycles) <= 5 * sigma
     assert _pauli_class.cache_info().currsize <= 4**5
     # qdotsim qec reads its compiled pulse range off the histogram's syndromes in
     # the table built once, which holds the count of each of the 16 syndromes
@@ -378,9 +435,20 @@ def test_memory_experiment_matches_the_per_cycle_oracle(seed, p, pulses_per_cycl
     assert counts == {key: cycle_pulse_count(principal_correction(tuple(map(int, key))) != "I",
                                              key.count("1"))
                       for key in map("{:04b}".format, range(16))}
-    compiled = [counts[key] for key in run["syndrome_histogram"]]
-    assert min(compiled, default=0) == min(pulse_counts, default=0)
-    assert max(compiled, default=0) == max(pulse_counts, default=0)
+    assert {counts[key] for key in expected["syndrome_histogram"]} == set(pulse_counts)
+
+
+def test_memory_experiment_at_the_cycle_cap_matches_the_exact_rate():
+    # the exact rate weighs each weight's failing share of classes: 0.07069
+    # at the CLI's defaults, and 2**32 drawn rounds land within 5 sigma of it
+    shares = [sum(_pauli_class(codes)[1] for codes in group) / len(group)
+              for group, _ in _classes_by_weight()]
+    exact = float(weight_distribution(500, 1e-3) @ shares)
+    assert abs(exact - 0.07069) < 5e-6
+    run = memory_experiment(2**32, 1e-3, np.random.default_rng(5), 500)
+    assert sum(run["syndrome_histogram"].values()) == 2**32
+    assert len(run["syndrome_histogram"]) == 16
+    assert abs(run["failures"] / 2**32 - exact) <= 5 * math.sqrt(exact * (1 - exact) / 2**32)
 
 
 @pytest.mark.parametrize("cycles,p,pulses_per_cycle", [(1, 1.0, 20_000), (20_000, 0.0, 500)],
@@ -397,19 +465,12 @@ def test_memory_experiment_memory_is_constant(cycles, p, pulses_per_cycle):
     assert peak < 64 * 1024
 
 
-class _Draws(np.random.Generator):
-    """Replays one round's draws: binomial gives n_errors, integers the
-    listed values in turn and random the given uniforms."""
+class _Uniforms(np.random.Generator):
+    """Replays the given uniforms from random()."""
 
-    def __init__(self, n_errors, integers, uniforms):
+    def __init__(self, uniforms):
         super().__init__(np.random.PCG64(0))
-        self.n_errors, self.ints, self.uniforms = n_errors, iter(integers), uniforms
-
-    def binomial(self, n, p):
-        return self.n_errors
-
-    def integers(self, high):
-        return next(self.ints)
+        self.uniforms = uniforms
 
     def random(self, size=None):
         return np.array(self.uniforms)
@@ -417,30 +478,25 @@ class _Draws(np.random.Generator):
 
 def _improbable_draw(near_one: bool):
     """The first class with a syndrome marginal p1 within 1e-12 of 1 (or of
-    0, but not 0): its net Pauli, the injection that makes it and a draw
-    on the improbable side of p1."""
+    0, but not 0): the injection that makes it and a draw on the improbable
+    side of p1."""
     for codes in itertools.product(range(4), repeat=5):
-        for k, p1 in enumerate(_pauli_class(codes)[0]):
+        injected = [(_PAULI_NAMES[c], pos) for pos, c in enumerate(codes) if c]
+        _, _, p1s = qec_cycle(_memory_reference(), BLOCK, injected, _Uniforms([0.5] * 4))
+        for k, p1 in enumerate(p1s):
             if (1 - 1e-12 < p1 < 1) if near_one else (0 < p1 < 1e-12):
                 uniforms = [0.5] * 4
                 uniforms[k] = p1 if near_one else 0.0  # u < p1 reads 1
-                injected = [(_PAULI_NAMES[c], pos) for pos, c in enumerate(codes) if c]
-                return codes, injected, uniforms
+                return injected, uniforms
     raise AssertionError("no class has a marginal a rounding away from 0 or 1")
 
 
 @pytest.mark.parametrize("near_one", [True, False], ids=["p1-below-1", "p1-above-0"])
 def test_improbable_syndrome_draw_fails_like_the_state_vector_cycle(near_one):
-    codes, injected, uniforms = _improbable_draw(near_one)
-    integers = [v for name, pos in injected for v in (("X", "Y", "Z").index(name), pos)]
-    likely = memory_experiment(1, 0.5, _Draws(len(injected), integers, [0.5] * 4))
-    assert likely["syndrome_histogram"] == {_pauli_class(codes)[1]: 1}
-    with pytest.raises(StateError) as table:
-        memory_experiment(1, 0.5, _Draws(len(injected), integers, uniforms))
+    injected, uniforms = _improbable_draw(near_one)
     with pytest.raises(StateError) as state_vector:
-        qec_cycle(_memory_reference(), BLOCK, injected, _Draws(0, [], uniforms))
-    assert str(table.value) == str(state_vector.value)
-    assert str(table.value).startswith("branch (Z, ")
+        qec_cycle(_memory_reference(), BLOCK, injected, _Uniforms(uniforms))
+    assert str(state_vector.value).startswith("branch (Z, ")
 
 
 # ---------------------------------------------------------------------------

@@ -426,16 +426,17 @@ def test_channel_and_analytics_bytes_are_pinned(capsys):
             "348490d9e94510d6e3047fb4133323d23ec98c199bce83fca4d16388863d0467",
         ("resources", "--preset", "si", "--t2", "1e-3"):
             "a6f549672ed426e4abf4645e882f1783d9f4b043579ddab9848ff77b7fb5dd29",
+        # the four qec runs with p > 0 re-recorded when the memory experiment
+        # came to draw class counts, not rounds
         ("qec", "--cycles", "50", "--p", "1e-2", "--seed", "3"):
-            "44107d36496f1ed969089fa8fb19308dadbc368bcf018f2d7ea4ee1e9422040d",
-        # these three recorded before the memory experiment looked rounds up
-        # by net Pauli class; p = 0.05 puts ~25 Paulis in a round
+            "63a23035cc352dcaff0d39288a5e7b7bc3e2b68049b7b066e4bb8e3806d75939",
+        # p = 0.05 puts ~25 Paulis in a round
         ("qec", "--cycles", "200", "--p", "1e-3", "--seed", "3"):
-            "c9f4c40ba535f036d656d278d2c957ec719652ed63137d02cb4039b8e45558dc",
+            "d0bbce9b079b21da515bad0975652f4574dfab05dc185522f550f7e765be6734",
         ("qec", "--cycles", "200", "--p", "0.01", "--seed", "11"):
-            "4a069046bf7e583e5ba7bd3957ebb313de114d1c6e6fe5a7818df8f7c1ad68fb",
+            "4141b411362e15bb8a0995cacaf693bde644a6b534bbe0bd51df4d1082b2722b",
         ("qec", "--cycles", "200", "--p", "0.05", "--seed", "5"):
-            "cf94884b0aeca3a1f8b4818390709253ce5956dca56f06407ef7d345824b1a5a",
+            "b2fabf11f23519aa184a702e04d48361e89d22b8b6600d4b597a5feb9a06bced",
         # these recorded before `resources` and `channel` ran as analytics requests
         ("channel", "--kind", "swap"):
             "a10b22b166602e43b8de373757b5c19f61cfd0bfd0081b3765e897ccf28da7fd",
@@ -1319,6 +1320,10 @@ _USAGE_PINS = [
     ("-h", 0, "out", "09d113c3ff4823ca"),
     ("--bogus", 2, "err", "9e7af96220fc8014"),
     ("frobnicate", 64, "err", "1e066b60b07cfa37"),
+    # a bare -- ends the top-level options: alone it is the bare usage, and
+    # before a subcommand it prints the bytes of `qdotsim qec --cycles 3 --p 0.1`
+    ("--", 64, "err", "ddf277b5a97d5713"),
+    ("-- qec --cycles 3 --p 0.1", 0, "out", "d58047a2bee5e963"),
 ]
 
 
@@ -1927,29 +1932,45 @@ def test_cli_qec_with_errors():
     assert sum(payload["syndrome_histogram"].values()) == 30
 
 
+@pytest.mark.parametrize("argv", [
+    ["--cycles", "4294967296", "--p", "1e-3"],
+    ["--cycles", "1", "--p", "1", "--pulses-per-cycle", "1000000"],
+], ids=["cycles-cap", "million-errors"])
+def test_cli_qec_time_is_constant_in_cycles_and_errors(argv):
+    # the class counts are drawn at once, so the cycle cap and a million
+    # errors in one round each take well under the timeout (hours once)
+    proc = subprocess.run([sys.executable, "-m", "qdotsim.cli", "qec", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert sum(payload["syndrome_histogram"].values()) == payload["cycles"] == int(argv[1])
+
+
 def test_cli_qec_stdout_bytes_are_pinned(capsys):
-    # the first 16 hex digits of the sha256 of each stdout, recorded before a
-    # known subcommand was parsed by its own parser alone and the compiled
-    # counts were read from a table built once
+    # the first 16 hex digits of the sha256 of each stdout. The five runs that
+    # draw no error (--p 0 or --cycles 0) were recorded before a known
+    # subcommand was parsed by its own parser alone; the 61 with --p > 0 were
+    # re-recorded when the memory experiment came to draw class counts, not
+    # rounds, which changes its draws but not their distribution
     argvs = [[]]
     argvs += [["--cycles", "10", "--p", "1e-3", "--seed", str(s)] for s in range(50)]
     argvs += [["--cycles", "50", "--p", "0.02", "--seed", str(s)] for s in range(10)]
     argvs += [["--cycles", "0"], ["--p", "1", "--cycles", "3"], ["--pulses-per-cycle", "1"],
               ["--preset", "si", "--t2", "1e-3"], ["--t2", "5e-5"]]
     pins = """
-    8be6552f091194c7 acb9c59f66d11e59 c27e6121cde7e809 7372d0b83bafbd61 d83fac2bf999a935
-    2c907d400d84cae5 791b9c9e62f53702 89d51969d0d794ad 3d0f242ac00491d0 b41c2f0310ed9022
-    df97e0ef33031053 b7f703b46754b657 d08a62cb6ecac35c 67f017079f3be837 03a7eaa357d43a16
-    eb831c43452d3f44 cd908ee53c0f6fc8 a7e579155ee22e77 592ebff4c56995ad 4b53100403ac5953
-    3a22ac07d180f075 5a8894777e02b625 67300d55cf451249 d84304a8df849512 03a7a4b19fbb69f5
-    e388705d49415e85 4b3aac0654214354 61a888ed4ff9751a a131559318cde0fe 576759ed8a083d89
-    55e32b54d7ccb915 e196f6a91f30a1eb 89a52a694216d61f e3f50382a3aaa3a0 4c7f6b3860c34626
-    aa87b0d632fef8e2 63193408be51b5a2 247828ea240d5b7c 6a9ece9f987f5301 6fc30bd567c27ae9
-    9673525370110297 e2bbfd735d9ca272 c8d12939ed1c2f16 44c63fa15e70d42c 871ddf26bd357223
-    d2109dc2007b7d57 7d017670ebe4da72 d3b7b0f0017c8741 43d2cb0c3eff89d1 66dac7c1b44184b7
-    932a26786585e11f 2ce9793733240f51 336a5296d10bb3d3 c5b016593ea0f89c 4242d34b77e8a320
-    2e9c1c4932b462f8 18961a3daef66709 90e8cc81464e17cb f12b24e4f7aeeb5f 070a5d241d0aff59
-    962f50f6ee86b5c7 e6c5d2e3ac7bdb1d 1a5bae29f71bd2ba 3b5d8e6f350a73ab a45121f1c7225924
+    8be6552f091194c7 b99f1798dde4cc20 544feb264850520b 98c17a22b7329934 c9ce20dfd137db34
+    447d5a653c1a15c5 89cb31880e148cbd 28e6bf2449952920 9c7fee44c06181bd 27de1be8baf8408f
+    a6c2d094d603539d c622ba856d092bba 3852fe7fdbb0f12f 95a26f0e67b754e1 d0e25ae4d60fda39
+    0640a8c1e0943915 e0a23061bc7a8724 b4d4102592588ec2 9eea39e63198253c c12fcfb10a23a4af
+    79524c126cecd2a8 41b35bad1baecf8a ba2acc862c70cc74 db7cc5fb6d4cbc8d 147526ebebd4cfd0
+    f2a75b29a953014c 9fa7471374fe5853 4ed017d95ce6fb5d 31027cfea4eb809d 66e9a517f7f6627d
+    4af8578daae6f2de 74b00d3055266001 968751aa1178ddbd e42e371b566feaa4 a46334f8127ee062
+    259efb885b6f0123 df9ff6bd7f405db9 53dfc5dd02c548eb 0598a85b56d27d33 dd56b65b3ae186e1
+    53b1ae313470fcd6 45bf1cab10a231db 7692be7c9b49d340 4e6fcfda88aeb008 293e1ee192650f48
+    83e58602a5c8e311 50bd30b5bae60963 fe797535534d2c90 22d316aa54d3cd21 1e33b34e7eb4a35d
+    4dc3d95cfeee0c2e f196e9df34a407ca 0810ff8d05f8a4ff 2a50cb47d217dcb6 7ec49275135590f1
+    af26fc5cdad0f050 0073a56129359264 ff65f4cd37ac079c 272d495315255bdb b7053f94035283b6
+    7fdf728bb39adcae e6c5d2e3ac7bdb1d 11bc4f779bb238ee 3b5d8e6f350a73ab a45121f1c7225924
     04ef6cd995599b17
     """.split()
     for argv, pin in zip(argvs, pins, strict=True):
