@@ -20,6 +20,9 @@ Strict mode additionally applies the always-on residual exchange J_off to
 every adjacent occupied pair but the coupled one during each timed window.
 The array keeps only the clock and the drive energy spent; the per-event
 log belongs to the scenario report.
+
+A vector array keeps its register in `state`; a matrix array (MatrixArray)
+keeps only rho's excited block, on which every gate and idle window runs.
 """
 from __future__ import annotations
 
@@ -32,9 +35,9 @@ import numpy as np
 
 from .constants import HBAR_EV_S
 from .errors import AdjacencyError, BlockadeError, StateError
-from .noise import NoiseParams, idle_jumps_window, idle_window
+from .noise import NoiseParams, _block_cells, _decay, _excited, idle_jumps_window, idle_steps
 from .pulses import drive_report, swap_duration
-from .qstate import Gate, QuantumState, apply_gate, measure
+from .qstate import MATRIX_QUBIT_CAP, Gate, QuantumState, _apply_unitary, apply_gate, measure
 
 Pos = tuple[int, int]
 
@@ -120,7 +123,13 @@ def si_material(T2: float) -> MaterialParams:
 
 class DotArray:
     """Mutable array under a single controller; events are serialized by
-    the clock, which with the drive energy is all the array books."""
+    the clock, which with the drive energy is all the array books.
+    representation="matrix" makes a MatrixArray."""
+
+    def __new__(cls, width, height, material, roles=None, representation="vector", *args,
+                **kwargs):
+        return super().__new__(MatrixArray if cls is DotArray and representation == "matrix"
+                               else cls)
 
     def __init__(
         self,
@@ -189,8 +198,8 @@ class DotArray:
     # -- clock and noise --------------------------------------------------
 
     def _idle_windows(self, duration: float, pair: tuple[Pos, ...], windows: int) -> None:
-        """`windows` windows of advance's noise and residual exchange; vector
-        windows with no residual exchange between them take one call."""
+        """`windows` windows of advance's noise and residual exchange; windows
+        with no residual exchange between them take one _window call."""
         noise = self.material.noise
         idling = {q: self.t2_overrides.get(p) for q, p in enumerate(self.qubit_positions)
                   if p not in pair} if noise.enabled else {}
@@ -199,18 +208,29 @@ class DotArray:
                    if not (a in pair and b in pair)] if self.strict else []
         if duration <= 0 or not windows or not (idling or coupled):
             return
-        if self.state.is_vector and not coupled:
-            self.state = idle_jumps_window(self.state, duration, noise, idling,
-                                           self._rng, windows)
-            return
+        if not coupled:
+            return self._window(duration, idling, windows)
         for _ in range(windows):
             if idling:
-                self.state = (idle_jumps_window(self.state, duration, noise, idling,
-                                                self._rng) if self.state.is_vector
-                              else idle_window(self.state, duration, noise, idling))
+                self._window(duration, idling)
             for targets in coupled:
-                self.state = apply_gate(self.state, Gate(
-                    "ExchangeEvolve", targets, theta=self.material.J_off * duration / HBAR_EV_S))
+                self._apply(Gate("ExchangeEvolve", targets,
+                                 theta=self.material.J_off * duration / HBAR_EV_S))
+
+    # -- the register: a vector's trajectory windows, gates and growth ------
+
+    def _window(self, duration: float, idling: dict, windows: int = 1) -> None:
+        self.state = idle_jumps_window(self.state, duration, self.material.noise, idling,
+                                       self._rng, windows)
+
+    def _apply(self, gate: Gate) -> None:
+        self.state = apply_gate(self.state, gate)
+
+    def _append_zero(self) -> None:
+        self.state = self.state.append_zero_qubit()
+
+    def _register_size(self) -> int:
+        return self.state.n_qubits
 
     def advance(self, duration: float, *, pair: tuple[Pos, ...] = (),
                 energy: float = 0.0, windows: int = 1) -> None:
@@ -236,8 +256,8 @@ class DotArray:
         n = len(self.qubit_positions)
         if len(set(self.qubit_positions)) != n:
             raise StateError(f"two qubits share a dot: {self.qubit_positions}")
-        if self.state.n_qubits != n:
-            raise StateError(f"register has {self.state.n_qubits} qubits, grid has {n}")
+        if self._register_size() != n:
+            raise StateError(f"register has {self._register_size()} qubits, grid has {n}")
 
     # -- events -----------------------------------------------------------
 
@@ -249,7 +269,7 @@ class DotArray:
             raise BlockadeError(f"dot {pos} already holds an electron")
         if self.roles.get(pos) == "readout":
             raise StateError(f"dot {pos} is a readout dot")
-        self.state = self.state.append_zero_qubit()
+        self._append_zero()
         self.qubit_positions.append(pos)
         self.advance(self.material.t_pulse)
         return self
@@ -304,7 +324,7 @@ class DotArray:
             duration = (gate.area * HBAR_EV_S / mat.J_on if kind == "ExchangeEvolve"
                         else gate.area / math.pi * mat.t_swap)
             pair = tuple(positions)
-        self.state = apply_gate(self.state, gate)
+        self._apply(gate)
         self.advance(duration, pair=pair, energy=energy)
         return self
 
@@ -322,3 +342,91 @@ class DotArray:
                                       rng.random, self.material.readout_error)
         self.advance(self.material.readout_transfer + self.material.readout_measure)
         return bit, p1
+
+
+def _place(mask: int, within: int) -> int:
+    """The bits of `mask`, a subset of `within`, as bits of the register of
+    within's qubits in their order."""
+    out, bit = 0, 1
+    while within:
+        low = within & -within
+        out |= bit if mask & low else 0
+        within, bit = within ^ low, bit << 1
+    return out
+
+
+def _spread(sub: int, within: int) -> int:
+    """_place's inverse: bits of the register of within's qubits as bits of within's."""
+    out = 0
+    while within:
+        low = within & -within
+        out |= low if sub & 1 else 0
+        within, sub = within ^ low, sub >> 1
+    return out
+
+
+class MatrixArray(DotArray):
+    """A density-matrix array. It stores only rho's excited block: `_block`,
+    the C-contiguous 2**k x 2**k block of rho over the k qubits set in
+    `_mask` (bit n-1-q for qubit q), those whose |1> rows or columns hold a
+    nonzero component (-0.0 included), as noise._excited finds them. Every
+    entry of rho outside the block is +0. Each operation rescans only its
+    output block and cuts the block down to the qubits found excited, so
+    `_mask` stays exact.
+
+    Idle windows run noise._decay on a copy of the block. A gate runs
+    qstate._apply_unitary on the block grown by its targets, padded to at
+    least 2 qubits (a 1-qubit block's 2-column gemm can round differently
+    from the full matrix's); every other entry it writes is +0, as it would
+    be on all of rho. Reading `state` builds rho, zeros plus put; assigning
+    it (a readout, teleport, qec_cycle) rescans rho once."""
+
+    @property
+    def state(self) -> QuantumState:
+        rho = np.zeros((2**self._n, 2**self._n), complex)
+        rho.put(_block_cells(len(rho), self._mask), self._block)
+        return QuantumState(rho, self._n)
+
+    @state.setter
+    def state(self, state: QuantumState) -> None:
+        if state.is_vector:
+            raise StateError("a matrix array holds a density matrix")
+        self._n = state.n_qubits
+        self._keep(np.ascontiguousarray(state.data, complex), 2**self._n - 1)
+
+    def _keep(self, block: np.ndarray, mask: int) -> None:
+        """Store `block`, rho's block over the qubits in `mask`, cut to those it holds excited."""
+        sub = _excited(block)
+        if sub != len(block) - 1:
+            block = block.take(_block_cells(len(block), sub))
+        self._block, self._mask = block, _spread(sub, mask)
+
+    def _window(self, duration: float, idling: dict, windows: int = 1) -> None:
+        # a qubit that turns ground in one window keeps its block arithmetic in
+        # the next: on its +0 rows and columns that gives the + 0.0 pass's bits
+        block, steps = self._block.copy(), idle_steps(self.material.noise, idling)
+        for _ in range(windows):
+            _decay(block, self._mask, self._n, duration, steps)
+        self._keep(block, self._mask)
+
+    def _apply(self, gate: Gate) -> None:
+        n, block, mask = self._n, self._block, self._mask
+        grown = mask | sum(1 << (n - 1 - t) for t in gate.targets)
+        if grown.bit_count() < min(2, n):
+            grown |= 1 if grown != 1 else 2
+        if grown != mask:
+            block = np.zeros((2 ** grown.bit_count(),) * 2, complex)
+            block.put(_block_cells(len(block), _place(mask, grown)), self._block)
+        targets = [(grown >> (n - t)).bit_count() for t in gate.targets]  # places in the block
+        out = _apply_unitary(QuantumState(block, grown.bit_count()), gate.matrix(), targets)
+        self._keep(np.ascontiguousarray(out.data), grown)
+
+    def _append_zero(self) -> None:
+        if self._n + 1 > MATRIX_QUBIT_CAP:
+            raise StateError(f"{self._n + 1} qubits exceeds cap {MATRIX_QUBIT_CAP}")
+        grown = QuantumState(self._block, self._mask.bit_count()).append_zero_qubit()
+        self._n += 1
+        self._keep(grown.data, self._mask << 1 | 1)
+
+    def _register_size(self) -> int:
+        return self._n

@@ -7,15 +7,18 @@ gamma = 1 - exp(-t/T1). Because damping already dephases at rate 1/(2*T1),
 the combined idle channel uses the pure-dephasing rate
 1/T2' = 1/T2 - 1/(2*T1), which is nonnegative exactly when T2 <= 2*T1.
 
-On density matrices the device applies each event's idle window in one exact
-pass (idle_window) over every idling qubit, each with its own T2 (a dot's
-t2_override), on contiguous copies of its four |r><c| blocks; the pair
-coupled by an exchange window is left out. One-qubit channels on different
-qubits commute, so one pass is exact. A qubit whose |1> rows and columns are
-exactly +0 when the window starts (spin-up, not yet driven) trades its block
-arithmetic for one in-place + 0.0 pass, with the same bits; and every step
-runs only on the block of rho whose rows and columns leave each such qubit
-in |0>, since the rest is +0 and stays +0 (see _channel).
+On density matrices each event's idle window is one exact pass over every
+idling qubit, each with its own T2 (a dot's t2_override), on contiguous
+copies of its four |r><c| blocks; the pair coupled by an exchange window is
+left out. One-qubit channels on different qubits commute, so one pass is
+exact. A qubit whose |1> rows and columns are exactly +0 when the window
+starts (spin-up, not yet driven) trades its block arithmetic for one
+in-place + 0.0 pass, with the same bits; and every step runs only on the
+block of rho whose rows and columns leave each such qubit in |0>, since the
+rest is +0 and stays +0 (see _channel). idle_window gathers that block from
+a full rho and scatters it back; a matrix DotArray stores only the block
+and its mask (_excited's scan), so its windows run the step loop (_decay)
+on the block itself.
 The Kraus pairs (Nielsen & Chuang, section 8.3) are the reference. Vector
 states go through idle_jumps_window, a seeded Monte-Carlo wave-function
 unraveling (Dalibard, Castin & Molmer, PRL 68, 580 (1992)) whose ensemble
@@ -68,7 +71,7 @@ def pure_dephasing_time(T1: float, T2: float) -> float:
     return 1.0 / rate
 
 
-@lru_cache(maxsize=64)  # at most ~2.2 MB of cells at the 8-qubit cap, ~0.1 MB at 6
+@lru_cache(maxsize=64)  # every mask of every size to the 8-qubit cap is ~3.9 MB of cells
 def _block_cells(size: int, excited: int) -> np.ndarray:
     """Flat indices, as a (2**k, 2**k) array, of the cells of a size x size
     matrix whose row and column have every bit outside `excited` at 0."""
@@ -77,53 +80,22 @@ def _block_cells(size: int, excited: int) -> np.ndarray:
     return rows[:, None] * size + rows
 
 
-def _channel(state: QuantumState, t: float, steps) -> QuantumState:
-    """Exact decay over t seconds of a copy of a density matrix. Each step
-    (qubit, dephasing_rate, damping_rate) moves gamma = 1 - exp(-t*damping_rate)
-    of the qubit's |1><1| block into its |0><0| block and scales its
-    coherences by exp(-t*dephasing_rate) * sqrt(1 - gamma). It updates the
-    four blocks as the rows of one contiguous (4, -1) copy, then writes them
-    back: the float operations of strided block updates, so the same bits.
-
-    A qubit is ground if its |1> rows and columns are +0 (all bits zero) at
-    the start: the row and column bits of the OR of the flat indices of the
-    nonzero components name the k excited qubits. Other steps compute an
-    entry only from entries with the same bit for it, and +0 times a real
-    factor, or plus +0, is +0, so they stay +0. Its own step then just adds
-    gamma * (+0) to its |0><0| block, turning -0.0 into +0.0: one in-place
-    + 0.0 pass, shared by consecutive ground steps, gives the same bits.
-
-    So every entry outside the 2**k x 2**k block whose rows and columns
-    have every ground bit 0 is +0 before and after, and a step's partner
-    entries differ only in an excited bit, inside the block. When k < n the
-    steps run on a gathered copy of that block, each excited qubit
-    renumbered by its place among the excited ones, and the block is
-    scattered into zeros: the same operations on the same operands as on
-    all of rho. At k == 0 the block is rho[0, 0] alone."""
-    if t < 0:
-        raise StateError(f"negative duration t = {t}")
-    if t == 0:
-        return state
-    if state.is_vector:
-        raise StateError("exact channels need a density matrix; route vector "
-                         "states through idle_jumps_window")
-    n = state.n_qubits
-    if not all(0 <= q < n for q, _, _ in steps):
-        raise StateError(f"qubits {[q for q, _, _ in steps]} out of range for {n}-qubit register")
-    rho = np.ascontiguousarray(state.data)
-    bits = rho.view(np.uint64).reshape(-1)  # a component is nonzero, -0.0 included
+def _excited(rho: np.ndarray) -> int:
+    """The excited qubits of a C-contiguous complex 2**k x 2**k matrix, bit
+    k-1-q for qubit q: those whose |1> rows or columns hold a nonzero
+    component, -0.0 included. The row and column bits of the OR of the flat
+    indices of the nonzero components name them."""
+    bits = rho.view(np.uint64).reshape(-1)
     flat = int(np.bitwise_or.reduce(_flat_index(bits.size), where=bits != 0, initial=0))
-    excited = ((flat >> 1) | (flat >> (n + 1))) & (len(rho) - 1)  # column | row bits
+    return ((flat >> 1) | (flat >> len(rho).bit_length())) & (len(rho) - 1)
+
+
+def _decay(block: np.ndarray, excited: int, n: int, t: float, steps) -> None:
+    """_channel's steps, in place, on the C-contiguous block of an n-qubit
+    rho over the qubits set in `excited` (bit n-1-q for qubit q), every
+    entry outside it +0. An excited step's qubit is renumbered by its place
+    among the excited ones; a run of ground steps is one + 0.0 pass."""
     k = excited.bit_count()
-    if k == 0:  # every step is ground: the block is rho[0, 0]
-        out = np.zeros(rho.shape, rho.dtype)
-        out[0, 0] = rho[0, 0] + 0.0 if steps else rho[0, 0]
-        return QuantumState(out, n)
-    if k < n:
-        cells = _block_cells(len(rho), excited)
-        block = rho.take(cells)
-    else:
-        block = rho.copy()
     zeroed = False  # a ground step's pass has run and no block update since
     for qubit, dephasing_rate, damping_rate in steps:
         if not excited >> (n - 1 - qubit) & 1:  # ground: its |1> rows and columns are +0
@@ -135,7 +107,7 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
         zeroed = False
         gamma = 1.0 - math.exp(-t * damping_rate)
         coherence = math.exp(-t * dephasing_rate) * math.sqrt(1.0 - gamma)
-        q = qubit if k == n else (excited >> (n - qubit)).bit_count()  # place among excited
+        q = (excited >> (n - qubit)).bit_count()  # place among excited
         hi, lo = 2**q, 2 ** (k - q - 1)
         view = block.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
         blocks = view.reshape(4, -1)  # |0><0|, |0><1|, |1><0|, |1><1|, contiguous
@@ -143,30 +115,68 @@ def _channel(state: QuantumState, t: float, steps) -> QuantumState:
         blocks[0] += gamma * blocks[3]
         blocks[3] *= 1.0 - gamma
         view[...] = blocks.reshape(view.shape)
-    if k == n:
-        return QuantumState(block, n)
+
+
+def _channel(state: QuantumState, t: float, steps) -> QuantumState:
+    """Exact decay over t seconds of a copy of a density matrix. Each step
+    (qubit, dephasing_rate, damping_rate) moves gamma = 1 - exp(-t*damping_rate)
+    of the qubit's |1><1| block into its |0><0| block and scales its
+    coherences by exp(-t*dephasing_rate) * sqrt(1 - gamma). It updates the
+    four blocks as the rows of one contiguous (4, -1) copy, then writes them
+    back: the float operations of strided block updates, so the same bits.
+
+    A qubit is ground if its |1> rows and columns are +0 (all bits zero) at
+    the start; _excited names the k others. Other steps compute an entry
+    only from entries with the same bit for it, and +0 times a real factor,
+    or plus +0, is +0, so they stay +0. Its own step then just adds
+    gamma * (+0) to its |0><0| block, turning -0.0 into +0.0: one in-place
+    + 0.0 pass, shared by consecutive ground steps, gives the same bits.
+
+    So every entry outside the 2**k x 2**k block whose rows and columns
+    have every ground bit 0 is +0 before and after, and a step's partner
+    entries differ only in an excited bit, inside the block. The steps run
+    (_decay) on a gathered copy of that block, which is scattered into
+    zeros: the same operations on the same operands as on all of rho."""
+    if t < 0:
+        raise StateError(f"negative duration t = {t}")
+    if t == 0:
+        return state
+    if state.is_vector:
+        raise StateError("exact channels need a density matrix; route vector "
+                         "states through idle_jumps_window")
+    n = state.n_qubits
+    if not all(0 <= q < n for q, _, _ in steps):
+        raise StateError(f"qubits {[q for q, _, _ in steps]} out of range for {n}-qubit register")
+    rho = np.ascontiguousarray(state.data)
+    excited = _excited(rho)
+    cells = _block_cells(len(rho), excited)
+    block = rho.take(cells)
+    _decay(block, excited, n, t, steps)
     out = np.zeros(rho.shape, rho.dtype)
     out.put(cells, block)
     return QuantumState(out, n)
+
+
+def idle_steps(params: NoiseParams, T2_overrides: dict[int, float | None]) -> list:
+    """_channel's steps for an idle window of every qubit keyed in
+    T2_overrides, each with its own T2 (None means params.T2).
+
+    Per qubit this is pure dephasing at 1/T2' composed with damping; the
+    combined coherence decay is exp(-t/T2') * exp(-t/(2*T1)) = exp(-t/T2).
+    """
+    T1 = params.T1
+    return [(qubit, 1.0 / pure_dephasing_time(T1, params.T2 if T2 is None else T2), 1.0 / T1)
+            for qubit, T2 in T2_overrides.items()]
 
 
 def idle_window(
     state: QuantumState, t: float, params: NoiseParams,
     T2_overrides: dict[int, float | None],
 ) -> QuantumState:
-    """Exact idle evolution for t seconds of every qubit keyed in
-    T2_overrides, each with its own T2 (None means params.T2).
-
-    Per qubit this is pure dephasing at 1/T2' composed with damping; the
-    combined coherence decay is exp(-t/T2') * exp(-t/(2*T1)) = exp(-t/T2).
-    """
+    """Exact idle evolution of a density matrix for t seconds (idle_steps)."""
     if not params.enabled:
         return state
-    T1, default_T2 = params.T1, params.T2
-    return _channel(state, t, [
-        (qubit, 1.0 / pure_dephasing_time(T1, default_T2 if T2 is None else T2), 1.0 / T1)
-        for qubit, T2 in T2_overrides.items()
-    ])
+    return _channel(state, t, idle_steps(params, T2_overrides))
 
 
 def jump_probabilities(

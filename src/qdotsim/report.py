@@ -27,10 +27,10 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """JSON with sorted keys, a two-space indent and fixed float formatting."""
     parts = []
-    _write(obj, " " * indent, parts.append)
+    _write(obj, "", parts.append)
     return "".join(parts)
 
 

@@ -14,7 +14,7 @@ import pytest
 from qdotsim import scenario as scenario_mod
 from qdotsim.device import DotArray
 from qdotsim.errors import RoutingError, StateError
-from qdotsim.noise import jump_probabilities
+from qdotsim.noise import idle_window, jump_probabilities
 from qdotsim.qec import (
     _error_tables,
     _run_ops,
@@ -278,6 +278,17 @@ def append_zero_oracle(state: QuantumState) -> QuantumState:
     bit for bit on density matrices, signs of zeros included."""
     zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     return QuantumState(np.kron(state.data, zero), state.n_qubits + 1)
+
+
+class FullMatrixArray(DotArray):
+    """A matrix-mode array that keeps all of rho in `state` and steps it with
+    qstate.apply_gate and noise.idle_window, window by window: every event of
+    a MatrixArray, which stores only rho's excited block, must leave its
+    `state` equal to this one's bit for bit, signs of zeros included."""
+
+    def _window(self, duration, idling, windows=1):
+        for _ in range(windows):
+            self.state = idle_window(self.state, duration, self.material.noise, idling)
 
 
 def idle_trajectory(state: QuantumState, durations, params, seed) -> QuantumState:

@@ -5,15 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import norm_error
+from conftest import FullMatrixArray, norm_error
 from qdotsim.constants import HBAR_EV_S
-from qdotsim.device import DotArray, inas_material, si_material
+from qdotsim.device import DotArray, MatrixArray, inas_material, si_material
 from qdotsim.errors import AdjacencyError, BlockadeError, QdotsimError, StateError
-from qdotsim.noise import NoiseParams
-from qdotsim.qstate import Gate, QuantumState, state_fidelity
+from qdotsim.noise import NoiseParams, _excited
+from qdotsim.qstate import MATRIX_QUBIT_CAP, Gate, QuantumState, apply_gate, state_fidelity
 
 
 def make_array(width=2, height=2, noise=None, seed=0, **kwargs) -> DotArray:
@@ -610,3 +610,144 @@ def test_booked_gate_durations_equal_the_closed_forms_bitwise(kind):
             array.apply_gate_at(kind, targets, **kwargs)
             want = closed_form_duration(kind, material, kwargs.get("angle"), kwargs.get("theta"))
             assert array.clock == want, (material.J_on, material.rabi_period, kwargs)
+
+
+# ---------------------------------------------------------------------------
+# matrix arrays store rho's excited block
+# ---------------------------------------------------------------------------
+
+BLOCK_GRID = (5, 3)
+BLOCK_READOUTS = ((0, 2), (2, 2), (4, 2))
+BLOCK_T2 = {(1, 0): 4e-7, (2, 1): 9e-7}
+BLOCK_NOISE = NoiseParams(T1=2e-6, T2=1e-6, enabled=True)
+
+
+def _program_step(array, op) -> None:
+    """Run one abstract program op on an array; ops that name a dot or pair
+    pick it modulo the current choices, and an op with no choice is skipped."""
+    occupied = array.qubit_positions
+    free = [(x, y) for y in range(BLOCK_GRID[1]) for x in range(BLOCK_GRID[0])
+            if (x, y) not in occupied and (x, y) not in BLOCK_READOUTS]
+    pairs = [(a, b) for a in occupied for b in occupied if DotArray.adjacent(a, b)]
+    kind, *args = op
+    if kind == "init" and free and len(occupied) < MATRIX_QUBIT_CAP:
+        array.init_qubit(free[args[0] % len(free)])
+    elif kind == "gate1" and occupied:
+        gate, i, axis, angle = args
+        array.apply_gate_at(gate, [occupied[i % len(occupied)]], axis=axis, angle=angle)
+    elif kind in ("gate2", "window") and pairs:
+        gate, i, theta = args
+        a, b = pairs[i % len(pairs)]
+        array.apply_gate_at(gate, [a, b], theta=theta)
+    elif kind == "idle":
+        t, windows = args
+        array.advance(t, windows=windows)
+    elif kind == "move" and occupied:
+        i, (dx, dy) = args
+        src = occupied[i % len(occupied)]
+        dst = (src[0] + dx, src[1] + dy)
+        if 0 <= dst[0] < BLOCK_GRID[0] and 0 <= dst[1] < BLOCK_GRID[1] and dst in free:
+            array.move_electron(src, dst)
+    elif kind == "readout" and occupied:
+        i, j, seed = args
+        array.readout(occupied[i % len(occupied)], BLOCK_READOUTS[j],
+                      np.random.default_rng(seed))
+
+
+_ONE_QUBIT_OP = st.tuples(
+    st.just("gate1"), st.sampled_from(Gate.ONE_QUBIT), st.integers(0, 7),
+    st.just((0.3, -1.0, 0.8)), st.floats(-7.0, 7.0),
+).map(lambda op: op if op[1] == "Rot" else op[:3] + (None, None))
+_PROGRAM_OP = st.one_of(
+    st.tuples(st.just("init"), st.integers(0, 11)),
+    _ONE_QUBIT_OP, _ONE_QUBIT_OP, _ONE_QUBIT_OP,  # the only ops that excite a ground register
+    st.tuples(st.just("gate2"), st.sampled_from(["CNOT", "SWAP", "SqrtSWAP"]),
+              st.integers(0, 15), st.none()),
+    st.tuples(st.just("window"), st.just("ExchangeEvolve"), st.integers(0, 15),
+              st.floats(0.0, 7.0)),
+    st.tuples(st.just("idle"), st.sampled_from([1e-8, 1e-7, 3e-7, 1e-3]),
+              st.sampled_from([1, 3])),
+    st.tuples(st.just("move"), st.integers(0, 7),
+              st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])),
+    st.tuples(st.just("readout"), st.integers(0, 7), st.integers(0, 2), st.integers(0, 99)),
+)
+
+
+@given(inits=st.lists(st.integers(0, 11), min_size=1, max_size=MATRIX_QUBIT_CAP),
+       program=st.lists(_PROGRAM_OP, min_size=4, max_size=16), strict=st.booleans())
+@example(inits=[0], program=[("gate1", "X", 0, None, None), ("gate1", "H", 0, None, None),
+                             ("init", 1), ("gate2", "CNOT", 0, None), ("init", 2),
+                             ("idle", 1e-7, 3), ("readout", 0, 0, 1)], strict=False).via("discovered")
+@example(inits=[0, 0, 4], program=[("gate1", "Rot", 1, (0.3, -1.0, 0.8), 2.2), ("init", 2),
+                                   ("window", "ExchangeEvolve", 1, 1.3), ("idle", 1e-3, 1),
+                                   ("move", 2, (0, -1)), ("readout", 0, 1, 7)],
+         strict=True).via("discovered")
+@settings(max_examples=150, deadline=None)
+def test_matrix_array_block_matches_the_full_matrix_reference(inits, program, strict):
+    # after every event the stored block, scattered into zeros, is the full
+    # reference's rho bit for bit, and the stored mask is its scan: an init
+    # after gates can leave -0.0 (x * 0j) in the new qubit's |1> rows, and
+    # windows against T1 = 2 us (1 ms: 1 - gamma rounds to 0) shrink the block
+    material = replace(inas_material(), noise=BLOCK_NOISE)
+    roles = {pos: "readout" for pos in BLOCK_READOUTS}
+    array, ref = (cls(*BLOCK_GRID, material, roles=roles, representation="matrix",
+                      strict=strict, seed=0, t2_overrides=BLOCK_T2)
+                  for cls in (DotArray, FullMatrixArray))
+    assert type(array) is MatrixArray and type(ref) is FullMatrixArray
+    for op in [("init", i) for i in inits] + program:
+        outcomes = []
+        for a in (array, ref):
+            try:
+                _program_step(a, op)
+                outcomes.append(None)
+            except QdotsimError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], op
+        rho = ref.state.data
+        assert array.state.data.tobytes() == rho.tobytes(), op
+        assert array._mask == _excited(np.ascontiguousarray(rho)), op
+        assert array._block.shape == (2 ** array._mask.bit_count(),) * 2
+        assert (array.clock, array.energy, array.qubit_positions) == (
+            ref.clock, ref.energy, ref.qubit_positions)
+        if outcomes[0]:
+            break
+
+
+def test_an_init_after_gates_can_make_the_new_qubit_excited():
+    # X then H leaves rho = [[.5, -.5], [-.5, .5]]: the appended qubit's |1>
+    # rows get -0.5 * 0j, whose real part is -0.0, so the scan counts it excited
+    array = DotArray(2, 1, inas_material(), representation="matrix", seed=0)
+    array.init_qubit((0, 0))
+    array.apply_gate_at("X", [(0, 0)])
+    array.apply_gate_at("H", [(0, 0)])
+    array.init_qubit((1, 0))
+    assert array._mask == 0b11
+    assert np.signbit(array.state.data[1, 2].real)  # row 1: the new qubit in |1>
+
+
+@pytest.mark.parametrize("n", range(2, MATRIX_QUBIT_CAP + 1))
+def test_a_gate_on_a_one_qubit_block_is_padded_to_match_the_full_gate(n):
+    # the block of a one-qubit gate on the one excited qubit (or on a ground
+    # one when none is excited) has one qubit; it runs padded to two, and its
+    # bits are the full-matrix gate's
+    rng = np.random.default_rng(n)
+    material = replace(inas_material(), noise=replace(BLOCK_NOISE, enabled=False))
+    for _ in range(60):
+        t = int(rng.integers(n))
+        one = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        one = one + one.conj().T if rng.random() < 0.8 else np.diag([1.0 + 0j, 0.0])
+        cells = [0, 1 << (n - 1 - t)]
+        rho = np.zeros((2**n, 2**n), complex)
+        rho[np.ix_(cells, cells)] = one
+        kind = str(rng.choice(Gate.ONE_QUBIT))
+        axis, angle = ((tuple(rng.normal(size=3)), float(rng.uniform(-7, 7)))
+                       if kind == "Rot" else (None, None))
+        array = DotArray(n, 1, material, representation="matrix", seed=0)
+        for x in range(n):
+            array.init_qubit((x, 0))
+        array.state = QuantumState(rho, n)
+        assert array._mask.bit_count() <= 1
+        array.apply_gate_at(kind, [(t, 0)], axis=axis, angle=angle)
+        want = apply_gate(QuantumState(rho, n), Gate(kind, (t,), axis=axis, angle=angle))
+        assert array.state.data.tobytes() == want.data.tobytes(), (t, kind)
+        assert array._mask == _excited(np.ascontiguousarray(want.data))

@@ -584,6 +584,36 @@ MATRIX_EIGHT = {
     ],
 }
 BELL_MISREAD = {**BELL, "seed": 2**32 + 5, "material": {"preset": "inas", "readout_error": 0.1}}
+# a noisy six-qubit matrix run whose excited block grows and shrinks: an init
+# after X and H (its |1> rows hold -0.0), a one-qubit gate on a ground qubit,
+# two-qubit gates and exchange windows between excited and ground qubits
+MATRIX_BLOCK = {
+    "schema_version": 1,
+    "seed": 37,
+    "material": {"preset": "inas", "noise": {"enabled": True, "T1": 2e-6, "T2": 1e-6}},
+    "array": {"width": 4, "height": 3, "representation": "matrix",
+              "dots": [{"pos": [0, 2], "role": "readout"}, {"pos": [1, 2], "role": "readout"},
+                       {"pos": [1, 1], "t2_override": 5e-7}]},
+    "program": [
+        *({"op": "init", "pos": [x, 0]} for x in range(4)),
+        {"op": "gate", "kind": "X", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "init", "pos": [0, 1]},
+        {"op": "gate", "kind": "Rot", "targets": [[2, 0]], "axis": [0.3, -1, 0.8], "angle": 2.2},
+        {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [1, 0]]},
+        {"op": "coupling_window", "a": [2, 0], "b": [3, 0], "theta": 1.3},
+        {"op": "init", "pos": [1, 1]},
+        {"op": "idle", "t": 2e-7},
+        {"op": "gate", "kind": "T", "targets": [[1, 1]]},
+        {"op": "gate", "kind": "SqrtSWAP", "targets": [[1, 0], [1, 1]]},
+        {"op": "coupling_window", "a": [0, 1], "b": [1, 1], "theta": 0.7},
+        {"op": "gate", "kind": "Y", "targets": [[3, 0]]},
+        {"op": "idle", "t": 4e-7},
+        {"op": "readout", "qubit": [0, 0], "readout": [0, 2]},
+        {"op": "readout", "qubit": [2, 0], "readout": [1, 2]},
+        {"op": "readout", "qubit": [1, 1], "readout": [0, 2]},
+    ],
+}
 
 
 def test_run_reports_are_pinned():
@@ -619,6 +649,11 @@ def test_run_reports_are_pinned():
     # into one contiguous array and a fresh qubit was tensored on without kron
     assert digest(dumps_report(run_scenario(MATRIX_EIGHT, shots=30))) == (
         "d849dc0c4b82971cec87b8cbde0725a527d4ec47717360fd73540addbf3d2e27")
+    # recorded before matrix arrays stored only rho's excited block
+    assert digest(dumps_report(run_scenario(MATRIX_BLOCK, shots=200))) == (
+        "8896b90e38dccd3504bb1226c6dad8422ea20c2f20add2b15e018c8f3b9483fe")
+    assert digest(dumps_report(run_scenario({**MATRIX_BLOCK, "strict": True}, shots=200))) == (
+        "031ae956fcb857b8abf32563dce0bf86ba10b5eea7c6d21a90501e353455134a")
 
 
 
