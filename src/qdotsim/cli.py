@@ -237,7 +237,7 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise SchemaError(f"{_flag(name)} must be a finite number")
         return args.handler(args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:  # OSError: an --out or output that cannot be a directory
         sys.stderr.write(dumps_report({"error": "schema", "message": str(exc)}))
         return EXIT_SCHEMA
     except _PHYSICS_ERRORS as exc:

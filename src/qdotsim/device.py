@@ -151,7 +151,6 @@ class DotArray:
         self.height = height
         self.material = material
         self.strict = strict
-        self.representation = representation
         self.roles: dict[Pos, str] = dict(roles or {})
         for pos, role in self.roles.items():
             self._pos_check(pos)

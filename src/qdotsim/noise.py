@@ -7,18 +7,12 @@ gamma = 1 - exp(-t/T1). Because damping already dephases at rate 1/(2*T1),
 the combined idle channel uses the pure-dephasing rate
 1/T2' = 1/T2 - 1/(2*T1), which is nonnegative exactly when T2 <= 2*T1.
 
-On density matrices each event's idle window is one exact pass over every
-idling qubit, each with its own T2 (a dot's t2_override), on contiguous
-copies of its four |r><c| blocks; the pair coupled by an exchange window is
-left out. One-qubit channels on different qubits commute, so one pass is
-exact. A qubit whose |1> rows and columns are exactly +0 when the window
-starts (spin-up, not yet driven) trades its block arithmetic for one
-in-place + 0.0 pass, with the same bits; and every step runs only on the
-block of rho whose rows and columns leave each such qubit in |0>, since the
-rest is +0 and stays +0 (see _channel). idle_window gathers that block from
-a full rho and scatters it back; a matrix DotArray stores only the block
-and its mask (_excited's scan), so its windows run the step loop (_decay)
-on the block itself.
+On density matrices each event's idle window is one exact pass of _decay
+over every idling qubit, each with its own T2 (a dot's t2_override, see
+idle_steps); the pair coupled by an exchange window is left out. One-qubit
+channels on different qubits commute, so one pass is exact. A matrix
+DotArray stores only the block of rho over its excited qubits (_excited's
+scan), and _decay runs on that block alone, with the bits of the full pass.
 The Kraus pairs (Nielsen & Chuang, section 8.3) are the reference. Vector
 states go through idle_jumps_window, a seeded Monte-Carlo wave-function
 unraveling (Dalibard, Castin & Molmer, PRL 68, 580 (1992)) whose ensemble
@@ -91,10 +85,22 @@ def _excited(rho: np.ndarray) -> int:
 
 
 def _decay(block: np.ndarray, excited: int, n: int, t: float, steps) -> None:
-    """_channel's steps, in place, on the C-contiguous block of an n-qubit
-    rho over the qubits set in `excited` (bit n-1-q for qubit q), every
-    entry outside it +0. An excited step's qubit is renumbered by its place
-    among the excited ones; a run of ground steps is one + 0.0 pass."""
+    """The exact decay over t seconds, in place, of the C-contiguous block
+    of an n-qubit rho over the qubits set in `excited` (bit n-1-q for qubit
+    q), every entry outside it +0. Each step (qubit, dephasing_rate,
+    damping_rate) moves gamma = 1 - exp(-t*damping_rate) of the qubit's
+    |1><1| block into its |0><0| block and scales its coherences by
+    exp(-t*dephasing_rate) * sqrt(1 - gamma). It updates the four blocks as
+    the rows of one contiguous (4, -1) copy, then writes them back: the
+    float operations of strided block updates, so the same bits. An excited
+    step's qubit is renumbered by its place among the excited ones.
+
+    A step computes an entry only from entries with the same bit for its
+    qubit, and +0 times a real factor, or plus +0, is +0: so a ground
+    qubit's +0 |1> rows and columns stay +0, and its own step just adds
+    gamma * (+0) to its |0><0| block, turning -0.0 into +0.0. A run of
+    ground steps is one in-place + 0.0 pass, and the entries outside the
+    block stay +0: the bits are those of the same steps on all of rho."""
     k = excited.bit_count()
     zeroed = False  # a ground step's pass has run and no block update since
     for qubit, dephasing_rate, damping_rate in steps:
@@ -117,48 +123,8 @@ def _decay(block: np.ndarray, excited: int, n: int, t: float, steps) -> None:
         view[...] = blocks.reshape(view.shape)
 
 
-def _channel(state: QuantumState, t: float, steps) -> QuantumState:
-    """Exact decay over t seconds of a copy of a density matrix. Each step
-    (qubit, dephasing_rate, damping_rate) moves gamma = 1 - exp(-t*damping_rate)
-    of the qubit's |1><1| block into its |0><0| block and scales its
-    coherences by exp(-t*dephasing_rate) * sqrt(1 - gamma). It updates the
-    four blocks as the rows of one contiguous (4, -1) copy, then writes them
-    back: the float operations of strided block updates, so the same bits.
-
-    A qubit is ground if its |1> rows and columns are +0 (all bits zero) at
-    the start; _excited names the k others. Other steps compute an entry
-    only from entries with the same bit for it, and +0 times a real factor,
-    or plus +0, is +0, so they stay +0. Its own step then just adds
-    gamma * (+0) to its |0><0| block, turning -0.0 into +0.0: one in-place
-    + 0.0 pass, shared by consecutive ground steps, gives the same bits.
-
-    So every entry outside the 2**k x 2**k block whose rows and columns
-    have every ground bit 0 is +0 before and after, and a step's partner
-    entries differ only in an excited bit, inside the block. The steps run
-    (_decay) on a gathered copy of that block, which is scattered into
-    zeros: the same operations on the same operands as on all of rho."""
-    if t < 0:
-        raise StateError(f"negative duration t = {t}")
-    if t == 0:
-        return state
-    if state.is_vector:
-        raise StateError("exact channels need a density matrix; route vector "
-                         "states through idle_jumps_window")
-    n = state.n_qubits
-    if not all(0 <= q < n for q, _, _ in steps):
-        raise StateError(f"qubits {[q for q, _, _ in steps]} out of range for {n}-qubit register")
-    rho = np.ascontiguousarray(state.data)
-    excited = _excited(rho)
-    cells = _block_cells(len(rho), excited)
-    block = rho.take(cells)
-    _decay(block, excited, n, t, steps)
-    out = np.zeros(rho.shape, rho.dtype)
-    out.put(cells, block)
-    return QuantumState(out, n)
-
-
 def idle_steps(params: NoiseParams, T2_overrides: dict[int, float | None]) -> list:
-    """_channel's steps for an idle window of every qubit keyed in
+    """_decay's steps for an idle window of every qubit keyed in
     T2_overrides, each with its own T2 (None means params.T2).
 
     Per qubit this is pure dephasing at 1/T2' composed with damping; the
@@ -167,16 +133,6 @@ def idle_steps(params: NoiseParams, T2_overrides: dict[int, float | None]) -> li
     T1 = params.T1
     return [(qubit, 1.0 / pure_dephasing_time(T1, params.T2 if T2 is None else T2), 1.0 / T1)
             for qubit, T2 in T2_overrides.items()]
-
-
-def idle_window(
-    state: QuantumState, t: float, params: NoiseParams,
-    T2_overrides: dict[int, float | None],
-) -> QuantumState:
-    """Exact idle evolution of a density matrix for t seconds (idle_steps)."""
-    if not params.enabled:
-        return state
-    return _channel(state, t, idle_steps(params, T2_overrides))
 
 
 def jump_probabilities(
@@ -211,7 +167,7 @@ def idle_jumps_window(
     """`windows` consecutive stochastic steps of t seconds each on a vector
     state for every qubit keyed in T2_overrides, in key order (None means
     params.T2): a possible Z flip, then Kraus-sampled damping. Averaged over
-    seeds one window equals idle_window exactly.
+    seeds one window equals _decay on idle_steps exactly.
 
     _window_plan caches the steps; which uniforms a qubit draws depends only
     on p_Z > 0 and gamma > 0, so the run takes them all in one

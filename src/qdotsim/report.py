@@ -108,13 +108,10 @@ class _Stream:
     def built(self) -> bool:
         return self._rng is not None
 
-    def generator(self) -> np.random.Generator:
+    def random(self, k: int) -> np.ndarray:
         if self._rng is None:
             self._rng = np.random.default_rng(self._key)
-        return self._rng
-
-    def random(self, k: int) -> np.ndarray:
-        return self.generator().random(k)
+        return self._rng.random(k)
 
 
 def stream(seed: int, *path: int) -> _Stream:

@@ -14,7 +14,7 @@ import pytest
 from qdotsim import scenario as scenario_mod
 from qdotsim.device import DotArray
 from qdotsim.errors import RoutingError, StateError
-from qdotsim.noise import idle_window, jump_probabilities
+from qdotsim.noise import idle_steps, jump_probabilities
 from qdotsim.qec import (
     _error_tables,
     _run_ops,
@@ -252,8 +252,8 @@ def idle_jump_oracle(state: QuantumState, qubit: int, dt: float, params, rng,
 
 def channel_oracle(state: QuantumState, t: float, steps) -> QuantumState:
     """The exact idle channel as four strided block updates per step, in step
-    order: noise._channel must match it bit for bit, signs of zeros
-    included. A step (qubit, dephasing_rate, damping_rate) moves
+    order: a matrix DotArray's idle windows must match it bit for bit,
+    signs of zeros included. A step (qubit, dephasing_rate, damping_rate) moves
     gamma = 1 - exp(-t*damping_rate) of the qubit's |1><1| block into its
     |0><0| block and scales its coherences by
     exp(-t*dephasing_rate) * sqrt(1 - gamma)."""
@@ -282,13 +282,14 @@ def append_zero_oracle(state: QuantumState) -> QuantumState:
 
 class FullMatrixArray(DotArray):
     """A matrix-mode array that keeps all of rho in `state` and steps it with
-    qstate.apply_gate and noise.idle_window, window by window: every event of
+    qstate.apply_gate and channel_oracle, window by window: every event of
     a MatrixArray, which stores only rho's excited block, must leave its
     `state` equal to this one's bit for bit, signs of zeros included."""
 
     def _window(self, duration, idling, windows=1):
+        steps = idle_steps(self.material.noise, idling)
         for _ in range(windows):
-            self.state = idle_window(self.state, duration, self.material.noise, idling)
+            self.state = channel_oracle(self.state, duration, steps)
 
 
 def idle_trajectory(state: QuantumState, durations, params, seed) -> QuantumState:

@@ -14,8 +14,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import (haar_state, idle_trajectory, norm_error, phase_aligned_maxdiff,
-                      teleport_scenario)
+from conftest import (channel_oracle, haar_state, idle_trajectory, norm_error,
+                      phase_aligned_maxdiff, teleport_scenario)
 from qdotsim.channels import (
     channel_lambda,
     line_report,
@@ -24,7 +24,7 @@ from qdotsim.channels import (
     teleport_bandwidth,
 )
 from qdotsim.device import inas_material
-from qdotsim.noise import NoiseParams, idle_window
+from qdotsim.noise import NoiseParams, idle_steps
 from qdotsim.pulses import (
     drive_report,
     equal_splitting_field_ratio,
@@ -236,7 +236,7 @@ def test_criterion_11b_trajectory_channel_convergence():
     with criterion(11, "property: trajectory error shrinks like 1/sqrt(N)"):
         params = NoiseParams(T1=200e-6, T2=100e-6, enabled=True)
         plus = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
-        exact = idle_window(plus.to_density(), 100e-6, params, {0: None}).data
+        exact = channel_oracle(plus.to_density(), 100e-6, idle_steps(params, {0: None})).data
         errors = {}
         for n in (100, 1000, 10_000):
             acc = np.zeros((2, 2), dtype=complex)

@@ -713,6 +713,15 @@ def test_matrix_array_block_matches_the_full_matrix_reference(inits, program, st
             break
 
 
+def test_a_matrix_array_refuses_a_vector_state():
+    array = DotArray(1, 1, inas_material(), representation="matrix", seed=0)
+    array.init_qubit((0, 0))
+    before = array.state.data.tobytes()
+    with pytest.raises(StateError, match="density matrix"):
+        array.state = QuantumState.zero(1)
+    assert array.state.data.tobytes() == before
+
+
 def test_an_init_after_gates_can_make_the_new_qubit_excited():
     # X then H leaves rho = [[.5, -.5], [-.5, .5]]: the appended qubit's |1>
     # rows get -0.5 * 0j, whose real part is -0.0, so the scan counts it excited

@@ -1,5 +1,6 @@
 """Decoherence channels: closed forms, Kraus completeness, trajectories."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from conftest import (
     idle_jump_oracle,
     idle_trajectory,
 )
+from qdotsim.device import DotArray, inas_material
 from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
-    _channel,
+    _decay,
     _window_plan,
     idle_jumps_window,
-    idle_window,
+    idle_steps,
     jump_probabilities,
     pure_dephasing_time,
 )
@@ -30,6 +32,7 @@ from qdotsim.qstate import MATRIX_QUBIT_CAP, Gate, QuantumState, apply_gate
 
 T2 = 100e-6
 T1 = 200e-6
+NOISE = NoiseParams(T1=T1, T2=T2, enabled=True)
 
 
 def plus_density() -> QuantumState:
@@ -64,41 +67,43 @@ def test_pure_dephasing_time():
 
 
 # ---------------------------------------------------------------------------
-# exact channels: closed forms (a _channel step is (qubit, dephasing rate, damping rate))
+# exact channels: closed forms (a _decay step is (qubit, dephasing rate, damping rate))
 # ---------------------------------------------------------------------------
+
+def decayed(state: QuantumState, t: float, steps) -> QuantumState:
+    """_decay's steps on a C-contiguous copy of all of rho, every qubit in the mask."""
+    rho = np.array(state.data, complex, order="C")
+    _decay(rho, 2**state.n_qubits - 1, state.n_qubits, t, steps)
+    return QuantumState(rho, state.n_qubits)
+
 
 def test_dephase_zero_time_identity():
     rho = plus_density()
-    out = _channel(rho, 0.0, [(0, 1 / T2, 0.0)])
+    out = decayed(rho, 0.0, [(0, 1 / T2, 0.0)])
     assert np.array_equal(out.data, rho.data)
 
 
 def test_dephase_closed_form_at_t2():
-    out = _channel(plus_density(), T2, [(0, 1 / T2, 0.0)])
+    out = decayed(plus_density(), T2, [(0, 1 / T2, 0.0)])
     assert abs(abs(out.data[0, 1]) - 0.5 * math.exp(-1)) < 1e-12
     assert abs(np.trace(out.data) - 1) < 1e-14
 
 
 def test_dephase_leaves_diagonal_states_alone():
     rho = from_matrix([[0.3, 0], [0, 0.7]])
-    out = _channel(rho, 5 * T2, [(0, 1 / T2, 0.0)])
+    out = decayed(rho, 5 * T2, [(0, 1 / T2, 0.0)])
     assert np.max(np.abs(out.data - rho.data)) < 1e-14
-
-
-def test_dephase_rejects_vector():
-    with pytest.raises(StateError):
-        _channel(QuantumState.zero(1), 1e-6, [(0, 1 / T2, 0.0)])
 
 
 def test_amplitude_damp_zero_time_identity():
     rho = apply_gate(QuantumState.zero(1), Gate("X", (0,))).to_density()
-    out = _channel(rho, 0.0, [(0, 0.0, 1 / T1)])
+    out = decayed(rho, 0.0, [(0, 0.0, 1 / T1)])
     assert np.array_equal(out.data, rho.data)
 
 
 def test_amplitude_damp_closed_form_at_t1():
     rho = apply_gate(QuantumState.zero(1), Gate("X", (0,))).to_density()
-    out = _channel(rho, T1, [(0, 0.0, 1 / T1)])
+    out = decayed(rho, T1, [(0, 0.0, 1 / T1)])
     assert abs(out.data[1, 1].real - math.exp(-1)) < 1e-12
     assert abs(np.trace(out.data) - 1) < 1e-14
 
@@ -106,14 +111,14 @@ def test_amplitude_damp_closed_form_at_t1():
 def test_ground_state_is_damping_fixed_point():
     rho = QuantumState.zero(1).to_density()
     for t in (1e-7, T1, 50 * T1):
-        out = _channel(rho, t, [(0, 0.0, 1 / T1)])
+        out = decayed(rho, t, [(0, 0.0, 1 / T1)])
         assert np.max(np.abs(out.data - rho.data)) < 1e-14
 
 
 def test_dephase_composition():
     rho = plus_density()
-    a = _channel(_channel(rho, 3e-5, [(0, 1 / T2, 0.0)]), 7e-5, [(0, 1 / T2, 0.0)])
-    b = _channel(rho, 1e-4, [(0, 1 / T2, 0.0)])
+    a = decayed(decayed(rho, 3e-5, [(0, 1 / T2, 0.0)]), 7e-5, [(0, 1 / T2, 0.0)])
+    b = decayed(rho, 1e-4, [(0, 1 / T2, 0.0)])
     assert np.max(np.abs(a.data - b.data)) < 1e-12
 
 
@@ -135,15 +140,13 @@ def test_damping_kraus_complete(gamma):
 
 def test_idle_channel_total_coherence_decay():
     # pure dephasing times damping must combine to exp(-t/T2) on coherences
-    params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    out = idle_window(plus_density(), T2, params, {0: None})
+    out = decayed(plus_density(), T2, idle_steps(NOISE, {0: None}))
     assert abs(abs(out.data[0, 1]) - 0.5 * math.exp(-1)) < 1e-12
 
 
 def test_idle_channel_on_selected_qubit_only(rng):
-    params = NoiseParams(T1=T1, T2=T2, enabled=True)
     psi = haar_state(2, rng).to_density()
-    out = idle_window(psi, T2, params, {0: None})
+    out = decayed(psi, T2, idle_steps(NOISE, {0: None}))
     # qubit 1 marginals untouched
     before = psi.data.reshape(2, 2, 2, 2)
     after = out.data.reshape(2, 2, 2, 2)
@@ -164,7 +167,6 @@ def _kraus_oracle(rho: np.ndarray, qubit: int, kraus, n: int) -> np.ndarray:
 @settings(max_examples=60, deadline=None)
 def test_idle_window_matches_kraus_oracle(n, seed, t, data):
     # one pass over a random qubit subset, each qubit with its own T2
-    params = NoiseParams(T1=T1, T2=T2, enabled=True)
     qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     overrides = {
         q: data.draw(st.one_of(st.none(), st.floats(T2 / 20, 2 * T1)))
@@ -173,7 +175,7 @@ def test_idle_window_matches_kraus_oracle(n, seed, t, data):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-    out = idle_window(QuantumState(rho, n), t, params, overrides).data
+    out = decayed(QuantumState(rho, n), t, idle_steps(NOISE, overrides)).data
     expected = rho
     for q, t2 in overrides.items():
         t2p = pure_dephasing_time(T1, T2 if t2 is None else t2)
@@ -183,6 +185,31 @@ def test_idle_window_matches_kraus_oracle(n, seed, t, data):
     assert abs(np.trace(out) - 1) < 1e-12
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(out).min() > -1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact channels on a matrix DotArray's excited block, bit for bit
+# ---------------------------------------------------------------------------
+
+def matrix_window(rho: np.ndarray, n: int, t: float, idling: dict,
+                  noise: NoiseParams = NOISE) -> np.ndarray:
+    """rho after one idle window over `idling` ({qubit: T2 or None}, in step
+    order) of an n-qubit matrix DotArray whose `state` was set to rho. The
+    array gathers rho's excited block, runs _decay on it and scatters it back
+    on reading `state`: that must equal channel_oracle's strided pass over
+    all of rho bit for bit, signs of zeros included, and leave rho as it was."""
+    before = rho.tobytes()
+    array = DotArray(n, 1, replace(inas_material(), noise=noise),
+                     representation="matrix", seed=0)
+    for x in range(n):
+        array.init_qubit((x, 0))
+    array.state = QuantumState(rho, n)
+    array._window(t, idling)
+    out = array.state.data
+    want = channel_oracle(QuantumState(rho, n), t, idle_steps(noise, idling)).data
+    assert out.tobytes() == want.tobytes()
+    assert rho.tobytes() == before
+    return out
 
 
 def _ground_matrix(n: int, ground, rng, sprinkle: float, anywhere: bool) -> np.ndarray:
@@ -208,26 +235,23 @@ def _ground_matrix(n: int, ground, rng, sprinkle: float, anywhere: bool) -> np.n
     n=st.integers(1, MATRIX_QUBIT_CAP),
     seed=st.integers(0, 2**32 - 1),
     t=st.one_of(st.floats(1e-12, 3 * T1), st.sampled_from([40 * T1, 1e3 * T1, 1e6 * T1])),
+    t1=st.sampled_from([T1, T2]),
     sprinkle=st.sampled_from([0.0, 0.02, 0.3]),
     anywhere=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=400, deadline=None)
-def test_channel_equals_the_block_oracle(n, seed, t, sprinkle, anywhere, data):
-    # bit for bit, signs of zeros included, for every qubit position of every
-    # register up to the matrix cap: ground qubits (exactly +0 |1> rows and
-    # columns) meet -0.0 and subnormals elsewhere, dephasing rates of 0, and
-    # t >> T1, where 1 - gamma rounds to 0 and the products underflow
+def test_channel_equals_the_block_oracle(n, seed, t, t1, sprinkle, anywhere, data):
+    # every qubit position of every register up to the matrix cap: ground
+    # qubits (exactly +0 |1> rows and columns) meet -0.0 and subnormals
+    # elsewhere, dephasing rates of 0 (T2 = 2*T1) and of 1e9/s, and t >> T1,
+    # where 1 - gamma rounds to 0 and the products underflow
     rng = np.random.default_rng(seed)
     ground = data.draw(st.sets(st.integers(0, n - 1)))
     qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    steps = [(q, data.draw(st.sampled_from([0.0, 1 / T2, 3 / T1])),
-              data.draw(st.sampled_from([1 / T1, 1 / T2]))) for q in qubits]
+    idling = {q: data.draw(st.sampled_from([None, 2 * t1, t1 / 3, 1e-9])) for q in qubits}
     rho = _ground_matrix(n, ground, rng, sprinkle, anywhere)
-    before = rho.tobytes()
-    out = _channel(QuantumState(rho, n), t, steps)
-    assert out.data.tobytes() == channel_oracle(QuantumState(rho, n), t, steps).data.tobytes()
-    assert rho.tobytes() == before
+    matrix_window(rho, n, t, idling, NoiseParams(T1=t1, T2=T2, enabled=True))
 
 
 def test_channel_ground_step_rewrites_negative_zeros():
@@ -235,10 +259,7 @@ def test_channel_ground_step_rewrites_negative_zeros():
     # |0><0| block: the -0.0 imaginary part of rho[0, 0] becomes +0.0
     rho = np.zeros((2, 2), dtype=complex)
     rho[0, 0] = complex(1.0, -0.0)
-    steps = [(0, 1 / T2, 1 / T1)]
-    out = _channel(QuantumState(rho, 1), 1e-6, steps).data
-    assert out.tobytes() == channel_oracle(QuantumState(rho, 1), 1e-6, steps).data.tobytes()
-    assert not np.signbit(out[0, 0].imag)
+    assert not np.signbit(matrix_window(rho, 1, 1e-6, {0: None})[0, 0].imag)
 
 
 def _hermitian(n: int, ground, seed: int) -> np.ndarray:
@@ -256,30 +277,19 @@ def _hermitian(n: int, ground, seed: int) -> np.ndarray:
     return rho
 
 
-def _assert_channel_matches_oracle(rho: np.ndarray, n: int, steps) -> np.ndarray:
-    before = rho.tobytes()
-    out = _channel(QuantumState(rho, n), 1e-6, steps).data
-    assert out.tobytes() == channel_oracle(QuantumState(rho, n), 1e-6, steps).data.tobytes()
-    assert out.flags.c_contiguous
-    assert rho.tobytes() == before
-    return out
-
-
 @pytest.mark.parametrize("n", range(1, MATRIX_QUBIT_CAP + 1))
 def test_channel_with_every_qubit_ground(n):
     # only rho[0, 0] can be nonzero: the ground steps' + 0.0 pass turns its
     # -0.0 imaginary part into +0.0, and no step leaves it as it is
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = complex(1.0, -0.0)
-    out = _assert_channel_matches_oracle(rho, n, [(q, 1 / T2, 1 / T1) for q in range(n)])
-    assert not np.signbit(out[0, 0].imag)
-    assert np.signbit(_assert_channel_matches_oracle(rho, n, [])[0, 0].imag)
+    assert not np.signbit(matrix_window(rho, n, 1e-6, dict.fromkeys(range(n)))[0, 0].imag)
+    assert np.signbit(matrix_window(rho, n, 1e-6, {})[0, 0].imag)
 
 
 @pytest.mark.parametrize("n", [1, 3, MATRIX_QUBIT_CAP])
 def test_channel_with_every_qubit_excited(n):
-    rho = _hermitian(n, (), seed=n)
-    _assert_channel_matches_oracle(rho, n, [(q, 3 / T1, 1 / T1) for q in reversed(range(n))])
+    matrix_window(_hermitian(n, (), seed=n), n, 1e-6, dict.fromkeys(reversed(range(n)), T1 / 4))
 
 
 @pytest.mark.parametrize("n", [5, MATRIX_QUBIT_CAP])
@@ -287,26 +297,17 @@ def test_channel_on_the_first_and_last_qubit_between_ground_steps(n):
     # qubits 0 and n-1 excited, the rest ground; ground steps run before,
     # between and after the two excited ones
     ground = list(range(1, n - 1))
-    rho = _hermitian(n, ground, seed=n)
     order = ground[:1] + [0] + ground[1:-1] + [n - 1] + ground[-1:]
-    _assert_channel_matches_oracle(rho, n, [(q, 1 / T2, 1 / T1) for q in order])
+    matrix_window(_hermitian(n, ground, seed=n), n, 1e-6, dict.fromkeys(order))
 
 
 def test_channel_reads_a_transposed_view():
     # rho.T of a Hermitian rho is its conjugate, a density matrix stored in
-    # Fortran order: the result is a fresh C-ordered matrix
+    # Fortran order
     n = 4
-    rho = _hermitian(n, (1, 3), seed=7)
-    view = rho.T
+    view = _hermitian(n, (1, 3), seed=7).T
     assert not view.flags.c_contiguous
-    _assert_channel_matches_oracle(view, n, [(q, 1 / T2, 1 / T1) for q in range(n)])
-
-
-def test_idle_window_rejects_a_qubit_outside_the_register():
-    params = NoiseParams(enabled=True)
-    for qubit in (-1, 2):
-        with pytest.raises(StateError):
-            idle_window(QuantumState.zero(2).to_density(), 1e-7, params, {qubit: None})
+    matrix_window(view, n, 1e-6, dict.fromkeys(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +350,7 @@ def _trajectory_average(n_samples: int, duration: float, seed_base: int) -> np.n
 def test_trajectory_average_matches_exact_channel():
     n = 10_000
     avg = _trajectory_average(n, T2, seed_base=42)
-    params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    exact = idle_window(plus_density(), T2, params, {0: None})
+    exact = decayed(plus_density(), T2, idle_steps(NOISE, {0: None}))
     # off-diagonal magnitude lands within 3 statistical sigma of 0.5/e
     sigma = 0.5 / math.sqrt(n)
     assert abs(abs(avg[0, 1]) - 0.5 * math.exp(-1)) < 3 * sigma
@@ -358,8 +358,7 @@ def test_trajectory_average_matches_exact_channel():
 
 
 def test_trajectory_error_shrinks_like_inverse_sqrt_n():
-    params = NoiseParams(T1=T1, T2=T2, enabled=True)
-    exact = idle_window(plus_density(), T2, params, {0: None}).data
+    exact = decayed(plus_density(), T2, idle_steps(NOISE, {0: None})).data
     errors = {}
     for n in (100, 1000, 10_000):
         avg = _trajectory_average(n, T2, seed_base=2024)

@@ -1451,6 +1451,27 @@ def test_cli_unreadable_scenario_or_non_string_output_exits_2(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == [path]  # no report directory
 
 
+@pytest.mark.parametrize("argv", [["resources"], ["channel"], ["teleport"], ["qec"],
+                                  ["simulate", "--scenario", "bell.scenario"], ["output"]])
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv, under):
+    # mkdir raised FileExistsError on a regular file and NotADirectoryError
+    # on a path under one, from --out and from a scenario's "output" alike
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = str(afile / "x" if under else afile)
+    if argv == ["output"]:
+        path = tmp_path / "output.scenario"
+        path.write_text(json.dumps({**BELL, "output": out}))
+        argv = ["simulate", "--scenario", str(path)]
+    else:
+        argv = [*argv, "--out", out]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "schema" and "Traceback" not in err
+    assert afile.read_text() == "kept"
+
+
 def test_cli_physics_violation_exits_3(tmp_path):
     scenario = {
         "schema_version": 1,
