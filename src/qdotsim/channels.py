@@ -27,7 +27,6 @@ import numpy as np
 
 from .device import DotArray, MaterialParams, Pos
 from .errors import AdjacencyError, ProtocolError, RoutingError, StateError
-from .qstate import measure, reduced_density, require_ground
 
 BELL_PHI_PLUS = np.zeros(4, dtype=complex)
 BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
@@ -232,9 +231,10 @@ def make_epr(array: DotArray, a: Pos, b: Pos) -> DotArray:
         raise AdjacencyError(f"{a} and {b} are not grid neighbors")
     array.qubit_index(a)
     array.qubit_index(b)
-    if array.strict:
+    if array.strict:  # each in |0> within 1e-9: its p1 is at most 1e-9
         for pos in (a, b):
-            require_ground(array.state, array.qubit_index(pos), f"qubit at {pos}")
+            if array._reduced([array.qubit_index(pos)])[1, 1].real > 1e-9:
+                raise ProtocolError(f"qubit at {pos} is not in |0>")
     array.apply_gate_at("H", [a])
     array.apply_gate_at("CNOT", [a, b])
     return array
@@ -242,7 +242,7 @@ def make_epr(array: DotArray, a: Pos, b: Pos) -> DotArray:
 
 def epr_pair_fidelity(array: DotArray, a: Pos, b: Pos) -> float:
     """Overlap of the pair's reduced state with (|00> + |11>)/sqrt(2)."""
-    rho = reduced_density(array.state, [array.qubit_index(a), array.qubit_index(b)])
+    rho = array._reduced([array.qubit_index(a), array.qubit_index(b)])
     return float(np.real(BELL_PHI_PLUS.conj() @ rho @ BELL_PHI_PLUS))
 
 
@@ -263,11 +263,11 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng) -> tuple[dict, DotArr
             raise ProtocolError(
                 f"no EPR pair on {a},{b}: Bell fidelity {f_pair:.6f}"
             )
-    payload_before = reduced_density(array.state, [qc])
+    payload_before = array._reduced([qc])
     array.apply_gate_at("CNOT", [c, a])
     u = rng.random(2)  # two draws even where an outcome is certain
-    phase_bit, p_phase, array.state = measure(array.state, qc, "X", lambda k: u[:k])
-    amp_bit, p_amp, array.state = measure(array.state, qa, "Z", lambda k: u[1:1 + k])
+    phase_bit, p_phase = array._measure(qc, "X", lambda k: u[:k], 0.0)
+    amp_bit, p_amp = array._measure(qa, "Z", lambda k: u[1:1 + k], 0.0)
     array.advance(2.0 * (array.material.readout_transfer + array.material.readout_measure))
     if array.material.classical_latency > 0:
         # the two classical bits ride a wire to b's site before correcting
@@ -276,7 +276,7 @@ def teleport(array: DotArray, c: Pos, a: Pos, b: Pos, rng) -> tuple[dict, DotArr
         array.apply_gate_at("X", [b])
     if phase_bit:
         array.apply_gate_at("Z", [b])
-    payload_after = reduced_density(array.state, [qb])
+    payload_after = array._reduced([qb])
     fidelity = float(
         np.real(np.trace(payload_before @ payload_after))
         + 2.0 * math.sqrt(

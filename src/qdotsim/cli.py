@@ -68,11 +68,11 @@ def _analytics(args, kind: str, label: str) -> dict:
 
 def _emit(payload: dict, out: str | None) -> None:
     text = dumps_report(payload)
-    sys.stdout.write(text)
-    if out:
+    if out:  # written first, so an --out that cannot be written leaves stdout empty
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(text)
+    sys.stdout.write(text)
 
 
 def cmd_resources(args) -> int:
@@ -144,11 +144,11 @@ def cmd_qec(args) -> int:
 
 def cmd_simulate(args) -> int:
     data, report = _run_scenario(args, args.strict or None)
+    # written first, so an output directory that cannot be written leaves stdout empty
+    scenario_mod.write_report(report, args.out or data.get("output") or "out")
     sys.stdout.write(dumps_report({"scenario_digest": report["scenario_digest"],
                                    "final_clock_s": report["final_clock_s"],
                                    "measurement_counts": report["measurement_counts"]}))
-    out_dir = args.out or data.get("output") or "out"
-    scenario_mod.write_report(report, out_dir)
     return EXIT_OK
 
 

@@ -22,7 +22,9 @@ The array keeps only the clock and the drive energy spent; the per-event
 log belongs to the scenario report.
 
 A vector array keeps its register in `state`; a matrix array (MatrixArray)
-keeps only rho's excited block, on which every gate and idle window runs.
+keeps only rho's excited block, on which every event runs: gates, idle
+windows, readouts (_measure) and the reduced states of `epr` and teleport
+(_reduced).
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ from .constants import HBAR_EV_S
 from .errors import AdjacencyError, BlockadeError, StateError
 from .noise import NoiseParams, _block_cells, _decay, _excited, idle_jumps_window, idle_steps
 from .pulses import drive_report, swap_duration
-from .qstate import MATRIX_QUBIT_CAP, Gate, QuantumState, _apply_unitary, apply_gate, measure
+from .qstate import (MATRIX_QUBIT_CAP, Gate, QuantumState, _apply_unitary, apply_gate, measure,
+                     reduced_density)
 
 Pos = tuple[int, int]
 
@@ -79,7 +82,7 @@ class MaterialParams:
         if self.classical_latency < 0:
             raise StateError("classical_latency cannot be negative")
         # every single-qubit gate books this drive's energy
-        drive_report(self.g_factor, self.rabi_period, self.gate_distance)
+        _drive_power(self.g_factor, self.rabi_period, self.gate_distance)
         if not all(0 < t < math.inf for t in (self.t_hop, self.rabi_period / 8)):
             raise StateError(f"a hop ({self.t_hop} s) and a T gate ({self.rabi_period / 8} s) "
                              "must take a positive, finite time")
@@ -93,6 +96,11 @@ class MaterialParams:
     def t_hop(self) -> float:
         """One tunneling hop; an order of magnitude faster than a swap."""
         return self.t_swap / 10.0
+
+
+@lru_cache(maxsize=64)  # one one-qubit drive power per material, not one per gate
+def _drive_power(g_factor: float, rabi_period: float, gate_distance: float) -> float:
+    return drive_report(g_factor, rabi_period, gate_distance)["power_watt"]
 
 
 @lru_cache(maxsize=64)  # presets are frozen, so one instance per argument is shared
@@ -225,6 +233,18 @@ class DotArray:
     def _apply(self, gate: Gate) -> None:
         self.state = apply_gate(self.state, gate)
 
+    def _settle(self) -> None:
+        """Finish what the last _apply left for the window after it (a matrix array's scan)."""
+
+    def _measure(self, qubit: int, basis: str, draw, readout_error: float) -> tuple[int, float]:
+        """qstate.measure on the register, which keeps the collapsed state: (bit, p1)."""
+        bit, p1, self.state = measure(self.state, qubit, basis, draw, readout_error)
+        return bit, p1
+
+    def _reduced(self, qubits: list[int]) -> np.ndarray:
+        """qstate.reduced_density of the register."""
+        return reduced_density(self.state, qubits)
+
     def _append_zero(self) -> None:
         self.state = self.state.append_zero_qubit()
 
@@ -244,6 +264,7 @@ class DotArray:
                and math.isfinite(spent + energy) and (clock + duration > clock or not duration)):
             clock, spent, booked = clock + duration, spent + energy, booked + 1
         self._idle_windows(duration, pair, booked)
+        self._settle()
         self.clock, self.energy = clock, spent
         if booked < windows:
             raise StateError(f"{duration} s is below one ulp of the clock at {clock} s"
@@ -314,8 +335,7 @@ class DotArray:
         energy = 0.0
         if gate.n_targets == 1:
             duration = gate.area / (2.0 * math.pi) * mat.rabi_period
-            power = drive_report(mat.g_factor, mat.rabi_period, mat.gate_distance)["power_watt"]
-            energy = power * duration
+            energy = _drive_power(mat.g_factor, mat.rabi_period, mat.gate_distance) * duration
         else:
             if not self.adjacent(*positions):
                 raise AdjacencyError(f"{positions} are not grid neighbors")
@@ -337,8 +357,8 @@ class DotArray:
             raise StateError(f"dot {readout_pos} is not a readout dot")
         if readout_pos in self.qubit_positions:
             raise BlockadeError(f"readout dot {readout_pos} is occupied")
-        bit, p1, self.state = measure(self.state, self.qubit_index(qubit_pos), "Z",
-                                      rng.random, self.material.readout_error)
+        bit, p1 = self._measure(self.qubit_index(qubit_pos), "Z", rng.random,
+                                self.material.readout_error)
         self.advance(self.material.readout_transfer + self.material.readout_measure)
         return bit, p1
 
@@ -369,16 +389,22 @@ class MatrixArray(DotArray):
     the C-contiguous 2**k x 2**k block of rho over the k qubits set in
     `_mask` (bit n-1-q for qubit q), those whose |1> rows or columns hold a
     nonzero component (-0.0 included), as noise._excited finds them. Every
-    entry of rho outside the block is +0. Each operation rescans only its
-    output block and cuts the block down to the qubits found excited, so
-    `_mask` stays exact.
+    entry of rho outside the block is +0. Every event runs on the block
+    grown by the qubits it names (_grown), padded to at least 2 qubits (a
+    1-qubit block's 2-column gemm can round differently from the full
+    matrix's), and rescans only its output, so `_mask` is exact whenever an
+    event is over: a gate runs qstate._apply_unitary on it, a readout and
+    a teleport qstate.measure, and `epr`'s checks qstate.reduced_density.
 
-    Idle windows run noise._decay on a copy of the block. A gate runs
-    qstate._apply_unitary on the block grown by its targets, padded to at
-    least 2 qubits (a 1-qubit block's 2-column gemm can round differently
-    from the full matrix's); every other entry it writes is +0, as it would
-    be on all of rho. Reading `state` builds rho, zeros plus put; assigning
-    it (a readout, teleport, qec_cycle) rescans rho once."""
+    A gate's output is this array's own and stays unscanned (`_fresh`): the
+    idle window after it runs noise._decay on it in place and scans once,
+    where other windows decay a copy (a _twin shares the block); with no
+    window, advance's _settle scans it. A qubit left in the block with +0
+    rows and columns gets its step's arithmetic, which gives the bits of
+    _decay's + 0.0 pass. rho is built, zeros plus put, only when `state` is
+    read (qec_cycle, tests); assigning it rescans rho once."""
+
+    _fresh = False  # `_block` is the last gate's output: unscanned, shared with no one
 
     @property
     def state(self) -> QuantumState:
@@ -398,27 +424,49 @@ class MatrixArray(DotArray):
         sub = _excited(block)
         if sub != len(block) - 1:
             block = block.take(_block_cells(len(block), sub))
-        self._block, self._mask = block, _spread(sub, mask)
+        self._block, self._mask, self._fresh = block, _spread(sub, mask), False
+
+    def _grown(self, qubits) -> tuple[np.ndarray, list[int], int]:
+        """The block grown by `qubits` and padded to at least 2 qubits, their
+        places in it, and its mask; the stored block itself if it holds them."""
+        n, mask = self._n, self._mask
+        grown = mask | sum(1 << (n - 1 - q) for q in qubits)
+        if grown.bit_count() < min(2, n):
+            grown |= 1 if grown != 1 else 2
+        block = self._block
+        if grown != mask:
+            block = np.zeros((2 ** grown.bit_count(),) * 2, complex)
+            block.put(_block_cells(len(block), _place(mask, grown)), self._block)
+        return block, [(grown >> (n - q)).bit_count() for q in qubits], grown
 
     def _window(self, duration: float, idling: dict, windows: int = 1) -> None:
         # a qubit that turns ground in one window keeps its block arithmetic in
         # the next: on its +0 rows and columns that gives the + 0.0 pass's bits
-        block, steps = self._block.copy(), idle_steps(self.material.noise, idling)
+        block = self._block if self._fresh else self._block.copy()
+        steps = idle_steps(self.material.noise, tuple(idling.items()))
         for _ in range(windows):
             _decay(block, self._mask, self._n, duration, steps)
         self._keep(block, self._mask)
 
     def _apply(self, gate: Gate) -> None:
-        n, block, mask = self._n, self._block, self._mask
-        grown = mask | sum(1 << (n - 1 - t) for t in gate.targets)
-        if grown.bit_count() < min(2, n):
-            grown |= 1 if grown != 1 else 2
-        if grown != mask:
-            block = np.zeros((2 ** grown.bit_count(),) * 2, complex)
-            block.put(_block_cells(len(block), _place(mask, grown)), self._block)
-        targets = [(grown >> (n - t)).bit_count() for t in gate.targets]  # places in the block
+        block, targets, grown = self._grown(gate.targets)
         out = _apply_unitary(QuantumState(block, grown.bit_count()), gate.matrix(), targets)
+        self._block, self._mask, self._fresh = np.ascontiguousarray(out.data), grown, True
+
+    def _settle(self) -> None:
+        if self._fresh:
+            self._keep(self._block, self._mask)
+
+    def _measure(self, qubit: int, basis: str, draw, readout_error: float) -> tuple[int, float]:
+        block, (place,), grown = self._grown([qubit])
+        bit, p1, out = measure(QuantumState(block, grown.bit_count()), place, basis, draw,
+                               readout_error)
         self._keep(np.ascontiguousarray(out.data), grown)
+        return bit, p1
+
+    def _reduced(self, qubits: list[int]) -> np.ndarray:
+        block, places, grown = self._grown(qubits)
+        return reduced_density(QuantumState(block, grown.bit_count()), places)
 
     def _append_zero(self) -> None:
         if self._n + 1 > MATRIX_QUBIT_CAP:

@@ -78,8 +78,15 @@ def _excited(rho: np.ndarray) -> int:
     """The excited qubits of a C-contiguous complex 2**k x 2**k matrix, bit
     k-1-q for qubit q: those whose |1> rows or columns hold a nonzero
     component, -0.0 included. The row and column bits of the OR of the flat
-    indices of the nonzero components name them."""
+    indices of the nonzero components name them. From 32 rows on, the
+    diagonal is read first: when the OR of its nonzero entries' indices has
+    every bit set, every qubit is excited, and the 4**k scan is skipped (below
+    32 rows the test costs more than the scan it may save)."""
     bits = rho.view(np.uint64).reshape(-1)
+    if len(rho) >= 32:
+        step = 2 * len(rho) + 2  # from one diagonal entry's real part to the next's
+        if int(np.bitwise_or.reduce(np.flatnonzero(bits[::step] | bits[1::step]))) == len(rho) - 1:
+            return len(rho) - 1
     flat = int(np.bitwise_or.reduce(_flat_index(bits.size), where=bits != 0, initial=0))
     return ((flat >> 1) | (flat >> len(rho).bit_length())) & (len(rho) - 1)
 
@@ -123,16 +130,17 @@ def _decay(block: np.ndarray, excited: int, n: int, t: float, steps) -> None:
         view[...] = blocks.reshape(view.shape)
 
 
-def idle_steps(params: NoiseParams, T2_overrides: dict[int, float | None]) -> list:
-    """_decay's steps for an idle window of every qubit keyed in
-    T2_overrides, each with its own T2 (None means params.T2).
+@lru_cache(maxsize=64)  # events repeat a few idle maps; each is a few tuples
+def idle_steps(params: NoiseParams, T2_overrides: tuple) -> tuple:
+    """_decay's steps for an idle window of every qubit of T2_overrides'
+    (qubit, T2) items, each with its own T2 (None means params.T2).
 
     Per qubit this is pure dephasing at 1/T2' composed with damping; the
     combined coherence decay is exp(-t/T2') * exp(-t/(2*T1)) = exp(-t/T2).
     """
     T1 = params.T1
-    return [(qubit, 1.0 / pure_dephasing_time(T1, params.T2 if T2 is None else T2), 1.0 / T1)
-            for qubit, T2 in T2_overrides.items()]
+    return tuple((qubit, 1.0 / pure_dephasing_time(T1, params.T2 if T2 is None else T2), 1.0 / T1)
+                 for qubit, T2 in T2_overrides)
 
 
 def jump_probabilities(

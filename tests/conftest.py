@@ -287,7 +287,7 @@ class FullMatrixArray(DotArray):
     `state` equal to this one's bit for bit, signs of zeros included."""
 
     def _window(self, duration, idling, windows=1):
-        steps = idle_steps(self.material.noise, idling)
+        steps = idle_steps(self.material.noise, tuple(idling.items()))
         for _ in range(windows):
             self.state = channel_oracle(self.state, duration, steps)
 

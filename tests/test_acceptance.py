@@ -236,7 +236,7 @@ def test_criterion_11b_trajectory_channel_convergence():
     with criterion(11, "property: trajectory error shrinks like 1/sqrt(N)"):
         params = NoiseParams(T1=200e-6, T2=100e-6, enabled=True)
         plus = apply_gate(QuantumState.zero(1), Gate("H", (0,)))
-        exact = channel_oracle(plus.to_density(), 100e-6, idle_steps(params, {0: None})).data
+        exact = channel_oracle(plus.to_density(), 100e-6, idle_steps(params, ((0, None),))).data
         errors = {}
         for n in (100, 1000, 10_000):
             acc = np.zeros((2, 2), dtype=complex)

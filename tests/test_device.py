@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FullMatrixArray, norm_error
+from qdotsim import channels
 from qdotsim.constants import HBAR_EV_S
 from qdotsim.device import DotArray, MatrixArray, inas_material, si_material
 from qdotsim.errors import AdjacencyError, BlockadeError, QdotsimError, StateError
 from qdotsim.noise import NoiseParams, _excited
 from qdotsim.qstate import MATRIX_QUBIT_CAP, Gate, QuantumState, apply_gate, state_fidelity
+from qdotsim.scenario import _twin
 
 
 def make_array(width=2, height=2, noise=None, seed=0, **kwargs) -> DotArray:
@@ -622,13 +624,17 @@ BLOCK_T2 = {(1, 0): 4e-7, (2, 1): 9e-7}
 BLOCK_NOISE = NoiseParams(T1=2e-6, T2=1e-6, enabled=True)
 
 
-def _program_step(array, op) -> None:
-    """Run one abstract program op on an array; ops that name a dot or pair
-    pick it modulo the current choices, and an op with no choice is skipped."""
+def _program_step(array, op):
+    """Run one abstract program op on an array and return what it reports:
+    readout's (bit, p1), epr's Bell fidelity or teleport's report dict. Ops
+    that name a dot, pair or triple pick it modulo the current choices, and
+    an op with no choice is skipped."""
     occupied = array.qubit_positions
     free = [(x, y) for y in range(BLOCK_GRID[1]) for x in range(BLOCK_GRID[0])
             if (x, y) not in occupied and (x, y) not in BLOCK_READOUTS]
     pairs = [(a, b) for a in occupied for b in occupied if DotArray.adjacent(a, b)]
+    # teleport's payload c and its EPR half a are neighbours, for its CNOT
+    triples = [(c, a, b) for c, a in pairs for b in occupied if b not in (c, a)]
     kind, *args = op
     if kind == "init" and free and len(occupied) < MATRIX_QUBIT_CAP:
         array.init_qubit(free[args[0] % len(free)])
@@ -650,8 +656,16 @@ def _program_step(array, op) -> None:
             array.move_electron(src, dst)
     elif kind == "readout" and occupied:
         i, j, seed = args
-        array.readout(occupied[i % len(occupied)], BLOCK_READOUTS[j],
-                      np.random.default_rng(seed))
+        return array.readout(occupied[i % len(occupied)], BLOCK_READOUTS[j],
+                             np.random.default_rng(seed))
+    elif kind == "epr" and pairs:
+        a, b = pairs[args[0] % len(pairs)]
+        channels.make_epr(array, a, b)
+        return channels.epr_pair_fidelity(array, a, b)
+    elif kind == "teleport" and triples:
+        i, seed = args
+        return channels.teleport(array, *triples[i % len(triples)],
+                                 np.random.default_rng(seed))[0]
 
 
 _ONE_QUBIT_OP = st.tuples(
@@ -670,25 +684,36 @@ _PROGRAM_OP = st.one_of(
     st.tuples(st.just("move"), st.integers(0, 7),
               st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])),
     st.tuples(st.just("readout"), st.integers(0, 7), st.integers(0, 2), st.integers(0, 99)),
+    st.tuples(st.just("epr"), st.integers(0, 15)),
+    st.tuples(st.just("teleport"), st.integers(0, 63), st.integers(0, 99)),
 )
 
 
 @given(inits=st.lists(st.integers(0, 11), min_size=1, max_size=MATRIX_QUBIT_CAP),
-       program=st.lists(_PROGRAM_OP, min_size=4, max_size=16), strict=st.booleans())
+       program=st.lists(_PROGRAM_OP, min_size=4, max_size=16), strict=st.booleans(),
+       noise=st.booleans())
 @example(inits=[0], program=[("gate1", "X", 0, None, None), ("gate1", "H", 0, None, None),
                              ("init", 1), ("gate2", "CNOT", 0, None), ("init", 2),
-                             ("idle", 1e-7, 3), ("readout", 0, 0, 1)], strict=False).via("discovered")
+                             ("idle", 1e-7, 3), ("readout", 0, 0, 1)], strict=False,
+         noise=True).via("discovered")
 @example(inits=[0, 0, 4], program=[("gate1", "Rot", 1, (0.3, -1.0, 0.8), 2.2), ("init", 2),
                                    ("window", "ExchangeEvolve", 1, 1.3), ("idle", 1e-3, 1),
                                    ("move", 2, (0, -1)), ("readout", 0, 1, 7)],
-         strict=True).via("discovered")
+         strict=True, noise=True).via("discovered")
+@example(inits=[0, 1], program=[("gate1", "H", 0, None, None), ("gate2", "CNOT", 0, None),
+                                ("readout", 1, 0, 3), ("epr", 0), ("init", 2),
+                                ("teleport", 0, 5), ("idle", 1e-7, 1)],
+         strict=False, noise=True)  # the CNOT on the 2-qubit register has no window after it
 @settings(max_examples=150, deadline=None)
-def test_matrix_array_block_matches_the_full_matrix_reference(inits, program, strict):
+def test_matrix_array_block_matches_the_full_matrix_reference(inits, program, strict, noise):
     # after every event the stored block, scattered into zeros, is the full
-    # reference's rho bit for bit, and the stored mask is its scan: an init
-    # after gates can leave -0.0 (x * 0j) in the new qubit's |1> rows, and
-    # windows against T1 = 2 us (1 ms: 1 - gamma rounds to 0) shrink the block
-    material = replace(inas_material(), noise=BLOCK_NOISE)
+    # reference's rho bit for bit, the stored mask is its scan, and readout,
+    # epr and teleport report the same bits: an init after gates can leave
+    # -0.0 (x * 0j) in the new qubit's |1> rows, windows against T1 = 2 us
+    # (1 ms: 1 - gamma rounds to 0) shrink the block, and a gate with no
+    # window after it (noise off, or a pair gate on a 2-qubit register) is
+    # scanned before its event ends
+    material = replace(inas_material(), noise=replace(BLOCK_NOISE, enabled=noise))
     roles = {pos: "readout" for pos in BLOCK_READOUTS}
     array, ref = (cls(*BLOCK_GRID, material, roles=roles, representation="matrix",
                       strict=strict, seed=0, t2_overrides=BLOCK_T2)
@@ -698,8 +723,7 @@ def test_matrix_array_block_matches_the_full_matrix_reference(inits, program, st
         outcomes = []
         for a in (array, ref):
             try:
-                _program_step(a, op)
-                outcomes.append(None)
+                outcomes.append(repr(_program_step(a, op)))  # repr: every float's bits
             except QdotsimError as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1], op
@@ -709,8 +733,29 @@ def test_matrix_array_block_matches_the_full_matrix_reference(inits, program, st
         assert array._block.shape == (2 ** array._mask.bit_count(),) * 2
         assert (array.clock, array.energy, array.qubit_positions) == (
             ref.clock, ref.energy, ref.qubit_positions)
-        if outcomes[0]:
+        if not isinstance(outcomes[0], str):
             break
+
+
+@pytest.mark.parametrize("last", ["S", "CNOT"])  # CNOT on both qubits: no window after it
+def test_an_idle_window_never_writes_a_block_another_array_holds(last):
+    # a shot group's twin shares its array's block; only a gate's own output,
+    # before its event ends, may be decayed in place
+    material = replace(inas_material(), noise=BLOCK_NOISE)
+    array, ref = (cls(2, 1, material, representation="matrix", seed=0)
+                  for cls in (DotArray, FullMatrixArray))
+    for a in (array, ref):
+        a.init_qubit((0, 0)).init_qubit((1, 0))
+        a.apply_gate_at("H", [(0, 0)])
+        a.apply_gate_at(last, [(0, 0), (1, 0)][:2 if last == "CNOT" else 1])
+    before = array.state.data.tobytes()
+    for _ in range(2):
+        twin = _twin(array)
+        twin.advance(3e-7)
+        assert array.state.data.tobytes() == before
+    ref.advance(3e-7)
+    assert twin.state.data.tobytes() == ref.state.data.tobytes()
+    assert twin._mask == _excited(np.ascontiguousarray(ref.state.data))
 
 
 def test_a_matrix_array_refuses_a_vector_state():

@@ -22,6 +22,7 @@ from qdotsim.errors import StateError
 from qdotsim.noise import (
     NoiseParams,
     _decay,
+    _excited,
     _window_plan,
     idle_jumps_window,
     idle_steps,
@@ -140,13 +141,13 @@ def test_damping_kraus_complete(gamma):
 
 def test_idle_channel_total_coherence_decay():
     # pure dephasing times damping must combine to exp(-t/T2) on coherences
-    out = decayed(plus_density(), T2, idle_steps(NOISE, {0: None}))
+    out = decayed(plus_density(), T2, idle_steps(NOISE, ((0, None),)))
     assert abs(abs(out.data[0, 1]) - 0.5 * math.exp(-1)) < 1e-12
 
 
 def test_idle_channel_on_selected_qubit_only(rng):
     psi = haar_state(2, rng).to_density()
-    out = decayed(psi, T2, idle_steps(NOISE, {0: None}))
+    out = decayed(psi, T2, idle_steps(NOISE, ((0, None),)))
     # qubit 1 marginals untouched
     before = psi.data.reshape(2, 2, 2, 2)
     after = out.data.reshape(2, 2, 2, 2)
@@ -175,7 +176,7 @@ def test_idle_window_matches_kraus_oracle(n, seed, t, data):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-    out = decayed(QuantumState(rho, n), t, idle_steps(NOISE, overrides)).data
+    out = decayed(QuantumState(rho, n), t, idle_steps(NOISE, tuple(overrides.items()))).data
     expected = rho
     for q, t2 in overrides.items():
         t2p = pure_dephasing_time(T1, T2 if t2 is None else t2)
@@ -206,7 +207,7 @@ def matrix_window(rho: np.ndarray, n: int, t: float, idling: dict,
     array.state = QuantumState(rho, n)
     array._window(t, idling)
     out = array.state.data
-    want = channel_oracle(QuantumState(rho, n), t, idle_steps(noise, idling)).data
+    want = channel_oracle(QuantumState(rho, n), t, idle_steps(noise, tuple(idling.items()))).data
     assert out.tobytes() == want.tobytes()
     assert rho.tobytes() == before
     return out
@@ -310,6 +311,49 @@ def test_channel_reads_a_transposed_view():
     matrix_window(view, n, 1e-6, dict.fromkeys(range(n)))
 
 
+def excited_oracle(rho: np.ndarray) -> int:
+    """The OR of the row and column indices of every entry of rho whose real
+    or imaginary part has a bit set (-0.0 included), one entry at a time."""
+    bits = rho.view(np.uint64).reshape(len(rho), len(rho), 2)
+    out = 0
+    for row, col in zip(*np.nonzero(bits.any(axis=2))):
+        out |= int(row) | int(col)
+    return out
+
+
+@given(k=st.integers(0, MATRIX_QUBIT_CAP), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.002, 0.05, 1.0]),
+       diagonal=st.sampled_from(["as drawn", "zero", "every entry", "-0.0", "all but one"]))
+@settings(max_examples=300, deadline=None)
+def test_excited_equals_the_full_scan(k, seed, density, diagonal):
+    # from 32 rows on, _excited returns every qubit when the diagonal alone
+    # names them all; else, and below 32 rows, it scans every entry. A zero
+    # diagonal with nonzero off-diagonal entries is no density matrix, but
+    # `state` accepts any rho, so the scan must still find those qubits
+    rng = np.random.default_rng(seed)
+    size = 2**k
+    rho = np.zeros((size, size), complex)
+    allowed = (np.arange(size) & ~int(rng.integers(size))) == 0  # rows of a random qubit subset
+    allowed = allowed[:, None] & allowed
+    fill = (rng.random((size, size)) < density) & allowed
+    rho[fill] = rng.normal(size=fill.sum()) + 1j * rng.normal(size=fill.sum())
+    parts = rho.view(np.float64).reshape(size, size, 2)
+    parts[(rng.random((size, size, 2)) < 0.02) & allowed[..., None]] = -0.0
+    cells = np.arange(size)
+    if diagonal == "zero":
+        rho[cells, cells] = 0.0
+    elif diagonal == "every entry":
+        rho[cells, cells] = rng.uniform(0.1, 1.0, size)
+    elif diagonal == "-0.0":
+        rho[cells, cells] = 0.0
+        parts[cells, cells, rng.integers(2)] = -0.0
+    elif diagonal == "all but one" and k:
+        bit = 1 << int(rng.integers(k))  # that qubit excited off the diagonal only
+        rho[cells, cells] = np.where(cells & bit, 0.0, 0.5)
+        rho[bit, 0] = complex(0.0, -0.0) if rng.random() < 0.5 else 1e-300
+    assert _excited(rho) == excited_oracle(rho)
+
+
 # ---------------------------------------------------------------------------
 # trajectory sampling
 # ---------------------------------------------------------------------------
@@ -350,7 +394,7 @@ def _trajectory_average(n_samples: int, duration: float, seed_base: int) -> np.n
 def test_trajectory_average_matches_exact_channel():
     n = 10_000
     avg = _trajectory_average(n, T2, seed_base=42)
-    exact = decayed(plus_density(), T2, idle_steps(NOISE, {0: None}))
+    exact = decayed(plus_density(), T2, idle_steps(NOISE, ((0, None),)))
     # off-diagonal magnitude lands within 3 statistical sigma of 0.5/e
     sigma = 0.5 / math.sqrt(n)
     assert abs(abs(avg[0, 1]) - 0.5 * math.exp(-1)) < 3 * sigma
@@ -358,7 +402,7 @@ def test_trajectory_average_matches_exact_channel():
 
 
 def test_trajectory_error_shrinks_like_inverse_sqrt_n():
-    exact = decayed(plus_density(), T2, idle_steps(NOISE, {0: None})).data
+    exact = decayed(plus_density(), T2, idle_steps(NOISE, ((0, None),))).data
     errors = {}
     for n in (100, 1000, 10_000):
         avg = _trajectory_average(n, T2, seed_base=2024)
@@ -471,6 +515,14 @@ def test_window_plans_are_read_only_and_their_cache_is_bounded():
     assert draws == limits.size == 3  # Z and damping for qubit 1, damping only for qubit 0
     assert limits[2] == 0.0 and not limits.flags.writeable
     assert _window_plan.cache_info().maxsize is not None
+
+
+def test_idle_steps_are_built_once_per_map_and_read_only():
+    overrides = ((2, None), (0, T1 / 30))
+    steps = idle_steps(NOISE, overrides)
+    assert idle_steps(NOISE, overrides) is steps and isinstance(steps, tuple)
+    assert [q for q, _, _ in steps] == [2, 0]
+    assert idle_steps.cache_info().maxsize is not None
 
 
 def test_jump_step_requires_vector():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_json_oracle, run_shots_eagerly
+from conftest import FullMatrixArray, canonical_json_oracle, run_shots_eagerly
 from qdotsim import channels, cli
 from qdotsim import scenario as scenario_mod
 from qdotsim.channels import line_report
@@ -615,6 +615,51 @@ MATRIX_BLOCK = {
     ],
 }
 
+# the packaged teleport on a noisy matrix register; its residual exchange is
+# turned down and its T2 up so that strict mode's EPR checks pass
+TELEPORT_MATRIX = {
+    **TELEPORT,
+    "material": {"preset": "inas", "J_off": 1e-15,
+                 "noise": {"enabled": True, "T1": 0.2, "T2": 0.1}},
+    "array": {**TELEPORT["array"], "representation": "matrix"},
+}
+# two qubits, so the CNOT on both has no idle window after it; readouts split
+# the shots before and after the EPR pair and the teleport
+MATRIX_SPLITS = {
+    "schema_version": 1,
+    "seed": 41,
+    "material": {"preset": "inas", "noise": {"enabled": True, "T1": 2e-6, "T2": 1e-6}},
+    "array": {"width": 4, "height": 2, "representation": "matrix",
+              "dots": [{"pos": [0, 1], "role": "readout"}, {"pos": [3, 1], "t2_override": 5e-7}]},
+    "program": [
+        {"op": "init", "pos": [0, 0]}, {"op": "init", "pos": [1, 0]},
+        {"op": "gate", "kind": "H", "targets": [[0, 0]]},
+        {"op": "gate", "kind": "CNOT", "targets": [[0, 0], [1, 0]]},
+        {"op": "idle", "t": 3e-7},
+        {"op": "readout", "qubit": [1, 0], "readout": [0, 1]},
+        {"op": "gate", "kind": "Rot", "targets": [[0, 0]], "axis": [1, 0.5, 0], "angle": 1.1},
+        {"op": "init", "pos": [2, 0]},
+        {"op": "epr", "a": [1, 0], "b": [2, 0]},
+        {"op": "move", "src": [2, 0], "dst": [3, 0]},
+        {"op": "move", "src": [3, 0], "dst": [3, 1]},
+        {"op": "teleport", "payload": [0, 0], "a": [1, 0], "b": [3, 1]},
+        {"op": "readout", "qubit": [3, 1], "readout": [0, 1]},
+    ],
+}
+
+
+@pytest.mark.parametrize("noise", [True, False])
+def test_multi_shot_matrix_runs_match_the_full_matrix_reference(monkeypatch, noise):
+    # groups of shots share an array's block through scenario._twin, and a gate
+    # with no window after it leaves its block unscanned until advance ends:
+    # a run must report the bits of one whose arrays keep all of rho
+    scenario = copy.deepcopy(MATRIX_SPLITS)
+    scenario["material"]["noise"]["enabled"] = noise
+    block = dumps_report(run_scenario(scenario, shots=300))
+    monkeypatch.setattr(scenario_mod, "DotArray", FullMatrixArray)
+    assert dumps_report(run_scenario(scenario, shots=300)) == block
+    assert len(json.loads(block)["measurement_counts"]) > 4
+
 
 def test_run_reports_are_pinned():
     # sha256 of the canonical report bytes, recorded before the device stopped
@@ -654,6 +699,11 @@ def test_run_reports_are_pinned():
         "8896b90e38dccd3504bb1226c6dad8422ea20c2f20add2b15e018c8f3b9483fe")
     assert digest(dumps_report(run_scenario({**MATRIX_BLOCK, "strict": True}, shots=200))) == (
         "031ae956fcb857b8abf32563dce0bf86ba10b5eea7c6d21a90501e353455134a")
+    # recorded before readouts, teleports and EPR checks ran on the excited block
+    assert digest(dumps_report(run_scenario(TELEPORT_MATRIX, shots=200))) == (
+        "ec21e9f3fc0b1492de32998aac1a82e9891f7330af461cdebf65a456df560aa1")
+    assert digest(dumps_report(run_scenario({**TELEPORT_MATRIX, "strict": True}, shots=200))) == (
+        "350f6ba158947d175a0bac481d26e4e76929357a25bc1ad5bf6e76346b17b739")
 
 
 
@@ -1456,7 +1506,8 @@ def test_cli_unreadable_scenario_or_non_string_output_exits_2(tmp_path, monkeypa
 @pytest.mark.parametrize("under", [False, True])
 def test_cli_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv, under):
     # mkdir raised FileExistsError on a regular file and NotADirectoryError
-    # on a path under one, from --out and from a scenario's "output" alike
+    # on a path under one, from --out and from a scenario's "output" alike;
+    # the report reached stdout before the failed mkdir
     afile = tmp_path / "afile"
     afile.write_text("kept")
     out = str(afile / "x" if under else afile)
@@ -1467,8 +1518,9 @@ def test_cli_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv,
     else:
         argv = [*argv, "--out", out]
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert json.loads(err)["error"] == "schema" and "Traceback" not in err
+    assert out == ""
     assert afile.read_text() == "kept"
 
 
